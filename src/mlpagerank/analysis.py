@@ -12,7 +12,6 @@ stochastic solution.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,30 +62,26 @@ def cw_distance(x_tilde, x):
     """d(x~, x); asymmetric, the second argument is the reference.
 
     Accepts vectors, matrices, or Tensor3 pairs; for tensors the comparison
-    runs over the union of supports (a value appearing against a structural
-    zero makes the distance infinite).
+    runs over the union of the two supports (a value appearing against a
+    structural zero makes the distance infinite, a dropped entry gives 1)
+    and argmax_index is the 1-based (i, j, k).
     """
     if isinstance(x, tz.Tensor3) or isinstance(x_tilde, tz.Tensor3):
         if x.n != x_tilde.n:
             raise ValueError("tensor dimensions disagree")
-        if x.n <= tz.DENSE_LIMIT:
-            return _cw_arrays(x_tilde.unfolding(), x.unfolding())
-        d = 0.0
-        arg = ()
-        ref = {(i, j, k): v for i, j, k, v in x.entries()}
-        for i, j, k, v in x_tilde.entries():
-            base = ref.pop((i, j, k), 0.0)
-            if base == 0.0:
-                if v != 0.0:
-                    return CwDistance(math.inf, (i, j, k))
-                continue
-            r = abs(v - base) / abs(base)
-            if r > d:
-                d, arg = r, (i, j, k)
-        for (i, j, k), base in ref.items():
-            if base != 0.0 and 1.0 > d:
-                d, arg = 1.0, (i, j, k)  # entry dropped entirely
-        return CwDistance(d, arg)
+        n = x.n
+        keys = [t.rows * (n * n) + t.cols for t in (x_tilde, x)]
+        union = np.union1d(*keys)
+        dense = []
+        for t, key in zip((x_tilde, x), keys):
+            vals = np.zeros(len(union))
+            vals[np.searchsorted(union, key)] = t.vals
+            dense.append(vals)
+        d = _cw_arrays(*dense)
+        if not d.argmax_index:
+            return d
+        i, col = divmod(int(union[d.argmax_index[0] - 1]), n * n)
+        return CwDistance(d.value, (i + 1, col % n + 1, col // n + 1))
     return _cw_arrays(x_tilde, x)
 
 

@@ -93,10 +93,19 @@ def _parse_method(name, parser):
         parser.error(f"unknown method {name!r}; choose from {sorted(_METHODS)}")
 
 
-def _parse_blocks(text):
-    if text is None:
-        return None
-    return tuple(int(t) for t in text.split(","))
+def _options(args, parser, **kwargs):
+    """SolverOptions from the shared flags; bad values are usage errors."""
+    blocks = None
+    if args.block_sizes is not None:
+        try:
+            blocks = tuple(int(t) for t in args.block_sizes.split(","))
+        except ValueError:
+            parser.error("--block-sizes must be comma-separated integers, "
+                         f"got {args.block_sizes!r}")
+    try:
+        return SolverOptions(tol=args.tol, maxit=args.maxit, block_sizes=blocks, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _termination_exit(termination):
@@ -150,14 +159,9 @@ def _write_iteration_csv(path, report):
 def cmd_solve(args, parser):
     problem = _load_problem(args, parser)
     method = _parse_method(args.method, parser)
-    opts = SolverOptions(
-        method=method,
-        tol=args.tol,
-        maxit=args.maxit,
-        block_sizes=_parse_blocks(args.block_sizes),
-        start=Start.V if args.start == "v" else Start.ZERO,
-        record_history=True,
-    )
+    opts = _options(args, parser, method=method,
+                    start=Start.V if args.start == "v" else Start.ZERO,
+                    record_history=True)
     reference = None
     ref_info = None
     if args.reference:
@@ -191,8 +195,9 @@ def cmd_solve(args, parser):
 def cmd_perturb(args, parser):
     problem = _load_problem(args, parser)
     method = _parse_method(args.method, parser)
-    opts = SolverOptions(method=method, tol=args.tol, maxit=args.maxit,
-                         block_sizes=_parse_blocks(args.block_sizes))
+    opts = _options(args, parser, method=method)
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
     if args.reference:
         m = precision.reference_solution(problem, precision.MINIMAL).x
     else:
@@ -278,18 +283,17 @@ def cmd_compare(args, parser):
     methods = [_parse_method(name.strip(), parser)
                for name in args.methods.split(",")]
     stochastic = args.stochastic
+    start = Start.V if stochastic else Start.ZERO
+    options = [_options(args, parser, method=m, start=start, record_history=True)
+               for m in methods]
     mode = precision.STOCHASTIC if stochastic else precision.MINIMAL
     ref = precision.reference_solution(problem, mode)
     if not ref.converged:
         sys.stderr.write("error: extended-precision reference did not converge\n")
         return EXIT_NUMERICAL
-    start = Start.V if stochastic else Start.ZERO
     rows = []
     worst = EXIT_OK
-    for method in methods:
-        opts = SolverOptions(method=method, tol=args.tol, maxit=args.maxit,
-                             block_sizes=_parse_blocks(args.block_sizes),
-                             start=start, record_history=True)
+    for method, opts in zip(methods, options):
         try:
             report = solve(problem, opts, reference=ref.x)
         except ValueError as exc:

@@ -118,8 +118,13 @@ def column_normalize_substochastic(C):
 
 
 def _dangling(B):
-    """dangling(B) = 1^T_q - 1^T B, the column deficiency row vector."""
-    return 1.0 - B.sum(axis=0)
+    """The 0/1 row vector marking the all-zero columns of B.
+
+    Every column of B is normalized or zero, so this is the column deficiency
+    1^T - 1^T B in exact form; evaluated as 1 - colsum it comes out at -1 ulp
+    on some normalized columns, which makes tensor entries negative.
+    """
+    return (~B.any(axis=0)).astype(np.float64)
 
 
 def build_pagerank_tensor(adj, v, nu):

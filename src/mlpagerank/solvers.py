@@ -371,6 +371,16 @@ def block_jacobi_gth_variant(problem, opts):
     (z <= u) lengthens the steps towards the minimal solution, trading the
     monotonicity guarantee for near-Newton convergence speed; overshoot is
     recorded by solve() when a reference is available, never raised.
+
+    Known to fail on common inputs.  With several blocks an iterate often
+    leaves the nonnegative cone and the run ends DIVERGED: on ex2 with
+    blocks (2,2) and (1,3) and on intro with blocks (1,1) at every alpha of
+    0.3, 0.49999, 0.5 and 0.6, and on ex1 with (1,3) at 0.49999 and 0.5.
+    block_jacobi with blocks (1,1) on intro and (2,2) on ex2 converges at all
+    of these but ex2 at 0.5.  With one block the variant ends DIVERGED at
+    alpha >= 0.49999 on all three built-ins: the right-hand side
+    N x + a - B x^2 carries an absolute error near 1e-16, which T_k^{-1}
+    amplifies by 1/z as z -> 0.
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi_gth_variant")
     n = problem.n

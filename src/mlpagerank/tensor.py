@@ -1,9 +1,29 @@
 """Sparse order-3 tensors and the contraction products used by the solvers.
 
 An n x n x n tensor B is stored through its first-mode unfolding: entry
-b_{ijk} lives in row i, column j + (k-1)*n of an n x n^2 matrix.  All stored
-values are nonnegative; the solvers rely on this to keep their nonnegative
-code paths free of cancellation.
+b_{ijk} lives in row i, column c = j + (k-1)*n of an n x n^2 matrix.  The
+entries are kept in coordinate arrays (rows, cols, vals), zero-based and
+sorted by (row, column) with a CSR row pointer, so within a row they run by
+k, then j.  All stored values are nonnegative; the solvers rely on this to
+keep their nonnegative code paths free of cancellation.
+
+Read in that order, the storage is also the compressed-column (CSC) form of
+the n^2 x n^2 block-diagonal slice matrix D = diag(B_1, ..., B_n), with
+(B_i)_{jk} = b_{ijk}: column i*n + k of D holds the entries b_{ijk} of one
+(i, k) in storage order, at rows i*n + j.  With x~ = (x, ..., x) (n copies),
+
+    vec(B:x) = D x~   (row i*n + j)      vec(Bx:) = D^T x~   (row i*n + k),
+
+so the two Jacobian contractions are scipy matrix-vector products with D
+and with its transpose, a CSR matrix on the same arrays.  Their index arrays
+are derived on a tensor's first product and shared by all of its scale()
+copies, so a tensor that is never multiplied never pays for them.
+
+Summation-order contract: every product adds the terms b_{ijk} x_j,
+b_{ijk} x_k or (b_{ijk} x_j) y_k of one output entry one at a time, starting
+from 0.0, in storage order.  Results are therefore bit-for-bit reproducible
+and equal to a sequential ``np.bincount`` over the same terms, however the
+work is dispatched.
 """
 
 from __future__ import annotations
@@ -11,10 +31,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 
-# Below this dimension a dense copy of the unfolding is kept for the
-# matrix-producing contractions; coordinate data is authoritative either way.
-DENSE_LIMIT = 64
+# apply_bilinear sums with np.bincount below this many stored entries, where
+# building a CSR matrix per call costs more than it saves; both add the same
+# terms in the same order.
+BINCOUNT_MAX_NNZ = 4096
+
+
+class _Layout:
+    """Index arrays derived from a storage pattern, built on first use.
+
+    One instance is shared by a tensor and all of its scale() copies.
+    """
+
+    __slots__ = ("j", "k", "col_ptr", "slice_rows", "tile")
+
+    def __init__(self):
+        self.j = None
+
+    def build(self, B):
+        if self.j is None:
+            n = B.n
+            k, j = np.divmod(B.cols, n)
+            self.k = k
+            # storage runs by (i, k, j), so the columns i*n + k of D are sorted
+            self.col_ptr = np.searchsorted(B.rows * n + k, np.arange(n * n + 1))
+            self.slice_rows = B.rows * n + j
+            self.tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
+            self.j = j
+        return self
+
+
+def _entry(n, row, col):
+    """The 1-based (i,j,k) label of a zero-based (row, unfolding column)."""
+    return f"({row + 1},{col % n + 1},{col // n + 1})"
+
+
+def _invalid(vals):
+    return ~np.isfinite(vals) | (vals < 0.0)
 
 
 class Tensor3:
@@ -25,46 +80,59 @@ class Tensor3:
     reproducible order.
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_dense")
+    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_layout", "_slices")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
 
         Raises ValueError on indices out of range, negative or non-finite
         values, or duplicate (i, j, k) triples (duplicates are rejected, not
-        summed, so file round-trips are bit-exact).
+        summed, so file round-trips are bit-exact).  Entries may come in any
+        order; they are sorted only when they are not sorted already.
         """
         n = int(n)
         if n <= 0:
             raise ValueError("tensor dimension must be positive")
-        ent = list(entries)
-        rows = np.empty(len(ent), dtype=np.int64)
-        cols = np.empty(len(ent), dtype=np.int64)
-        vals = np.empty(len(ent), dtype=np.float64)
-        for idx, (i, j, k, value) in enumerate(ent):
-            if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
-                raise ValueError(f"entry ({i},{j},{k}) out of range for n={n}")
-            value = float(value)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"entry ({i},{j},{k}) has invalid value {value!r}")
-            rows[idx] = i - 1
-            cols[idx] = (j - 1) + (k - 1) * n
-            vals[idx] = value
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        flat = rows * (n * n) + cols
-        if len(flat) > 1 and (np.diff(flat) == 0).any():
-            dup = int(np.nonzero(np.diff(flat) == 0)[0][0])
-            i, c = int(rows[dup]) + 1, int(cols[dup])
-            raise ValueError(
-                f"duplicate entry ({i},{c % n + 1},{c // n + 1})"
-            )
+        entries = list(entries)
+        if any(len(e) != 4 for e in entries):
+            raise ValueError("entries must be (i, j, k, value) tuples")
+        columns = list(zip(*entries)) or [(), (), (), ()]
+        i, j, k = (np.asarray(c, dtype=np.int64) for c in columns[:3])
+        vals = np.asarray(columns[3], dtype=np.float64)
+        outside = (np.minimum(np.minimum(i, j), k) < 1) | (np.maximum(np.maximum(i, j), k) > n)
+        bad = outside | _invalid(vals)
+        if bad.any():
+            e = int(np.argmax(bad))
+            what = (f"out of range for n={n}" if outside[e]
+                    else f"has invalid value {float(vals[e])!r}")
+            raise ValueError(f"entry ({i[e]},{j[e]},{k[e]}) {what}")
+        self._store(n, i - 1, (j - 1) + (k - 1) * n, vals)
+
+    def _store(self, n, rows, cols, vals):
+        """Validate values, sort if needed, reject duplicates, and keep the arrays.
+
+        rows and cols are zero-based int64 arrays already known to be in range.
+        """
+        bad = _invalid(vals)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(f"entry {_entry(n, rows[e], cols[e])} "
+                             f"has invalid value {float(vals[e])!r}")
+        flat = rows * (n * n)
+        flat += cols
+        if len(flat) > 1 and not (np.diff(flat) > 0).all():
+            order = np.argsort(flat, kind="stable")
+            rows, cols, vals, flat = rows[order], cols[order], vals[order], flat[order]
+            dup = np.flatnonzero(np.diff(flat) == 0)
+            if len(dup):
+                raise ValueError(f"duplicate entry {_entry(n, rows[dup[0]], cols[dup[0]])}")
         self.n = n
         self.rows = rows
         self.cols = cols
         self.vals = vals
         self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
-        self._dense = None
+        self._layout = _Layout()
+        self._slices = None
 
     @classmethod
     def from_unfolding(cls, unfolding):
@@ -73,12 +141,12 @@ class Tensor3:
         n = U.shape[0]
         if U.shape != (n, n * n):
             raise ValueError(f"unfolding must be n x n^2, got {U.shape}")
-        ii, cc = np.nonzero(U)
-        entries = [
-            (int(i) + 1, int(c) % n + 1, int(c) // n + 1, U[i, c])
-            for i, c in zip(ii, cc)
-        ]
-        return cls(n, entries)
+        if n == 0:
+            raise ValueError("tensor dimension must be positive")
+        rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(U))
+        out = cls.__new__(cls)
+        out._store(n, rows, cols, U[rows, cols])
+        return out
 
     @classmethod
     def zeros(cls, n):
@@ -89,19 +157,15 @@ class Tensor3:
         return len(self.vals)
 
     def entries(self):
-        """Yield (i, j, k, value) with 1-based indices in storage order."""
-        n = self.n
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            yield int(r) + 1, int(c) % n + 1, int(c) // n + 1, float(v)
+        """Iterate (i, j, k, value) with 1-based indices in storage order."""
+        k, j = np.divmod(self.cols, self.n)
+        return zip((self.rows + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
+                   self.vals.tolist())
 
     def unfolding(self):
-        """Dense n x n^2 unfolding (cached when n <= DENSE_LIMIT)."""
-        if self._dense is not None:
-            return self._dense
+        """A new dense n x n^2 unfolding."""
         U = np.zeros((self.n, self.n * self.n))
         U[self.rows, self.cols] = self.vals
-        if self.n <= DENSE_LIMIT:
-            self._dense = U
         return U
 
     def scale(self, factor):
@@ -115,8 +179,22 @@ class Tensor3:
         out.cols = self.cols
         out.vals = self.vals * factor
         out.row_ptr = self.row_ptr
-        out._dense = None
+        out._layout = self._layout
+        out._slices = None
         return out
+
+    def slice_matrices(self):
+        """(D, D^T): the slice matrix in CSC form and its CSR transpose.
+
+        Both wrap this tensor's own arrays, copying nothing, and are built
+        once per tensor.
+        """
+        if self._slices is None:
+            lay = self._layout.build(self)
+            nn = self.n * self.n
+            D = csc_array((self.vals, lay.slice_rows, lay.col_ptr), shape=(nn, nn))
+            self._slices = (D, D.T)
+        return self._slices
 
     def __repr__(self):
         return f"Tensor3(n={self.n}, nnz={self.nnz})"
@@ -132,14 +210,18 @@ def _check_dim(B, x, name="x"):
 def apply_bilinear(B, x, y):
     """(Bxy)_i = sum_{j,k} b_{ijk} x_j y_k.
 
-    Entries are accumulated in storage order, so repeated calls are
-    bit-for-bit reproducible; for nonnegative x, y only additions and
-    multiplications of nonnegative terms occur.
+    Each term is (b_{ijk} x_j) y_k, accumulated in storage order, so repeated
+    calls are bit-for-bit reproducible; for nonnegative x, y only additions
+    and multiplications of nonnegative terms occur.
     """
     x = _check_dim(B, x, "x")
     y = _check_dim(B, y, "y")
-    w = B.vals * x[B.cols % B.n] * y[B.cols // B.n]
-    return np.bincount(B.rows, weights=w, minlength=B.n)
+    lay = B._layout.build(B)
+    w = B.vals * x.take(lay.j)
+    if 0 < B.nnz <= BINCOUNT_MAX_NNZ:  # with no weights bincount gives integers
+        w *= y.take(lay.k)
+        return np.bincount(B.rows, weights=w, minlength=B.n)
+    return csr_array((w, lay.k, B.row_ptr), shape=(B.n, B.n)) @ y
 
 
 def apply_quadratic(B, x):
@@ -150,17 +232,15 @@ def apply_quadratic(B, x):
 def contract_left(B, x):
     """Matrix of y -> Bxy, i.e. (Bx:)_{ik} = sum_j b_{ijk} x_j."""
     x = _check_dim(B, x)
-    w = B.vals * x[B.cols % B.n]
-    flat = B.rows * B.n + B.cols // B.n
-    return np.bincount(flat, weights=w, minlength=B.n * B.n).reshape(B.n, B.n)
+    _, DT = B.slice_matrices()
+    return (DT @ x.take(B._layout.tile)).reshape(B.n, B.n)
 
 
 def contract_right(B, x):
     """Matrix of y -> Byx, i.e. (B:x)_{ij} = sum_k b_{ijk} x_k."""
     x = _check_dim(B, x)
-    w = B.vals * x[B.cols // B.n]
-    flat = B.rows * B.n + B.cols % B.n
-    return np.bincount(flat, weights=w, minlength=B.n * B.n).reshape(B.n, B.n)
+    D, _ = B.slice_matrices()
+    return (D @ x.take(B._layout.tile)).reshape(B.n, B.n)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlpagerank import tensor as tz
 from mlpagerank import (
     Tensor3,
     apply_bilinear,
@@ -39,7 +40,133 @@ def brute_force_quadratic(B, x):
     return out
 
 
+def loop_built_arrays(n, entries):
+    """The coordinate arrays as the per-entry loop constructor built them."""
+    ent = list(entries)
+    rows = np.array([i - 1 for i, _, _, _ in ent], dtype=np.int64)
+    cols = np.array([(j - 1) + (k - 1) * n for _, j, k, _ in ent], dtype=np.int64)
+    vals = np.array([float(v) for _, _, _, v in ent], dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+# The products as the per-call index arithmetic and np.bincount computed them.
+# The kernels promise the same terms summed in the same order, so equal bits.
+def bincount_apply_bilinear(B, x, y):
+    w = B.vals * x[B.cols % B.n] * y[B.cols // B.n]
+    return np.bincount(B.rows, weights=w, minlength=B.n)
+
+
+def bincount_contract_left(B, x):
+    w = B.vals * x[B.cols % B.n]
+    flat = B.rows * B.n + B.cols // B.n
+    return np.bincount(flat, weights=w, minlength=B.n * B.n).reshape(B.n, B.n)
+
+
+def bincount_contract_right(B, x):
+    w = B.vals * x[B.cols // B.n]
+    flat = B.rows * B.n + B.cols % B.n
+    return np.bincount(flat, weights=w, minlength=B.n * B.n).reshape(B.n, B.n)
+
+
+def random_sparse_tensor(rng, n, density, empty_rows=()):
+    """Values spread over 12 decades, so summation order shows in the bits."""
+    U = rng.random((n, n * n)) * 10.0 ** rng.integers(-6, 6, size=(n, n * n))
+    U[rng.random((n, n * n)) >= density] = 0.0
+    U[list(empty_rows)] = 0.0
+    return Tensor3.from_unfolding(U)
+
+
+KERNEL_CASES = [  # (n, density, empty rows); n = 20 dense lies above BINCOUNT_MAX_NNZ
+    (1, 1.0, ()),
+    (1, 0.0, ()),
+    (3, 0.5, (1,)),
+    (5, 0.3, (0, 4)),
+    (20, 1.0, (7,)),
+    (24, 0.6, (0, 23)),
+]
+
+
+class TestKernelsMatchBincountFormulas:
+    @pytest.mark.parametrize("n,density,empty_rows", KERNEL_CASES)
+    def test_bit_identical(self, n, density, empty_rows):
+        rng = np.random.default_rng(1000 + n)
+        B = random_sparse_tensor(rng, n, density, empty_rows).scale(0.4)
+        for _ in range(3):
+            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+            y = rng.random(n)
+            for got, want in (
+                (apply_bilinear(B, x, y), bincount_apply_bilinear(B, x, y)),
+                (apply_quadratic(B, x), bincount_apply_bilinear(B, x, x)),
+                (contract_left(B, x), bincount_contract_left(B, x)),
+                (contract_right(B, x), bincount_contract_right(B, x)),
+            ):
+                assert got.dtype == np.float64
+                assert got.shape == want.shape
+                assert got.tobytes() == want.astype(np.float64).tobytes()
+
+    def test_both_bilinear_paths_are_exercised(self):
+        sizes = [random_sparse_tensor(np.random.default_rng(1000 + n), n, d, e).nnz
+                 for n, d, e in KERNEL_CASES]
+        assert min(sizes) <= tz.BINCOUNT_MAX_NNZ < max(sizes)
+
+    def test_scale_copies_share_index_arrays_not_values(self, rng):
+        P = random_sparse_tensor(rng, 6, 0.5)
+        A, B = P.scale(0.3), P.scale(0.6)
+        x = rng.random(6)
+        assert contract_left(A, x).tobytes() == bincount_contract_left(A, x).tobytes()
+        assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
+        assert A._layout is B._layout is P._layout
+        assert np.shares_memory(A.slice_matrices()[0].data, A.vals)
+        assert np.shares_memory(B.slice_matrices()[1].data, B.vals)
+
+    def test_unsorted_input_is_sorted(self, rng):
+        n = 4
+        U = rng.random((n, n * n))
+        U[U < 0.5] = 0.0
+        entries = list(Tensor3.from_unfolding(U).entries())
+        rng.shuffle(entries)
+        B = Tensor3(n, entries)
+        rows, cols, vals = loop_built_arrays(n, entries)
+        assert np.array_equal(B.rows, rows)
+        assert np.array_equal(B.cols, cols)
+        assert B.vals.tobytes() == vals.tobytes()
+        assert np.array_equal(B.row_ptr, np.searchsorted(rows, np.arange(n + 1)))
+        x = rng.random(n)
+        assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
+        assert apply_quadratic(B, x).tobytes() == bincount_apply_bilinear(B, x, x).tobytes()
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("entries,message", [
+        ([(1, 1, 1, float("nan"))], r"^entry \(1,1,1\) has invalid value nan$"),
+        ([(1, 2, 1, 0.5), (2, 1, 2, float("inf"))], r"^entry \(2,1,2\) has invalid value inf$"),
+        ([(2, 2, 1, -0.5)], r"^entry \(2,2,1\) has invalid value -0.5$"),
+        ([(1, 1, 1, 0.5), (1, 3, 1, 0.5)], r"^entry \(1,3,1\) out of range for n=2$"),
+        ([(0, 1, 1, 0.5)], r"^entry \(0,1,1\) out of range for n=2$"),
+        ([(2, 1, 2, 0.5), (1, 1, 1, 0.5), (2, 1, 2, 0.25)], r"^duplicate entry \(2,1,2\)$"),
+        # the first bad entry in input order is the one reported
+        ([(1, 1, 1, -1.0), (1, 1, 9, 0.5)], r"^entry \(1,1,1\) has invalid value -1.0$"),
+    ], ids=["nan", "inf", "negative", "out-of-range", "zero-index", "duplicate", "first-bad"])
+    def test_rejects_with_message(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            Tensor3(2, entries)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, r"^entry \(2,1,2\) has invalid value nan$"),
+        (-np.inf, r"^entry \(2,1,2\) has invalid value -inf$"),
+        (-1e-17, r"^entry \(2,1,2\) has invalid value -1e-17$"),
+    ], ids=["nan", "-inf", "negative"])
+    def test_from_unfolding_rejects_with_message(self, bad, message):
+        U = np.full((2, 4), 0.5)
+        U[1, 2] = bad  # column 2 is (j, k) = (1, 2)
+        with pytest.raises(ValueError, match=message):
+            Tensor3.from_unfolding(U)
+
+    def test_rejects_malformed_entries(self):
+        with pytest.raises(ValueError, match="must be"):
+            Tensor3(2, [(1, 1, 0.5)])
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             Tensor3(2, [(1, 1, 1, 0.5), (1, 1, 1, 0.25)])
