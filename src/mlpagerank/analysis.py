@@ -4,9 +4,8 @@ Implements the componentwise distance d(x~, x) = max |x~_i - x_i| / |x_i|
 (with 0/0 = 0 and b/0 = inf, so it is infinite whenever the zero patterns
 disagree), the two condition quantities kappa = max y_i/m_i and
 omega = max (S^T m)_i/m_i, the perturbation bounds 2 eps (2 kappa - 1) gamma
-and 2 omega gamma eps they enter, the zero-sum perturbation generator used to
-probe those bounds, and the limiting-accuracy predictors for Newton at a
-stochastic solution.
+and 2 omega gamma eps they enter, and the zero-sum perturbation generator
+used to probe those bounds.
 """
 
 from __future__ import annotations
@@ -334,41 +333,6 @@ def componentwise_zero_sum_perturb(problem, epsilon, seed, perturb_v=False):
         tz.Tensor3.from_unfolding(P_tilde),
         problem.alpha,
         one_minus_two_alpha=problem.one_minus_two_alpha,
-    )
-
-
-@dataclass(frozen=True)
-class PredictorReport:
-    """Limiting-accuracy predictors for Newton at x*."""
-
-    structured: float  # || |R^-1| x* ||_inf
-    classical: float  # ||R^-1||_inf ||x*||_inf
-    cond: float  # cond_inf(R)
-
-    @property
-    def ratio(self):
-        return self.classical / self.structured
-
-
-def limiting_accuracy_predictors(problem, x_star):
-    """Compare || |R^{-1}| x* || against ||R^{-1}|| ||x*|| and cond(R).
-
-    R = R_{x*} may have any sign structure here; a plain LU inverse is used.
-    """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    C = tz.contract_left(problem.tensor, x_star) + tz.contract_right(
-        problem.tensor, x_star
-    )
-    R = np.eye(problem.n) - C
-    try:
-        Rinv = np.linalg.inv(R)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"R_x* is singular: {exc}") from exc
-    inv_norm = float(np.abs(Rinv).sum(axis=1).max())
-    return PredictorReport(
-        structured=float(np.abs(np.abs(Rinv) @ x_star).max()),
-        classical=inv_norm * float(np.abs(x_star).max()),
-        cond=inv_norm * float(np.abs(R).sum(axis=1).max()),
     )
 
 

@@ -196,7 +196,6 @@ _EX2_P1 = np.array([
 # With the last entry read as 9.999e-1 the vector sums to 1 in exact decimal
 # and Newton reproduces the published solution to all printed digits, so the
 # printed exponent is taken to be a typo.
-_EX2_V_PRINTED = np.array([1e-4, 0.0, 0.0, 9.999e-4])
 _EX2_V_RAW = np.array([1e-4, 0.0, 0.0, 9.999e-1])
 
 # Reference solutions as published (five digits).
@@ -240,7 +239,7 @@ def ex1(alpha, one_minus_two_alpha=None):
     v = force_sum_one(_EX1_V_RAW / _EX1_V_RAW.sum())
     return Problem.from_pagerank(
         v, Tensor3.from_unfolding(_EX1_P1), alpha,
-        one_minus_two_alpha=one_minus_two_alpha, v_raw=_EX1_V_RAW,
+        one_minus_two_alpha=one_minus_two_alpha,
     )
 
 
@@ -248,7 +247,7 @@ def ex2(alpha, one_minus_two_alpha=None):
     v = force_sum_one(_EX2_V_RAW / _EX2_V_RAW.sum())
     return Problem.from_pagerank(
         v, Tensor3.from_unfolding(_EX2_P1), alpha,
-        one_minus_two_alpha=one_minus_two_alpha, v_raw=_EX2_V_PRINTED,
+        one_minus_two_alpha=one_minus_two_alpha,
     )
 
 

@@ -20,7 +20,6 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 from .mmatrix import COL, ROW, SingularPivotError
-from . import tensor as tz
 
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
@@ -185,58 +184,6 @@ def dd_dot(a, b):
     return dd_sum(a * b)
 
 
-# ---------------------------------------------------------------------------
-# Scalar surface
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XScalar:
-    """One compensated pair; arithmetic keeps ~2^-104 relative error per op."""
-
-    hi: float
-    lo: float = 0.0
-
-    @classmethod
-    def from_float(cls, value):
-        return cls(float(value), 0.0)
-
-    def to_float(self):
-        return self.hi + self.lo
-
-    def __add__(self, other):
-        return xadd(self, _as_x(other))
-
-    def __sub__(self, other):
-        other = _as_x(other)
-        return xadd(self, XScalar(-other.hi, -other.lo))
-
-    def __mul__(self, other):
-        return xmul(self, _as_x(other))
-
-    def __truediv__(self, other):
-        return xdiv(self, _as_x(other))
-
-
-def _as_x(value):
-    return value if isinstance(value, XScalar) else XScalar.from_float(value)
-
-
-def xadd(a, b):
-    h, l = _dd_add(a.hi, a.lo, b.hi, b.lo)
-    return XScalar(float(h), float(l))
-
-
-def xmul(a, b):
-    h, l = _dd_mul(a.hi, a.lo, b.hi, b.lo)
-    return XScalar(float(h), float(l))
-
-
-def xdiv(a, b):
-    h, l = _dd_div(np.float64(a.hi), np.float64(a.lo), np.float64(b.hi), np.float64(b.lo))
-    return XScalar(float(h), float(l))
-
-
 def dd_to_decimal_strings(v, digits=34):
     """Exact-decimal rendering of a DD vector, rounded to `digits` digits."""
     ctx_prec = getcontext().prec
@@ -311,27 +258,6 @@ def dd_gth_solve(F, b):
         if k < n - 1:
             acc = acc + dd_dot(W[k, k + 1 :], x[k + 1 :])
         x[k] = acc / F.upper[k, k]
-    return x
-
-
-def dd_gth_solve_transpose(F, b):
-    """Solve M^T x = b from the factors of M (U^T forward, L^T back)."""
-    b = b if isinstance(b, DD) else DD(np.array(b, dtype=np.float64))
-    n = F.n
-    W = -F.upper
-    y = DD.zeros(n)
-    for k in range(n):
-        acc = b[k]
-        if k > 0:
-            acc = acc + dd_dot(W[:k, k], y[:k])
-        y[k] = acc / F.upper[k, k]
-    G = -F.lower
-    x = DD.zeros(n)
-    for k in range(n - 1, -1, -1):
-        acc = y[k]
-        if k < n - 1:
-            acc = acc + dd_dot(G[k + 1 :, k], x[k + 1 :])
-        x[k] = acc
     return x
 
 

@@ -1,9 +1,11 @@
 """Iteration schemes for x = a + Bx^2 and multilinear PageRank.
 
-Five methods share one report format: plain fixed-point, Newton with a
-partial-pivoting solve, the subtraction-free Newton-GTH, the GTH block Jacobi
-(exact block triplets via the u-recurrence), and the block Jacobi-GTH variant
-that reuses Newton's z-recurrence for cheaper, faster, non-monotone steps.
+Five methods run as step functions of one iteration loop, which owns the
+stopping test, the histories and the singular-pivot and divergence exits:
+plain fixed-point, Newton with a partial-pivoting solve, the subtraction-free
+Newton-GTH, the GTH block Jacobi (exact block triplets via the u-recurrence;
+Newton-GTH is its one-block case), and the block Jacobi-GTH variant that
+reuses Newton's z-recurrence for cheaper, faster, non-monotone steps.
 
 The iterations run in binary64 throughout, stopping tests and right-hand
 sides included, since these are the algorithms whose accuracy is analysed.
@@ -13,7 +15,7 @@ Only the public residual() evaluates beyond binary64, to check a result.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +58,7 @@ class Problem:
     """Instance data (a, B) with an optional PageRank view (v, P, alpha)."""
 
     def __init__(self, a, tensor, v=None, p_tensor=None, alpha=None,
-                 one_minus_two_alpha=None, v_raw=None):
+                 one_minus_two_alpha=None):
         self.a = np.asarray(a, dtype=np.float64)
         self.tensor = tensor
         if self.a.shape != (tensor.n,):
@@ -66,7 +68,6 @@ class Problem:
         self.v = None if v is None else np.asarray(v, dtype=np.float64)
         self.p_tensor = p_tensor
         self.alpha = None if alpha is None else float(alpha)
-        self.v_raw = None if v_raw is None else np.asarray(v_raw, dtype=np.float64)
         if one_minus_two_alpha is not None:
             self.one_minus_two_alpha = float(one_minus_two_alpha)
         elif self.alpha is not None:
@@ -75,7 +76,7 @@ class Problem:
             self.one_minus_two_alpha = None
 
     @classmethod
-    def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None, v_raw=None):
+    def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None):
         """Build a = (1-alpha) v, B = alpha P; validates stochasticity."""
         v = np.asarray(v, dtype=np.float64)
         alpha = float(alpha)
@@ -97,7 +98,6 @@ class Problem:
             p_tensor=p_tensor,
             alpha=alpha,
             one_minus_two_alpha=one_minus_two_alpha,
-            v_raw=v_raw,
         )
 
     @classmethod
@@ -182,53 +182,64 @@ def _starting_vector(problem, opts):
     return x0.copy()
 
 
-class _Run:
-    """Shared bookkeeping for all methods."""
-
-    def __init__(self, problem, opts, x0, r0_norm, z0=None):
-        self.opts = opts
-        self.res_hist = [r0_norm]
-        self.iter_hist = [x0.copy()] if opts.record_history else None
-        self.z_hist = None if z0 is None else [z0]
-        self.iterations = 0
-
-    def record(self, x, r_norm, z=None):
-        self.iterations += 1
-        self.res_hist.append(r_norm)
-        if self.iter_hist is not None:
-            self.iter_hist.append(x.copy())
-        if self.z_hist is not None:
-            self.z_hist.append(z)
-
-    def report(self, method, x, termination):
-        return SolveReport(
-            method=method,
-            x=x,
-            iterations=self.iterations,
-            termination=termination,
-            residual_history=np.array(self.res_hist),
-            iterate_history=self.iter_hist,
-            z_history=None if self.z_hist is None else np.array(self.z_hist),
-        )
-
-
 def _norm_inf(v):
     return float(np.abs(v).max()) if len(v) else 0.0
 
 
+def _too_large(x):
+    return _norm_inf(x) > DIVERGENCE_LIMIT
+
+
+def _iterate(method, opts, x, r, z, step, diverged=_too_large):
+    """The iteration loop of every method, with its stopping rules and records.
+
+    step(x, r, z) maps an iterate, its residual and its column-sum level z
+    (None for the methods without one) to the next three.  A step raises
+    SingularPivotError where it cannot go on, and the run then ends at the
+    iterate that step was given.  After each step, diverged(x) decides
+    whether the run ends DIVERGED.
+    """
+    res_hist = [_norm_inf(r)]
+    iter_hist = [x.copy()] if opts.record_history else None
+    z_hist = None if z is None else [z]
+    iterations = 0
+    while res_hist[-1] > opts.tol and iterations < opts.maxit:
+        try:
+            x, r, z = step(x, r, z)
+        except SingularPivotError:
+            termination = Termination.SINGULAR_PIVOT
+            break
+        iterations += 1
+        res_hist.append(_norm_inf(r))
+        if iter_hist is not None:
+            iter_hist.append(x.copy())
+        if z_hist is not None:
+            z_hist.append(z)
+        if diverged(x):
+            termination = Termination.DIVERGED
+            break
+    else:
+        termination = (Termination.TOL_REACHED if res_hist[-1] <= opts.tol
+                       else Termination.MAXIT)
+    return SolveReport(
+        method=method,
+        x=x,
+        iterations=iterations,
+        termination=termination,
+        residual_history=np.array(res_hist),
+        iterate_history=iter_hist,
+        z_history=None if z_hist is None else np.array(z_hist),
+    )
+
+
 def fixed_point(problem, opts):
     """x_{k+1} = a + B x_k^2; monotone to the minimal solution from zero."""
-    x = _starting_vector(problem, opts)
-    r = _residual64(problem, x)
-    run = _Run(problem, opts, x, _norm_inf(r))
-    while _norm_inf(r) > opts.tol and run.iterations < opts.maxit:
+    def step(x, r, z):
         x = problem.a + tz.apply_quadratic(problem.tensor, x)
-        r = _residual64(problem, x)
-        run.record(x, _norm_inf(r))
-        if _norm_inf(x) > DIVERGENCE_LIMIT:
-            return run.report(Method.FIXED_POINT, x, Termination.DIVERGED)
-    term = Termination.TOL_REACHED if _norm_inf(r) <= opts.tol else Termination.MAXIT
-    return run.report(Method.FIXED_POINT, x, term)
+        return x, _residual64(problem, x), z
+
+    x = _starting_vector(problem, opts)
+    return _iterate(Method.FIXED_POINT, opts, x, _residual64(problem, x), None, step)
 
 
 def _jacobian_parts(problem, x):
@@ -239,23 +250,13 @@ def _jacobian_parts(problem, x):
 
 def newton(problem, opts):
     """Plain Newton: solve R_x h = r with partial-pivoting LU, x <- x + h."""
+    def step(x, r, z):
+        R = np.eye(problem.n) - _jacobian_parts(problem, x)
+        x = x + plain_lu_solve(R, r)
+        return x, _residual64(problem, x), z
+
     x = _starting_vector(problem, opts)
-    r = _residual64(problem, x)
-    run = _Run(problem, opts, x, _norm_inf(r))
-    n = problem.n
-    while _norm_inf(r) > opts.tol and run.iterations < opts.maxit:
-        R = np.eye(n) - _jacobian_parts(problem, x)
-        try:
-            h = plain_lu_solve(R, r)
-        except SingularPivotError:
-            return run.report(Method.NEWTON, x, Termination.SINGULAR_PIVOT)
-        x = x + h
-        r = _residual64(problem, x)
-        run.record(x, _norm_inf(r))
-        if _norm_inf(x) > DIVERGENCE_LIMIT:
-            return run.report(Method.NEWTON, x, Termination.DIVERGED)
-    term = Termination.TOL_REACHED if _norm_inf(r) <= opts.tol else Termination.MAXIT
-    return run.report(Method.NEWTON, x, term)
+    return _iterate(Method.NEWTON, opts, x, _residual64(problem, x), None, step)
 
 
 def _require_pagerank_from_zero(problem, opts, name):
@@ -263,41 +264,6 @@ def _require_pagerank_from_zero(problem, opts, name):
         raise ValueError(f"{name} needs a PageRank problem")
     if opts.start is not Start.ZERO:
         raise ValueError(f"{name} targets the minimal solution; use start=ZERO")
-
-
-def newton_gth(problem, opts):
-    """Subtraction-free Newton: GTH solves plus the z-recurrence.
-
-    State (x, z, r) keeps the invariants z = 1 - 2 alpha (1^T x) and
-    r = (1-alpha) v + alpha P x^2 - x without ever subtracting like-signed
-    values: the step solves the column triplet (offdiag(Bx: + B:x), z 1),
-    the residual updates as alpha P h^2, and z follows
-    z <- ((1-2 alpha)^2 + z^2) / (2 z).
-    """
-    _require_pagerank_from_zero(problem, opts, "newton_gth")
-    n = problem.n
-    omt = problem.one_minus_two_alpha
-    omt_sq = omt * omt
-    x = np.zeros(n)
-    z = 1.0
-    r = problem.a.copy()
-    run = _Run(problem, opts, x, _norm_inf(r), z0=z)
-    while _norm_inf(r) > opts.tol and run.iterations < opts.maxit:
-        C = _jacobian_parts(problem, x)
-        np.fill_diagonal(C, 0.0)
-        if z <= 0.0:
-            return run.report(Method.NEWTON_GTH, x, Termination.SINGULAR_PIVOT)
-        T = TripletMMatrix(C, np.full(n, z), COL)
-        try:
-            h = gth_solve(gth_factor(T, check=False), r)
-        except SingularPivotError:
-            return run.report(Method.NEWTON_GTH, x, Termination.SINGULAR_PIVOT)
-        x = x + h
-        z = (omt_sq + z * z) / (2.0 * z)
-        r = tz.apply_quadratic(problem.tensor, h)
-        run.record(x, _norm_inf(r), z)
-    term = Termination.TOL_REACHED if _norm_inf(r) <= opts.tol else Termination.MAXIT
-    return run.report(Method.NEWTON_GTH, x, term)
 
 
 def _block_slices(n, block_sizes):
@@ -322,6 +288,40 @@ def _offblock(C, slices):
     return N
 
 
+def _gth_sweep(C, slices, level, col_n, rhs):
+    """Solve M y = rhs block by block, each diagonal block of M a column triplet.
+
+    Block s has the off-diagonal entries of C[s, s] and the column sums
+    level + col_n[s], where col_n = 1^T N.  A level <= 0 gives no M-matrix
+    and is reported as a singular pivot.
+    """
+    if level <= 0.0:
+        raise SingularPivotError(f"column-sum level {level!r} is not positive")
+    y = np.empty(len(rhs))
+    for s in slices:
+        Nb = C[s, s].copy()
+        np.fill_diagonal(Nb, 0.0)
+        T = TripletMMatrix(Nb, level + col_n[s], COL)
+        y[s] = gth_solve(gth_factor(T, check=False), rhs[s])
+    return y
+
+
+def newton_gth(problem, opts):
+    """Subtraction-free Newton: GTH solves plus the z-recurrence.
+
+    State (x, z, r) keeps the invariants z = 1 - 2 alpha (1^T x) and
+    r = (1-alpha) v + alpha P x^2 - x without ever subtracting like-signed
+    values: the step solves the column triplet (offdiag(Bx: + B:x), z 1),
+    the residual updates as alpha P h^2, and z follows
+    z <- ((1-2 alpha)^2 + z^2) / (2 z).
+
+    This is block_jacobi with a single block, where N = 0 turns the
+    u-recurrence into the z-recurrence; opts.block_sizes is ignored.
+    """
+    _require_pagerank_from_zero(problem, opts, "newton_gth")
+    return _gth_block_jacobi(problem, opts, Method.NEWTON_GTH, None)
+
+
 def block_jacobi(problem, opts):
     """GTH block Jacobi with the exact block triplet via the u-recurrence.
 
@@ -331,36 +331,24 @@ def block_jacobi(problem, opts):
     u is updated after the step, since the recurrence needs the increment.
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi")
-    n = problem.n
-    slices = _block_slices(n, opts.block_sizes)
+    return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI, opts.block_sizes)
+
+
+def _gth_block_jacobi(problem, opts, method, block_sizes):
+    slices = _block_slices(problem.n, block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
-    x = np.zeros(n)
-    u = 1.0
-    r = problem.a.copy()
-    run = _Run(problem, opts, x, _norm_inf(r), z0=u)
-    while _norm_inf(r) > opts.tol and run.iterations < opts.maxit:
+
+    def step(x, r, u):
         C = _jacobian_parts(problem, x)
         N = _offblock(C, slices)
         col_n = N.sum(axis=0)
-        if u <= 0.0:
-            return run.report(Method.BLOCK_JACOBI, x, Termination.SINGULAR_PIVOT)
-        h = np.empty(n)
-        try:
-            for s in slices:
-                Nb = C[s, s].copy()
-                np.fill_diagonal(Nb, 0.0)
-                T = TripletMMatrix(Nb, u + col_n[s], COL)
-                h[s] = gth_solve(gth_factor(T, check=False), r[s])
-        except SingularPivotError:
-            return run.report(Method.BLOCK_JACOBI, x, Termination.SINGULAR_PIVOT)
-        x = x + h
-        u = (u * u + omt_sq + 4.0 * alpha * (col_n @ h)) / (2.0 * u)
-        r = tz.apply_quadratic(problem.tensor, h) + N @ h
-        run.record(x, _norm_inf(r), u)
-    term = Termination.TOL_REACHED if _norm_inf(r) <= opts.tol else Termination.MAXIT
-    return run.report(Method.BLOCK_JACOBI, x, term)
+        h = _gth_sweep(C, slices, u, col_n, r)
+        u_next = (u * u + omt_sq + 4.0 * alpha * (col_n @ h)) / (2.0 * u)
+        return x + h, tz.apply_quadratic(problem.tensor, h) + N @ h, u_next
+
+    return _iterate(method, opts, np.zeros(problem.n), problem.a.copy(), 1.0, step)
 
 
 def block_jacobi_gth_variant(problem, opts):
@@ -383,47 +371,25 @@ def block_jacobi_gth_variant(problem, opts):
     amplifies by 1/z as z -> 0.
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi_gth_variant")
-    n = problem.n
-    slices = _block_slices(n, opts.block_sizes)
+    slices = _block_slices(problem.n, opts.block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
-    x = np.zeros(n)
-    z = 1.0
-    r = _residual64(problem, x)
-    run = _Run(problem, opts, x, _norm_inf(r), z0=z)
-    while _norm_inf(r) > opts.tol and run.iterations < opts.maxit:
+
+    def step(x, r, z):
         b = problem.a - tz.apply_quadratic(problem.tensor, x)
         C = _jacobian_parts(problem, x)
         N = _offblock(C, slices)
-        col_n = N.sum(axis=0)
-        rhs = N @ x + b
-        if z <= 0.0:
-            return run.report(
-                Method.BLOCK_JACOBI_GTH_VARIANT, x, Termination.SINGULAR_PIVOT
-            )
-        x_next = np.empty(n)
-        try:
-            for s in slices:
-                Nb = C[s, s].copy()
-                np.fill_diagonal(Nb, 0.0)
-                T = TripletMMatrix(Nb, z + col_n[s], COL)
-                x_next[s] = gth_solve(gth_factor(T, check=False), rhs[s])
-        except SingularPivotError:
-            return run.report(
-                Method.BLOCK_JACOBI_GTH_VARIANT, x, Termination.SINGULAR_PIVOT
-            )
-        x = x_next
-        z = (omt_sq + z * z) / (2.0 * z)
-        r = _residual64(problem, x)
-        run.record(x, _norm_inf(r), z)
+        x = _gth_sweep(C, slices, z, N.sum(axis=0), N @ x + b)
+        return x, _residual64(problem, x), (omt_sq + z * z) / (2.0 * z)
+
+    def diverged(x):
         # a negative entry means the sweep left the nonnegative cone where
         # the triplet representation exists (possible: steps are non-monotone)
-        if _norm_inf(x) > DIVERGENCE_LIMIT or (x < 0.0).any():
-            return run.report(
-                Method.BLOCK_JACOBI_GTH_VARIANT, x, Termination.DIVERGED
-            )
-    term = Termination.TOL_REACHED if _norm_inf(r) <= opts.tol else Termination.MAXIT
-    return run.report(Method.BLOCK_JACOBI_GTH_VARIANT, x, term)
+        return _too_large(x) or (x < 0.0).any()
+
+    x = np.zeros(problem.n)
+    return _iterate(Method.BLOCK_JACOBI_GTH_VARIANT, opts, x, _residual64(problem, x),
+                    1.0, step, diverged)
 
 
 _DISPATCH = {

@@ -12,13 +12,9 @@ from mlpagerank import (
     STOCHASTIC,
     Problem,
     Tensor3,
-    XScalar,
     intro,
     ex1,
     reference_solution,
-    xadd,
-    xdiv,
-    xmul,
 )
 from mlpagerank.precision import DD, dd_sum
 from mlpagerank.solvers import Method, SolverOptions, Start, solve
@@ -29,37 +25,38 @@ finite_floats = st.floats(
 
 
 def as_fraction(x):
-    return Fraction(x.hi) + Fraction(x.lo)
+    """The exact value hi + lo of a 0-d DD."""
+    return Fraction(float(x.hi)) + Fraction(float(x.lo))
 
 
 class TestScalarOps:
     def test_small_addend_kept_exactly(self):
-        x = xadd(XScalar(1.0), XScalar(2.0 ** -60))
+        x = DD(1.0) + DD(2.0 ** -60)
         assert as_fraction(x) == Fraction(1) + Fraction(2) ** -60
 
     def test_product_of_near_ones(self):
         # (1 + 2^-60)(1 - 2^-60) = 1 - 2^-120, recovered to the pair error model
-        a = xadd(XScalar(1.0), XScalar(2.0 ** -60))
-        b = xadd(XScalar(1.0), XScalar(-(2.0 ** -60)))
-        got = as_fraction(xmul(a, b))
+        a = DD(1.0) + DD(2.0 ** -60)
+        b = DD(1.0) + DD(-(2.0 ** -60))
+        got = as_fraction(a * b)
         want = Fraction(1) - Fraction(2) ** -120
         assert abs(got - want) <= Fraction(2) ** -104
 
     @settings(max_examples=50, deadline=None)
     @given(finite_floats)
     def test_self_division_is_one(self, value):
-        q = xdiv(XScalar(value), XScalar(value))
+        q = DD(value) / DD(value)
         assert abs(as_fraction(q) - 1) <= Fraction(2) ** -100
 
     @settings(max_examples=50, deadline=None)
     @given(finite_floats, finite_floats)
     def test_ops_match_exact_rationals(self, a, b):
-        xa, xb = XScalar(a), XScalar(b)
-        assert as_fraction(xadd(xa, xb)) == Fraction(a) + Fraction(b)
-        prod = as_fraction(xmul(xa, xb))
+        xa, xb = DD(a), DD(b)
+        assert as_fraction(xa + xb) == Fraction(a) + Fraction(b)
+        prod = as_fraction(xa * xb)
         exact = Fraction(a) * Fraction(b)
         assert abs(prod - exact) <= abs(exact) * Fraction(2) ** -104
-        quot = as_fraction(xdiv(xa, xb))
+        quot = as_fraction(xa / xb)
         exact_q = Fraction(a) / Fraction(b)
         assert abs(quot - exact_q) <= abs(exact_q) * Fraction(2) ** -104
 
@@ -69,7 +66,7 @@ class TestDDVectors:
         hi = np.array([1.0, 2.0 ** -60, 2.0 ** -61, -1.0])
         total = dd_sum(DD(hi))
         want = Fraction(2) ** -60 + Fraction(2) ** -61
-        assert as_fraction(XScalar(float(total.hi), float(total.lo))) == want
+        assert as_fraction(total) == want
 
     def test_elementwise_roundtrip(self, rng):
         a = DD(rng.random(6))

@@ -1,5 +1,6 @@
 """Iteration schemes: convergence, monotonicity, invariants, cross-checks."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from mlpagerank import (
     Start,
     Tensor3,
     Termination,
+    builtin,
     ex1,
     ex2,
     intro,
@@ -137,6 +139,15 @@ class TestNewton:
         rep = solve(p, opts(Method.NEWTON, start=Start.CUSTOM, x0=np.zeros(4)))
         assert rep.termination is Termination.TOL_REACHED
 
+    def test_singular_jacobian_ends_at_the_start(self):
+        # x = 0.1 + x^2 at x0 = 1/2: R_x0 = 1 - 2 x0 = 0, so the first LU fails
+        p = Problem.from_general([0.1], Tensor3(1, [(1, 1, 1, 1.0)]))
+        rep = solve(p, opts(Method.NEWTON, start=Start.CUSTOM, x0=np.array([0.5])))
+        assert rep.termination is Termination.SINGULAR_PIVOT
+        assert rep.iterations == 0
+        assert np.array_equal(rep.x, [0.5])
+        assert len(rep.residual_history) == 1
+
 
 class TestNewtonGTH:
     def test_z_halves_exactly_at_alpha_half(self):
@@ -180,6 +191,22 @@ class TestNewtonGTH:
 
 
 class TestBlockJacobi:
+    @pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.49999", "0.5", "0.6"])
+    def test_one_block_is_newton_gth_bit_for_bit(self, name, alpha):
+        omt = float(Decimal(1) - 2 * Decimal(alpha))
+        p = builtin(name, float(alpha), one_minus_two_alpha=omt)
+        ng = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        bj = solve(p, opts(Method.BLOCK_JACOBI, record_history=True))
+        assert ng.termination is Termination.TOL_REACHED
+        assert bj.termination is ng.termination
+        assert bj.iterations == ng.iterations
+        assert bj.x.tobytes() == ng.x.tobytes()
+        assert bj.residual_history.tobytes() == ng.residual_history.tobytes()
+        assert bj.z_history.tobytes() == ng.z_history.tobytes()
+        for xb, xn in zip(bj.iterate_history, ng.iterate_history, strict=True):
+            assert xb.tobytes() == xn.tobytes()
+
     def test_one_block_equals_newton(self):
         p = ex1(0.3)
         bj = solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,), record_history=True))
@@ -244,6 +271,12 @@ class TestBlockJacobiVariant:
                             maxit=2000))
         ng = solve(p, opts(Method.NEWTON_GTH, tol=0.0, maxit=500))
         assert cw_err(var.x, ng.x) <= 1e-11
+
+    def test_leaves_the_cone_on_ex2_with_two_blocks(self):
+        rep = solve(ex2(0.3), opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(2, 2)))
+        assert rep.termination is Termination.DIVERGED
+        assert rep.iterations == 32
+        assert (rep.x < 0.0).any()
 
     def test_overshoot_recorded_not_fatal(self):
         p = ex1(0.499999999999999)
