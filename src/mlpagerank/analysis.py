@@ -4,8 +4,9 @@ Implements the componentwise distance d(x~, x) = max |x~_i - x_i| / |x_i|
 (with 0/0 = 0 and b/0 = inf, so it is infinite whenever the zero patterns
 disagree), the two condition quantities kappa = max y_i/m_i and
 omega = max (S^T m)_i/m_i, the perturbation bounds 2 eps (2 kappa - 1) gamma
-and 2 omega gamma eps they enter, and the zero-sum perturbation generator
-used to probe those bounds.
+and 2 omega gamma eps they enter, the zero-sum perturbation generator used
+to probe those bounds, and the check of a perturbed M-matrix inverse against
+its componentwise bound (2n - 1) eps.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import numpy as np
 from . import tensor as tz
 from .mmatrix import (
     COL,
-    ROW,
     TripletMMatrix,
     gth_factor,
+    gth_partial_inverse,
     gth_solve,
-    partial_inverse,
 )
-from .precision import dd_partial_inverse
+from .precision import DD
 from .solvers import Problem
 
 # Below this column-sum level the binary64 subtraction M^{-1} - 1 z^T has no
@@ -168,10 +168,9 @@ def omega(problem, m):
     offdiag_t = T.offdiag.T.copy()
     sums = T.sums
     if float(sums.min()) > OMEGA_DD_THRESHOLD:
-        pi = partial_inverse(TripletMMatrix(offdiag_t, sums, ROW), check=False)
-        S = pi.S
+        S = gth_partial_inverse(offdiag_t, sums).S
     else:
-        _, S = dd_partial_inverse(offdiag_t, sums)
+        S = gth_partial_inverse(DD(offdiag_t), DD(sums)).S.to_float()
     z_vec = S.T @ m
     nz = m != 0.0
     val = float(np.max(z_vec[nz] / m[nz]))
@@ -180,6 +179,40 @@ def omega(problem, m):
     if val < 0.0:
         raise ArithmeticError(f"omega came out negative ({val}); S inaccurate?")
     return val
+
+
+@dataclass(frozen=True)
+class InverseStabilityReport:
+    epsilon: float
+    d_offdiag: float
+    d_sums: float
+    d_inverse: float
+    bound: float
+    within_bound: bool
+    pattern_mismatch: bool
+
+
+def inverse_cw_bound_check(T, T_tilde, epsilon):
+    """Compare d(M~^-1, M^-1) with the componentwise bound (2n-1) epsilon."""
+    if T.orientation != T_tilde.orientation or T.n != T_tilde.n:
+        raise ValueError("triplets must share shape and orientation")
+    d_off = cw_distance(T_tilde.offdiag, T.offdiag).value
+    d_sums = cw_distance(T_tilde.sums, T.sums).value
+    n = T.n
+    eye = np.eye(n)
+    minv = gth_solve(gth_factor(T), eye)
+    minv_t = gth_solve(gth_factor(T_tilde), eye)
+    d_inv = cw_distance(minv_t, minv).value
+    bound = (2 * n - 1) * float(epsilon)
+    return InverseStabilityReport(
+        epsilon=float(epsilon),
+        d_offdiag=d_off,
+        d_sums=d_sums,
+        d_inverse=d_inv,
+        bound=bound,
+        within_bound=bool(d_inv <= bound * (1.0 + 1e-8) or np.isinf(bound)),
+        pattern_mismatch=bool(np.isinf(d_off) or np.isinf(d_sums)),
+    )
 
 
 @dataclass(frozen=True)

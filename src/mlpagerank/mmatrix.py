@@ -6,11 +6,18 @@ diagonal) together with a nonnegative sum vector, either row sums (M 1 = sums)
 or column sums (1^T M = sums^T).  The implied diagonal is reconstructed from
 nonnegative additions only, which is what makes the factorization accurate
 componentwise regardless of how close M is to singularity.
+
+The GTH kernel is written once and runs unchanged on float64 ndarrays and
+on precision.DD pair arrays: gth_eliminate (the one elimination), gth_solve
+(the one substitution) and gth_partial_inverse, whose null profile comes
+from the same elimination.  The binary64 routines that take a TripletMMatrix
+validate it and call the kernel; the pair-precision reference and omega
+call it on DD data.
 """
 
 from __future__ import annotations
 
-import os
+import warnings
 from dataclasses import dataclass
 from itertools import product
 
@@ -29,10 +36,6 @@ class ReducibleMatrixError(ValueError):
 
 class SingularPivotError(ArithmeticError):
     """A pivot vanished during elimination."""
-
-
-def _assertions_enabled():
-    return os.environ.get("GTH_ASSERT_NONNEG", "0") == "1"
 
 
 @dataclass(frozen=True)
@@ -115,91 +118,97 @@ class GTHFactors:
         return self.lower.shape[0]
 
 
-def gth_factor(T, check=True):
-    """GTH LU factorization of the triplet matrix, natural pivot order.
+def _zeros(like, shape):
+    """Zeros in the arithmetic of `like`: a float64 ndarray or a precision.DD."""
+    return getattr(type(like), "zeros", np.zeros)(shape)
 
-    At step k the pivot is rebuilt from the running sums and the remaining
-    off-diagonal entries; all updates add nonnegative quantities.  Raises
-    SingularPivotError if a pivot vanishes and, when ``check`` is set,
-    ReducibleMatrixError on a reducible sparsity pattern.
+
+def _eye(like, n):
+    eye = _zeros(like, (n, n))
+    i = np.arange(n)
+    eye[i, i] = 1.0
+    return eye
+
+
+def gth_eliminate(offdiag, sums, orientation=ROW):
+    """GTH LU factors of the triplet (offdiag, sums), natural pivot order.
+
+    The one elimination of the package.  It runs unchanged on float64
+    ndarrays and on precision.DD pair arrays, and adds nonnegative terms
+    only: at step k the pivot is the running sum plus the remaining
+    off-diagonal entries of row (ROW) or column (COL) k, the trailing entries
+    gain (N_ik N_kj) / d_k and the sums gain N_ik (sig_k / d_k).  The
+    diagonal of offdiag is never read.  Raises SingularPivotError if a pivot
+    vanishes.
     """
-    if check:
-        check_irreducible(T.offdiag)
-    n = T.n
-    N = T.offdiag.copy()
-    sig = T.sums.copy()
-    by_row = T.orientation == ROW
-    assert_on = _assertions_enabled()
-    L = np.eye(n)
-    U = np.zeros((n, n))
+    N = offdiag.copy()
+    sig = sums.copy()
+    n = N.shape[0]
+    by_row = orientation == ROW
+    L = _eye(N, n)
+    U = _zeros(N, (n, n))
     for k in range(n):
-        if by_row:
-            d = sig[k] + N[k, k + 1 :].sum()
-        else:
-            d = sig[k] + N[k + 1 :, k].sum()
-        if assert_on:
-            assert d >= 0.0 and (N >= 0.0).all() and (sig >= 0.0).all(), (
-                "GTH nonnegativity violated"
-            )
-        if d <= 0.0:
+        d = sig[k] + (N[k, k + 1 :] if by_row else N[k + 1 :, k]).sum()
+        if d.item() <= 0.0:
             raise SingularPivotError(f"zero pivot at step {k + 1}")
         U[k, k] = d
         U[k, k + 1 :] = -N[k, k + 1 :]
         L[k + 1 :, k] = -N[k + 1 :, k] / d
         if k < n - 1:
-            N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :]) / d
-            np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
-            if by_row:
-                sig[k + 1 :] += N[k + 1 :, k] * (sig[k] / d)
-            else:
-                sig[k + 1 :] += N[k, k + 1 :] * (sig[k] / d)
+            N[k + 1 :, k + 1 :] += N[k + 1 :, k : k + 1] * N[k : k + 1, k + 1 :] / d
+            sig[k + 1 :] += (N[k + 1 :, k] if by_row else N[k, k + 1 :]) * (sig[k] / d)
     return GTHFactors(lower=L, upper=U)
 
 
+def gth_factor(T, check=True):
+    """GTH factors of a binary64 triplet; ReducibleMatrixError when ``check``
+    is set and the sparsity pattern is reducible."""
+    if check:
+        check_irreducible(T.offdiag)
+    return gth_eliminate(T.offdiag, T.sums, T.orientation)
+
+
 def gth_solve(F, b):
-    """Solve LUx = b by substitution.
+    """Solve LUx = b by substitution, in the arithmetic of the factors.
 
     The strict parts of L and U are nonpositive, so for b >= 0 both sweeps
     only add nonnegative terms (plus one division by the positive pivot).
-    Accepts a vector or a matrix of stacked right-hand sides.
+    b is a float64 vector or matrix of stacked right-hand sides, or a DD
+    vector or matrix for DD factors.
     """
-    b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    y = np.array(b, ndmin=2, copy=True).T if squeeze else b.copy()
     n = F.n
-    if y.shape[0] != n:
-        raise ValueError(f"rhs has {y.shape[0]} rows, expected {n}")
+    if b.shape[0] != n:
+        raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
+    # a binary64 vector runs as one column, which fixes the BLAS calls and the bits
+    squeeze = isinstance(b, np.ndarray) and b.ndim == 1
+    y = np.array(b, dtype=np.float64, ndmin=2).T if squeeze else b.copy()
     G = -F.lower  # nonnegative below the diagonal
     for k in range(1, n):
         y[k] += G[k, :k] @ y[:k]
-    piv = F.pivots
-    if (piv == 0.0).any():
-        raise SingularPivotError("zero pivot in factors")
     W = -F.upper  # nonnegative above the diagonal
-    x = np.empty_like(y)
     for k in range(n - 1, -1, -1):
-        x[k] = (y[k] + W[k, k + 1 :] @ x[k + 1 :]) / piv[k]
-    return x[:, 0] if squeeze else x
+        acc = y[k] if k == n - 1 else y[k] + W[k, k + 1 :] @ y[k + 1 :]
+        y[k] = acc / F.upper[k, k]
+    return y[:, 0] if squeeze else y
 
 
-def _null_elimination(N):
-    """Elimination multipliers and pivots for a zero-sum ROW triplet.
+def _null_profile(offdiag):
+    """Null profile t of the zero-row-sum triplet (offdiag, 0) and its pivots.
 
-    Returns (multipliers m[i, k] = N_ik^(k) / d_k for i > k, pivots d_1..d_{n-1}).
+    t_n = 1 and t_k = sum_{i>k} t_i m_ik with the GTH multipliers m = -L.
+    The elimination runs with sums e_n: a positive last sum leaves the first
+    n - 1 steps of the zero-sum elimination as they are and gives the last
+    step a nonzero pivot.  Returns t and the factors, whose first n - 1
+    pivots are those of the zero-sum triplet.
     """
-    n = N.shape[0]
-    N = N.copy()
-    mult = np.zeros((n, n))
-    piv = np.empty(n - 1)
-    for k in range(n - 1):
-        d = N[k, k + 1 :].sum()
-        if d <= 0.0:
-            raise SingularPivotError(f"zero pivot at step {k + 1} (reducible input?)")
-        piv[k] = d
-        mult[k + 1 :, k] = N[k + 1 :, k] / d
-        N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :]) / d
-        np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
-    return mult, piv
+    n = offdiag.shape[0]
+    t = _zeros(offdiag, n)
+    t[n - 1] = 1.0  # t_n = 1; as it stands, also the sums e_n
+    F = gth_eliminate(offdiag, t, ROW)
+    G = -F.lower
+    for k in range(n - 2, -1, -1):
+        t[k] = t[k + 1 :] @ G[k + 1 :, k]
+    return t, F
 
 
 def null_vector(T, check=True):
@@ -214,13 +223,7 @@ def null_vector(T, check=True):
         raise ValueError("null_vector expects sums identically zero")
     if check:
         check_irreducible(T.offdiag)
-    mult, _ = _null_elimination(T.offdiag)
-    n = T.n
-    t = np.zeros(n)
-    t[n - 1] = 1.0
-    for k in range(n - 2, -1, -1):
-        t[k] = t[k + 1 :] @ mult[k + 1 :, k]
-    return t
+    return _null_profile(T.offdiag)[0]
 
 
 @dataclass(frozen=True)
@@ -242,13 +245,32 @@ class PartialInverse:
         return self.rank_one_part + self.S
 
 
+def gth_partial_inverse(offdiag, sums):
+    """Tree-split partial inverse of the ROW triplet (offdiag, sums), w = sums.
+
+    Runs unchanged on float64 ndarrays and on precision.DD pair arrays.  z is
+    assembled subtraction-free: the null profile t of L1 = M - diag(w)
+    scaled by det(L1 leading minor) / det(M), both read off GTH pivots.  S is
+    then M^{-1} - 1 z^T in the working arithmetic, accurate in binary64 away
+    from singularity and in pair arithmetic much closer to it.
+    """
+    n = offdiag.shape[0]
+    if n == 1:
+        return PartialInverse(z=1.0 / sums, S=_zeros(sums, (1, 1)))
+    t, F1 = _null_profile(offdiag)
+    F = gth_eliminate(offdiag, sums, ROW)
+    scale = 1.0
+    for k in range(n - 1):
+        scale *= F1.upper[k, k] / F.upper[k, k]
+    scale /= F.upper[n - 1, n - 1]
+    z = t * scale
+    return PartialInverse(z=z, S=gth_solve(F, _eye(sums, n)) - z[None, :])
+
+
 def partial_inverse(T, check=True):
     """Tree-split partial inverse of a ROW triplet with sums w >= 0, w != 0.
 
-    z is assembled subtraction-free: the null profile t of L1 = M - diag(w)
-    scaled by det(L1 leading minor) / det(M), both read off GTH pivots.  S is
-    then M^{-1} - 1 z^T in working precision, which is accurate away from
-    singularity (S only feeds diagnostics).
+    See gth_partial_inverse; S only feeds diagnostics.
     """
     if T.orientation != ROW:
         raise ValueError("partial_inverse expects a ROW-oriented triplet")
@@ -256,24 +278,7 @@ def partial_inverse(T, check=True):
         raise ValueError("sums identically zero: M is singular")
     if check:
         check_irreducible(T.offdiag)
-    n = T.n
-    if n == 1:
-        z = np.array([1.0 / T.sums[0]])
-        return PartialInverse(z=z, S=np.zeros((1, 1)))
-    mult, piv_l1 = _null_elimination(T.offdiag)
-    t = np.zeros(n)
-    t[n - 1] = 1.0
-    for k in range(n - 2, -1, -1):
-        t[k] = t[k + 1 :] @ mult[k + 1 :, k]
-    F = gth_factor(T, check=False)
-    piv_m = F.pivots
-    scale = 1.0
-    for k in range(n - 1):
-        scale *= piv_l1[k] / piv_m[k]
-    scale /= piv_m[n - 1]
-    z = t * scale
-    minv = gth_solve(F, np.eye(n))
-    return PartialInverse(z=z, S=minv - z[None, :])
+    return gth_partial_inverse(T.offdiag, T.sums)
 
 
 # ---------------------------------------------------------------------------
@@ -388,67 +393,15 @@ def tree_oracle_rs(W):
     return PartialInverse(z=z, S=S)
 
 
-# ---------------------------------------------------------------------------
-# Componentwise inverse stability check (Theorem-style (2n-1)eps bound).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InverseStabilityReport:
-    epsilon: float
-    d_offdiag: float
-    d_sums: float
-    d_inverse: float
-    bound: float
-    within_bound: bool
-    pattern_mismatch: bool
-
-
-def _cw_max(new, ref):
-    """max |new - ref| / |ref| with 0/0 = 0 and x/0 = inf."""
-    new = np.asarray(new, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    out = np.zeros(ref.shape)
-    nz = ref != 0.0
-    out[nz] = np.abs(new[nz] - ref[nz]) / np.abs(ref[nz])
-    bad = (~nz) & (new != 0.0)
-    if bad.any():
-        return np.inf
-    return float(out.max()) if out.size else 0.0
-
-
-def inverse_cw_bound_check(T, T_tilde, epsilon):
-    """Compare d(M~^-1, M^-1) with the componentwise bound (2n-1) epsilon."""
-    if T.orientation != T_tilde.orientation or T.n != T_tilde.n:
-        raise ValueError("triplets must share shape and orientation")
-    d_off = _cw_max(T_tilde.offdiag, T.offdiag)
-    d_sums = _cw_max(T_tilde.sums, T.sums)
-    pattern_mismatch = np.isinf(d_off) or np.isinf(d_sums)
-    n = T.n
-    eye = np.eye(n)
-    minv = gth_solve(gth_factor(T), eye)
-    minv_t = gth_solve(gth_factor(T_tilde), eye)
-    d_inv = _cw_max(minv_t, minv)
-    bound = (2 * n - 1) * float(epsilon)
-    return InverseStabilityReport(
-        epsilon=float(epsilon),
-        d_offdiag=d_off,
-        d_sums=d_sums,
-        d_inverse=d_inv,
-        bound=bound,
-        within_bound=bool(d_inv <= bound * (1.0 + 1e-8) or np.isinf(bound)),
-        pattern_mismatch=bool(pattern_mismatch),
-    )
-
-
 def plain_lu_solve(A, b):
     """Partial-pivoting dense solve used by the non-GTH Newton baseline."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     try:
-        lu, piv = scipy.linalg.lu_factor(A)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        # scipy warns of an exactly zero diagonal of U; that is a singular pivot
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(A)
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError) as exc:
         raise SingularPivotError(str(exc)) from exc
-    if (np.diag(lu) == 0.0).any():
-        raise SingularPivotError("exactly singular matrix in plain LU")
     return scipy.linalg.lu_solve((lu, piv), b)

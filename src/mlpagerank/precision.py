@@ -6,9 +6,11 @@ below are the classical error-free transformations (Dekker split, two-sum,
 two-product); vector versions operate on numpy arrays elementwise.
 
 This module stands in for variable-precision arithmetic: it provides the
-extended-precision GTH elimination and Newton reference solver that the rest
-of the package treats as ground truth (residuals around 1e-28, far beyond
-binary64).
+Newton reference solver that the rest of the package treats as ground truth
+(residuals around 1e-28, far beyond binary64).  Its GTH steps are the mmatrix
+kernel run on DD arrays, which is why DD offers the few numpy-style methods
+that kernel uses (.sum(), @, .item()).  In pair arithmetic the elimination
+update rounds as (a b) / d, the order binary64 keeps.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from .mmatrix import COL, ROW, SingularPivotError
+from .mmatrix import COL, SingularPivotError, gth_eliminate, gth_solve
 
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
@@ -155,6 +157,20 @@ class DD:
     def to_float(self):
         return self.hi + self.lo
 
+    def item(self):
+        """The value of a one-element pair array, rounded to a Python float."""
+        return float(self.hi + self.lo)
+
+    def sum(self):
+        """dd_sum along the first axis."""
+        return dd_sum(self)
+
+    def __matmul__(self, other):
+        """Vector @ vector or vector @ matrix: dd_sum of the products."""
+        if len(other.shape) == 2:
+            return dd_sum(self[:, None] * other)
+        return dd_sum(self * other)
+
     def max_abs(self):
         a = self.abs()
         return float(np.max(a.hi + a.lo)) if a.hi.size else 0.0
@@ -164,7 +180,7 @@ class DD:
 
 
 def dd_sum(v):
-    """Pairwise-fold sum of a DD vector (deterministic reduction order)."""
+    """Pairwise-fold sum of a DD array along its first axis (deterministic order)."""
     hi, lo = v.hi.copy(), v.lo.copy()
     m = len(hi)
     if m == 0:
@@ -180,10 +196,6 @@ def dd_sum(v):
     return DD(hi[0], lo[0])
 
 
-def dd_dot(a, b):
-    return dd_sum(a * b)
-
-
 def dd_to_decimal_strings(v, digits=34):
     """Exact-decimal rendering of a DD vector, rounded to `digits` digits."""
     ctx_prec = getcontext().prec
@@ -193,72 +205,6 @@ def dd_to_decimal_strings(v, digits=34):
     finally:
         getcontext().prec = ctx_prec
     return out
-
-
-# ---------------------------------------------------------------------------
-# Extended-precision GTH elimination (same recipe as mmatrix.gth_factor)
-# ---------------------------------------------------------------------------
-
-
-class DDGTHFactors:
-    def __init__(self, lower, upper):
-        self.lower = lower
-        self.upper = upper
-
-    @property
-    def n(self):
-        return self.lower.shape[0]
-
-
-def dd_gth_factor(offdiag, sums, orientation=ROW):
-    """GTH factorization carried out entirely in pair arithmetic."""
-    N = offdiag.copy() if isinstance(offdiag, DD) else DD(np.array(offdiag, dtype=np.float64))
-    sig = sums.copy() if isinstance(sums, DD) else DD(np.array(sums, dtype=np.float64))
-    n = N.shape[0]
-    by_row = orientation == ROW
-    L = DD(np.eye(n))
-    U = DD.zeros((n, n))
-    for k in range(n):
-        tail = N[k, k + 1 :] if by_row else N[k + 1 :, k]
-        d = dd_sum(tail) + sig[k]
-        if d.to_float() <= 0.0:
-            raise SingularPivotError(f"zero pivot at step {k + 1}")
-        U[k, k] = d
-        U[k, k + 1 :] = -N[k, k + 1 :]
-        L[k + 1 :, k] = -(N[k + 1 :, k] / d)
-        if k < n - 1:
-            col = N[k + 1 :, k] / d
-            upd = DD(col.hi[:, None], col.lo[:, None]) * DD(
-                N.hi[k, k + 1 :][None, :], N.lo[k, k + 1 :][None, :]
-            )
-            N[k + 1 :, k + 1 :] = N[k + 1 :, k + 1 :] + upd
-            rng = np.arange(k + 1, n)
-            N.hi[rng, rng] = 0.0
-            N.lo[rng, rng] = 0.0
-            ratio = sig[k] / d
-            if by_row:
-                sig[k + 1 :] = sig[k + 1 :] + N[k + 1 :, k] * ratio
-            else:
-                sig[k + 1 :] = sig[k + 1 :] + N[k, k + 1 :] * ratio
-    return DDGTHFactors(L, U)
-
-
-def dd_gth_solve(F, b):
-    """Forward/back substitution in pair arithmetic; b may be DD or float."""
-    b = b if isinstance(b, DD) else DD(np.array(b, dtype=np.float64))
-    n = F.n
-    y = b.copy()
-    G = -F.lower
-    for k in range(1, n):
-        y[k] = y[k] + dd_dot(G[k, :k], y[:k])
-    W = -F.upper
-    x = DD.zeros(n)
-    for k in range(n - 1, -1, -1):
-        acc = y[k]
-        if k < n - 1:
-            acc = acc + dd_dot(W[k, k + 1 :], x[k + 1 :])
-        x[k] = acc / F.upper[k, k]
-    return x
 
 
 def dd_lu_solve(A, b):
@@ -283,7 +229,7 @@ def dd_lu_solve(A, b):
     for k in range(n - 1, -1, -1):
         acc = x[k]
         if k < n - 1:
-            acc = acc - dd_dot(A[k, k + 1 :], out[k + 1 :])
+            acc = acc - A[k, k + 1 :] @ out[k + 1 :]
         out[k] = acc / A[k, k]
     return out
 
@@ -297,12 +243,7 @@ def dd_apply_bilinear(B, x, y, vals=None):
     """(Bxy) in pair arithmetic; `vals` overrides the tensor values (as DD)."""
     vv = DD(B.vals) if vals is None else vals
     w = vv * x[B.cols % B.n] * y[B.cols // B.n]
-    out = DD.zeros(B.n)
-    for i in range(B.n):
-        lo, hi_ = B.row_ptr[i], B.row_ptr[i + 1]
-        if hi_ > lo:
-            out[i] = dd_sum(w[lo:hi_])
-    return out
+    return _dd_segment_sums(w, B.rows, B.n)  # storage order is by row
 
 
 def dd_apply_quadratic(B, x, vals=None):
@@ -340,15 +281,7 @@ def dd_residual(problem, x):
 def _dd_column_sums(P):
     """Pair-precision sums of the unfolding columns of a Tensor3."""
     order = np.argsort(P.cols, kind="stable")
-    cols_sorted = P.cols[order]
-    vals_sorted = P.vals[order]
-    bounds = np.searchsorted(cols_sorted, np.arange(P.n * P.n + 1))
-    out = DD.zeros(P.n * P.n)
-    for c in range(P.n * P.n):
-        lo, hi_ = bounds[c], bounds[c + 1]
-        if hi_ > lo:
-            out[c] = dd_sum(DD(vals_sorted[lo:hi_]))
-    return out
+    return _dd_segment_sums(DD(P.vals[order]), P.cols[order], P.n * P.n)
 
 
 def _dd_segment_sums(weights, keys, n_keys):
@@ -452,19 +385,13 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
             B, x, vals=vals_dd
         )
         if mode == MINIMAL and problem.is_pagerank:
-            N = C.copy()
-            rng = np.arange(n)
-            N.hi[rng, rng] = 0.0
-            N.lo[rng, rng] = 0.0
-            # column sums of R_x: z = 1 - 2 alpha 1^T x, in pair arithmetic
-            z = DD(1.0) - DD(2.0 * problem.alpha) * dd_sum(x)
-            if z.to_float() <= 0.0:
+            # the column triplet of R_x: offdiag(C) (GTH ignores the diagonal)
+            # and column sums z = 1 - 2 alpha 1^T x, in pair arithmetic
+            z = 1.0 - (2.0 * problem.alpha) * x.sum()
+            if z.item() <= 0.0:
                 raise SingularPivotError("nonpositive column sums in reference run")
-            sums = DD.zeros(n)
-            sums.hi[:] = z.hi
-            sums.lo[:] = z.lo
-            F = dd_gth_factor(N, sums, orientation=COL)
-            h = dd_gth_solve(F, r)
+            sums = DD(np.full(n, z.hi), np.full(n, z.lo))
+            h = gth_solve(gth_eliminate(C, sums, COL), r)
         else:
             R = DD(np.eye(n)) - C
             h = dd_lu_solve(R, r)
@@ -482,52 +409,3 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
         converged=bool(res <= tol),
         mode=mode,
     )
-
-
-# ---------------------------------------------------------------------------
-# Extended-precision partial inverse (used by the omega diagnostic near the
-# singular limit, where the binary64 subtraction M^{-1} - 1 z^T is meaningless)
-# ---------------------------------------------------------------------------
-
-
-def dd_partial_inverse(offdiag, sums):
-    """(z, S) of a ROW triplet computed in pair arithmetic, returned in binary64."""
-    offdiag = np.asarray(offdiag, dtype=np.float64)
-    sums = np.asarray(sums, dtype=np.float64)
-    n = offdiag.shape[0]
-    if n == 1:
-        return np.array([1.0 / sums[0]]), np.zeros((1, 1))
-    # null profile of L1 = M - diag(sums): elimination on the zero-sum triplet
-    N = DD(offdiag.copy())
-    mult = DD.zeros((n, n))
-    piv_l1 = DD.zeros(n - 1)
-    for k in range(n - 1):
-        d = dd_sum(N[k, k + 1 :])
-        if d.to_float() <= 0.0:
-            raise SingularPivotError(f"zero pivot at step {k + 1} (reducible input?)")
-        piv_l1[k] = d
-        mult[k + 1 :, k] = N[k + 1 :, k] / d
-        col = N[k + 1 :, k] / d
-        upd = DD(col.hi[:, None], col.lo[:, None]) * DD(
-            N.hi[k, k + 1 :][None, :], N.lo[k, k + 1 :][None, :]
-        )
-        N[k + 1 :, k + 1 :] = N[k + 1 :, k + 1 :] + upd
-        rng = np.arange(k + 1, n)
-        N.hi[rng, rng] = 0.0
-        N.lo[rng, rng] = 0.0
-    t = DD.zeros(n)
-    t[n - 1] = DD(1.0)
-    for k in range(n - 2, -1, -1):
-        t[k] = dd_dot(t[k + 1 :], mult[k + 1 :, k])
-    F = dd_gth_factor(DD(offdiag.copy()), DD(sums.copy()), orientation=ROW)
-    scale = DD(1.0)
-    for k in range(n - 1):
-        scale = scale * (piv_l1[k] / F.upper[k, k])
-    scale = scale / F.upper[n - 1, n - 1]
-    z = t * scale
-    cols = [dd_gth_solve(F, np.eye(n)[:, j]) for j in range(n)]
-    S = np.empty((n, n))
-    zf = z.to_float()
-    for j, cj in enumerate(cols):
-        S[:, j] = (cj - z[j]).to_float()
-    return zf, S

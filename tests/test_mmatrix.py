@@ -1,6 +1,6 @@
 """GTH factorization, triplet solves, null vectors, and partial inverses."""
 
-import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,13 +20,16 @@ from mlpagerank import (
     tree_oracle_rs,
     triplet_weights,
 )
-from mlpagerank.precision import DD, dd_gth_factor, dd_gth_solve, dd_partial_inverse
+from mlpagerank.mmatrix import check_irreducible, gth_eliminate, gth_partial_inverse
+from mlpagerank.precision import DD
+
+U_FLOAT = np.finfo(float).eps / 2
 
 
-def random_row_triplet(rng, n, sum_scale=1.0):
+def random_row_triplet(rng, n):
     N = rng.random((n, n)) + 0.1
     np.fill_diagonal(N, 0.0)
-    sums = (rng.random(n) + 0.1) * sum_scale
+    sums = rng.random(n) + 0.1
     return TripletMMatrix(N, sums, ROW)
 
 
@@ -97,11 +100,6 @@ class TestGTHFactor:
         with pytest.raises((SingularPivotError, ReducibleMatrixError)):
             gth_factor(TripletMMatrix(N, np.zeros(2), ROW), check=False)
 
-    def test_assert_env_flag_smoke(self, rng, monkeypatch):
-        monkeypatch.setenv("GTH_ASSERT_NONNEG", "1")
-        F = gth_factor(random_row_triplet(rng, 4))
-        assert (F.pivots > 0).all()
-
 
 class TestGTHSolve:
     def test_identity(self):
@@ -133,9 +131,7 @@ class TestGTHSolve:
         T = TripletMMatrix(N, sums, COL)
         b = rng.random(n)
         x = gth_solve(gth_factor(T), b)
-        x_dd = dd_gth_solve(
-            dd_gth_factor(DD(N.copy()), DD(sums.copy()), orientation=COL), b
-        ).to_float()
+        x_dd = gth_solve(gth_eliminate(DD(N), DD(sums), COL), DD(b)).to_float()
         assert np.max(np.abs(x - x_dd) / np.abs(x_dd)) <= 1e-12
 
 
@@ -229,7 +225,7 @@ class TestPartialInverse:
         u = np.finfo(float).eps / 2
         for k in range(0, 13):
             sums = sums0 * 10.0 ** -k
-            _, S_dd = dd_partial_inverse(N, sums)
+            S_dd = gth_partial_inverse(DD(N), DD(sums)).S.to_float()
             dd_s.append(S_dd)
             pi = partial_inverse(TripletMMatrix(N, sums, ROW))
             inv_norm = np.abs(pi.inverse()).sum(axis=1).max()
@@ -282,10 +278,190 @@ def test_plain_lu_solve_singular():
         plain_lu_solve(np.zeros((2, 2)), np.ones(2))
 
 
-def test_gth_assertions_do_not_fire_on_valid_input(rng, monkeypatch):
-    monkeypatch.setenv("GTH_ASSERT_NONNEG", "1")
-    for _ in range(5):
-        T = random_row_triplet(rng, 5, sum_scale=1e-10)
-        F = gth_factor(T)
-        gth_solve(F, rng.random(5))
-    assert os.environ["GTH_ASSERT_NONNEG"] == "1"
+# The seed's binary64 formulas, kept verbatim as the reference the shared
+# kernel must reproduce bit for bit.
+
+def seed_gth_factor(N, sig, by_row):
+    n = N.shape[0]
+    N = N.copy()
+    sig = sig.copy()
+    L = np.eye(n)
+    U = np.zeros((n, n))
+    for k in range(n):
+        if by_row:
+            d = sig[k] + N[k, k + 1 :].sum()
+        else:
+            d = sig[k] + N[k + 1 :, k].sum()
+        U[k, k] = d
+        U[k, k + 1 :] = -N[k, k + 1 :]
+        L[k + 1 :, k] = -N[k + 1 :, k] / d
+        if k < n - 1:
+            N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :]) / d
+            np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
+            if by_row:
+                sig[k + 1 :] += N[k + 1 :, k] * (sig[k] / d)
+            else:
+                sig[k + 1 :] += N[k, k + 1 :] * (sig[k] / d)
+    return L, U
+
+
+def seed_gth_solve(L, U, b):
+    squeeze = b.ndim == 1
+    y = np.array(b, ndmin=2, copy=True).T if squeeze else b.copy()
+    n = L.shape[0]
+    G = -L
+    for k in range(1, n):
+        y[k] += G[k, :k] @ y[:k]
+    piv = np.diag(U)
+    W = -U
+    x = np.empty_like(y)
+    for k in range(n - 1, -1, -1):
+        x[k] = (y[k] + W[k, k + 1 :] @ x[k + 1 :]) / piv[k]
+    return x[:, 0] if squeeze else x
+
+
+def seed_null_elimination(N):
+    n = N.shape[0]
+    N = N.copy()
+    mult = np.zeros((n, n))
+    piv = np.empty(n - 1)
+    for k in range(n - 1):
+        d = N[k, k + 1 :].sum()
+        piv[k] = d
+        mult[k + 1 :, k] = N[k + 1 :, k] / d
+        N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :]) / d
+        np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
+    return mult, piv
+
+
+def seed_null_vector(N):
+    mult, _ = seed_null_elimination(N)
+    n = N.shape[0]
+    t = np.zeros(n)
+    t[n - 1] = 1.0
+    for k in range(n - 2, -1, -1):
+        t[k] = t[k + 1 :] @ mult[k + 1 :, k]
+    return t
+
+
+def seed_partial_inverse(N, w):
+    n = N.shape[0]
+    if n == 1:
+        return np.array([1.0 / w[0]]), np.zeros((1, 1))
+    _, piv_l1 = seed_null_elimination(N)
+    t = seed_null_vector(N)
+    L, U = seed_gth_factor(N, w, True)
+    piv_m = np.diag(U)
+    scale = 1.0
+    for k in range(n - 1):
+        scale *= piv_l1[k] / piv_m[k]
+    scale /= piv_m[n - 1]
+    z = t * scale
+    return z, seed_gth_solve(L, U, np.eye(n)) - z[None, :]
+
+
+def exact_gth_factor(N, sig, by_row):
+    """The GTH recurrences in exact rational arithmetic."""
+    n = len(sig)
+    N = [[Fraction(float(v)) for v in row] for row in N]
+    sig = [Fraction(float(v)) for v in sig]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    U = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        rest = range(k + 1, n)
+        U[k][k] = sig[k] + sum(N[k][j] if by_row else N[j][k] for j in rest)
+        for j in rest:
+            U[k][j] = -N[k][j]
+            L[j][k] = -N[j][k] / U[k][k]
+        for i in rest:
+            for j in rest:
+                N[i][j] += N[i][k] * N[k][j] / U[k][k] if i != j else 0
+            sig[i] += (N[i][k] if by_row else N[k][i]) * sig[k] / U[k][k]
+    return L, U
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def ill_conditioned_triplets(rng, orientations=(ROW, COL)):
+    """Random triplets, n = 1..9 with zeros in the pattern, sums 1 .. 1e-13."""
+    for n in (1, 2, 3, 5, 9):
+        for k in range(14):
+            N = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+            N = N + 0.01 * (N == 0.0) * (k % 2)  # dense on odd k
+            np.fill_diagonal(N, 0.0)
+            sums = (rng.random(n) + 0.01) * 10.0 ** -k
+            try:
+                check_irreducible(N)
+            except ReducibleMatrixError:
+                continue
+            for orientation in orientations:
+                yield TripletMMatrix(N, sums, orientation)
+
+
+class TestSharedKernel:
+    def test_float_factor_and_solve_match_seed_formulas(self, rng):
+        count = 0
+        for T in ill_conditioned_triplets(rng):
+            F = gth_factor(T, check=False)
+            L, U = seed_gth_factor(T.offdiag, T.sums, T.orientation == ROW)
+            assert same_bits(F.lower, L) and same_bits(F.upper, U)
+            for b in (rng.random(T.n), rng.random((T.n, 3)), np.eye(T.n)):
+                assert same_bits(gth_solve(F, b), seed_gth_solve(L, U, b))
+            count += 1
+        assert count >= 100
+
+    def test_float_null_vector_and_partial_inverse_match_seed_formulas(self, rng):
+        for T in ill_conditioned_triplets(rng, orientations=(ROW,)):
+            if T.n > 1:
+                zero_sum = TripletMMatrix(T.offdiag, np.zeros(T.n), ROW)
+                assert same_bits(null_vector(zero_sum), seed_null_vector(T.offdiag))
+            pi = partial_inverse(T)
+            z, S = seed_partial_inverse(T.offdiag, T.sums)
+            assert same_bits(pi.z, z) and same_bits(pi.S, S)
+
+    def test_pair_and_float_factors_agree_componentwise(self, rng):
+        # every factor entry is a sum of nonnegative terms, each produced by
+        # at most n steps of a product, a quotient and an addition, so the
+        # binary64 factors agree with the pair ones to within 4 n u
+        for T in ill_conditioned_triplets(rng):
+            F = gth_factor(T, check=False)
+            F_dd = gth_eliminate(DD(T.offdiag), DD(T.sums), T.orientation)
+            for got, want in ((F.lower, F_dd.lower), (F.upper, F_dd.upper)):
+                assert ((got == 0.0) == (want.hi == 0.0)).all()
+                nz = want.hi != 0.0
+                err = np.abs((DD(got) - want).to_float())[nz]
+                assert (err <= 4 * T.n * U_FLOAT * np.abs(want.to_float()[nz])).all()
+
+    def test_pair_factors_match_exact_rationals(self, rng):
+        # the same argument in pair arithmetic, unit roundoff 2^-106
+        for T in ill_conditioned_triplets(rng):
+            if T.n > 5:
+                continue
+            F = gth_eliminate(DD(T.offdiag), DD(T.sums), T.orientation)
+            exact = exact_gth_factor(T.offdiag, T.sums, T.orientation == ROW)
+            for got, want in zip((F.lower, F.upper), exact):
+                for (i, j), w in np.ndenumerate(np.array(want, dtype=object)):
+                    err = abs(Fraction(float(got.hi[i, j])) + Fraction(float(got.lo[i, j])) - w)
+                    assert err <= 4 * T.n * Fraction(2) ** -106 * abs(w)
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["binary64", "double-double"])
+def test_factor_signs_and_nonnegative_solves(rng, pairs):
+    # strict L <= 0, strict U <= 0 and pivots > 0 in both arithmetics, from
+    # row and column sums near 1 down to 1e-13; b >= 0 then gives x >= 0
+    for T in ill_conditioned_triplets(rng):
+        if pairs:
+            F = gth_eliminate(DD(T.offdiag), DD(T.sums), T.orientation)
+            L, U = F.lower.to_float(), F.upper.to_float()
+        else:
+            F = gth_factor(T, check=False)
+            L, U = F.lower, F.upper
+        strict_lower = np.tril(np.ones((T.n, T.n), dtype=bool), -1)
+        assert (L[strict_lower] <= 0.0).all() and (np.diag(L) == 1.0).all()
+        assert (U[strict_lower.T] <= 0.0).all() and (np.diag(U) > 0.0).all()
+        assert (U[strict_lower] == 0.0).all() and (L[strict_lower.T] == 0.0).all()
+        b = rng.random(T.n) * (rng.random(T.n) < 0.6)
+        x = gth_solve(F, DD(b)).to_float() if pairs else gth_solve(F, b)
+        assert (x >= 0.0).all()

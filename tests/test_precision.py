@@ -60,6 +60,51 @@ class TestScalarOps:
         exact_q = Fraction(a) / Fraction(b)
         assert abs(quot - exact_q) <= abs(exact_q) * Fraction(2) ** -104
 
+    # Pairs with nonzero low parts of either sign, |lo| <= ulp(hi)/2, over
+    # 40 binades; 2^-104 relative is four times the worst error seen in
+    # 20000 such pairs for every operation.
+    def random_pairs(self, rng, m=500):
+        hi = rng.uniform(0.5, 2.0, m) * 2.0 ** rng.integers(-20, 20, m)
+        hi *= np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        lo = hi * 2.0 ** -53 * rng.uniform(-1.0, 1.0, m)
+        return DD(hi + lo, (hi - (hi + lo)) + lo)
+
+    def test_pairs_with_low_parts_match_exact_rationals(self, rng):
+        a, b = self.random_pairs(rng), self.random_pairs(rng)
+        exact_a = [as_fraction(a[i]) for i in range(len(a))]
+        exact_b = [as_fraction(b[i]) for i in range(len(b))]
+        for op, result in ((Fraction.__add__, a + b), (Fraction.__mul__, a * b),
+                           (Fraction.__truediv__, a / b)):
+            for i in range(len(a)):
+                exact = op(exact_a[i], exact_b[i])
+                assert abs(as_fraction(result[i]) - exact) <= abs(exact) * Fraction(2) ** -104
+
+    def test_sum_is_exact_when_hi_parts_cancel(self, rng):
+        # hi1 + hi2 = 0, so the sum is lo1 + lo2, which a pair holds exactly
+        a = self.random_pairs(rng)
+        lo = a.hi * 2.0 ** -53 * rng.uniform(-1.0, 1.0, len(a))
+        b = DD(-a.hi, lo)
+        total = a + b
+        for i in range(len(a)):
+            assert as_fraction(total[i]) == as_fraction(a[i]) + as_fraction(b[i])
+        x = DD(1.0, 2.0 ** -54) + DD(-1.0, 2.0 ** -54 + 2.0 ** -106)
+        assert as_fraction(x) == Fraction(2) ** -53 + Fraction(2) ** -106
+
+    def test_division_keeps_its_third_correction(self):
+        # quotients whose two-term approximation q1 + q2 is still off by more
+        # than 2^-104 relative; the third correction brings them within it
+        cases = [
+            ("0x1.45fc7a4fcc3f9p+0", "-0x1.95921b020e6a0p-54",
+             "0x1.2f69487ed20e4p+0", "0x1.f4ebcb709ce6fp-54"),
+            ("0x1.365137d2130fcp+0", "-0x1.0a984eea1dd9ep-54",
+             "0x1.0c9fbc065509cp+0", "0x1.e6caf2a3364c6p-54"),
+        ]
+        for h1, l1, h2, l2 in cases:
+            a = DD(float.fromhex(h1), float.fromhex(l1))
+            b = DD(float.fromhex(h2), float.fromhex(l2))
+            exact = as_fraction(a) / as_fraction(b)
+            assert abs(as_fraction(a / b) - exact) <= exact * Fraction(2) ** -104
+
 
 class TestDDVectors:
     def test_pairwise_sum_exact_for_mixed_scales(self):
