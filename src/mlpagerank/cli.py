@@ -335,7 +335,10 @@ def build_parser():
                          help="comma-separated block sizes for Jacobi methods")
     p_solve.add_argument("--start", choices=["zero", "v"], default="zero")
     p_solve.add_argument("--reference", action="store_true",
-                         help="attach extended-precision error columns")
+                         help="attach extended-precision error columns; "
+                              "reference_iterations counts the pair-arithmetic "
+                              "Newton steps, started from the binary64 "
+                              "Newton-GTH solution (from zero if that run fails)")
     p_solve.add_argument("--out-json", default=None)
     p_solve.add_argument("--out-csv", default=None)
     p_solve.set_defaults(fn=cmd_solve)

@@ -7,10 +7,13 @@ two-product); vector versions operate on numpy arrays elementwise.
 
 This module stands in for variable-precision arithmetic: it provides the
 Newton reference solver that the rest of the package treats as ground truth
-(residuals around 1e-28, far beyond binary64).  Its GTH steps are the mmatrix
-kernel run on DD arrays, which is why DD offers the few numpy-style methods
-that kernel uses (.sum(), @, .item()).  In pair arithmetic the elimination
-update rounds as (a b) / d, the order binary64 keeps.
+(residuals around 1e-28, far beyond binary64).  For the minimal solution of a
+PageRank problem that Newton starts from the binary64 Newton-GTH solution,
+and from zero when the binary64 run or the seeded pair run fails; its
+iteration count is of pair-arithmetic steps only.  Its GTH steps are the
+mmatrix kernel run on DD arrays, which is why DD offers the few numpy-style
+methods that kernel uses (.sum(), @, .item()).  In pair arithmetic the
+elimination update rounds as (a b) / d, the order binary64 keeps.
 """
 
 from __future__ import annotations
@@ -220,11 +223,10 @@ def dd_lu_solve(A, b):
         if p != k:
             A.hi[[k, p]], A.lo[[k, p]] = A.hi[[p, k]].copy(), A.lo[[p, k]].copy()
             x.hi[[k, p]], x.lo[[k, p]] = x.hi[[p, k]].copy(), x.lo[[p, k]].copy()
-        piv = A[k, k]
-        for i in range(k + 1, n):
-            m = A[i, k] / piv
-            A[i, k + 1 :] = A[i, k + 1 :] - DD(m.hi, m.lo) * A[k, k + 1 :]
-            x[i] = x[i] - m * x[k]
+        # one rank-1 update of the rows below the pivot
+        m = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :, k + 1 :] = A[k + 1 :, k + 1 :] - m[:, None] * A[k, k + 1 :]
+        x[k + 1 :] = x[k + 1 :] - m * x[k]
     out = DD.zeros(n)
     for k in range(n - 1, -1, -1):
         acc = x[k]
@@ -285,13 +287,18 @@ def _dd_column_sums(P):
 
 
 def _dd_segment_sums(weights, keys, n_keys):
-    """Sum DD weights into n_keys buckets; keys must be sorted ascending."""
+    """Sum DD weights into n_keys buckets; keys must be sorted ascending.
+
+    Each bucket's sum is dd_sum of its run, bit for bit: the runs of one
+    length are gathered as the columns of a (length x buckets) matrix, which
+    dd_sum folds along its first axis for all of them at once.
+    """
     bounds = np.searchsorted(keys, np.arange(n_keys + 1))
+    starts, lengths = bounds[:-1], np.diff(bounds)
     out = DD.zeros(n_keys)
-    for b in range(n_keys):
-        lo, hi_ = bounds[b], bounds[b + 1]
-        if hi_ > lo:
-            out[b] = dd_sum(weights[lo:hi_])
+    for m in np.unique(lengths[lengths > 0]):
+        buckets = np.flatnonzero(lengths == m)
+        out[buckets] = dd_sum(weights[np.arange(m)[:, None] + starts[buckets]])
     return out
 
 
@@ -336,10 +343,18 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
                        exact_stochastic=None):
     """Newton in pair arithmetic, the stand-in for an exact solution.
 
-    MINIMAL starts from zero and solves each step with extended GTH on the
-    column triplet (subtraction-free); STOCHASTIC starts from v and uses an
-    extended partial-pivoting LU.  Residuals are evaluated directly in pair
-    arithmetic, so the iteration is self-correcting down to ~1e-30.
+    MINIMAL solves each step with extended GTH on the column triplet
+    (subtraction-free); STOCHASTIC starts from v and uses an extended
+    partial-pivoting LU.  Residuals are evaluated directly in pair arithmetic,
+    so the iteration is self-correcting down to ~1e-30.
+
+    On a PageRank problem MINIMAL starts from the binary64 Newton-GTH solution
+    (mixed-precision refinement: the start only sets the number of DD steps).
+    It starts from zero instead when that binary64 run does not end
+    TOL_REACHED, or when the seeded DD run raises SingularPivotError or
+    ArithmeticError or ends unconverged.  The general (non-PageRank) MINIMAL
+    reference always starts from zero.  `iterations` counts the DD Newton steps
+    of the run that produced x_pair; the binary64 seed run is not counted.
 
     exact_stochastic (default: True for PageRank problems) renormalizes the
     data in pair precision first (1^T v = 1 and unit column sums to ~1e-32),
@@ -368,44 +383,56 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
         csum = _dd_column_sums(problem.p_tensor)
         vals_dd = DD(problem.p_tensor.vals) * alpha_dd / csum[problem.p_tensor.cols]
         B = problem.p_tensor  # structure only; values come from vals_dd
+    if mode == STOCHASTIC and not problem.is_pagerank:
+        raise ValueError("stochastic mode needs a PageRank problem")
+    gth = mode == MINIMAL and problem.is_pagerank
 
     def resid(xx):
         return a_dd + dd_apply_quadratic(B, xx, vals=vals_dd) - xx
 
-    if mode == STOCHASTIC:
-        if not problem.is_pagerank:
-            raise ValueError("stochastic mode needs a PageRank problem")
-        x = v0.copy()
-    else:
-        x = DD.zeros(n)
-    r = resid(x)
-    iterations = 0
-    while r.abs().max_abs() > tol and iterations < maxit:
-        C = dd_contract_left(B, x, vals=vals_dd) + dd_contract_right(
-            B, x, vals=vals_dd
-        )
-        if mode == MINIMAL and problem.is_pagerank:
-            # the column triplet of R_x: offdiag(C) (GTH ignores the diagonal)
-            # and column sums z = 1 - 2 alpha 1^T x, in pair arithmetic
-            z = 1.0 - (2.0 * problem.alpha) * x.sum()
-            if z.item() <= 0.0:
-                raise SingularPivotError("nonpositive column sums in reference run")
-            sums = DD(np.full(n, z.hi), np.full(n, z.lo))
-            h = gth_solve(gth_eliminate(C, sums, COL), r)
-        else:
-            R = DD(np.eye(n)) - C
-            h = dd_lu_solve(R, r)
-        x = x + h
+    def newton(x):
         r = resid(x)
-        iterations += 1
-        if np.abs(x.hi).max() > 1e6:
-            raise ArithmeticError("reference iteration diverged")
-    res = r.abs().max_abs()
-    return ReferenceSolution(
-        x_pair=x,
-        x=x.to_float(),
-        residual_norm=res,
-        iterations=iterations,
-        converged=bool(res <= tol),
-        mode=mode,
-    )
+        iterations = 0
+        while r.abs().max_abs() > tol and iterations < maxit:
+            C = dd_contract_left(B, x, vals=vals_dd) + dd_contract_right(
+                B, x, vals=vals_dd
+            )
+            if gth:
+                # the column triplet of R_x: offdiag(C) (GTH ignores the
+                # diagonal) and column sums z = 1 - 2 alpha 1^T x, in pairs
+                z = 1.0 - (2.0 * problem.alpha) * x.sum()
+                if z.item() <= 0.0:
+                    raise SingularPivotError("nonpositive column sums in reference run")
+                sums = DD(np.full(n, z.hi), np.full(n, z.lo))
+                h = gth_solve(gth_eliminate(C, sums, COL), r)
+            else:
+                R = DD(np.eye(n)) - C
+                h = dd_lu_solve(R, r)
+            x = x + h
+            r = resid(x)
+            iterations += 1
+            if np.abs(x.hi).max() > 1e6:
+                raise ArithmeticError("reference iteration diverged")
+        res = r.abs().max_abs()
+        return ReferenceSolution(
+            x_pair=x,
+            x=x.to_float(),
+            residual_norm=res,
+            iterations=iterations,
+            converged=bool(res <= tol),
+            mode=mode,
+        )
+
+    if gth:
+        from . import solvers  # solvers imports this module
+
+        seed = solvers.newton_gth(problem, solvers.SolverOptions())
+        if seed.termination is solvers.Termination.TOL_REACHED:
+            try:
+                ref = newton(DD(seed.x))
+            except (SingularPivotError, ArithmeticError):
+                pass
+            else:
+                if ref.converged:
+                    return ref
+    return newton(v0.copy() if mode == STOCHASTIC else DD.zeros(n))

@@ -14,10 +14,13 @@ from mlpagerank import (
     Tensor3,
     intro,
     ex1,
+    ex2,
     reference_solution,
 )
-from mlpagerank.precision import DD, dd_sum
-from mlpagerank.solvers import Method, SolverOptions, Start, solve
+from mlpagerank import solvers
+from mlpagerank.mmatrix import SingularPivotError
+from mlpagerank.precision import DD, _dd_segment_sums, dd_lu_solve, dd_sum
+from mlpagerank.solvers import Method, SolverOptions, Start, Termination, solve
 
 finite_floats = st.floats(
     min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False
@@ -113,6 +116,67 @@ class TestDDVectors:
         want = Fraction(2) ** -60 + Fraction(2) ** -61
         assert as_fraction(total) == want
 
+    @staticmethod
+    def random_dd(rng, shape):
+        hi = rng.uniform(-1.0, 1.0, shape)
+        return DD(hi, hi * 2.0 ** -53 * rng.uniform(-1.0, 1.0, shape))
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.hi.tobytes() == want.hi.tobytes()
+        assert got.lo.tobytes() == want.lo.tobytes()
+
+    @pytest.mark.parametrize("lengths", [
+        [0, 1, 2, 0, 3, 4, 7, 0, 8, 1, 2, 3, 0, 37, 5, 5, 6, 0],  # ragged
+        [13],  # one bucket
+        [0, 0, 0],  # no entries
+        [0, 1, 0],
+    ])
+    def test_segment_sums_match_one_dd_sum_per_bucket(self, rng, lengths):
+        keys = np.repeat(np.arange(len(lengths)), lengths)
+        weights = self.random_dd(rng, len(keys))
+        want = DD.zeros(len(lengths))  # one dd_sum per bucket, the fold's oracle
+        bounds = np.searchsorted(keys, np.arange(len(lengths) + 1))
+        for b in range(len(lengths)):
+            if bounds[b + 1] > bounds[b]:
+                want[b] = dd_sum(weights[bounds[b]:bounds[b + 1]])
+        self.assert_same_bits(_dd_segment_sums(weights, keys, len(lengths)), want)
+
+    @staticmethod
+    def lu_solve_row_by_row(A, b):
+        """dd_lu_solve with its elimination one row at a time."""
+        A = A.copy()
+        x = b.copy()
+        n = A.shape[0]
+        for k in range(n):
+            col = A[k:, k].abs()
+            p = k + int(np.argmax(col.hi + col.lo))
+            if (A.hi[p, k] + A.lo[p, k]) == 0.0:
+                raise SingularPivotError(f"singular matrix at column {k + 1}")
+            if p != k:
+                A.hi[[k, p]], A.lo[[k, p]] = A.hi[[p, k]].copy(), A.lo[[p, k]].copy()
+                x.hi[[k, p]], x.lo[[k, p]] = x.hi[[p, k]].copy(), x.lo[[p, k]].copy()
+            piv = A[k, k]
+            for i in range(k + 1, n):
+                m = A[i, k] / piv
+                A[i, k + 1 :] = A[i, k + 1 :] - DD(m.hi, m.lo) * A[k, k + 1 :]
+                x[i] = x[i] - m * x[k]
+        out = DD.zeros(n)
+        for k in range(n - 1, -1, -1):
+            acc = x[k]
+            if k < n - 1:
+                acc = acc - A[k, k + 1 :] @ out[k + 1 :]
+            out[k] = acc / A[k, k]
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_lu_solve_matches_row_by_row_elimination(self, rng, n):
+        for _ in range(5):
+            A = self.random_dd(rng, (n, n))
+            A.hi[0, 0] *= 1e-3  # the first column needs a row swap
+            b = self.random_dd(rng, n)
+            self.assert_same_bits(dd_lu_solve(A, b), self.lu_solve_row_by_row(A, b))
+
     def test_elementwise_roundtrip(self, rng):
         a = DD(rng.random(6))
         b = DD(rng.random(6))
@@ -193,3 +257,120 @@ class TestReferenceSolution:
         # the two roots of the sum equation are only (1-2alpha)/alpha apart,
         # so a residual of 1e-28 pins the sum to about sqrt(1e-28) only
         assert abs(dd_sum(ref.x_pair).to_float() - 1.0) <= 1e-13
+
+
+def mpmath_minimal_solution(problem):
+    """Newton from zero in mpmath on the exactly normalized data.
+
+    v and the unfolding columns are divided by their exact sums, as the
+    pair-precision reference does; alpha is the binary64 value.  Call it
+    inside mpmath.workdps.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    n = problem.n
+    U = problem.p_tensor.unfolding()
+    alpha = mp.mpf(problem.alpha)
+    v = [mp.mpf(float(t)) for t in problem.v]
+    vsum = mp.fsum(v)
+    a = [(1 - alpha) * t / vsum for t in v]
+    B = [[[mp.mpf(0)] * n for _ in range(n)] for _ in range(n)]
+    for c in range(n * n):
+        col = [mp.mpf(float(U[i, c])) for i in range(n)]
+        csum = mp.fsum(col)
+        for i in range(n):
+            B[i][c % n][c // n] = alpha * col[i] / csum
+    x = [mp.mpf(0)] * n
+    for _ in range(200):
+        r = [a[i] + mp.fsum(B[i][j][k] * x[j] * x[k] for j in range(n) for k in range(n))
+             - x[i] for i in range(n)]
+        R = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                R[i, j] = (i == j) - mp.fsum((B[i][j][k] + B[i][k][j]) * x[k]
+                                             for k in range(n))
+        h = mp.lu_solve(R, mp.matrix(r))
+        x = [x[i] + h[i] for i in range(n)]
+        if all(abs(h[i]) <= mp.mpf(10) ** (10 - mp.dps) * x[i] for i in range(n)):
+            return x
+    raise AssertionError("mpmath Newton did not converge")
+
+
+def error_against_mpmath(ref, problem, digits=80):
+    """max_i |x_i - m_i| / m_i, with m from an mpmath Newton at `digits` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        m = mpmath_minimal_solution(problem)
+        return max(float(abs(mpmath.mpf(float(h)) + mpmath.mpf(float(l)) - t) / t)
+                   for h, l, t in zip(ref.x_pair.hi, ref.x_pair.lo, m))
+
+
+def from_zero(problem, monkeypatch):
+    """The reference started from zero: the seed run is made to end MAXIT."""
+    real = solvers.newton_gth
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "newton_gth",
+                  lambda p, opts: real(p, SolverOptions(maxit=1)))
+        return reference_solution(problem, MINIMAL)
+
+
+BUILTINS = {"intro": lambda alpha: intro(1e-6, alpha), "ex1": ex1, "ex2": ex2}
+
+
+class TestSeededReference:
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("alpha, bound, max_steps",
+                             [(0.3, 1e-30, 2), (0.49999, 1e-27, 3), (0.6, 1e-30, 2)])
+    def test_matches_mpmath_newton(self, name, alpha, bound, max_steps):
+        problem = BUILTINS[name](alpha)
+        ref = reference_solution(problem, MINIMAL)
+        assert ref.converged
+        assert ref.iterations <= max_steps
+        assert error_against_mpmath(ref, problem) <= bound
+
+    @pytest.mark.parametrize("name, alpha, steps", [
+        ("intro", 0.3, {7}), ("ex1", 0.49999, {21}), ("ex2", 0.5, {46, 47}),
+    ])
+    def test_seed_run_short_of_tolerance_gives_run_from_zero(
+            self, monkeypatch, name, alpha, steps):
+        ref = from_zero(BUILTINS[name](alpha), monkeypatch)
+        assert ref.converged
+        assert ref.iterations in steps
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("alpha", [0.3, 0.6])
+    def test_perturbed_seed_corrects_itself(self, monkeypatch, name, alpha):
+        problem = BUILTINS[name](alpha)
+        want = from_zero(problem, monkeypatch)
+        real = solvers.newton_gth
+
+        def scaled(p, opts):
+            rep = real(p, opts)
+            rep.x = rep.x * (1.0 + 1e-6)
+            return rep
+
+        monkeypatch.setattr(solvers, "newton_gth", scaled)
+        ref = reference_solution(problem, MINIMAL)
+        assert ref.converged
+        err = (ref.x_pair - want.x_pair).abs().to_float() / want.x
+        assert err.max() <= 1e-27
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_seed_past_the_singular_root_restarts_from_zero(self, monkeypatch, name):
+        # at alpha = 1/2 a seed with 1^T x > 1 makes z = 1 - 1^T x negative
+        problem = BUILTINS[name](0.5)
+        want = from_zero(problem, monkeypatch)
+        real = solvers.newton_gth
+
+        def past_the_root(p, opts):
+            rep = real(p, opts)
+            assert rep.termination is Termination.TOL_REACHED
+            rep.x = rep.x * (1.0 + 1e-6)
+            assert rep.x.sum() > 1.0
+            return rep
+
+        monkeypatch.setattr(solvers, "newton_gth", past_the_root)
+        ref = reference_solution(problem, MINIMAL)
+        assert ref.converged
+        assert ref.x_pair.hi.tobytes() == want.x_pair.hi.tobytes()
+        assert ref.x_pair.lo.tobytes() == want.x_pair.lo.tobytes()
+        assert ref.iterations == want.iterations
