@@ -169,7 +169,7 @@ class TestDDVectors:
             out[k] = acc / A[k, k]
         return out
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("n", [2, 5, 9])
     def test_lu_solve_matches_row_by_row_elimination(self, rng, n):
         for _ in range(5):
             A = self.random_dd(rng, (n, n))
