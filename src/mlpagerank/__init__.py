@@ -55,9 +55,6 @@ from .analysis import (
     kappa,
     norm_error,
     omega,
-    realized_epsilon,
-    support_cw_distance,
-    zero_sum_perturb,
 )
 from .precision import (
     DD,

@@ -4,9 +4,10 @@ Implements the componentwise distance d(x~, x) = max |x~_i - x_i| / |x_i|
 (with 0/0 = 0 and b/0 = inf, so it is infinite whenever the zero patterns
 disagree), the two condition quantities kappa = max y_i/m_i and
 omega = max (S^T m)_i/m_i, the perturbation bounds 2 eps (2 kappa - 1) gamma
-and 2 omega gamma eps they enter, the zero-sum perturbation generator used
-to probe those bounds, and the check of a perturbed M-matrix inverse against
-its componentwise bound (2n - 1) eps.
+and 2 omega gamma eps they enter, componentwise_zero_sum_perturb, the one
+perturbation generator, which probes those bounds inside their componentwise
+model, and the check of a perturbed M-matrix inverse against its
+componentwise bound (2n - 1) eps.
 """
 
 from __future__ import annotations
@@ -82,20 +83,6 @@ def cw_distance(x_tilde, x):
         i, col = divmod(int(union[d.argmax_index[0] - 1]), n * n)
         return CwDistance(d.value, (i + 1, col % n + 1, col // n + 1))
     return _cw_arrays(x_tilde, x)
-
-
-def support_cw_distance(x_tilde, x):
-    """Like cw_distance but only over the support of x (ignores new nonzeros).
-
-    This is the realized epsilon of a clamped/renormalized perturbation; mass
-    created on structural zeros is reported separately by callers.
-    """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    nz = x != 0.0
-    if not nz.any():
-        return 0.0
-    return float(np.max(np.abs(x_tilde[nz] - x[nz]) / np.abs(x[nz])))
 
 
 def norm_error(x_tilde, x):
@@ -225,33 +212,17 @@ class BoundReport:
     gamma: float
     bound: float
     discriminant_ok: bool
-    spectral_ok: bool | None  # None when no spectral radius was supplied
+
     @property
     def applicable(self):
-        return self.discriminant_ok and self.spectral_ok is not False
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "epsilon": self.epsilon,
-            "quantity": self.quantity,
-            "gamma": self.gamma,
-            "bound": self.bound,
-            "applicable": self.applicable,
-        }
+        return self.discriminant_ok
 
 
 def _gamma(eps, n):
     return (1.0 + eps) ** (n - 1) / (1.0 - eps) ** n
 
 
-def _spectral_flag(eps, rho):
-    if rho is None:
-        return None
-    return bool((1.0 + eps) * rho < 1.0)
-
-
-def bound_kappa(epsilon, kappa_value, n, rho=None):
+def bound_kappa(epsilon, kappa_value, n):
     """d(m~, m) <= 2 eps (2 kappa - 1) gamma, valid while
     eps + eps^2 < 1 / (4 gamma^2 (2 kappa - 1)(kappa - 1))."""
     eps = float(epsilon)
@@ -267,11 +238,10 @@ def bound_kappa(epsilon, kappa_value, n, rho=None):
         gamma=g,
         bound=2.0 * eps * (2.0 * kappa_value - 1.0) * g,
         discriminant_ok=bool(disc_ok),
-        spectral_ok=_spectral_flag(eps, rho),
     )
 
 
-def bound_omega(epsilon, omega_value, n, rho=None):
+def bound_omega(epsilon, omega_value, n):
     """d(m~, m) <= 2 omega gamma eps, valid while eps + eps^2 < 1/(4 gamma^2 omega^2)."""
     eps = float(epsilon)
     if not 0.0 <= eps < 1.0:
@@ -286,60 +256,18 @@ def bound_omega(epsilon, omega_value, n, rho=None):
         gamma=g,
         bound=2.0 * omega_value * g * eps,
         discriminant_ok=bool(disc_ok),
-        spectral_ok=_spectral_flag(eps, rho),
     )
 
 
-def zero_sum_perturb(problem, epsilon, seed):
-    """Perturb (v, P) by seeded zero-column-sum noise, clamp, renormalize.
+def componentwise_zero_sum_perturb(problem, epsilon, seed):
+    """Seeded perturbation of P inside the componentwise model of the bounds.
 
-    E = R - (1/n) 1 1^T R with R uniform on the unfolding shape, e likewise
-    for v; P~ = P + eps E and v~ = v + eps e are clamped at zero and the
-    unfolding columns (and v) renormalized, so the perturbed problem is again
-    stochastic to roundoff.  eps = 0 returns the problem unchanged.
-    """
-    if not problem.is_pagerank:
-        raise ValueError("zero_sum_perturb needs a PageRank problem")
-    eps = float(epsilon)
-    if eps == 0.0:
-        return problem
-    n = problem.n
-    rng = np.random.default_rng(seed)
-    R = rng.random((n, n * n))
-    E = R - np.ones((n, 1)) @ (R.sum(axis=0)[None, :] / n)
-    rvec = rng.random(n)
-    e = rvec - rvec.sum() / n
-    P1 = problem.p_tensor.unfolding()
-    P_tilde = np.maximum(P1 + eps * E, 0.0)
-    P_tilde /= P_tilde.sum(axis=0)[None, :]
-    v_tilde = np.maximum(problem.v + eps * e, 0.0)
-    v_tilde /= v_tilde.sum()
-    return Problem.from_pagerank(
-        v_tilde,
-        tz.Tensor3.from_unfolding(P_tilde),
-        problem.alpha,
-        one_minus_two_alpha=problem.one_minus_two_alpha,
-    )
-
-
-def realized_epsilon(perturbed, problem):
-    """Componentwise size of a zero-sum perturbation over the shared support."""
-    d_v = support_cw_distance(perturbed.v, problem.v)
-    d_p = support_cw_distance(
-        perturbed.p_tensor.unfolding(), problem.p_tensor.unfolding()
-    )
-    return max(d_v, d_p)
-
-
-def componentwise_zero_sum_perturb(problem, epsilon, seed, perturb_v=False):
-    """Zero-sum perturbation that also respects the componentwise model.
-
-    The additive recipe of zero_sum_perturb hits tiny entries with relative
-    changes of order epsilon / entry, far outside the hypotheses of the
-    perturbation bounds.  Here each entry moves multiplicatively (at most
-    2 epsilon relative) and the zero-sum projection stays inside the support,
-    so d(P~, P) <= 2 epsilon with the zero pattern intact.  This is the form
-    the bound-validation experiments use; v is left alone unless requested.
+    Each entry of the unfolding moves multiplicatively, by a relative amount
+    drawn uniformly from [-epsilon, epsilon]; the change is then projected to
+    zero column sums inside the support and the columns renormalized.  So
+    d(P~, P) <= 2 epsilon, the zero pattern is kept and P~ is stochastic to
+    roundoff.  v is not perturbed.  epsilon must lie in [0, 0.25); epsilon = 0
+    returns the problem itself.
     """
     if not problem.is_pagerank:
         raise ValueError("componentwise_zero_sum_perturb needs a PageRank problem")
@@ -347,7 +275,7 @@ def componentwise_zero_sum_perturb(problem, epsilon, seed, perturb_v=False):
     if eps == 0.0:
         return problem
     if not 0.0 < eps < 0.25:
-        raise ValueError("epsilon must be in (0, 0.25) for a multiplicative model")
+        raise ValueError("epsilon must be in [0, 0.25) for a multiplicative model")
     rng = np.random.default_rng(seed)
     U = problem.p_tensor.unfolding()
     delta = eps * (2.0 * rng.random(U.shape) - 1.0) * U
@@ -356,30 +284,12 @@ def componentwise_zero_sum_perturb(problem, epsilon, seed, perturb_v=False):
     delta -= U * (delta.sum(axis=0) / safe)[None, :]
     P_tilde = U + delta
     P_tilde /= np.where(colsum == 0.0, 1.0, P_tilde.sum(axis=0))[None, :]
-    v_tilde = problem.v
-    if perturb_v:
-        dv = eps * (2.0 * rng.random(problem.n) - 1.0) * problem.v
-        dv -= problem.v * dv.sum()  # 1^T v = 1
-        v_tilde = (problem.v + dv) / (problem.v + dv).sum()
     return Problem.from_pagerank(
-        v_tilde,
+        problem.v,
         tz.Tensor3.from_unfolding(P_tilde),
         problem.alpha,
         one_minus_two_alpha=problem.one_minus_two_alpha,
     )
-
-
-def perturbation_record(epsilon_realized, kappa_report, omega_report, observed_dcw):
-    """JSON-ready record for one perturbation trial."""
-    return {
-        "epsilon_realized": epsilon_realized,
-        "kappa": kappa_report.quantity,
-        "omega": omega_report.quantity,
-        "gamma": omega_report.gamma,
-        "bound": omega_report.bound,
-        "observed_dcw": observed_dcw,
-        "applicable": omega_report.applicable,
-    }
 
 
 def dump_json(obj, path):

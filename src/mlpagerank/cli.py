@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, ingest, precision
 from . import tensor as tz
+from .mmatrix import SingularPivotError
 from .solvers import Method, Problem, SolverOptions, Start, Termination, solve
 
 EXIT_OK = 0
@@ -192,31 +193,56 @@ def cmd_solve(args, parser):
     return _termination_exit(report.termination)
 
 
+def _fail(code, message):
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(code)
+
+
 def cmd_perturb(args, parser):
     problem = _load_problem(args, parser)
     method = _parse_method(args.method, parser)
     opts = _options(args, parser, method=method)
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
-    if args.reference:
-        m = precision.reference_solution(problem, precision.MINIMAL).x
-    else:
-        m = solve(problem, opts).x
-    y = analysis.compute_y(problem, m)
-    kap = analysis.kappa(m, y)
-    ome = analysis.omega(problem, m)
+    if not 0.0 <= args.epsilon < 0.25:
+        parser.error(f"--epsilon must be in [0, 0.25), got {args.epsilon}")
+
+    def minimal_solution(p, what):
+        if args.reference:
+            ref = precision.reference_solution(p, precision.MINIMAL)
+            if not ref.converged:
+                _fail(EXIT_NUMERICAL, f"extended-precision reference of {what} "
+                                      "did not converge")
+            return ref.x
+        try:
+            report = solve(p, opts)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if report.termination is not Termination.TOL_REACHED:
+            _fail(_termination_exit(report.termination),
+                  f"{method.value} on {what} ended {report.termination.value} "
+                  f"after {report.iterations} iterations")
+        return report.x
+
+    m = minimal_solution(problem, "the unperturbed problem")
+    try:
+        y = analysis.compute_y(problem, m)
+        kap = analysis.kappa(m, y)
+        ome = analysis.omega(problem, m)
+    except SingularPivotError:
+        _fail(EXIT_NUMERICAL, "R_m is singular at the minimal solution, "
+                              "so kappa is unbounded there")
+    except (ValueError, ArithmeticError) as exc:
+        _fail(EXIT_NUMERICAL, f"kappa and omega could not be computed: {exc}")
     n = problem.n
     rows = []
     max_ratio = 0.0
     for trial in range(args.trials):
-        seed = args.seed + trial
-        pert = analysis.zero_sum_perturb(problem, args.epsilon, seed)
-        eps_real = analysis.realized_epsilon(pert, problem) if args.epsilon else 0.0
-        if args.reference:
-            m_t = precision.reference_solution(pert, precision.MINIMAL).x
-        else:
-            m_t = solve(pert, opts).x
-        d_obs = analysis.cw_distance(m_t, m).value
+        pert = analysis.componentwise_zero_sum_perturb(problem, args.epsilon,
+                                                       args.seed + trial)
+        # v is not perturbed, so the realized epsilon is d(P~, P)
+        eps_real = analysis.cw_distance(pert.p_tensor, problem.p_tensor).value
+        d_obs = analysis.cw_distance(minimal_solution(pert, f"trial {trial}"), m).value
         rk = analysis.bound_kappa(eps_real, kap, n)
         ro = analysis.bound_omega(eps_real, ome, n)
         if ro.applicable and ro.bound > 0.0:
@@ -232,14 +258,20 @@ def cmd_perturb(args, parser):
                     f"{trial},{_fmt(eps_real)},{_fmt(d_obs)},{_fmt(ro.bound)},"
                     f"{_fmt(rk.bound)},{int(ro.applicable)},{int(rk.applicable)}\n"
                 )
-    last = rows[-1]
-    summary = analysis.perturbation_record(last[1], rows[-1][4], rows[-1][3], last[2])
-    summary.update({
+    _, eps_real, d_obs, ro, rk = rows[-1]
+    summary = {
+        "epsilon_realized": eps_real,
+        "kappa": rk.quantity,
+        "omega": ro.quantity,
+        "gamma": ro.gamma,
+        "bound": ro.bound,
+        "observed_dcw": d_obs,
+        "applicable": ro.applicable,
         "trials": args.trials,
         "epsilon_input": args.epsilon,
         "max_observed_over_bound": max_ratio,
         "all_within_bound": bool(max_ratio <= 1.0),
-    })
+    }
     if args.out_json:
         analysis.dump_json(summary, args.out_json)
     print(json.dumps(summary))
@@ -343,9 +375,18 @@ def build_parser():
     p_solve.add_argument("--out-csv", default=None)
     p_solve.set_defaults(fn=cmd_solve)
 
-    p_pert = sub.add_parser("perturb", help="zero-sum perturbation experiment")
+    p_pert = sub.add_parser(
+        "perturb", help="componentwise perturbation experiment",
+        description="Perturb P by seeded multiplicative noise, every entry by a "
+                    "relative amount of at most epsilon before a zero-sum "
+                    "projection (v stays), and compare d(m~, m) with the omega "
+                    "and kappa bounds.  epsilon_realized is d(P~, P).  Exits 0 "
+                    "when done, 2 when a solve hits the iteration limit, 3 when "
+                    "a solve fails otherwise, a reference does not converge or "
+                    "R_m is singular, 64 on a usage error.")
     _add_instance_args(p_pert)
-    p_pert.add_argument("--epsilon", type=float, required=True)
+    p_pert.add_argument("--epsilon", type=float, required=True,
+                        help="relative size of the perturbation, in [0, 0.25)")
     p_pert.add_argument("--trials", type=int, default=100)
     p_pert.add_argument("--seed", type=int, default=0)
     p_pert.add_argument("--method", default="newton-gth")

@@ -11,8 +11,9 @@ The GTH kernel is written once and runs unchanged on float64 ndarrays and
 on precision.DD pair arrays: gth_eliminate (the one elimination), gth_solve
 (the one substitution) and gth_partial_inverse, whose null profile comes
 from the same elimination.  The binary64 routines that take a TripletMMatrix
-validate it and call the kernel; the pair-precision reference and omega
-call it on DD data.
+validate it and call the kernel; the solvers' block sweeps call it directly
+on their own binary64 blocks, and the pair-precision reference and omega on
+DD data.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ class TripletMMatrix:
         else:
             diag = self.sums + self.offdiag.sum(axis=0)
         return np.diag(diag) - self.offdiag
-
-    def transpose(self):
-        flipped = ROW if self.orientation == COL else COL
-        return TripletMMatrix(self.offdiag.T.copy(), self.sums.copy(), flipped)
 
 
 def check_irreducible(offdiag):

@@ -29,6 +29,11 @@ from .mmatrix import COL, SingularPivotError, gth_eliminate, gth_solve
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
 
+# The reference Newton stops once its pair-precision residual is this small
+# in the max norm, or after this many steps.
+REFERENCE_TOL = 1e-28
+REFERENCE_MAXIT = 200
+
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
@@ -339,14 +344,14 @@ class ReferenceSolution:
         return dd_to_decimal_strings(self.x_pair, digits)
 
 
-def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
-                       exact_stochastic=None):
+def reference_solution(problem, mode=MINIMAL):
     """Newton in pair arithmetic, the stand-in for an exact solution.
 
     MINIMAL solves each step with extended GTH on the column triplet
     (subtraction-free); STOCHASTIC starts from v and uses an extended
     partial-pivoting LU.  Residuals are evaluated directly in pair arithmetic,
-    so the iteration is self-correcting down to ~1e-30.
+    so the iteration is self-correcting down to ~1e-30; it stops at residual
+    REFERENCE_TOL or after REFERENCE_MAXIT steps.
 
     On a PageRank problem MINIMAL starts from the binary64 Newton-GTH solution
     (mixed-precision refinement: the start only sets the number of DD steps).
@@ -356,35 +361,28 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
     reference always starts from zero.  `iterations` counts the DD Newton steps
     of the run that produced x_pair; the binary64 seed run is not counted.
 
-    exact_stochastic (default: True for PageRank problems) renormalizes the
-    data in pair precision first (1^T v = 1 and unit column sums to ~1e-32),
-    which matches how variable-precision references treat the inputs.
-    Binary64 data is stochastic only to one ulp, and near alpha = 1/2 the
-    solution responds to a sum defect delta like sqrt(delta): the as-stored
-    float problem can sit ~1e-8 away from the mathematical one, or lose its
-    solution entirely.  Pass exact_stochastic=False to chase the float data
-    as stored (sensible only away from alpha = 1/2).
+    A PageRank problem's data is renormalized in pair precision first
+    (1^T v = 1 and unit column sums to ~1e-32), which matches how
+    variable-precision references treat the inputs.  Binary64 data is
+    stochastic only to one ulp, and near alpha = 1/2 the solution responds to
+    a sum defect delta like sqrt(delta): the as-stored float problem can sit
+    ~1e-8 away from the mathematical one, or lose its solution entirely.
     """
     if mode not in (MINIMAL, STOCHASTIC):
         raise ValueError(f"unknown mode {mode!r}")
-    if exact_stochastic is None:
-        exact_stochastic = problem.is_pagerank
+    if mode == STOCHASTIC and not problem.is_pagerank:
+        raise ValueError("stochastic mode needs a PageRank problem")
     n = problem.n
     B = problem.tensor
     a_dd = DD(problem.a)
     vals_dd = None
-    v0 = None if problem.v is None else DD(problem.v.copy())
-    if exact_stochastic:
-        if not problem.is_pagerank:
-            raise ValueError("exact_stochastic needs a PageRank problem")
+    if problem.is_pagerank:
         alpha_dd = DD(problem.alpha)
         v0 = DD(problem.v) / dd_sum(DD(problem.v))
         a_dd = (DD(1.0) - alpha_dd) * v0
         csum = _dd_column_sums(problem.p_tensor)
         vals_dd = DD(problem.p_tensor.vals) * alpha_dd / csum[problem.p_tensor.cols]
         B = problem.p_tensor  # structure only; values come from vals_dd
-    if mode == STOCHASTIC and not problem.is_pagerank:
-        raise ValueError("stochastic mode needs a PageRank problem")
     gth = mode == MINIMAL and problem.is_pagerank
 
     def resid(xx):
@@ -393,7 +391,7 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
     def newton(x):
         r = resid(x)
         iterations = 0
-        while r.abs().max_abs() > tol and iterations < maxit:
+        while r.abs().max_abs() > REFERENCE_TOL and iterations < REFERENCE_MAXIT:
             C = dd_contract_left(B, x, vals=vals_dd) + dd_contract_right(
                 B, x, vals=vals_dd
             )
@@ -419,7 +417,7 @@ def reference_solution(problem, mode=MINIMAL, tol=1e-28, maxit=200,
             x=x.to_float(),
             residual_norm=res,
             iterations=iterations,
-            converged=bool(res <= tol),
+            converged=bool(res <= REFERENCE_TOL),
             mode=mode,
         )
 

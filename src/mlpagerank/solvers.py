@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .mmatrix import (
-    COL,
-    SingularPivotError,
-    TripletMMatrix,
-    gth_factor,
-    gth_solve,
-    plain_lu_solve,
-)
+from .mmatrix import COL, SingularPivotError, gth_eliminate, gth_solve, plain_lu_solve
 from .precision import dd_residual
 
 DIVERGENCE_LIMIT = 1e6
@@ -299,10 +292,8 @@ def _gth_sweep(C, slices, level, col_n, rhs):
         raise SingularPivotError(f"column-sum level {level!r} is not positive")
     y = np.empty(len(rhs))
     for s in slices:
-        Nb = C[s, s].copy()
-        np.fill_diagonal(Nb, 0.0)
-        T = TripletMMatrix(Nb, level + col_n[s], COL)
-        y[s] = gth_solve(gth_factor(T, check=False), rhs[s])
+        # gth_eliminate never reads the diagonal of C[s, s]
+        y[s] = gth_solve(gth_eliminate(C[s, s], level + col_n[s], COL), rhs[s])
     return y
 
 

@@ -1,11 +1,15 @@
-"""Componentwise distance between tensors."""
+"""Componentwise distance between tensors, and the perturbation generator."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mlpagerank import Tensor3, cw_distance
+from mlpagerank import Tensor3, builtin, componentwise_zero_sum_perturb, cw_distance, ex1
+
+from conftest import random_pagerank_problem
+
+U_ROUND = 2.0**-53
 
 
 def pair(n, rng):
@@ -57,3 +61,40 @@ def test_zero_tensors():
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         cw_distance(Tensor3.zeros(3), Tensor3.zeros(4))
+
+
+def perturbation_input(key):
+    """A built-in by name, or a conftest problem of size n and density."""
+    if isinstance(key, str):
+        return builtin(key, 0.3)
+    n, density = key
+    return random_pagerank_problem(np.random.default_rng(n), n, 0.3, density)
+
+
+@pytest.mark.parametrize("epsilon", [1e-8, 1e-4, 0.1, 0.2499])
+@pytest.mark.parametrize("key", ["intro", "ex1", "ex2", (3, 1.0), (3, 0.4), (6, 1.0), (6, 0.4)])
+def test_componentwise_perturbation_keeps_the_model(key, epsilon):
+    problem = perturbation_input(key)
+    P = problem.p_tensor
+    for seed in range(20):
+        pert = componentwise_zero_sum_perturb(problem, epsilon, seed)
+        Q = pert.p_tensor
+        assert cw_distance(Q, P).value <= 2.0 * epsilon
+        assert np.array_equal(Q.rows, P.rows) and np.array_equal(Q.cols, P.cols)
+        U = Q.unfolding()
+        for col in U[:, U.any(axis=0)].T:
+            assert abs(math.fsum(col) - 1.0) <= 4.0 * U_ROUND
+        assert pert.v is problem.v
+        assert pert.alpha == problem.alpha
+        assert pert.one_minus_two_alpha == problem.one_minus_two_alpha
+
+
+def test_zero_perturbation_returns_the_problem():
+    problem = ex1(0.3)
+    assert componentwise_zero_sum_perturb(problem, 0.0, 0) is problem
+
+
+@pytest.mark.parametrize("epsilon", [-1e-3, 0.25, math.nan])
+def test_perturbation_size_out_of_range(epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must be in \[0, 0.25\)"):
+        componentwise_zero_sum_perturb(ex1(0.3), epsilon, 0)

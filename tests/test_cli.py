@@ -1,10 +1,12 @@
 """Command-line exit codes."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
-from mlpagerank.cli import EXIT_OK, EXIT_USAGE, main
+from mlpagerank import precision
+from mlpagerank.cli import EXIT_MAXIT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
 
@@ -27,3 +29,64 @@ def test_solve_exits_zero(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["termination"] == "tol_reached"
     assert abs(sum(out["x"]) - 1.0) <= 1e-15
+
+
+def exit_code(argv):
+    """The exit code of main(argv), whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def builtin_args(name, alpha):
+    omt = float(1 - 2 * Decimal(alpha))
+    return ["--builtin", name, "--alpha", alpha, "--one-minus-two-alpha", repr(omt)]
+
+
+def perturb_args(name, alpha, *extra, epsilon="1e-8"):
+    return ["perturb", *builtin_args(name, alpha), f"--epsilon={epsilon}",
+            "--trials", "3", "--seed", "0", *extra]
+
+
+@pytest.mark.parametrize("argv,code,message,reference_maxit", [
+    (perturb_args("ex1", "0.3", epsilon="0.5"), EXIT_USAGE, "--epsilon must be in", None),
+    (perturb_args("ex1", "0.3", epsilon="-1e-8"), EXIT_USAGE, "--epsilon must be in", None),
+    (perturb_args("ex1", "0.3", epsilon="nan"), EXIT_USAGE, "--epsilon must be in", None),
+    (perturb_args("ex1", "0.49999", "--method", "fixed-point"), EXIT_MAXIT,
+     "fixed-point on the unperturbed problem ended maxit", None),
+    (perturb_args("ex2", "0.6", "--method", "newton", "--maxit", "1"), EXIT_MAXIT,
+     "newton on the unperturbed problem ended maxit", None),
+    (perturb_args("intro", "0.3", "--method", "block-jacobi-gth-variant",
+                  "--block-sizes", "1,1"), EXIT_NUMERICAL,
+     "block-jacobi-gth-variant on the unperturbed problem ended diverged", None),
+    (perturb_args("ex1", "0.3", "--reference"), EXIT_NUMERICAL,
+     "extended-precision reference of the unperturbed problem did not converge", 0),
+    (perturb_args("ex1", "0.5"), EXIT_NUMERICAL, "R_m is singular", None),
+    (perturb_args("ex1", "0.5", "--reference"), EXIT_NUMERICAL, "R_m is singular", None),
+], ids=["epsilon-large", "epsilon-negative", "epsilon-nan", "fixed-point-maxit",
+        "newton-maxit", "variant-diverged", "reference-unconverged", "singular-rm",
+        "singular-rm-reference"])
+def test_perturb_failures_exit_with_a_message(argv, code, message, reference_maxit,
+                                              capsys, monkeypatch):
+    if reference_maxit is not None:
+        monkeypatch.setattr(precision, "REFERENCE_MAXIT", reference_maxit)
+    assert exit_code(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("alpha", ["0.3", "0.49999", "0.6"])
+@pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
+def test_perturb_stays_within_the_omega_bound(name, alpha, reference, capsys):
+    argv = perturb_args(name, alpha, *(["--reference"] if reference else []))
+    assert main(argv) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"epsilon_realized", "kappa", "omega", "gamma", "bound",
+                        "observed_dcw", "applicable", "trials", "epsilon_input",
+                        "max_observed_over_bound", "all_within_bound"}
+    assert 0.0 < out["epsilon_realized"] <= 2e-8
+    assert out["all_within_bound"]
+    assert out["max_observed_over_bound"] <= 0.5

@@ -252,7 +252,7 @@ class TestReferenceSolution:
 
     def test_exact_stochastic_mode_handles_near_half_alpha(self):
         p = ex1(0.499999999999999)
-        ref = reference_solution(p, MINIMAL, exact_stochastic=True)
+        ref = reference_solution(p, MINIMAL)
         assert ref.converged
         # the two roots of the sum equation are only (1-2alpha)/alpha apart,
         # so a residual of 1e-28 pins the sum to about sqrt(1e-28) only

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlpagerank import (
+    COL,
     MINIMAL,
     Method,
     Problem,
@@ -14,15 +15,19 @@ from mlpagerank import (
     Start,
     Tensor3,
     Termination,
+    TripletMMatrix,
     builtin,
     ex1,
     ex2,
+    gth_factor,
+    gth_solve,
     intro,
     norm_error,
     reference_solution,
     residual,
     solve,
 )
+from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
 
 from conftest import random_pagerank_problem
 
@@ -243,6 +248,33 @@ class TestBlockJacobi:
     def test_invalid_partition(self):
         with pytest.raises(ValueError, match="partition"):
             solve(ex1(0.3), opts(Method.BLOCK_JACOBI, block_sizes=(3, 2)))
+
+
+def gth_sweep_by_triplets(C, slices, level, col_n, rhs):
+    """The block sweep through a validated TripletMMatrix per block, whose
+    copy of C[s, s] has a zeroed diagonal: the direct sweep must match it."""
+    y = np.empty(len(rhs))
+    for s in slices:
+        Nb = C[s, s].copy()
+        np.fill_diagonal(Nb, 0.0)
+        T = TripletMMatrix(Nb, level + col_n[s], COL)
+        y[s] = gth_solve(gth_factor(T, check=False), rhs[s])
+    return y
+
+
+@pytest.mark.parametrize("sizes", [(1,), (4,), (2, 2), (1, 3), (9,), (2, 3, 4), (1,) * 9])
+def test_gth_sweep_ignores_the_diagonal_bit_for_bit(sizes):
+    n = sum(sizes)
+    rng = np.random.default_rng(len(sizes) * 100 + n)
+    slices = _block_slices(n, sizes)
+    for level in (1.0, 1e-3, 1e-9):
+        C = rng.random((n, n))
+        C[rng.random((n, n)) < 0.3] = 0.0
+        np.fill_diagonal(C, rng.random(n) + 0.5)  # nonzero, and must not be read
+        col_n = _offblock(C, slices).sum(axis=0)
+        rhs = rng.random(n)
+        y = _gth_sweep(C, slices, level, col_n, rhs)
+        assert y.tobytes() == gth_sweep_by_triplets(C, slices, level, col_n, rhs).tobytes()
 
 
 class TestBlockJacobiVariant:
