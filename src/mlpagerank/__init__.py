@@ -23,10 +23,6 @@ from .mmatrix import (
     null_vector,
     partial_inverse,
     plain_lu_solve,
-    tree_oracle_adj,
-    tree_oracle_det,
-    tree_oracle_rs,
-    triplet_weights,
 )
 from .solvers import (
     Method,

@@ -25,6 +25,8 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
 CSV_SCHEMA = "mlpagerank-csv-v1"
+TOL_HELP = ("stop once the max-norm of the binary64 residual a + Bx^2 - x, as the "
+            "iteration computes it, is at most TOL (default %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +238,7 @@ def cmd_perturb(args, parser):
         _fail(EXIT_NUMERICAL, f"kappa and omega could not be computed: {exc}")
     n = problem.n
     rows = []
-    max_ratio = 0.0
+    ratios = []  # d_obs / bound of the trials whose omega bound applies
     for trial in range(args.trials):
         pert = analysis.componentwise_zero_sum_perturb(problem, args.epsilon,
                                                        args.seed + trial)
@@ -246,7 +248,7 @@ def cmd_perturb(args, parser):
         rk = analysis.bound_kappa(eps_real, kap, n)
         ro = analysis.bound_omega(eps_real, ome, n)
         if ro.applicable and ro.bound > 0.0:
-            max_ratio = max(max_ratio, d_obs / ro.bound)
+            ratios.append(d_obs / ro.bound)
         rows.append((trial, eps_real, d_obs, ro, rk))
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
@@ -259,6 +261,8 @@ def cmd_perturb(args, parser):
                     f"{_fmt(rk.bound)},{int(ro.applicable)},{int(rk.applicable)}\n"
                 )
     _, eps_real, d_obs, ro, rk = rows[-1]
+    # with no trial checked against its bound, the bound says nothing
+    max_ratio = max(ratios) if ratios else None
     summary = {
         "epsilon_realized": eps_real,
         "kappa": rk.quantity,
@@ -266,11 +270,12 @@ def cmd_perturb(args, parser):
         "gamma": ro.gamma,
         "bound": ro.bound,
         "observed_dcw": d_obs,
-        "applicable": ro.applicable,
+        "applicable": all(ro.applicable for _, _, _, ro, _ in rows),
         "trials": args.trials,
+        "trials_checked": len(ratios),
         "epsilon_input": args.epsilon,
         "max_observed_over_bound": max_ratio,
-        "all_within_bound": bool(max_ratio <= 1.0),
+        "all_within_bound": None if max_ratio is None else max_ratio <= 1.0,
     }
     if args.out_json:
         analysis.dump_json(summary, args.out_json)
@@ -361,7 +366,7 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="run one method on one instance")
     _add_instance_args(p_solve)
     p_solve.add_argument("--method", default="newton-gth")
-    p_solve.add_argument("--tol", type=float, default=1e-15)
+    p_solve.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
     p_solve.add_argument("--maxit", type=int, default=500)
     p_solve.add_argument("--block-sizes", default=None,
                          help="comma-separated block sizes for Jacobi methods")
@@ -380,7 +385,10 @@ def build_parser():
         description="Perturb P by seeded multiplicative noise, every entry by a "
                     "relative amount of at most epsilon before a zero-sum "
                     "projection (v stays), and compare d(m~, m) with the omega "
-                    "and kappa bounds.  epsilon_realized is d(P~, P).  Exits 0 "
+                    "and kappa bounds.  epsilon_realized is d(P~, P).  "
+                    "trials_checked counts the trials whose omega bound "
+                    "applies; all_within_bound is null when there are none.  "
+                    "Exits 0 "
                     "when done, 2 when a solve hits the iteration limit, 3 when "
                     "a solve fails otherwise, a reference does not converge or "
                     "R_m is singular, 64 on a usage error.")
@@ -390,7 +398,7 @@ def build_parser():
     p_pert.add_argument("--trials", type=int, default=100)
     p_pert.add_argument("--seed", type=int, default=0)
     p_pert.add_argument("--method", default="newton-gth")
-    p_pert.add_argument("--tol", type=float, default=1e-15)
+    p_pert.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
     p_pert.add_argument("--maxit", type=int, default=500)
     p_pert.add_argument("--block-sizes", default=None)
     p_pert.add_argument("--reference", action="store_true",
@@ -412,7 +420,7 @@ def build_parser():
     _add_instance_args(p_cmp)
     p_cmp.add_argument("--methods", required=True,
                        help="comma-separated method names")
-    p_cmp.add_argument("--tol", type=float, default=1e-15)
+    p_cmp.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
     p_cmp.add_argument("--maxit", type=int, default=500)
     p_cmp.add_argument("--block-sizes", default=None)
     p_cmp.add_argument("--stochastic", action="store_true",

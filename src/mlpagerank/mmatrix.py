@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -276,118 +275,6 @@ def partial_inverse(T, check=True):
     if check:
         check_irreducible(T.offdiag)
     return gth_partial_inverse(T.offdiag, T.sums)
-
-
-# ---------------------------------------------------------------------------
-# Spanning-tree oracles (all-minors matrix tree theorem), for n <= 6.
-# ---------------------------------------------------------------------------
-
-TREE_ORACLE_LIMIT = 6
-
-
-def triplet_weights(T):
-    """Weight table W[i-1][j] = w_{i,j} (j = 0..n) from a ROW triplet."""
-    if T.orientation != ROW:
-        raise ValueError("tree oracles expect ROW orientation")
-    n = T.n
-    W = np.zeros((n, n + 1))
-    W[:, 0] = T.sums
-    W[:, 1:] = T.offdiag
-    return W
-
-
-def _forest_sum(W, n, absent, roots, reach_from=None):
-    """Sum of weight products over parent maps of {1..n}\\absent.
-
-    Each remaining node picks one outgoing edge; the map must be acyclic with
-    every path ending in `roots`, and node `reach_from` (if given) must reach
-    the designated root.  Works for float or object (symbolic) weights.
-    """
-    movers = [i for i in range(1, n + 1) if i not in absent]
-    choices = [[j for j in range(0, n + 1) if j != i] for i in movers]
-    total = None
-    for combo in product(*choices):
-        parent = dict(zip(movers, combo))
-        ok = True
-        for start in movers:
-            seen = set()
-            cur = start
-            while cur in parent:
-                if cur in seen:
-                    ok = False
-                    break
-                seen.add(cur)
-                cur = parent[cur]
-            if not ok or cur not in roots:
-                ok = False
-                break
-        if ok and reach_from is not None:
-            src, dst = reach_from
-            if src != dst:
-                cur = src
-                while cur in parent and cur != dst:
-                    cur = parent[cur]
-                ok = cur == dst
-        if not ok:
-            continue
-        term = None
-        for i in movers:
-            w = W[i - 1][parent[i]]
-            term = w if term is None else term * w
-        if term is None:  # n == 0 side of an empty product
-            term = 1
-        total = term if total is None else total + term
-    return 0 if total is None else total
-
-
-def _check_oracle_size(n):
-    if n > TREE_ORACLE_LIMIT:
-        raise ValueError(f"tree oracle limited to n <= {TREE_ORACLE_LIMIT}, got {n}")
-
-
-def tree_oracle_det(W):
-    """det M as the sum over spanning trees pointing towards node 0."""
-    W = list(W)
-    n = len(W)
-    _check_oracle_size(n)
-    return _forest_sum(W, n, absent=set(), roots={0})
-
-
-def tree_oracle_adj(W):
-    """adj M entrywise: (k,l) sums over the two-tree families of the theorem."""
-    W = list(W)
-    n = len(W)
-    _check_oracle_size(n)
-    adj = np.empty((n, n), dtype=object)
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            adj[k - 1, l - 1] = _forest_sum(
-                W, n, absent={l}, roots={0, l}, reach_from=(k, l)
-            )
-    return adj
-
-
-def tree_oracle_rs(W):
-    """PartialInverse from the exact tree-family split.
-
-    The rank-1 numerators are the terms whose tree towards node 0 is trivial,
-    i.e. every node reaches l; the remainder forms S.
-    """
-    W = list(W)
-    n = len(W)
-    _check_oracle_size(n)
-    det = tree_oracle_det(W)
-    z = np.array(
-        [
-            _forest_sum(W, n, absent={l}, roots={l})
-            for l in range(1, n + 1)
-        ],
-        dtype=np.float64,
-    )
-    z /= det
-    adj = tree_oracle_adj(W).astype(np.float64)
-    S = adj / det - np.ones((n, 1)) @ z[None, :]
-    return PartialInverse(z=z, S=S)
 
 
 def plain_lu_solve(A, b):

@@ -7,6 +7,13 @@ Newton-GTH, the GTH block Jacobi (exact block triplets via the u-recurrence;
 Newton-GTH is its one-block case), and the block Jacobi-GTH variant that
 reuses Newton's z-recurrence for cheaper, faster, non-monotone steps.
 
+Newton-GTH and block Jacobi never contract B with the iterate.  They carry
+the Jacobian part C_k = Bx_k: + B:x_k from step to step, starting from
+C_0 = 0 at x_0 = 0, as C_{k+1} = C_k + Bh: + B:h, and take the next residual's
+Bh^2 = (Bh:) h from the same contraction of the step h.  Their steps are
+nonnegative, so these updates add nonnegative terms only and stay
+subtraction-free.
+
 The iterations run in binary64 throughout, stopping tests and right-hand
 sides included, since these are the algorithms whose accuracy is analysed.
 Only the public residual() evaluates beyond binary64, to check a result.
@@ -302,9 +309,11 @@ def newton_gth(problem, opts):
 
     State (x, z, r) keeps the invariants z = 1 - 2 alpha (1^T x) and
     r = (1-alpha) v + alpha P x^2 - x without ever subtracting like-signed
-    values: the step solves the column triplet (offdiag(Bx: + B:x), z 1),
-    the residual updates as alpha P h^2, and z follows
-    z <- ((1-2 alpha)^2 + z^2) / (2 z).
+    values: the step solves the column triplet (offdiag(C), z 1) with
+    C = Bx: + B:x, the residual updates as alpha P h^2, and z follows
+    z <- ((1-2 alpha)^2 + z^2) / (2 z).  C is updated from the step,
+    C <- C + Bh: + B:h, and Bh^2 = (Bh:) h; h >= 0 keeps both updates
+    subtraction-free.
 
     This is block_jacobi with a single block, where N = 0 turns the
     u-recurrence into the z-recurrence; opts.block_sizes is ignored.
@@ -320,24 +329,41 @@ def block_jacobi(problem, opts):
     with GTH on the column triplet (offdiag of each block, u + 1^T N), and
     keeps the residual subtraction-free through F(x_next) = B h^2 + N h.
     u is updated after the step, since the recurrence needs the increment.
+    The Jacobian part C = Bx: + B:x of R_x = I - C is updated from the step,
+    C <- C + Bh: + B:h, and Bh^2 = (Bh:) h; h >= 0 keeps both updates
+    subtraction-free.
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi")
     return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI, opts.block_sizes)
 
 
 def _gth_block_jacobi(problem, opts, method, block_sizes):
+    """The driver of newton_gth and block_jacobi, from x_0 = 0 and C_0 = 0.
+
+    A step's Bh: + B:h is folded into C only when the next step needs it, so
+    the last step does not pay for a Jacobian it never uses.
+    """
     slices = _block_slices(problem.n, block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
+    B = problem.tensor
+    C = np.zeros((problem.n, problem.n))
+    last = None  # (h, Bh:) of the step before, not yet in C
 
     def step(x, r, u):
-        C = _jacobian_parts(problem, x)
+        nonlocal C, last
+        if last is not None:
+            h, L = last
+            C += L
+            C += tz.contract_right(B, h)
         N = _offblock(C, slices)
         col_n = N.sum(axis=0)
         h = _gth_sweep(C, slices, u, col_n, r)
         u_next = (u * u + omt_sq + 4.0 * alpha * (col_n @ h)) / (2.0 * u)
-        return x + h, tz.apply_quadratic(problem.tensor, h) + N @ h, u_next
+        L = tz.contract_left(B, h)
+        last = h, L
+        return x + h, L @ h + N @ h, u_next
 
     return _iterate(method, opts, np.zeros(problem.n), problem.a.copy(), 1.0, step)
 

@@ -30,11 +30,11 @@ def exact_stochastic_unfolding(rng, n, density=1.0):
     return U
 
 
-def random_pagerank_problem(rng, n, alpha, density=1.0):
+def random_pagerank_problem(rng, n, alpha, density=1.0, one_minus_two_alpha=None):
     U = exact_stochastic_unfolding(rng, n, density)
     v = rng.random(n) + 0.05
     v = force_sum_one(v / v.sum())
-    return Problem.from_pagerank(v, Tensor3.from_unfolding(U), alpha)
+    return Problem.from_pagerank(v, Tensor3.from_unfolding(U), alpha, one_minus_two_alpha)
 
 
 @pytest.fixture

@@ -85,8 +85,26 @@ def test_perturb_stays_within_the_omega_bound(name, alpha, reference, capsys):
     assert main(argv) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"epsilon_realized", "kappa", "omega", "gamma", "bound",
-                        "observed_dcw", "applicable", "trials", "epsilon_input",
-                        "max_observed_over_bound", "all_within_bound"}
+                        "observed_dcw", "applicable", "trials", "trials_checked",
+                        "epsilon_input", "max_observed_over_bound", "all_within_bound"}
     assert 0.0 < out["epsilon_realized"] <= 2e-8
-    assert out["all_within_bound"]
+    assert out["applicable"] is True
+    assert out["trials_checked"] == 3
+    assert out["all_within_bound"] is True
     assert out["max_observed_over_bound"] <= 0.5
+
+
+@pytest.mark.parametrize("name,epsilon,checked,within", [
+    ("ex2", "0.1", 0, None),  # the omega bound applies in no trial
+    ("ex1", "0.02", 1, True),  # it applies in the last trial only
+])
+def test_perturb_summarizes_only_the_trials_whose_bound_applies(name, epsilon, checked,
+                                                                within, capsys):
+    argv = ["perturb", "--builtin", name, "--alpha", "0.3", "--epsilon", epsilon,
+            "--trials", "3"]
+    assert main(argv) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["applicable"] is False
+    assert out["trials_checked"] == checked
+    assert out["all_within_bound"] is within
+    assert (out["max_observed_over_bound"] is None) is (checked == 0)

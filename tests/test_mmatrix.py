@@ -17,11 +17,11 @@ from mlpagerank import (
     null_vector,
     partial_inverse,
     plain_lu_solve,
-    tree_oracle_rs,
-    triplet_weights,
 )
 from mlpagerank.mmatrix import check_irreducible, gth_eliminate, gth_partial_inverse
 from mlpagerank.precision import DD
+
+from test_tree_oracle import tree_oracle_rs, triplet_weights
 
 U_FLOAT = np.finfo(float).eps / 2
 

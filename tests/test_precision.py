@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,7 +267,7 @@ def mpmath_minimal_solution(problem):
     pair-precision reference does; alpha is the binary64 value.  Call it
     inside mpmath.workdps.
     """
-    mp = pytest.importorskip("mpmath").mp
+    mp = mpmath.mp
     n = problem.n
     U = problem.p_tensor.unfolding()
     alpha = mp.mpf(problem.alpha)
@@ -297,7 +298,6 @@ def mpmath_minimal_solution(problem):
 
 def error_against_mpmath(ref, problem, digits=80):
     """max_i |x_i - m_i| / m_i, with m from an mpmath Newton at `digits` digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         m = mpmath_minimal_solution(problem)
         return max(float(abs(mpmath.mpf(float(h)) + mpmath.mpf(float(l)) - t) / t)

@@ -28,12 +28,26 @@ from mlpagerank import (
     solve,
 )
 from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
+from mlpagerank.tensor import BINCOUNT_MAX_NNZ
 
 from conftest import random_pagerank_problem
+
+U = 2.0 ** -53
 
 
 def opts(method, **kw):
     return SolverOptions(method=method, **kw)
+
+
+def exact_omt(alpha):
+    """1 - 2 alpha from alpha's decimal string, rounded once."""
+    return float(Decimal(1) - 2 * Decimal(alpha))
+
+
+def dense_problem(seed, alpha, n=30):
+    """A generated dense PageRank problem at exact 1 - 2 alpha."""
+    rng = np.random.default_rng(seed)
+    return random_pagerank_problem(rng, n, float(alpha), one_minus_two_alpha=exact_omt(alpha))
 
 
 def cw_err(x, ref):
@@ -195,12 +209,39 @@ class TestNewtonGTH:
         assert rep.final_residual <= 1e-40
 
 
-class TestBlockJacobi:
+class TestAccuracyContract:
+    """Newton-GTH reaches e_cw <= 2 n u against the pair-precision reference.
+
+    Closer to alpha = 1/2 than these, the residual stop decides the error, so
+    those alphas are not part of the contract.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.49", "0.4999", "0.6"])
+    def test_generated_dense(self, seed, alpha):
+        p = dense_problem(seed, alpha)
+        rep = solve(p, opts(Method.NEWTON_GTH))
+        assert rep.termination is Termination.TOL_REACHED
+        assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
+
     @pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.6"])
+    def test_builtins(self, name, alpha):
+        p = builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha))
+        rep = solve(p, opts(Method.NEWTON_GTH))
+        assert rep.termination is Termination.TOL_REACHED
+        assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
+
+
+class TestBlockJacobi:
+    @pytest.mark.parametrize("name", ["intro", "ex1", "ex2", "dense"])
     @pytest.mark.parametrize("alpha", ["0.3", "0.49999", "0.5", "0.6"])
     def test_one_block_is_newton_gth_bit_for_bit(self, name, alpha):
-        omt = float(Decimal(1) - 2 * Decimal(alpha))
-        p = builtin(name, float(alpha), one_minus_two_alpha=omt)
+        if name == "dense":
+            p = dense_problem(7, alpha)
+            assert p.tensor.nnz > BINCOUNT_MAX_NNZ
+        else:
+            p = builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha))
         ng = solve(p, opts(Method.NEWTON_GTH, record_history=True))
         bj = solve(p, opts(Method.BLOCK_JACOBI, record_history=True))
         assert ng.termination is Termination.TOL_REACHED
@@ -366,13 +407,20 @@ class TestSumLaws:
 
 
 def test_nonnegative_residual_path(rng):
-    # fixed-point, Newton from zero, and block Jacobi keep F(x_k) >= 0
+    # fixed-point, Newton from zero, Newton-GTH and block Jacobi keep F(x_k) >= 0;
+    # the GTH methods add nonnegative steps, so their iterates never decrease
     p = random_pagerank_problem(rng, 6, 0.4)
     for method, kw in [
         (Method.FIXED_POINT, {}),
         (Method.NEWTON, {}),
+        (Method.NEWTON_GTH, {}),
         (Method.BLOCK_JACOBI, {"block_sizes": (3, 3), "maxit": 300}),
     ]:
         rep = solve(p, opts(method, record_history=True, **kw))
+        assert rep.termination is Termination.TOL_REACHED
         for xk in rep.iterate_history:
             assert np.min(residual(p, xk)) >= -1e-15
+        if method in (Method.NEWTON_GTH, Method.BLOCK_JACOBI):
+            hist = rep.iterate_history
+            for prev, cur in zip(hist, hist[1:]):
+                assert (cur >= prev).all()
