@@ -21,6 +21,7 @@ from . import tensor as tz
 from .mmatrix import (
     COL,
     TripletMMatrix,
+    gth_col_solve,
     gth_factor,
     gth_partial_inverse,
     gth_solve,
@@ -112,14 +113,14 @@ def _rm_col_triplet(problem, m):
 
 
 def compute_y(problem, m):
-    """y = R_m^{-1} a via GTH on the R_m triplet.
+    """y = R_m^{-1} a via the fused GTH solve of the R_m column triplet.
 
     Checks the conclusions it relies on: y >= m up to roundoff, and y shares
     m's zero pattern.
     """
     m = np.asarray(m, dtype=np.float64)
     T = _rm_col_triplet(problem, m)
-    y = gth_solve(gth_factor(T, check=False), problem.a)
+    y = gth_col_solve(T.offdiag, T.sums, problem.a)
     if (y < m - 1e-14).any():
         raise ValueError("computed y violates y >= m; is m the minimal solution?")
     zero_m = m == 0.0

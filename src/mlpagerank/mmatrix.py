@@ -8,12 +8,24 @@ nonnegative additions only, which is what makes the factorization accurate
 componentwise regardless of how close M is to singularity.
 
 The GTH kernel is written once and runs unchanged on float64 ndarrays and
-on precision.DD pair arrays: gth_eliminate (the one elimination), gth_solve
-(the one substitution) and gth_partial_inverse, whose null profile comes
-from the same elimination.  The binary64 routines that take a TripletMMatrix
-validate it and call the kernel; the solvers' block sweeps call it directly
-on their own binary64 blocks, and the pair-precision reference and omega on
-DD data.
+on precision.DD pair arrays.  Its one elimination pass (_eliminate) works in
+place on an augmented array: the off-diagonal magnitudes fill the leading
+n x n block, right-hand sides are further columns, and the column sums ride
+beside it as a vector.  Two paths use the pass:
+
+- gth_col_solve, the solve of the iterations, eliminates the right-hand
+  sides along with the matrix and back-substitutes, without forming L and U.
+  Above GTH_BLOCK unknowns it splits the system in half and recurses on the
+  Schur complement, whose off-diagonal part, column sums and right-hand
+  sides are again sums of products of nonnegative numbers.
+- gth_eliminate reads L and U off the pass for gth_solve (the substitution),
+  gth_partial_inverse and null_vector, keeping the classical GTH rounding:
+  pivot = sums + sum of the rest, (a b) / d on entries, a (b / d) on sums.
+
+The binary64 routines that take a TripletMMatrix validate it and call the
+kernel; the solvers' block sweeps call gth_col_solve directly on their own
+binary64 blocks, and the pair-precision reference, compute_y and omega call
+the kernel on their own data.
 """
 
 from __future__ import annotations
@@ -28,6 +40,12 @@ import scipy.sparse.csgraph
 
 ROW = "row"
 COL = "col"
+
+# gth_col_solve splits a system with more unknowns than this in half.  The
+# split trades per-pivot interpreter work for matrix products; block sizes
+# 20 to 48 measured alike at n = 80 and 120, and no split at all was about
+# 1.7 times slower at n = 120.
+GTH_BLOCK = 40
 
 
 class ReducibleMatrixError(ValueError):
@@ -126,34 +144,106 @@ def _eye(like, n):
     return eye
 
 
+def _eliminate(A, sig):
+    """The GTH forward pass, in place, on a column-oriented array A.
+
+    The leading n x n block of A holds the off-diagonal magnitudes and sig
+    the column sums; further columns of A are right-hand sides, eliminated
+    along with the matrix.  Pivot k is sig_k plus the entries of column k
+    below row k, so the diagonal is never read.  Step k adds (A_ik A_kj) / d_k
+    to the rows below it, right-hand sides included, and A_kj (sig_k / d_k)
+    to the later sums: nonnegative terms only.  A then holds U's strict upper
+    part negated, L's strict lower part times -d, and the forward-eliminated
+    right-hand sides.  Returns the pivots; raises SingularPivotError, before
+    any division by it, if one vanishes.
+    """
+    n = A.shape[0]
+    d = _zeros(A, n)
+    for k in range(n):
+        dk = sig[k] + A[k + 1 :, k].sum()
+        if dk.item() <= 0.0:
+            raise SingularPivotError(f"zero pivot at step {k + 1}")
+        d[k] = dk
+        if k < n - 1:
+            A[k + 1 :, k + 1 :] += A[k + 1 :, k : k + 1] * A[k : k + 1, k + 1 :] / dk
+            sig[k + 1 :] += A[k, k + 1 : n] * (sig[k] / dk)
+    return d
+
+
 def gth_eliminate(offdiag, sums, orientation=ROW):
     """GTH LU factors of the triplet (offdiag, sums), natural pivot order.
 
-    The one elimination of the package.  It runs unchanged on float64
-    ndarrays and on precision.DD pair arrays, and adds nonnegative terms
-    only: at step k the pivot is the running sum plus the remaining
-    off-diagonal entries of row (ROW) or column (COL) k, the trailing entries
-    gain (N_ik N_kj) / d_k and the sums gain N_ik (sig_k / d_k).  The
+    The factor path of the package's one elimination pass (_eliminate), run
+    unchanged on float64 ndarrays and on precision.DD pair arrays.  A ROW
+    triplet is eliminated as the COL triplet of its transpose, on a
+    transposed view, which gives the same pivots and updates.  L and U are
+    read off the eliminated array: U_kj = -N_kj above the diagonal, the
+    pivots on it, and L_ik = -N_ik / d_k below.  The diagonal of offdiag is
+    never read.  Raises SingularPivotError if a pivot vanishes.
+    """
+    N = offdiag.copy()
+    d = _eliminate(N if orientation == COL else N.T, sums.copy())
+    n = len(d)
+    L = _eye(N, n)
+    U = _zeros(N, (n, n))
+    i, j = np.triu_indices(n, 1)
+    U[i, j] = -N[i, j]
+    L[j, i] = -N[j, i] / d[i]
+    diag = np.arange(n)
+    U[diag, diag] = d
+    return GTHFactors(lower=L, upper=U)
+
+
+def _solve_in_place(A, sig):
+    """Overwrite the right-hand-side columns of A with the solution.
+
+    A and sig are as in _eliminate.  Up to GTH_BLOCK unknowns, one
+    elimination pass and a back-substitution y_k = (z_k + sum_{j>k} A_kj y_j)
+    / d_k.  Above it the system splits in half, M = [[M1, -N12], [-N21, M2]]:
+    the leading block, whose column sums are s1 + 1^T N21, is solved against
+    [N12 | R1] for [X | Y1]; the trailing block recurses on the Schur
+    complement, with off-diagonal part N22 + N21 X, column sums s2 + X^T s1
+    and right-hand sides R2 + N21 Y1; then Y1 += X Y2.  Every term is a sum
+    of products of nonnegative numbers.
+    """
+    n = A.shape[0]
+    if n > GTH_BLOCK:
+        h = n // 2
+        _solve_in_place(A[:h], sig[:h] + A[h:, :h].sum(axis=0))
+        trailing_sums = sig[h:] + sig[:h] @ A[:h, h:n]
+        A[h:, h:] += A[h:, :h] @ A[:h, h:]
+        _solve_in_place(A[h:, h:], trailing_sums)
+        A[:h, n:] += A[:h, h:n] @ A[h:, n:]
+        return
+    d = _eliminate(A, sig)
+    # one right-hand side stays a vector: cheaper steps, in pairs above all
+    y = A[:, n] if A.shape[1] == n + 1 else A[:, n:]
+    for k in range(n - 1, -1, -1):
+        acc = y[k] if k == n - 1 else y[k] + A[k, k + 1 : n] @ y[k + 1 :]
+        y[k] = acc / d[k]
+
+
+def gth_col_solve(offdiag, sums, rhs):
+    """Solve M y = rhs for the COL triplet (offdiag, sums) without forming L, U.
+
+    The solves of the iterations: the right-hand sides ride in the
+    elimination pass as further columns, and systems above GTH_BLOCK
+    unknowns are split in blocks (see _solve_in_place).  Runs unchanged on
+    float64 ndarrays and on precision.DD pair arrays; rhs is a vector or a
+    matrix of stacked right-hand sides, and rhs >= 0 gives y >= 0.  The
     diagonal of offdiag is never read.  Raises SingularPivotError if a pivot
     vanishes.
     """
-    N = offdiag.copy()
-    sig = sums.copy()
-    n = N.shape[0]
-    by_row = orientation == ROW
-    L = _eye(N, n)
-    U = _zeros(N, (n, n))
-    for k in range(n):
-        d = sig[k] + (N[k, k + 1 :] if by_row else N[k + 1 :, k]).sum()
-        if d.item() <= 0.0:
-            raise SingularPivotError(f"zero pivot at step {k + 1}")
-        U[k, k] = d
-        U[k, k + 1 :] = -N[k, k + 1 :]
-        L[k + 1 :, k] = -N[k + 1 :, k] / d
-        if k < n - 1:
-            N[k + 1 :, k + 1 :] += N[k + 1 :, k : k + 1] * N[k : k + 1, k + 1 :] / d
-            sig[k + 1 :] += (N[k + 1 :, k] if by_row else N[k, k + 1 :]) * (sig[k] / d)
-    return GTHFactors(lower=L, upper=U)
+    n = offdiag.shape[0]
+    if rhs.shape[0] != n:
+        raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
+    vector = len(rhs.shape) == 1
+    A = _zeros(offdiag, (n, n + (1 if vector else rhs.shape[1])))
+    A[:, :n] = offdiag
+    y = A[:, n] if vector else A[:, n:]
+    y[...] = rhs
+    _solve_in_place(A, sums.copy())
+    return y
 
 
 def gth_factor(T, check=True):

@@ -11,9 +11,11 @@ Newton reference solver that the rest of the package treats as ground truth
 PageRank problem that Newton starts from the binary64 Newton-GTH solution,
 and from zero when the binary64 run or the seeded pair run fails; its
 iteration count is of pair-arithmetic steps only.  Its GTH steps are the
-mmatrix kernel run on DD arrays, which is why DD offers the few numpy-style
-methods that kernel uses (.sum(), @, .item()).  In pair arithmetic the
-elimination update rounds as (a b) / d, the order binary64 keeps.
+mmatrix kernel's fused solve (gth_col_solve) run on DD arrays, which is why
+DD offers the few numpy-style methods that kernel uses: .sum(axis=0),
+.item(), .T, and @ between vectors and matrices, each entry of a product a
+dd_sum of its terms.  In pair arithmetic the elimination update rounds as
+(a b) / d, the order binary64 keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from .mmatrix import COL, SingularPivotError, gth_eliminate, gth_solve
+from .mmatrix import SingularPivotError, gth_col_solve
 
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
@@ -169,15 +171,24 @@ class DD:
         """The value of a one-element pair array, rounded to a Python float."""
         return float(self.hi + self.lo)
 
-    def sum(self):
-        """dd_sum along the first axis."""
+    @property
+    def T(self):
+        """The transpose, a view sharing this array's storage."""
+        return DD(self.hi.T, self.lo.T)
+
+    def sum(self, axis=0):
+        """dd_sum along the first axis, the only axis offered."""
+        if axis != 0:
+            raise ValueError("DD.sum folds along axis 0 only")
         return dd_sum(self)
 
     def __matmul__(self, other):
-        """Vector @ vector or vector @ matrix: dd_sum of the products."""
-        if len(other.shape) == 2:
-            return dd_sum(self[:, None] * other)
-        return dd_sum(self * other)
+        """Vectors and matrices: each entry a dd_sum of its products in order."""
+        lhs = self.T if len(self.shape) == 2 else self  # contracted axis first
+        lhs_shape = lhs.shape + (1,) * (len(other.shape) - 1)
+        rhs_shape = other.shape[:1] + (1,) * (len(lhs.shape) - 1) + other.shape[1:]
+        return dd_sum(DD(lhs.hi.reshape(lhs_shape), lhs.lo.reshape(lhs_shape))
+                      * DD(other.hi.reshape(rhs_shape), other.lo.reshape(rhs_shape)))
 
     def max_abs(self):
         a = self.abs()
@@ -347,11 +358,11 @@ class ReferenceSolution:
 def reference_solution(problem, mode=MINIMAL):
     """Newton in pair arithmetic, the stand-in for an exact solution.
 
-    MINIMAL solves each step with extended GTH on the column triplet
-    (subtraction-free); STOCHASTIC starts from v and uses an extended
-    partial-pivoting LU.  Residuals are evaluated directly in pair arithmetic,
-    so the iteration is self-correcting down to ~1e-30; it stops at residual
-    REFERENCE_TOL or after REFERENCE_MAXIT steps.
+    MINIMAL solves each step with the fused GTH solve of the column triplet
+    in pair arithmetic (subtraction-free); STOCHASTIC starts from v and uses
+    an extended partial-pivoting LU.  Residuals are evaluated directly in
+    pair arithmetic, so the iteration is self-correcting down to ~1e-30; it
+    stops at residual REFERENCE_TOL or after REFERENCE_MAXIT steps.
 
     On a PageRank problem MINIMAL starts from the binary64 Newton-GTH solution
     (mixed-precision refinement: the start only sets the number of DD steps).
@@ -402,7 +413,7 @@ def reference_solution(problem, mode=MINIMAL):
                 if z.item() <= 0.0:
                     raise SingularPivotError("nonpositive column sums in reference run")
                 sums = DD(np.full(n, z.hi), np.full(n, z.lo))
-                h = gth_solve(gth_eliminate(C, sums, COL), r)
+                h = gth_col_solve(C, sums, r)
             else:
                 R = DD(np.eye(n)) - C
                 h = dd_lu_solve(R, r)

@@ -7,6 +7,10 @@ Newton-GTH, the GTH block Jacobi (exact block triplets via the u-recurrence;
 Newton-GTH is its one-block case), and the block Jacobi-GTH variant that
 reuses Newton's z-recurrence for cheaper, faster, non-monotone steps.
 
+Every GTH step solves its column triplets with mmatrix.gth_col_solve: one
+elimination pass that carries the right-hand side along, split in blocks
+above mmatrix.GTH_BLOCK unknowns, with no L or U formed.
+
 Newton-GTH and block Jacobi never contract B with the iterate.  They carry
 the Jacobian part C_k = Bx_k: + B:x_k from step to step, starting from
 C_0 = 0 at x_0 = 0, as C_{k+1} = C_k + Bh: + B:h, and take the next residual's
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .mmatrix import COL, SingularPivotError, gth_eliminate, gth_solve, plain_lu_solve
+from .mmatrix import SingularPivotError, gth_col_solve, plain_lu_solve
 from .precision import dd_residual
 
 DIVERGENCE_LIMIT = 1e6
@@ -292,15 +296,16 @@ def _gth_sweep(C, slices, level, col_n, rhs):
     """Solve M y = rhs block by block, each diagonal block of M a column triplet.
 
     Block s has the off-diagonal entries of C[s, s] and the column sums
-    level + col_n[s], where col_n = 1^T N.  A level <= 0 gives no M-matrix
-    and is reported as a singular pivot.
+    level + col_n[s], where col_n = 1^T N; each block is one fused
+    gth_col_solve.  A level <= 0 gives no M-matrix and is reported as a
+    singular pivot.
     """
     if level <= 0.0:
         raise SingularPivotError(f"column-sum level {level!r} is not positive")
     y = np.empty(len(rhs))
     for s in slices:
-        # gth_eliminate never reads the diagonal of C[s, s]
-        y[s] = gth_solve(gth_eliminate(C[s, s], level + col_n[s], COL), rhs[s])
+        # gth_col_solve never reads the diagonal of C[s, s]
+        y[s] = gth_col_solve(C[s, s], level + col_n[s], rhs[s])
     return y
 
 

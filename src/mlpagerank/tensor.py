@@ -55,9 +55,11 @@ class _Layout:
             n = B.n
             k, j = np.divmod(B.cols, n)
             self.k = k
-            # storage runs by (i, k, j), so the columns i*n + k of D are sorted
-            self.col_ptr = np.searchsorted(B.rows * n + k, np.arange(n * n + 1))
-            self.slice_rows = B.rows * n + j
+            # storage runs by (i, k, j), so the columns i*n + k of D are sorted;
+            # 32-bit indices where they fit make the products with D cheaper
+            index = np.int32 if max(n * n, B.nnz) < 2**31 else np.int64
+            self.col_ptr = np.searchsorted(B.rows * n + k, np.arange(n * n + 1)).astype(index)
+            self.slice_rows = (B.rows * n + j).astype(index)
             self.tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
             self.j = j
         return self

@@ -1,5 +1,6 @@
 """GTH factorization, triplet solves, null vectors, and partial inverses."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,14 @@ from mlpagerank import (
     partial_inverse,
     plain_lu_solve,
 )
-from mlpagerank.mmatrix import check_irreducible, gth_eliminate, gth_partial_inverse
-from mlpagerank.precision import DD
+from mlpagerank.mmatrix import (
+    GTH_BLOCK,
+    check_irreducible,
+    gth_col_solve,
+    gth_eliminate,
+    gth_partial_inverse,
+)
+from mlpagerank.precision import DD, dd_sum
 
 from test_tree_oracle import tree_oracle_rs, triplet_weights
 
@@ -465,3 +472,88 @@ def test_factor_signs_and_nonnegative_solves(rng, pairs):
         b = rng.random(T.n) * (rng.random(T.n) < 0.6)
         x = gth_solve(F, DD(b)).to_float() if pairs else gth_solve(F, b)
         assert (x >= 0.0).all()
+
+
+def col_triplets_above_the_block(rng):
+    """Ill-conditioned COL triplets with zeros in the pattern, sums 1 .. 1e-13,
+    at n = 2 GTH_BLOCK + 1 (an odd split) and 4 GTH_BLOCK + 1 (two levels)."""
+    for n in (2 * GTH_BLOCK + 1, 4 * GTH_BLOCK + 1):
+        for k in (0, 6, 13):
+            N = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+            np.fill_diagonal(N, 0.0)
+            check_irreducible(N)
+            yield TripletMMatrix(N, (rng.random(n) + 0.01) * 10.0 ** -k, COL)
+
+
+def right_hand_sides(rng, n):
+    """A vector and a matrix of three columns, nonnegative with zeros."""
+    return tuple(rng.random(shape) * (rng.random(shape) < 0.6) for shape in (n, (n, 3)))
+
+
+def assert_within_4nu(got, want, n):
+    assert (np.abs(got - want) <= 4 * n * U_FLOAT * np.abs(want)).all()
+
+
+class TestFusedSolveAboveTheBlock:
+    # Every entry the blocked solve computes is a sum of products of
+    # nonnegative numbers, as in the unblocked pass, so the binary64 result
+    # keeps the componentwise accuracy of a subtraction-free solve.
+
+    def test_pair_and_float_agree_componentwise(self, rng):
+        for T in col_triplets_above_the_block(rng):
+            for R in right_hand_sides(rng, T.n):
+                y = gth_col_solve(T.offdiag, T.sums, R)
+                y_dd = gth_col_solve(DD(T.offdiag), DD(T.sums), DD(R))
+                assert y.shape == R.shape == y_dd.shape
+                assert_within_4nu(y, y_dd.to_float(), T.n)
+
+    def test_matches_factor_then_substitute_and_ignores_the_diagonal(self, rng):
+        for T in col_triplets_above_the_block(rng):
+            F = gth_factor(T, check=False)
+            poisoned = T.offdiag.copy()
+            np.fill_diagonal(poisoned, np.nan)
+            for R in right_hand_sides(rng, T.n):
+                y = gth_col_solve(T.offdiag, T.sums, R)
+                assert_within_4nu(y, gth_solve(F, R), T.n)
+                assert same_bits(gth_col_solve(poisoned, T.sums, R), y)
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["binary64", "double-double"])
+    def test_nonnegative_rhs_gives_nonnegative_solution(self, rng, pairs):
+        wrap = DD if pairs else np.asarray
+        for T in col_triplets_above_the_block(rng):
+            for R in right_hand_sides(rng, T.n):
+                y = gth_col_solve(wrap(T.offdiag), wrap(T.sums), wrap(R))
+                assert ((y.to_float() if pairs else y) >= 0.0).all()
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["binary64", "double-double"])
+    def test_zero_pivot_in_the_trailing_recursion(self, rng, pairs):
+        # zero column sums and a dense pattern: every leading block has the
+        # positive sums of the rows below it, and the singularity surfaces as
+        # the last pivot, which the innermost trailing block computes
+        n = 2 * GTH_BLOCK + 1
+        N = rng.random((n, n)) + 0.1
+        np.fill_diagonal(N, 0.0)
+        rhs = rng.random(n)
+        wrap = DD if pairs else np.asarray
+        last_only = np.zeros(n)
+        last_only[-1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gth_col_solve(wrap(N), wrap(last_only), wrap(rhs))
+            with pytest.raises(SingularPivotError):
+                gth_col_solve(wrap(N), wrap(np.zeros(n)), wrap(rhs))
+
+    def test_pair_matmul_is_a_loop_of_dd_sum_folds(self, rng):
+        def pairs(shape):
+            hi = rng.random(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            return DD(hi, hi * 2.0 ** -60 * rng.uniform(-1.0, 1.0, shape))
+
+        A, B, v = pairs((7, 13)), pairs((13, 5)), pairs(13)
+        cases = (
+            (A @ B, [dd_sum(A[i] * B[:, j]) for i in range(7) for j in range(5)]),
+            (A @ v, [dd_sum(A[i] * v) for i in range(7)]),
+            (v @ B, [dd_sum(v * B[:, j]) for j in range(5)]),
+        )
+        for got, loop in cases:
+            assert same_bits(got.hi.ravel(), np.array([float(e.hi) for e in loop]))
+            assert same_bits(got.lo.ravel(), np.array([float(e.lo) for e in loop]))

@@ -27,6 +27,7 @@ from mlpagerank import (
     residual,
     solve,
 )
+from mlpagerank.mmatrix import GTH_BLOCK
 from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
 from mlpagerank.tensor import BINCOUNT_MAX_NNZ
 
@@ -232,6 +233,17 @@ class TestAccuracyContract:
         assert rep.termination is Termination.TOL_REACHED
         assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
 
+    @pytest.mark.parametrize("alpha", ["0.3", "0.4999"])
+    def test_generated_dense_above_the_block_size(self, alpha):
+        # n = 2 GTH_BLOCK + 1: every step's solve takes the blocked path
+        p = dense_problem(4, alpha, n=2 * GTH_BLOCK + 1)
+        rep = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        assert rep.termination is Termination.TOL_REACHED
+        assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
+        hist = rep.iterate_history
+        for prev, cur in zip(hist, hist[1:]):
+            assert (cur >= prev).all()
+
 
 class TestBlockJacobi:
     @pytest.mark.parametrize("name", ["intro", "ex1", "ex2", "dense"])
@@ -293,7 +305,7 @@ class TestBlockJacobi:
 
 def gth_sweep_by_triplets(C, slices, level, col_n, rhs):
     """The block sweep through a validated TripletMMatrix per block, whose
-    copy of C[s, s] has a zeroed diagonal: the direct sweep must match it."""
+    copy of C[s, s] has a zeroed diagonal, factored and then substituted."""
     y = np.empty(len(rhs))
     for s in slices:
         Nb = C[s, s].copy()
@@ -305,6 +317,10 @@ def gth_sweep_by_triplets(C, slices, level, col_n, rhs):
 
 @pytest.mark.parametrize("sizes", [(1,), (4,), (2, 2), (1, 3), (9,), (2, 3, 4), (1,) * 9])
 def test_gth_sweep_ignores_the_diagonal_bit_for_bit(sizes):
+    # The sweep's fused solve rounds the right-hand sides as (a b) / d inside
+    # the elimination, so it matches the factor-then-substitute oracle to the
+    # componentwise bound of a subtraction-free solve, not bit for bit; the
+    # diagonal of C, which it never reads, must not change a bit.
     n = sum(sizes)
     rng = np.random.default_rng(len(sizes) * 100 + n)
     slices = _block_slices(n, sizes)
@@ -315,7 +331,14 @@ def test_gth_sweep_ignores_the_diagonal_bit_for_bit(sizes):
         col_n = _offblock(C, slices).sum(axis=0)
         rhs = rng.random(n)
         y = _gth_sweep(C, slices, level, col_n, rhs)
-        assert y.tobytes() == gth_sweep_by_triplets(C, slices, level, col_n, rhs).tobytes()
+        for diagonal in (np.zeros(n), rng.random(n) * 1e3, np.full(n, np.nan)):
+            other = C.copy()
+            np.fill_diagonal(other, diagonal)
+            assert y.tobytes() == _gth_sweep(other, slices, level, col_n, rhs).tobytes()
+        want = gth_sweep_by_triplets(C, slices, level, col_n, rhs)
+        for s in slices:
+            bound = 4 * (s.stop - s.start) * U * np.abs(want[s])
+            assert (np.abs(y[s] - want[s]) <= bound).all()
 
 
 class TestBlockJacobiVariant:

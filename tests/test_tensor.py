@@ -120,6 +120,15 @@ class TestKernelsMatchBincountFormulas:
         assert np.shares_memory(A.slice_matrices()[0].data, A.vals)
         assert np.shares_memory(B.slice_matrices()[1].data, B.vals)
 
+    def test_dense_slice_matrices_have_32_bit_indices(self, rng):
+        B = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 30)).scale(0.4)
+        for M in B.slice_matrices():
+            assert M.indices.dtype == M.indptr.dtype == np.int32
+        for _ in range(3):
+            x = rng.random(30) * 10.0 ** rng.integers(-3, 3, size=30)
+            assert contract_left(B, x).tobytes() == bincount_contract_left(B, x).tobytes()
+            assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
+
     def test_unsorted_input_is_sorted(self, rng):
         n = 4
         U = rng.random((n, n * n))
