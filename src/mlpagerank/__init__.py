@@ -7,6 +7,7 @@ from .tensor import (
     check_stochastic,
     contract_left,
     contract_right,
+    contract_sym,
     read_tensor_text,
     write_tensor_text,
 )

@@ -144,7 +144,7 @@ def _eye(like, n):
     return eye
 
 
-def _eliminate(A, sig):
+def _eliminate(A, sig, offset=0):
     """The GTH forward pass, in place, on a column-oriented array A.
 
     The leading n x n block of A holds the off-diagonal magnitudes and sig
@@ -155,14 +155,14 @@ def _eliminate(A, sig):
     to the later sums: nonnegative terms only.  A then holds U's strict upper
     part negated, L's strict lower part times -d, and the forward-eliminated
     right-hand sides.  Returns the pivots; raises SingularPivotError, before
-    any division by it, if one vanishes.
+    any division by it, if one vanishes, naming its step as offset + k + 1.
     """
     n = A.shape[0]
     d = _zeros(A, n)
     for k in range(n):
         dk = sig[k] + A[k + 1 :, k].sum()
         if dk.item() <= 0.0:
-            raise SingularPivotError(f"zero pivot at step {k + 1}")
+            raise SingularPivotError(f"zero pivot at step {offset + k + 1}")
         d[k] = dk
         if k < n - 1:
             A[k + 1 :, k + 1 :] += A[k + 1 :, k : k + 1] * A[k : k + 1, k + 1 :] / dk
@@ -194,7 +194,7 @@ def gth_eliminate(offdiag, sums, orientation=ROW):
     return GTHFactors(lower=L, upper=U)
 
 
-def _solve_in_place(A, sig):
+def _solve_in_place(A, sig, offset=0):
     """Overwrite the right-hand-side columns of A with the solution.
 
     A and sig are as in _eliminate.  Up to GTH_BLOCK unknowns, one
@@ -204,18 +204,19 @@ def _solve_in_place(A, sig):
     [N12 | R1] for [X | Y1]; the trailing block recurses on the Schur
     complement, with off-diagonal part N22 + N21 X, column sums s2 + X^T s1
     and right-hand sides R2 + N21 Y1; then Y1 += X Y2.  Every term is a sum
-    of products of nonnegative numbers.
+    of products of nonnegative numbers.  A block's pivots are steps offset + 1,
+    offset + 2, ... of the whole system.
     """
     n = A.shape[0]
     if n > GTH_BLOCK:
         h = n // 2
-        _solve_in_place(A[:h], sig[:h] + A[h:, :h].sum(axis=0))
+        _solve_in_place(A[:h], sig[:h] + A[h:, :h].sum(axis=0), offset)
         trailing_sums = sig[h:] + sig[:h] @ A[:h, h:n]
         A[h:, h:] += A[h:, :h] @ A[:h, h:]
-        _solve_in_place(A[h:, h:], trailing_sums)
+        _solve_in_place(A[h:, h:], trailing_sums, offset + h)
         A[:h, n:] += A[:h, h:n] @ A[h:, n:]
         return
-    d = _eliminate(A, sig)
+    d = _eliminate(A, sig, offset)
     # one right-hand side stays a vector: cheaper steps, in pairs above all
     y = A[:, n] if A.shape[1] == n + 1 else A[:, n:]
     for k in range(n - 1, -1, -1):

@@ -13,10 +13,11 @@ above mmatrix.GTH_BLOCK unknowns, with no L or U formed.
 
 Newton-GTH and block Jacobi never contract B with the iterate.  They carry
 the Jacobian part C_k = Bx_k: + B:x_k from step to step, starting from
-C_0 = 0 at x_0 = 0, as C_{k+1} = C_k + Bh: + B:h, and take the next residual's
-Bh^2 = (Bh:) h from the same contraction of the step h.  Their steps are
+C_0 = 0 at x_0 = 0, as C_{k+1} = C_k + G with G = alpha (Ph: + P:h), one
+product with P's symmetric slice matrix (tensor.contract_sym), and take the
+next residual's Bh^2 = G h / 2 from the same G.  Their steps are
 nonnegative, so these updates add nonnegative terms only and stay
-subtraction-free.
+subtraction-free; the halving is exact.
 
 The iterations run in binary64 throughout, stopping tests and right-hand
 sides included, since these are the algorithms whose accuracy is analysed.
@@ -266,6 +267,8 @@ def newton(problem, opts):
 def _require_pagerank_from_zero(problem, opts, name):
     if not problem.is_pagerank:
         raise ValueError(f"{name} needs a PageRank problem")
+    if problem.p_tensor is None:
+        raise ValueError(f"{name} needs the PageRank tensor P (Problem.from_pagerank)")
     if opts.start is not Start.ZERO:
         raise ValueError(f"{name} targets the minimal solution; use start=ZERO")
 
@@ -317,8 +320,8 @@ def newton_gth(problem, opts):
     values: the step solves the column triplet (offdiag(C), z 1) with
     C = Bx: + B:x, the residual updates as alpha P h^2, and z follows
     z <- ((1-2 alpha)^2 + z^2) / (2 z).  C is updated from the step,
-    C <- C + Bh: + B:h, and Bh^2 = (Bh:) h; h >= 0 keeps both updates
-    subtraction-free.
+    C_{k+1} = C_k + G with G = alpha (Ph: + P:h) from one contract_sym, and
+    Bh^2 = G h / 2; h >= 0 keeps both updates subtraction-free.
 
     This is block_jacobi with a single block, where N = 0 turns the
     u-recurrence into the z-recurrence; opts.block_sizes is ignored.
@@ -335,8 +338,8 @@ def block_jacobi(problem, opts):
     keeps the residual subtraction-free through F(x_next) = B h^2 + N h.
     u is updated after the step, since the recurrence needs the increment.
     The Jacobian part C = Bx: + B:x of R_x = I - C is updated from the step,
-    C <- C + Bh: + B:h, and Bh^2 = (Bh:) h; h >= 0 keeps both updates
-    subtraction-free.
+    C_{k+1} = C_k + G with G = alpha (Ph: + P:h) from one contract_sym, and
+    Bh^2 = G h / 2; h >= 0 keeps both updates subtraction-free.
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi")
     return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI, opts.block_sizes)
@@ -345,30 +348,25 @@ def block_jacobi(problem, opts):
 def _gth_block_jacobi(problem, opts, method, block_sizes):
     """The driver of newton_gth and block_jacobi, from x_0 = 0 and C_0 = 0.
 
-    A step's Bh: + B:h is folded into C only when the next step needs it, so
-    the last step does not pay for a Jacobian it never uses.
+    Each step contracts P once, G = alpha (Ph: + P:h), with the slice matrix
+    that P keeps for every alpha problem built from it.
     """
     slices = _block_slices(problem.n, block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
-    B = problem.tensor
+    P = problem.p_tensor
     C = np.zeros((problem.n, problem.n))
-    last = None  # (h, Bh:) of the step before, not yet in C
 
     def step(x, r, u):
-        nonlocal C, last
-        if last is not None:
-            h, L = last
-            C += L
-            C += tz.contract_right(B, h)
+        nonlocal C
         N = _offblock(C, slices)
         col_n = N.sum(axis=0)
         h = _gth_sweep(C, slices, u, col_n, r)
         u_next = (u * u + omt_sq + 4.0 * alpha * (col_n @ h)) / (2.0 * u)
-        L = tz.contract_left(B, h)
-        last = h, L
-        return x + h, L @ h + N @ h, u_next
+        G = tz.contract_sym(P, alpha * h)
+        C += G
+        return x + h, 0.5 * (G @ h) + N @ h, u_next
 
     return _iterate(method, opts, np.zeros(problem.n), problem.a.copy(), 1.0, step)
 

@@ -17,13 +17,16 @@ the n^2 x n^2 block-diagonal slice matrix D = diag(B_1, ..., B_n), with
 so the two Jacobian contractions are scipy matrix-vector products with D
 and with its transpose, a CSR matrix on the same arrays.  Their index arrays
 are derived on a tensor's first product and shared by all of its scale()
-copies, so a tensor that is never multiplied never pays for them.
+copies, so a tensor that is never multiplied never pays for them.  Their
+sum vec(Bx: + B:x) = S x~ takes one product (contract_sym) with S = D + D^T,
+whose blocks B_i + B_i^T are symmetric; S is kept per tensor, not per copy.
 
 Summation-order contract: every product adds the terms b_{ijk} x_j,
 b_{ijk} x_k or (b_{ijk} x_j) y_k of one output entry one at a time, starting
 from 0.0, in storage order.  Results are therefore bit-for-bit reproducible
 and equal to a sequential ``np.bincount`` over the same terms, however the
-work is dispatched.
+work is dispatched.  contract_sym adds the terms fl(b_{ijk} + b_{ikj}) x_k of
+row i*n + j of S in the same way, in the order S stores them (k ascending).
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ class _Layout:
     def build(self, B):
         if self.j is None:
             n = B.n
-            k, j = np.divmod(B.cols, n)
-            self.k = k
             # storage runs by (i, k, j), so the columns i*n + k of D are sorted;
-            # 32-bit indices where they fit make the products with D cheaper
+            # 32-bit indices where they fit make the products cheaper and smaller
             index = np.int32 if max(n * n, B.nnz) < 2**31 else np.int64
+            k, j = (a.astype(index) for a in np.divmod(B.cols, n))
+            self.k = k
             self.col_ptr = np.searchsorted(B.rows * n + k, np.arange(n * n + 1)).astype(index)
             self.slice_rows = (B.rows * n + j).astype(index)
             self.tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
@@ -82,7 +85,7 @@ class Tensor3:
     reproducible order.
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_layout", "_slices")
+    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_layout", "_slices", "_sym")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -135,6 +138,7 @@ class Tensor3:
         self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
         self._layout = _Layout()
         self._slices = None
+        self._sym = None
 
     @classmethod
     def from_unfolding(cls, unfolding):
@@ -183,6 +187,7 @@ class Tensor3:
         out.row_ptr = self.row_ptr
         out._layout = self._layout
         out._slices = None
+        out._sym = None
         return out
 
     def slice_matrices(self):
@@ -197,6 +202,25 @@ class Tensor3:
             D = csc_array((self.vals, lay.slice_rows, lay.col_ptr), shape=(nn, nn))
             self._slices = (D, D.T)
         return self._slices
+
+    def sym_matrix(self):
+        """S = D + D^T in CSR form, built once per tensor.
+
+        S shares D^T's index arrays where D has their pattern; otherwise it is
+        copied at its exact size out of scipy's nnz(D) + nnz(D^T) buffers.
+        """
+        if self._sym is None:
+            D, DT = self.slice_matrices()
+            S = D.tocsr()
+            if np.array_equal(S.indptr, DT.indptr) and np.array_equal(S.indices, DT.indices):
+                S.data += DT.data
+                S = csr_array((S.data, DT.indices, DT.indptr), shape=S.shape)
+            else:
+                S = S + DT
+                S = csr_array((S.data[:S.nnz].copy(), S.indices[:S.nnz].copy(), S.indptr),
+                              shape=S.shape)
+            self._sym = S
+        return self._sym
 
     def __repr__(self):
         return f"Tensor3(n={self.n}, nnz={self.nnz})"
@@ -243,6 +267,12 @@ def contract_right(B, x):
     x = _check_dim(B, x)
     D, _ = B.slice_matrices()
     return (D @ x.take(B._layout.tile)).reshape(B.n, B.n)
+
+
+def contract_sym(B, x):
+    """Bx: + B:x from one product with S: (Bx: + B:x)_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k."""
+    x = _check_dim(B, x)
+    return (B.sym_matrix() @ x.take(B._layout.tile)).reshape(B.n, B.n)
 
 
 @dataclass(frozen=True)

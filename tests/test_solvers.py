@@ -203,6 +203,14 @@ class TestNewtonGTH:
         with pytest.raises(ValueError, match="start"):
             solve(ex1(0.3), opts(Method.NEWTON_GTH, start=Start.V))
 
+    @pytest.mark.parametrize("method", [Method.NEWTON_GTH, Method.BLOCK_JACOBI,
+                                        Method.BLOCK_JACOBI_GTH_VARIANT])
+    def test_pagerank_alpha_without_p_is_a_clear_error(self, method):
+        p = ex1(0.3)
+        bare = Problem(p.a, p.tensor, v=p.v, alpha=p.alpha)
+        with pytest.raises(ValueError, match="needs the PageRank tensor P"):
+            solve(bare, opts(method))
+
     def test_subtraction_free_residual_reaches_tiny_levels(self):
         # the symbolic residual alpha P h^2 underflows smoothly; no noise floor
         rep = solve(ex1(0.3), opts(Method.NEWTON_GTH, tol=1e-40, maxit=50))

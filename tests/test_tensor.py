@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from mlpagerank import tensor as tz
 from mlpagerank import (
+    Adjacency,
+    Problem,
+    SolverOptions,
     Tensor3,
     apply_bilinear,
     apply_quadratic,
+    build_pagerank_tensor,
     check_stochastic,
     contract_left,
     contract_right,
+    contract_sym,
     read_tensor_text,
+    solve,
     write_tensor_text,
 )
 
@@ -122,12 +128,17 @@ class TestKernelsMatchBincountFormulas:
 
     def test_dense_slice_matrices_have_32_bit_indices(self, rng):
         B = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 30)).scale(0.4)
+        assert B.nnz > tz.BINCOUNT_MAX_NNZ  # the CSR path of apply_bilinear
         for M in B.slice_matrices():
             assert M.indices.dtype == M.indptr.dtype == np.int32
+        assert B._layout.j.dtype == B._layout.k.dtype == np.int32
         for _ in range(3):
             x = rng.random(30) * 10.0 ** rng.integers(-3, 3, size=30)
+            y = rng.random(30)
             assert contract_left(B, x).tobytes() == bincount_contract_left(B, x).tobytes()
             assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
+            got = apply_bilinear(B, x, y)
+            assert got.tobytes() == bincount_apply_bilinear(B, x, y).tobytes()
 
     def test_unsorted_input_is_sorted(self, rng):
         n = 4
@@ -144,6 +155,99 @@ class TestKernelsMatchBincountFormulas:
         x = rng.random(n)
         assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
         assert apply_quadratic(B, x).tobytes() == bincount_apply_bilinear(B, x, x).tobytes()
+
+
+def bincount_contract_sym(B, x):
+    """Row i*n + j of S = D + D^T adds fl(b_ijk + b_ikj) x_k one term at a time,
+    in the order S stores its columns i*n + k."""
+    n, U, S = B.n, B.unfolding(), B.sym_matrix()
+    rows = np.repeat(np.arange(n * n), np.diff(S.indptr))
+    i, j, k = rows // n, rows % n, S.indices % n
+    terms = U[i, j + k * n] + U[i, k + j * n]
+    assert S.data.tobytes() == terms.tobytes()
+    return np.bincount(rows, weights=terms * x[k], minlength=n * n).reshape(n, n)
+
+
+def graph_pipeline_tensor(rng, n=12):
+    upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+    return build_pagerank_tensor(Adjacency(matrix=upper | upper.T),
+                                 np.full(n, 1.0 / n), 0.1)
+
+
+def held_bytes(a):
+    """Bytes of the buffer an array lives in, not just of its view."""
+    return (a if a.base is None else a.base).nbytes
+
+
+class TestContractSym:
+    @pytest.mark.parametrize("n,density,empty_rows", KERNEL_CASES)
+    def test_bit_identical_to_bincount(self, n, density, empty_rows):
+        rng = np.random.default_rng(2000 + n)
+        B = random_sparse_tensor(rng, n, density, empty_rows).scale(0.4)
+        for _ in range(3):
+            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+            assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
+
+    @pytest.mark.parametrize("build,symmetric_pattern", [
+        (lambda rng: Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 30)), True),
+        (lambda rng: random_sparse_tensor(rng, 24, 0.6, (0, 23)), False),
+        (graph_pipeline_tensor, False),
+    ])
+    def test_within_2_n_plus_1_u_of_both_contractions(self, rng, build, symmetric_pattern):
+        B = build(rng).scale(0.4)
+        n, u = B.n, 2.0 ** -53
+        # a symmetric pattern gives S the pattern of D; else (j, k) and (k, j) differ
+        assert (B.sym_matrix().nnz == B.nnz) is symmetric_pattern
+        for _ in range(3):
+            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+            got = contract_sym(B, x)
+            assert got.tobytes() == bincount_contract_sym(B, x).tobytes()
+            want = contract_left(B, x) + contract_right(B, x)
+            assert (np.abs(got - want) <= 2 * (n + 1) * u * want).all()
+
+    def test_built_once_at_its_exact_size(self, rng):
+        P = random_sparse_tensor(rng, 8, 0.5)
+        S = P.sym_matrix()
+        assert P.sym_matrix() is S
+        assert S.format == "csr"
+        assert S.data.size == S.indices.size == S.nnz
+        assert held_bytes(S.data) == S.data.nbytes
+        assert held_bytes(S.indices) == S.indices.nbytes
+
+    def test_scale_copies_do_not_inherit_it(self, rng):
+        P = random_sparse_tensor(rng, 8, 0.5)
+        S = P.sym_matrix()
+        A = P.scale(0.3)
+        assert A._sym is None
+        assert A.sym_matrix() is not S
+        x = rng.random(8)
+        assert contract_sym(A, x).tobytes() == bincount_contract_sym(A, x).tobytes()
+
+    def test_every_alpha_problem_of_one_p_shares_it(self, rng, monkeypatch):
+        builds = []
+        build = Tensor3.sym_matrix
+
+        def counting(self):
+            if self._sym is None:
+                builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(Tensor3, "sym_matrix", counting)
+        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 6))
+        v = np.full(6, 1.0 / 6.0)
+        for alpha in (0.3, 0.49, 0.4999, 0.6):
+            rep = solve(Problem.from_pagerank(v, P, alpha), SolverOptions())
+            assert rep.iterations > 1
+        assert builds == [P]
+
+    def test_memory_is_that_of_its_entries(self, rng):
+        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 60))
+        P.slice_matrices()
+        S = P.sym_matrix()
+        # an upper bound: a dense P's S shares the index arrays of D^T
+        added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
+        assert S.nnz == P.nnz
+        assert added <= 1.1 * (8 + 4) * P.nnz
 
 
 class TestConstruction:
@@ -322,3 +426,4 @@ def test_nonnegative_inputs_give_nonnegative_outputs(seed):
     assert (apply_quadratic(B, x) >= 0.0).all()
     assert (contract_left(B, x) >= 0.0).all()
     assert (contract_right(B, x) >= 0.0).all()
+    assert (contract_sym(B, x) >= 0.0).all()
