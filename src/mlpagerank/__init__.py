@@ -1,6 +1,7 @@
 """Componentwise-accurate solvers for x = a + Bx^2 and multilinear PageRank."""
 
 from .tensor import (
+    PageRankTensor,
     Tensor3,
     apply_bilinear,
     apply_quadratic,
@@ -66,7 +67,6 @@ from .ingest import (
     EX2_SOLUTION_0_9951,
     build_pagerank_tensor,
     builtin,
-    column_normalize_substochastic,
     ex1,
     ex2,
     force_sum_one,

@@ -62,12 +62,13 @@ def _cw_arrays(x_tilde, x):
 def cw_distance(x_tilde, x):
     """d(x~, x); asymmetric, the second argument is the reference.
 
-    Accepts vectors, matrices, or Tensor3 pairs; for tensors the comparison
+    Accepts vectors, matrices, or tensor pairs; for tensors the comparison
     runs over the union of the two supports (a value appearing against a
     structural zero makes the distance infinite, a dropped entry gives 1)
     and argmax_index is the 1-based (i, j, k).
     """
-    if isinstance(x, tz.Tensor3) or isinstance(x_tilde, tz.Tensor3):
+    if hasattr(x, "to_tensor3") or hasattr(x_tilde, "to_tensor3"):
+        x, x_tilde = x.to_tensor3(), x_tilde.to_tensor3()
         if x.n != x_tilde.n:
             raise ValueError("tensor dimensions disagree")
         n = x.n

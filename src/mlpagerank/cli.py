@@ -295,17 +295,18 @@ def cmd_ingest(args, parser):
         parser.error(str(exc))
     if cycles.nnz == 0:
         sys.stderr.write("warning: graph has no directed three-cycles\n")
-    tz.write_tensor_text(P, args.out_tensor)
+    stored = P.to_tensor3()
+    tz.write_tensor_text(stored, args.out_tensor)
     if args.out_v:
         with open(args.out_v, "w", encoding="utf-8") as fh:
             for value in v:
                 fh.write(f"{value!r}\n")
-    rep = tz.check_stochastic(P, target=1.0, tol=1e-13)
+    rep = tz.check_stochastic(stored, target=1.0, tol=1e-13)
     payload = {
         "n": adj.n,
         "edges": adj.edge_count,
         "three_cycle_entries": cycles.nnz,
-        "tensor_entries": P.nnz,
+        "tensor_entries": stored.nnz,
         "stochastic_ok": rep.ok,
         "max_column_deviation": rep.max_deviation,
     }

@@ -6,17 +6,20 @@ instance whose minimal solution [1-delta, delta] is known in closed form,
 and two 4-dimensional transition tensors with reference solutions quoted to
 five digits.  The graph pipeline turns an adjacency matrix into a stochastic
 tensor by normalizing directed three-cycles and mixing in a first-order
-chain with dangling-node correction.
+chain with dangling-node correction.  It keeps that tensor in factored form
+(tensor.PageRankTensor) in O(nnz + n^2) memory, and never forms its n^3
+entries unless code that reads entries asks for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .solvers import Problem
-from .tensor import Tensor3
+from .tensor import PageRankTensor, Tensor3, check_stochastic
 
 
 @dataclass(frozen=True)
@@ -97,45 +100,42 @@ def three_cycle_tensor(adj):
     """C_{ijk} = 1 iff the edges (i,j), (j,k), (k,i) are all present.
 
     For an undirected (symmetrized) graph every triangle therefore
-    contributes all index triples whose directed three-cycle exists.
+    contributes all index triples whose directed three-cycle exists.  The
+    cycles are listed from the edge list, as the paths j -> k -> i closed by
+    an edge i -> j, in O(n + sum_k indeg(k) outdeg(k)) time.
     """
-    A = adj.matrix.astype(np.float64)
+    A = adj.matrix
     n = adj.n
     if n < 3:
         raise ValueError("three_cycle_tensor needs n >= 3")
-    # C[i, j, k] = A[i, j] * A[j, k] * A[k, i]
-    C = A[:, :, None] * A[None, :, :] * A.T[:, None, :]
-    unfolding = C.transpose(0, 2, 1).reshape(n, n * n)
-    return Tensor3.from_unfolding(unfolding)
-
-
-def column_normalize_substochastic(C):
-    """Normalize nonzero unfolding columns to sum 1; zero columns stay zero."""
-    U = C.unfolding()
-    sums = U.sum(axis=0)
-    safe = np.where(sums == 0.0, 1.0, sums)
-    return U / safe[None, :]
-
-
-def _dangling(B):
-    """The 0/1 row vector marking the all-zero columns of B.
-
-    Every column of B is normalized or zero, so this is the column deficiency
-    1^T - 1^T B in exact form; evaluated as 1 - colsum it comes out at -1 ulp
-    on some normalized columns, which makes tensor entries negative.
-    """
-    return (~B.any(axis=0)).astype(np.float64)
+    src, dst = np.nonzero(A)  # edges sorted by source
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    # pair each edge (j, k) with every edge (k, i) out of k
+    fan = np.diff(ptr)[dst]
+    first = np.repeat(np.arange(len(src)), fan)
+    second = np.repeat(ptr[dst] - np.cumsum(fan) + fan, fan) + np.arange(len(first))
+    i, j, k = dst[second], src[first], dst[first]
+    closed = A[i, j]
+    i, j, k = i[closed], j[closed], k[closed]
+    return Tensor3.from_coordinates(n, i, j + k * n, np.ones(len(i)))
 
 
 def build_pagerank_tensor(adj, v, nu):
-    """P_(1) = nu (S + v dangling(S)) + (1-nu) (M + v dangling(M)) kron 1^T.
+    """P_(1) = nu (S + v d_S^T) + (1-nu) (M + v d_M^T) kron 1^T, in factored form.
 
-    S normalizes the three-cycle tensor; M = A^T D+ is the first-order chain
-    with the pseudo-inverse of the out-degree diagonal (zero degrees stay
-    zero); both terms get the dangling correction before mixing, so the
-    result is column-stochastic.
+    S normalizes the three-cycle tensor's nonzero unfolding columns to sum 1;
+    M = A^T D+ is the first-order chain with the pseudo-inverse of the
+    out-degree diagonal (zero degrees stay zero).  The 0/1 indicators d_S and
+    d_M of their empty columns come exactly from the cycle counts and the
+    degrees, never as 1 - colsum (which is -1 ulp on some columns), so each
+    term is column-stochastic when 1^T v = 1.
+
+    Returns a tensor.PageRankTensor storing S (sparse, nnz(S) entries), d_S
+    (n x n), F = M + v d_M^T (dense n x n), v and nu.  Each product the
+    solvers take, and the column sums, cost O(nnz(S) + n^2); to_tensor3()
+    forms the n^3 entries for code that reads them.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
     nu = float(nu)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must be in [0, 1], got {nu}")
@@ -144,25 +144,42 @@ def build_pagerank_tensor(adj, v, nu):
         raise ValueError("v has the wrong length")
     if (v < 0.0).any() or abs(v.sum() - 1.0) > 1e-12:
         raise ValueError("v must be stochastic")
-    S = column_normalize_substochastic(three_cycle_tensor(adj))
+    C = three_cycle_tensor(adj)
+    cycles = np.bincount(C.cols, minlength=n * n)  # per unfolding column j + k*n
+    S = Tensor3.from_coordinates(n, C.rows, C.cols, 1.0 / cycles[C.cols])
+    dS = (cycles == 0).astype(np.float64).reshape(n, n)
     A = adj.matrix.astype(np.float64)
     deg = A.sum(axis=1)
     inv_deg = np.where(deg == 0.0, 0.0, 1.0 / np.where(deg == 0.0, 1.0, deg))
-    M = A.T * inv_deg[None, :]
-    second = S + v[:, None] * _dangling(S)[None, :]
-    first = M + v[:, None] * _dangling(M)[None, :]
-    P1 = nu * second + (1.0 - nu) * np.kron(first, np.ones((1, n)))
-    colsums = P1.sum(axis=0)
-    if np.abs(colsums - 1.0).max() > 1e-13:
+    F = A.T * inv_deg[None, :] + v[:, None] * (deg == 0.0)[None, :]
+    P = PageRankTensor(S, v, dS, F, nu)
+    if not check_stochastic(P, target=1.0, tol=1e-13).ok:
         raise ArithmeticError("constructed tensor failed the stochasticity check")
-    return Tensor3.from_unfolding(P1)
+    return P
 
 
 def random_teleport_vector(n, seed):
-    """Heavy-tailed stochastic v: uniform times exp(9 normal), normalized."""
+    """Heavy-tailed stochastic v: uniform times exp(9 normal), summing to 1 exactly.
+
+    The v d^T terms of build_pagerank_tensor keep P stochastic only if
+    1^T v = 1 exactly, so the rounding the normalization leaves is absorbed
+    into the entries in descending order of size until the exact sum is 1;
+    only entries with ulps as fine as its lowest bit can take the last of it.
+    """
     rng = np.random.default_rng(seed)
     v = rng.random(n) * np.exp(9.0 * rng.standard_normal(n))
-    return v / v.sum()
+    v = v / v.sum()
+    excess = math.fsum([*v.tolist(), -1.0])  # 1^T v - 1, exact or nonzero
+    for i in np.argsort(-v, kind="stable"):
+        if excess == 0.0:
+            break
+        kept = v[i] - excess
+        if kept != v[i]:
+            v[i] = kept
+            excess = math.fsum([*v.tolist(), -1.0])
+    if excess != 0.0 or (v < 0.0).any():
+        raise ArithmeticError("could not normalize v to an exact unit sum")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def dd_residual(problem, x):
     about 2^-104 times the sum of the terms' magnitudes, exceeds half an ulp
     of the result once the residual falls below about 2^-50.
     """
-    B = problem.tensor
+    B = problem.tensor.to_tensor3()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
@@ -384,16 +384,16 @@ def reference_solution(problem, mode=MINIMAL):
     if mode == STOCHASTIC and not problem.is_pagerank:
         raise ValueError("stochastic mode needs a PageRank problem")
     n = problem.n
-    B = problem.tensor
     a_dd = DD(problem.a)
     vals_dd = None
     if problem.is_pagerank:
         alpha_dd = DD(problem.alpha)
         v0 = DD(problem.v) / dd_sum(DD(problem.v))
         a_dd = (DD(1.0) - alpha_dd) * v0
-        csum = _dd_column_sums(problem.p_tensor)
-        vals_dd = DD(problem.p_tensor.vals) * alpha_dd / csum[problem.p_tensor.cols]
-        B = problem.p_tensor  # structure only; values come from vals_dd
+        B = problem.p_tensor.to_tensor3()  # structure only; values come from vals_dd
+        vals_dd = DD(B.vals) * alpha_dd / _dd_column_sums(B)[B.cols]
+    else:
+        B = problem.tensor.to_tensor3()
     gth = mode == MINIMAL and problem.is_pagerank
 
     def resid(xx):

@@ -14,10 +14,9 @@ above mmatrix.GTH_BLOCK unknowns, with no L or U formed.
 Newton-GTH and block Jacobi never contract B with the iterate.  They carry
 the Jacobian part C_k = Bx_k: + B:x_k from step to step, starting from
 C_0 = 0 at x_0 = 0, as C_{k+1} = C_k + G with G = alpha (Ph: + P:h), one
-product with P's symmetric slice matrix (tensor.contract_sym), and take the
-next residual's Bh^2 = G h / 2 from the same G.  Their steps are
-nonnegative, so these updates add nonnegative terms only and stay
-subtraction-free; the halving is exact.
+tensor.contract_sym of P, and take the next residual's Bh^2 = G h / 2 from
+the same G.  Their steps are nonnegative, so these updates add nonnegative
+terms only and stay subtraction-free; the halving is exact.
 
 The iterations run in binary64 throughout, stopping tests and right-hand
 sides included, since these are the algorithms whose accuracy is analysed.
@@ -348,8 +347,8 @@ def block_jacobi(problem, opts):
 def _gth_block_jacobi(problem, opts, method, block_sizes):
     """The driver of newton_gth and block_jacobi, from x_0 = 0 and C_0 = 0.
 
-    Each step contracts P once, G = alpha (Ph: + P:h), with the slice matrix
-    that P keeps for every alpha problem built from it.
+    Each step contracts P once, G = alpha (Ph: + P:h); a Tensor3 P keeps the
+    slice matrix for that for every alpha problem built from it.
     """
     slices = _block_slices(problem.n, block_sizes)
     omt = problem.one_minus_two_alpha

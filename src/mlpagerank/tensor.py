@@ -1,4 +1,13 @@
-"""Sparse order-3 tensors and the contraction products used by the solvers.
+"""Order-3 tensors and the contraction products used by the solvers.
+
+The solvers and Problem.from_pagerank touch a tensor only through its
+product protocol: the module functions apply_bilinear, apply_quadratic,
+contract_left, contract_right, contract_sym and check_stochastic (its
+unfolding column sums), plus unfolding(), scale(), n and nnz.  Code that
+reads stored entries (pair-precision arithmetic, cw_distance on tensors,
+the tensor file) calls to_tensor3() first.  Two types implement the
+protocol: Tensor3, which stores entries, and PageRankTensor, which keeps a
+graph's PageRank tensor in factored form.
 
 An n x n x n tensor B is stored through its first-mode unfolding: entry
 b_{ijk} lives in row i, column c = j + (k-1)*n of an n x n^2 matrix.  The
@@ -27,6 +36,21 @@ from 0.0, in storage order.  Results are therefore bit-for-bit reproducible
 and equal to a sequential ``np.bincount`` over the same terms, however the
 work is dispatched.  contract_sym adds the terms fl(b_{ijk} + b_{ikj}) x_k of
 row i*n + j of S in the same way, in the order S stores them (k ascending).
+
+PageRankTensor holds P_(1) = w [nu (S + v d_S^T) + (1 - nu) F kron 1^T]
+as its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative
+terms only, in one order: the S product by the rule above, plus v times a
+BLAS product with d_S, times w nu; plus w (1 - nu) times the F terms (BLAS
+products with F, and 1^T x).  For example, with D_{jk} = d_S(j, k),
+
+    (Px: + P:x)_{ij} = w nu [(Sx: + S:x)_{ij} + v_i ((D + D^T) x)_j]
+                     + w (1 - nu) [(Fx)_i + F_{ij} 1^T x].
+
+Let m be the largest of n (2n for apply_bilinear) and the stored entries
+of S in one row.  Each entry of a product is then within gamma_{m+6} =
+(m+6)u / (1 - (m+6)u) of the exact product of the stored factors, relative
+to that entry.  BLAS fixes its own summation order, so results repeat bit
+for bit from call to call on one BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -155,6 +179,17 @@ class Tensor3:
         return out
 
     @classmethod
+    def from_coordinates(cls, n, rows, cols, vals):
+        """Build from zero-based rows and unfolding columns c = j + k*n, with values."""
+        rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+        if len(rows) and (min(rows.min(), cols.min()) < 0
+                          or rows.max() >= n or cols.max() >= n * n):
+            raise ValueError(f"coordinates out of range for n={n}")
+        out = cls.__new__(cls)
+        out._store(int(n), rows, cols, np.asarray(vals, dtype=np.float64))
+        return out
+
+    @classmethod
     def zeros(cls, n):
         return cls(n, [])
 
@@ -222,8 +257,105 @@ class Tensor3:
             self._sym = S
         return self._sym
 
+    def to_tensor3(self):
+        return self
+
+    def _bilinear(self, x, y):
+        lay = self._layout.build(self)
+        w = self.vals * x.take(lay.j)
+        if 0 < self.nnz <= BINCOUNT_MAX_NNZ:  # with no weights bincount gives integers
+            w *= y.take(lay.k)
+            return np.bincount(self.rows, weights=w, minlength=self.n)
+        return csr_array((w, lay.k, self.row_ptr), shape=(self.n, self.n)) @ y
+
+    def _left(self, x):
+        _, DT = self.slice_matrices()
+        return (DT @ x.take(self._layout.tile)).reshape(self.n, self.n)
+
+    def _right(self, x):
+        D, _ = self.slice_matrices()
+        return (D @ x.take(self._layout.tile)).reshape(self.n, self.n)
+
+    def _symmetric(self, x):
+        return (self.sym_matrix() @ x.take(self._layout.tile)).reshape(self.n, self.n)
+
+    def _column_sums(self):
+        return np.bincount(self.cols, weights=self.vals, minlength=self.n * self.n)
+
     def __repr__(self):
         return f"Tensor3(n={self.n}, nnz={self.nnz})"
+
+
+class PageRankTensor:
+    """P_(1) = w [nu (S + v d_S^T) + (1 - nu) F kron 1^T], kept in factored form.
+
+    S is a sparse Tensor3; dS is the n x n array of d_S, with dS[k, j] = 1
+    exactly where unfolding column j + k*n of S is empty and 0 elsewhere; F
+    is dense n x n, its entry (i, k) the first-order part of p_{ijk} for
+    every j; nu is the mixing weight in [0, 1] and w the scale weight, so
+    scale() copies share the factors.  Products follow the order and bound in
+    the module docstring; to_tensor3() stores the entries, once per object.
+    """
+
+    __slots__ = ("n", "S", "v", "dS", "F", "nu", "weight", "_stored")
+
+    def __init__(self, S, v, dS, F, nu, weight=1.0):
+        self.n = S.n
+        self.S, self.v, self.dS, self.F = S, v, dS, F
+        self.nu = float(nu)
+        self.weight = float(weight)
+        self._stored = None
+
+    @property
+    def nnz(self):
+        """Entries stored across the factors (not the nonzeros of P_(1))."""
+        return self.S.nnz + self.v.size + self.dS.size + self.F.size
+
+    def scale(self, factor):
+        factor = float(factor)
+        if factor < 0.0:
+            raise ValueError("scale factor must be nonnegative")
+        return PageRankTensor(self.S, self.v, self.dS, self.F, self.nu, self.weight * factor)
+
+    def unfolding(self):
+        """A new dense n x n^2 unfolding, entry by entry as the formula reads."""
+        n = self.n
+        U = (self.nu * (self.S.unfolding() + self.v[:, None] * self.dS.reshape(1, n * n))
+             + (1.0 - self.nu) * np.repeat(self.F, n, axis=1))
+        U *= self.weight
+        return U
+
+    def to_tensor3(self):
+        if self._stored is None:
+            self._stored = Tensor3.from_unfolding(self.unfolding())
+        return self._stored
+
+    def _mix(self):
+        return self.weight * self.nu, self.weight * (1.0 - self.nu)
+
+    def _bilinear(self, x, y):
+        a, b = self._mix()
+        return (a * (self.S._bilinear(x, y) + self.v * ((self.dS @ x) @ y))
+                + b * ((self.F @ y) * x.sum()))
+
+    def _left(self, x):
+        a, b = self._mix()
+        return a * (self.S._left(x) + np.outer(self.v, self.dS @ x)) + b * (self.F * x.sum())
+
+    def _right(self, x):
+        a, b = self._mix()
+        return a * (self.S._right(x) + np.outer(self.v, x @ self.dS)) + (b * (self.F @ x))[:, None]
+
+    def _symmetric(self, x):
+        a, b = self._mix()
+        d = self.dS @ x + x @ self.dS
+        return (a * (self.S._symmetric(x) + np.outer(self.v, d))
+                + b * ((self.F @ x)[:, None] + self.F * x.sum()))
+
+    def _column_sums(self):
+        a, b = self._mix()
+        return (a * (self.S._column_sums() + self.dS.ravel() * self.v.sum())
+                + b * np.repeat(self.F.sum(axis=0), self.n))
 
 
 def _check_dim(B, x, name="x"):
@@ -236,18 +368,11 @@ def _check_dim(B, x, name="x"):
 def apply_bilinear(B, x, y):
     """(Bxy)_i = sum_{j,k} b_{ijk} x_j y_k.
 
-    Each term is (b_{ijk} x_j) y_k, accumulated in storage order, so repeated
-    calls are bit-for-bit reproducible; for nonnegative x, y only additions
-    and multiplications of nonnegative terms occur.
+    On a Tensor3 each term is (b_{ijk} x_j) y_k, accumulated in storage
+    order, so repeated calls are bit-for-bit reproducible; for nonnegative
+    x, y only additions and multiplications of nonnegative terms occur.
     """
-    x = _check_dim(B, x, "x")
-    y = _check_dim(B, y, "y")
-    lay = B._layout.build(B)
-    w = B.vals * x.take(lay.j)
-    if 0 < B.nnz <= BINCOUNT_MAX_NNZ:  # with no weights bincount gives integers
-        w *= y.take(lay.k)
-        return np.bincount(B.rows, weights=w, minlength=B.n)
-    return csr_array((w, lay.k, B.row_ptr), shape=(B.n, B.n)) @ y
+    return B._bilinear(_check_dim(B, x, "x"), _check_dim(B, y, "y"))
 
 
 def apply_quadratic(B, x):
@@ -257,22 +382,20 @@ def apply_quadratic(B, x):
 
 def contract_left(B, x):
     """Matrix of y -> Bxy, i.e. (Bx:)_{ik} = sum_j b_{ijk} x_j."""
-    x = _check_dim(B, x)
-    _, DT = B.slice_matrices()
-    return (DT @ x.take(B._layout.tile)).reshape(B.n, B.n)
+    return B._left(_check_dim(B, x))
 
 
 def contract_right(B, x):
     """Matrix of y -> Byx, i.e. (B:x)_{ij} = sum_k b_{ijk} x_k."""
-    x = _check_dim(B, x)
-    D, _ = B.slice_matrices()
-    return (D @ x.take(B._layout.tile)).reshape(B.n, B.n)
+    return B._right(_check_dim(B, x))
 
 
 def contract_sym(B, x):
-    """Bx: + B:x from one product with S: (Bx: + B:x)_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k."""
-    x = _check_dim(B, x)
-    return (B.sym_matrix() @ x.take(B._layout.tile)).reshape(B.n, B.n)
+    """Bx: + B:x in one pass: (Bx: + B:x)_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
+
+    A Tensor3 takes one product with its symmetric slice matrix.
+    """
+    return B._symmetric(_check_dim(B, x))
 
 
 @dataclass(frozen=True)
@@ -290,7 +413,7 @@ def check_stochastic(B, target, tol):
     """Check every unfolding column sums to `target` within `tol`."""
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    sums = np.bincount(B.cols, weights=B.vals, minlength=B.n * B.n)
+    sums = B._column_sums()
     dev = np.abs(sums - target)
     worst = int(np.argmax(dev))
     j, k = worst % B.n + 1, worst // B.n + 1

@@ -3,9 +3,16 @@
 import json
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
-from mlpagerank import precision
+from mlpagerank import (
+    build_pagerank_tensor,
+    precision,
+    random_teleport_vector,
+    read_matrix_market,
+    read_tensor_text,
+)
 from mlpagerank.cli import EXIT_MAXIT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
@@ -108,3 +115,41 @@ def test_perturb_summarizes_only_the_trials_whose_bound_applies(name, epsilon, c
     assert out["trials_checked"] == checked
     assert out["all_within_bound"] is within
     assert (out["max_observed_over_bound"] is None) is (checked == 0)
+
+
+@pytest.fixture
+def graph_file(tmp_path):
+    """A symmetric pattern MatrixMarket graph on 9 vertices, with triangles."""
+    rng = np.random.default_rng(9)
+    upper = np.triu(rng.random((9, 9)) < 0.5, k=1)
+    rows, cols = np.nonzero(upper)
+    path = tmp_path / "graph.mtx"
+    lines = [f"{j + 1} {i + 1}" for i, j in zip(rows, cols)]
+    path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                    f"9 9 {len(lines)}\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "0.49"],
+    ["solve", "--alpha", "0.3", "--reference"],
+    ["compare", "--alpha", "0.49", "--methods", "newton-gth,newton"],
+    ["perturb", "--alpha", "0.3", "--epsilon", "1e-8", "--trials", "2", "--reference"],
+])
+def test_graph_commands_exit_zero(graph_file, argv, capsys):
+    assert exit_code([*argv, "--graph", graph_file, "--v-seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out
+
+
+def test_ingest_writes_the_unfolding_bit_for_bit(graph_file, tmp_path, capsys):
+    out = tmp_path / "tensor.txt"
+    argv = ["ingest", "--graph", graph_file, "--v-seed", "3", "--nu", "0.2",
+            "--out-tensor", str(out)]
+    assert exit_code(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    adj = read_matrix_market(graph_file)
+    P = build_pagerank_tensor(adj, random_teleport_vector(adj.n, 3), 0.2)
+    U = P.unfolding()
+    assert read_tensor_text(out).unfolding().tobytes() == U.tobytes()
+    assert report["tensor_entries"] == np.count_nonzero(U)
+    assert report["three_cycle_entries"] > 0 and report["stochastic_ok"]

@@ -9,6 +9,7 @@ import pytest
 from mlpagerank import (
     COL,
     MINIMAL,
+    Adjacency,
     Method,
     Problem,
     SolverOptions,
@@ -16,6 +17,7 @@ from mlpagerank import (
     Tensor3,
     Termination,
     TripletMMatrix,
+    build_pagerank_tensor,
     builtin,
     ex1,
     ex2,
@@ -23,6 +25,7 @@ from mlpagerank import (
     gth_solve,
     intro,
     norm_error,
+    random_teleport_vector,
     reference_solution,
     residual,
     solve,
@@ -245,6 +248,22 @@ class TestAccuracyContract:
     def test_generated_dense_above_the_block_size(self, alpha):
         # n = 2 GTH_BLOCK + 1: every step's solve takes the blocked path
         p = dense_problem(4, alpha, n=2 * GTH_BLOCK + 1)
+        rep = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        assert rep.termination is Termination.TOL_REACHED
+        assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
+        hist = rep.iterate_history
+        for prev, cur in zip(hist, hist[1:]):
+            assert (cur >= prev).all()
+
+    @pytest.mark.parametrize("n", [30, 80])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.49"])
+    def test_graph_pipeline(self, n, alpha):
+        # the factored three-cycle tensor, as the graph benchmark builds it
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 8 / (n - 1), k=1)
+        v = random_teleport_vector(n, n)
+        P = build_pagerank_tensor(Adjacency(matrix=upper | upper.T), v, 0.1)
+        p = Problem.from_pagerank(v, P, float(alpha), one_minus_two_alpha=exact_omt(alpha))
         rep = solve(p, opts(Method.NEWTON_GTH, record_history=True))
         assert rep.termination is Termination.TOL_REACHED
         assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U

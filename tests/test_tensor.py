@@ -1,5 +1,7 @@
 """Tensor storage and contraction products."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from mlpagerank import (
     contract_sym,
     read_tensor_text,
     solve,
+    three_cycle_tensor,
     write_tensor_text,
 )
 
@@ -170,8 +173,8 @@ def bincount_contract_sym(B, x):
 
 def graph_pipeline_tensor(rng, n=12):
     upper = np.triu(rng.random((n, n)) < 0.4, k=1)
-    return build_pagerank_tensor(Adjacency(matrix=upper | upper.T),
-                                 np.full(n, 1.0 / n), 0.1)
+    P = build_pagerank_tensor(Adjacency(matrix=upper | upper.T), np.full(n, 1.0 / n), 0.1)
+    return Tensor3.from_unfolding(P.unfolding())
 
 
 def held_bytes(a):
@@ -427,3 +430,143 @@ def test_nonnegative_inputs_give_nonnegative_outputs(seed):
     assert (contract_left(B, x) >= 0.0).all()
     assert (contract_right(B, x) >= 0.0).all()
     assert (contract_sym(B, x) >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# The graph PageRank tensor in factored form against a dense oracle
+# ---------------------------------------------------------------------------
+
+
+def dense_pagerank_unfolding(A, v, nu):
+    """P_(1) of a 0/1 adjacency A, built entry by entry from the formula."""
+    n = len(A)
+    Af = A.astype(np.float64)
+    C = (Af[:, :, None] * Af[None, :, :] * Af.T[:, None, :]).transpose(0, 2, 1).reshape(n, n * n)
+    sums = C.sum(axis=0)
+    S = C / np.where(sums == 0.0, 1.0, sums)[None, :]
+    deg = Af.sum(axis=1)
+    M = Af.T * np.where(deg == 0.0, 0.0, 1.0 / np.where(deg == 0.0, 1.0, deg))[None, :]
+    second = S + v[:, None] * (sums == 0.0)[None, :]
+    first = M + v[:, None] * (deg == 0.0)[None, :]
+    return nu * second + (1.0 - nu) * np.kron(first, np.ones((1, n)))
+
+
+def exact_products(U, x, y):
+    """Every protocol product of the tensor with unfolding U, each entry one fsum.
+
+    The terms u x_j (y_k) are rounded products, so each entry is within 2u of
+    the exact value for these stored entries.
+    """
+    n = len(x)
+    T = U.reshape(n, n, n).transpose(0, 2, 1)  # T[i, j, k] = p_ijk
+
+    def fsum(a):
+        return math.fsum(np.ravel(a).tolist())
+
+    left = np.array([[fsum(T[i, :, k] * x) for k in range(n)] for i in range(n)])
+    right = np.array([[fsum(T[i, j, :] * x) for j in range(n)] for i in range(n)])
+    return {
+        "bilinear": np.array([fsum(T[i] * np.outer(x, y)) for i in range(n)]),
+        "left": left,
+        "right": right,
+        "sym": np.array([[fsum(np.concatenate([T[i, :, j] * x, T[i, j, :] * x]))
+                          for j in range(n)] for i in range(n)]),
+        "column_sums": np.array([fsum(U[:, c]) for c in range(n * n)]),
+    }
+
+
+def factored_products(P, x, y):
+    return {
+        "bilinear": apply_bilinear(P, x, y),
+        "left": contract_left(P, x),
+        "right": contract_right(P, x),
+        "sym": contract_sym(P, x),
+        "column_sums": P._column_sums(),
+    }
+
+
+def path_graph():
+    A = np.zeros((3, 3), dtype=bool)
+    A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = True
+    return A
+
+
+def random_graph(seed, n=12, density=0.5, isolated=(), directed=False):
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) < density
+    if not directed:
+        A = np.triu(A, k=1)
+        A = A | A.T
+    A[list(isolated), :] = False
+    A[:, list(isolated)] = False
+    return A
+
+
+GRAPHS = {
+    "path-1-2-3": path_graph,
+    "random": lambda: random_graph(1),
+    "isolated-vertex": lambda: random_graph(2, n=10, isolated=(3,)),
+    "directed-with-loops": lambda: random_graph(3, n=9, density=0.6, directed=True),
+}
+
+
+class TestPageRankTensor:
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("weight", [1.0, 0.4])
+    def test_products_within_2_n_plus_1_u_of_the_dense_oracle(self, graph, nu, weight):
+        A = GRAPHS[graph]()
+        n, u = len(A), 2.0 ** -53
+        rng = np.random.default_rng(n)
+        v = rng.random(n) + 0.1
+        v /= v.sum()
+        P = build_pagerank_tensor(Adjacency(matrix=A), v, nu)
+        U = dense_pagerank_unfolding(A, v, nu)
+        assert P.unfolding().tobytes() == U.tobytes()
+        oracle = Tensor3.from_unfolding(U).scale(weight)
+        B = P.scale(weight)
+        assert B.to_tensor3().unfolding().tobytes() == oracle.unfolding().tobytes()
+        for _ in range(3):
+            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+            y = rng.random(n)
+            want = exact_products(oracle.unfolding(), x, y)
+            for name, got in factored_products(B, x, y).items():
+                assert (got >= 0.0).all(), name
+                assert (np.abs(got - want[name]) <= 2 * (n + 1) * u * want[name]).all(), name
+
+    def test_isolated_vertex_is_dangling_in_the_first_order_term(self):
+        A = GRAPHS["isolated-vertex"]()
+        v = np.full(10, 0.1)
+        P = build_pagerank_tensor(Adjacency(matrix=A), v, 0.0)
+        assert P.F[:, 3].tobytes() == v.tobytes()
+        assert check_stochastic(P, target=1.0, tol=1e-15).ok
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_products_repeat_bit_for_bit(self, graph):
+        A = GRAPHS[graph]()
+        n = len(A)
+        rng = np.random.default_rng(7)
+        P = build_pagerank_tensor(Adjacency(matrix=A), np.full(n, 1.0 / n), 0.1).scale(0.49)
+        x, y = rng.random(n), rng.random(n)
+        first = factored_products(P, x, y)
+        again = factored_products(P, x.copy(), y.copy())
+        for name in first:
+            assert first[name].tobytes() == again[name].tobytes(), name
+
+    def test_scale_copies_share_the_factors(self):
+        P = build_pagerank_tensor(Adjacency(matrix=random_graph(4)), np.full(12, 1.0 / 12), 0.1)
+        B = P.scale(0.3)
+        assert B.S is P.S and B.F is P.F and B.dS is P.dS and B.v is P.v
+        assert B.to_tensor3() is B.to_tensor3()
+        assert B.to_tensor3() is not P.to_tensor3()
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_three_cycle_tensor_is_the_dense_formula(self, graph):
+        A = GRAPHS[graph]()
+        n = len(A)
+        Af = A.astype(np.float64)
+        C = (Af[:, :, None] * Af[None, :, :] * Af.T[:, None, :]).transpose(0, 2, 1)
+        want = Tensor3.from_unfolding(C.reshape(n, n * n))
+        got = three_cycle_tensor(Adjacency(matrix=A))
+        for name in ("rows", "cols", "vals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
