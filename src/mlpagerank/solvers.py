@@ -59,13 +59,20 @@ class Termination(enum.Enum):
 
 
 class Problem:
-    """Instance data (a, B) with an optional PageRank view (v, P, alpha)."""
+    """Instance data (a, B) with an optional PageRank view (v, P, alpha).
 
-    def __init__(self, a, tensor, v=None, p_tensor=None, alpha=None,
+    A PageRank problem built without B forms tensor = P.scale(alpha) on its
+    first read and keeps it; Newton-GTH and block Jacobi read P and alpha
+    only, so on a stored P their runs never copy its values.
+    """
+
+    def __init__(self, a, tensor=None, v=None, p_tensor=None, alpha=None,
                  one_minus_two_alpha=None):
         self.a = np.asarray(a, dtype=np.float64)
-        self.tensor = tensor
-        if self.a.shape != (tensor.n,):
+        if tensor is None and (p_tensor is None or alpha is None):
+            raise ValueError("B is needed unless P and alpha are given")
+        self._tensor = tensor
+        if self.a.shape != ((p_tensor if tensor is None else tensor).n,):
             raise ValueError("a and B dimensions disagree")
         if (self.a < 0.0).any():
             raise ValueError("a must be nonnegative")
@@ -81,7 +88,10 @@ class Problem:
 
     @classmethod
     def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None):
-        """Build a = (1-alpha) v, B = alpha P; validates stochasticity."""
+        """Build a = (1-alpha) v and B = alpha P; validates stochasticity.
+
+        B is formed on its first read (see Problem).
+        """
         v = np.asarray(v, dtype=np.float64)
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
@@ -97,7 +107,6 @@ class Problem:
             )
         return cls(
             a=(1.0 - alpha) * v,
-            tensor=p_tensor.scale(alpha),
             v=v,
             p_tensor=p_tensor,
             alpha=alpha,
@@ -109,8 +118,15 @@ class Problem:
         return cls(a=a, tensor=tensor)
 
     @property
+    def tensor(self):
+        """B = alpha P for a PageRank problem, formed on first read."""
+        if self._tensor is None:
+            self._tensor = self.p_tensor.scale(self.alpha)
+        return self._tensor
+
+    @property
     def n(self):
-        return self.tensor.n
+        return len(self.a)
 
     @property
     def is_pagerank(self):
@@ -237,13 +253,25 @@ def _iterate(method, opts, x, r, z, step, diverged=_too_large):
 
 
 def fixed_point(problem, opts):
-    """x_{k+1} = a + B x_k^2; monotone to the minimal solution from zero."""
+    """x_{k+1} = a + B x_k^2; monotone to the minimal solution from zero.
+
+    The residual a + Bx_k^2 - x_k already holds Bx_k^2, so each step takes
+    the next iterate from it: one product with B per iteration.
+    """
+    a, B = problem.a, problem.tensor
+    q = None
+
+    def residual_of(x):
+        nonlocal q
+        q = tz.apply_quadratic(B, x)
+        return a + q - x
+
     def step(x, r, z):
-        x = problem.a + tz.apply_quadratic(problem.tensor, x)
-        return x, _residual64(problem, x), z
+        x = a + q
+        return x, residual_of(x), z
 
     x = _starting_vector(problem, opts)
-    return _iterate(Method.FIXED_POINT, opts, x, _residual64(problem, x), None, step)
+    return _iterate(Method.FIXED_POINT, opts, x, residual_of(x), None, step)
 
 
 def _jacobian_parts(problem, x):
@@ -299,15 +327,21 @@ def _gth_sweep(C, slices, level, col_n, rhs):
 
     Block s has the off-diagonal entries of C[s, s] and the column sums
     level + col_n[s], where col_n = 1^T N; each block is one fused
-    gth_col_solve.  A level <= 0 gives no M-matrix and is reported as a
-    singular pivot.
+    gth_col_solve.  A block with no off-diagonal entries, as every block of
+    a first step from C = 0 is, is diagonal and solves by one division,
+    which for rhs >= 0 is what the elimination gives bit for bit.  A
+    level <= 0 gives no M-matrix and is reported as a singular pivot.
     """
     if level <= 0.0:
         raise SingularPivotError(f"column-sum level {level!r} is not positive")
     y = np.empty(len(rhs))
     for s in slices:
-        # gth_col_solve never reads the diagonal of C[s, s]
-        y[s] = gth_col_solve(C[s, s], level + col_n[s], rhs[s])
+        # neither path reads the diagonal of C[s, s]
+        block, sums = C[s, s], level + col_n[s]
+        if np.count_nonzero(block) == np.count_nonzero(block.diagonal()):
+            y[s] = rhs[s] / sums
+        else:
+            y[s] = gth_col_solve(block, sums, rhs[s])
     return y
 
 

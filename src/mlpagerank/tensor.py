@@ -24,11 +24,17 @@ the n^2 x n^2 block-diagonal slice matrix D = diag(B_1, ..., B_n), with
     vec(B:x) = D x~   (row i*n + j)      vec(Bx:) = D^T x~   (row i*n + k),
 
 so the two Jacobian contractions are scipy matrix-vector products with D
-and with its transpose, a CSR matrix on the same arrays.  Their index arrays
-are derived on a tensor's first product and shared by all of its scale()
-copies, so a tensor that is never multiplied never pays for them.  Their
-sum vec(Bx: + B:x) = S x~ takes one product (contract_sym) with S = D + D^T,
+and with its transpose, a CSR matrix on the same arrays.  Their sum
+vec(Bx: + B:x) = S x~ takes one product (contract_sym) with S = D + D^T,
 whose blocks B_i + B_i^T are symmetric; S is kept per tensor, not per copy.
+
+Index arrays are derived from the storage on the first product that reads
+them and shared by all of a tensor's scale() copies.  contract_left,
+contract_right and contract_sym build D's row indices and column pointer
+(4 bytes an entry while 32-bit indices fit); apply_bilinear and
+apply_quadratic build the j and k of every entry (8 bytes an entry).  So a
+Newton-GTH run, which only calls contract_sym, holds a dense P at 36 bytes
+an entry: its rows, cols and vals, D's row indices and S's values.
 
 Summation-order contract: every product adds the terms b_{ijk} x_j,
 b_{ijk} x_k or (b_{ijk} x_j) y_k of one output entry one at a time, starting
@@ -67,28 +73,38 @@ BINCOUNT_MAX_NNZ = 4096
 
 
 class _Layout:
-    """Index arrays derived from a storage pattern, built on first use.
+    """Index arrays derived from a storage pattern, each set built on first use.
 
     One instance is shared by a tensor and all of its scale() copies.
+    slices() builds what the slice matrices read (slice_rows, col_ptr and
+    tile); pairs() builds the j and k of every entry, which apply_bilinear
+    reads.
     """
 
     __slots__ = ("j", "k", "col_ptr", "slice_rows", "tile")
 
     def __init__(self):
-        self.j = None
+        self.j = self.slice_rows = None
 
-    def build(self, B):
-        if self.j is None:
-            n = B.n
-            # storage runs by (i, k, j), so the columns i*n + k of D are sorted;
-            # 32-bit indices where they fit make the products cheaper and smaller
-            index = np.int32 if max(n * n, B.nnz) < 2**31 else np.int64
-            k, j = (a.astype(index) for a in np.divmod(B.cols, n))
-            self.k = k
-            self.col_ptr = np.searchsorted(B.rows * n + k, np.arange(n * n + 1)).astype(index)
-            self.slice_rows = (B.rows * n + j).astype(index)
+    @staticmethod
+    def _index(B):
+        # 32-bit indices where they fit make the products cheaper and smaller
+        return np.int32 if max(B.n * B.n, B.nnz) < 2**31 else np.int64
+
+    def slices(self, B):
+        if self.slice_rows is None:
+            n, index = B.n, self._index(B)
+            base = B.rows * n
+            # storage runs by (i, k, j), so the columns i*n + k of D are sorted
+            self.col_ptr = np.searchsorted(base + B.cols // n, np.arange(n * n + 1)).astype(index)
+            base += B.cols % n
+            self.slice_rows = base.astype(index)
             self.tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
-            self.j = j
+        return self
+
+    def pairs(self, B):
+        if self.j is None:
+            self.k, self.j = (a.astype(self._index(B)) for a in np.divmod(B.cols, B.n))
         return self
 
 
@@ -99,6 +115,15 @@ def _entry(n, row, col):
 
 def _invalid(vals):
     return ~np.isfinite(vals) | (vals < 0.0)
+
+
+def _check_values(n, rows, cols, vals):
+    """Raise ValueError naming the first stored value that is negative or not finite."""
+    bad = _invalid(vals)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(f"entry {_entry(n, rows[e], cols[e])} "
+                         f"has invalid value {float(vals[e])!r}")
 
 
 class Tensor3:
@@ -142,11 +167,7 @@ class Tensor3:
 
         rows and cols are zero-based int64 arrays already known to be in range.
         """
-        bad = _invalid(vals)
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise ValueError(f"entry {_entry(n, rows[e], cols[e])} "
-                             f"has invalid value {float(vals[e])!r}")
+        _check_values(n, rows, cols, vals)
         flat = rows * (n * n)
         flat += cols
         if len(flat) > 1 and not (np.diff(flat) > 0).all():
@@ -155,6 +176,10 @@ class Tensor3:
             dup = np.flatnonzero(np.diff(flat) == 0)
             if len(dup):
                 raise ValueError(f"duplicate entry {_entry(n, rows[dup[0]], cols[dup[0]])}")
+        self._keep(n, rows, cols, vals)
+
+    def _keep(self, n, rows, cols, vals):
+        """Keep arrays sorted by (row, column) with unique, in-range coordinates."""
         self.n = n
         self.rows = rows
         self.cols = cols
@@ -173,9 +198,13 @@ class Tensor3:
             raise ValueError(f"unfolding must be n x n^2, got {U.shape}")
         if n == 0:
             raise ValueError("tensor dimension must be positive")
+        # np.nonzero lists each coordinate once, in row-major order, whatever
+        # the memory layout of U: sorted by (row, column) already
         rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(U))
+        vals = U[rows, cols]
+        _check_values(n, rows, cols, vals)
         out = cls.__new__(cls)
-        out._store(n, rows, cols, U[rows, cols])
+        out._keep(n, rows, cols, vals)
         return out
 
     @classmethod
@@ -232,7 +261,7 @@ class Tensor3:
         once per tensor.
         """
         if self._slices is None:
-            lay = self._layout.build(self)
+            lay = self._layout.slices(self)
             nn = self.n * self.n
             D = csc_array((self.vals, lay.slice_rows, lay.col_ptr), shape=(nn, nn))
             self._slices = (D, D.T)
@@ -261,7 +290,7 @@ class Tensor3:
         return self
 
     def _bilinear(self, x, y):
-        lay = self._layout.build(self)
+        lay = self._layout.pairs(self)
         w = self.vals * x.take(lay.j)
         if 0 < self.nnz <= BINCOUNT_MAX_NNZ:  # with no weights bincount gives integers
             w *= y.take(lay.k)

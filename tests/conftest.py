@@ -40,3 +40,12 @@ def random_pagerank_problem(rng, n, alpha, density=1.0, one_minus_two_alpha=None
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture
+def dense_unfolding_60():
+    """A dense n = 60 unfolding, stochastic to the last bit, and a teleport vector."""
+    rng = np.random.default_rng(60)
+    U = exact_stochastic_unfolding(rng, 60)
+    v = rng.random(60) + 0.05
+    return U, force_sum_one(v / v.sum())

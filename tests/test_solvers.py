@@ -1,5 +1,6 @@
 """Iteration schemes: convergence, monotonicity, invariants, cross-checks."""
 
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -30,11 +31,12 @@ from mlpagerank import (
     residual,
     solve,
 )
-from mlpagerank.mmatrix import GTH_BLOCK
+from mlpagerank import tensor as tz
+from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
 from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
 from mlpagerank.tensor import BINCOUNT_MAX_NNZ
 
-from conftest import random_pagerank_problem
+from conftest import exact_stochastic_unfolding, random_pagerank_problem
 
 U = 2.0 ** -53
 
@@ -127,6 +129,24 @@ class TestFixedPoint:
         hist = rep.iterate_history
         for prev, cur in zip(hist, hist[1:]):
             assert np.min(cur - prev) >= -1e-15
+
+    def test_one_product_with_b_per_iteration(self, monkeypatch):
+        calls = []
+        quadratic = tz.apply_quadratic
+
+        def counting(B, x):
+            calls.append(x.copy())
+            return quadratic(B, x)
+
+        p = ex1(0.3)
+        want = solve(p, opts(Method.FIXED_POINT, record_history=True))
+        monkeypatch.setattr(tz, "apply_quadratic", counting)
+        rep = solve(p, opts(Method.FIXED_POINT, record_history=True))
+        assert len(calls) == rep.iterations + 1
+        for got, xk in zip(calls, rep.iterate_history):
+            assert got.tobytes() == xk.tobytes()
+        assert rep.x.tobytes() == want.x.tobytes()
+        assert rep.residual_history.tobytes() == want.residual_history.tobytes()
 
     def test_divergence_guard(self):
         # x = a + B x^2 with large a has no nonnegative solution
@@ -368,6 +388,19 @@ def test_gth_sweep_ignores_the_diagonal_bit_for_bit(sizes):
             assert (np.abs(y[s] - want[s]) <= bound).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, GTH_BLOCK + 9])
+def test_gth_sweep_solves_a_diagonal_block_as_the_elimination_does(n):
+    # a first step from C = 0 has no off-diagonal entries to eliminate
+    rng = np.random.default_rng(n)
+    for diagonal in (np.zeros(n), rng.random(n), np.full(n, np.nan)):
+        C = np.diag(diagonal)
+        for level in (1.0, 1e-3, 1e-9):
+            col_n = rng.random(n) * (rng.random(n) < 0.5)
+            rhs = rng.random(n) * (rng.random(n) < 0.8)
+            want = gth_col_solve(np.zeros((n, n)), level + col_n, rhs)
+            assert _gth_sweep(C, [slice(0, n)], level, col_n, rhs).tobytes() == want.tobytes()
+
+
 class TestBlockJacobiVariant:
     def test_one_block_matches_newton_gth_at_alpha_half(self):
         p = ex1(0.5)
@@ -474,3 +507,83 @@ def test_nonnegative_residual_path(rng):
             hist = rep.iterate_history
             for prev, cur in zip(hist, hist[1:]):
                 assert (cur >= prev).all()
+
+
+ALPHAS = (0.3, 0.49, 0.4999, 0.6)
+
+
+def pagerank_set_up_and_solves(U, v, alphas):
+    """tracemalloc bytes of P and its problems after set-up, after Newton-GTH
+    solves at every alpha, and at the peak, counted from before P is built."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        P = Tensor3.from_unfolding(U)
+        problems = [Problem.from_pagerank(v, P, alpha) for alpha in alphas]
+        set_up = tracemalloc.get_traced_memory()[0] - base
+        for p in problems:
+            assert solve(p, SolverOptions()).termination is Termination.TOL_REACHED
+        solved, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return P.nnz, set_up, solved - base, peak - base
+
+
+def test_newton_gth_keeps_only_what_it_reads(dense_unfolding_60):
+    # P's rows, cols and vals are 24 bytes an entry; the solves add D's row
+    # indices (4) and S's values (8), held once for all problems of one P
+    nnz, set_up, solved, peak = pagerank_set_up_and_solves(*dense_unfolding_60, ALPHAS)
+    assert nnz == 60 ** 3
+    assert set_up <= 32 * nnz
+    assert solved <= 40 * nnz
+    assert peak <= 60 * nnz
+
+
+@pytest.mark.slow
+def test_dense_n_200_within_60_bytes_an_entry():
+    rng = np.random.default_rng(200)
+    U = exact_stochastic_unfolding(rng, 200)
+    v = random_teleport_vector(200, 200)
+    nnz, _, _, peak = pagerank_set_up_and_solves(U, v, (0.3, 0.49))
+    assert nnz == 200 ** 3
+    assert peak <= 60 * nnz
+
+
+class TestPageRankTensorOnFirstRead:
+    def test_is_p_scaled_once(self):
+        p = ex1(0.3)
+        B = p.tensor
+        want = p.p_tensor.scale(p.alpha)
+        for name in ("rows", "cols", "vals"):
+            assert getattr(B, name).tobytes() == getattr(want, name).tobytes()
+        assert p.tensor is B
+        assert p.n == 4
+
+    @pytest.mark.parametrize("run,scales", [
+        (lambda p: solve(p, opts(Method.NEWTON_GTH)), 0),
+        (lambda p: solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(1, 3))), 0),
+        (lambda p: solve(p, opts(Method.FIXED_POINT)), 1),
+        (lambda p: solve(p, opts(Method.NEWTON)), 1),
+        (lambda p: solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT)), 1),
+        (lambda p: residual(p, p.v), 1),
+    ], ids=["newton-gth", "block-jacobi", "fixed-point", "newton", "variant", "residual"])
+    def test_formed_only_by_what_reads_it(self, monkeypatch, run, scales):
+        calls = []
+        scale = Tensor3.scale
+
+        def counting(self, factor):
+            calls.append(factor)
+            return scale(self, factor)
+
+        monkeypatch.setattr(Tensor3, "scale", counting)
+        p = ex1(0.3)
+        assert calls == []
+        run(p)
+        run(p)
+        assert calls == [0.3] * scales
+
+    def test_needs_b_or_p_and_alpha(self):
+        with pytest.raises(ValueError, match="B is needed"):
+            Problem(np.array([0.5]), v=np.array([1.0]), alpha=0.5)
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            Problem(np.array([0.5]), p_tensor=ex1(0.3).p_tensor, alpha=0.5)

@@ -134,13 +134,14 @@ class TestKernelsMatchBincountFormulas:
         assert B.nnz > tz.BINCOUNT_MAX_NNZ  # the CSR path of apply_bilinear
         for M in B.slice_matrices():
             assert M.indices.dtype == M.indptr.dtype == np.int32
-        assert B._layout.j.dtype == B._layout.k.dtype == np.int32
         for _ in range(3):
             x = rng.random(30) * 10.0 ** rng.integers(-3, 3, size=30)
             y = rng.random(30)
             assert contract_left(B, x).tobytes() == bincount_contract_left(B, x).tobytes()
             assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
             got = apply_bilinear(B, x, y)
+            # apply_bilinear builds j and k on its first call
+            assert B._layout.j.dtype == B._layout.k.dtype == np.int32
             assert got.tobytes() == bincount_apply_bilinear(B, x, y).tobytes()
 
     def test_unsorted_input_is_sorted(self, rng):
@@ -278,6 +279,23 @@ class TestConstruction:
         U[1, 2] = bad  # column 2 is (j, k) = (1, 2)
         with pytest.raises(ValueError, match=message):
             Tensor3.from_unfolding(U)
+
+    def test_from_unfolding_of_any_layout_is_the_sorted_entries(self, rng):
+        n = 5
+        U = rng.random((n, n * n))
+        U[rng.random((n, n * n)) < 0.4] = 0.0
+        U[:, 3] = 0.0  # an empty column
+        entries = [(i + 1, c % n + 1, c // n + 1, U[i, c])
+                   for i in range(n) for c in range(n * n) if U[i, c] != 0.0]
+        rng.shuffle(entries)
+        want = Tensor3(n, entries)
+        wide = np.zeros((2 * n, 3 * n * n))
+        wide[::2, ::3] = U
+        for layout in (U, np.asfortranarray(U), wide[::2, ::3]):
+            got = Tensor3.from_unfolding(layout)
+            for name in ("rows", "cols", "vals", "row_ptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_rejects_malformed_entries(self):
         with pytest.raises(ValueError, match="must be"):
