@@ -3,11 +3,7 @@
 from .tensor import (
     PageRankTensor,
     Tensor3,
-    apply_bilinear,
-    apply_quadratic,
     check_stochastic,
-    contract_left,
-    contract_right,
     contract_sym,
     read_tensor_text,
     write_tensor_text,

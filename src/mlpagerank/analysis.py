@@ -94,20 +94,19 @@ def norm_error(x_tilde, x):
     return float(np.linalg.norm(x - x_tilde) / np.linalg.norm(x))
 
 
-def _minimal_solution_colsum(problem, m):
-    """Column-sum level of R_m, subtraction-free for the PageRank view."""
+def _rm_col_triplet(problem, m):
+    """The column triplet of R_m = I - C, C = Bm: + B:m from one contraction.
+
+    Its column sums are 1 - 1^T C, and subtraction-free for the PageRank
+    view: |1 - 2 alpha|.
+    """
+    C = problem.contract(m)
     if problem.is_pagerank:
         omt = problem.one_minus_two_alpha
-        return omt if problem.alpha <= 0.5 else -omt
-    C = tz.contract_left(problem.tensor, m) + tz.contract_right(problem.tensor, m)
-    return 1.0 - C.sum(axis=0)
-
-
-def _rm_col_triplet(problem, m):
-    C = tz.contract_left(problem.tensor, m) + tz.contract_right(problem.tensor, m)
+        sums = np.full(problem.n, omt if problem.alpha <= 0.5 else -omt)
+    else:
+        sums = 1.0 - C.sum(axis=0)
     np.fill_diagonal(C, 0.0)
-    sums = _minimal_solution_colsum(problem, m)
-    sums = np.full(problem.n, sums) if np.isscalar(sums) else sums
     if (sums < 0.0).any():
         raise ValueError("R_m is not an M-matrix (negative column sums)")
     return TripletMMatrix(C, sums, COL)

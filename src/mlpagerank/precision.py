@@ -15,7 +15,9 @@ mmatrix kernel's fused solve (gth_col_solve) run on DD arrays, which is why
 DD offers the few numpy-style methods that kernel uses: .sum(axis=0),
 .item(), .T, and @ between vectors and matrices, each entry of a product a
 dd_sum of its terms.  In pair arithmetic the elimination update rounds as
-(a b) / d, the order binary64 keeps.
+(a b) / d, the order binary64 keeps.  Each reference step makes one tensor
+product, dd_contract_sym, whose C = Bx: + B:x gives both the step's matrix
+R_x = I - C and the next residual's Bx^2 = C x / 2.
 """
 
 from __future__ import annotations
@@ -257,17 +259,6 @@ def dd_lu_solve(A, b):
 # ---------------------------------------------------------------------------
 
 
-def dd_apply_bilinear(B, x, y, vals=None):
-    """(Bxy) in pair arithmetic; `vals` overrides the tensor values (as DD)."""
-    vv = DD(B.vals) if vals is None else vals
-    w = vv * x[B.cols % B.n] * y[B.cols // B.n]
-    return _dd_segment_sums(w, B.rows, B.n)  # storage order is by row
-
-
-def dd_apply_quadratic(B, x, vals=None):
-    return dd_apply_bilinear(B, x, x, vals=vals)
-
-
 def dd_residual(problem, x):
     """a + Bx^2 - x as pairs whose hi part is the correctly rounded value.
 
@@ -318,22 +309,30 @@ def _dd_segment_sums(weights, keys, n_keys):
     return out
 
 
-def dd_contract_left(B, x, vals=None):
-    """(Bx:)_{ik} = sum_j b_{ijk} x_j in pair arithmetic."""
-    vv = DD(B.vals) if vals is None else vals
-    w = vv * x[B.cols % B.n]
-    keys = B.rows * B.n + B.cols // B.n  # sorted: storage order is (row, col)
-    flat = _dd_segment_sums(w, keys, B.n * B.n)
-    return DD(flat.hi.reshape(B.n, B.n), flat.lo.reshape(B.n, B.n))
+def dd_sym_terms(B):
+    """The 2 nnz terms of dd_contract_sym, in the order it sums them.
+
+    Returns (entry, index, key): term t is vals[entry[t]] x[index[t]], and
+    adds into entry key[t] = i*n + l of the flattened n x n result.  Each
+    stored b_ijk gives b_ijk x_j at (i, k) and b_ijk x_k at (i, j); the terms
+    are stably sorted by key.  This depends on B's pattern only, so a solve
+    builds it once.
+    """
+    n = B.n
+    k, j = np.divmod(B.cols, n)
+    key = np.concatenate((B.rows * n + k, B.rows * n + j))
+    order = np.argsort(key, kind="stable")
+    return order % B.nnz, np.concatenate((j, k))[order], key[order]
 
 
-def dd_contract_right(B, x, vals=None):
-    """(B:x)_{ij} = sum_k b_{ijk} x_k in pair arithmetic."""
-    vv = DD(B.vals) if vals is None else vals
-    perm = np.lexsort((B.cols // B.n, B.cols % B.n, B.rows))
-    w = (vv * x[B.cols // B.n])[perm]
-    keys = (B.rows * B.n + B.cols % B.n)[perm]
-    flat = _dd_segment_sums(w, keys, B.n * B.n)
+def dd_contract_sym(B, x, vals, terms):
+    """C = Bx: + B:x in pair arithmetic, C_{il} = sum_j (b_{ijl} + b_{ilj}) x_j.
+
+    vals are B's values as pairs and terms = dd_sym_terms(B).  Each entry is
+    one dd_sum of its terms in the order of `terms`.
+    """
+    entry, index, key = terms
+    flat = _dd_segment_sums(vals[entry] * x[index], key, B.n * B.n)
     return DD(flat.hi.reshape(B.n, B.n), flat.lo.reshape(B.n, B.n))
 
 
@@ -385,7 +384,6 @@ def reference_solution(problem, mode=MINIMAL):
         raise ValueError("stochastic mode needs a PageRank problem")
     n = problem.n
     a_dd = DD(problem.a)
-    vals_dd = None
     if problem.is_pagerank:
         alpha_dd = DD(problem.alpha)
         v0 = DD(problem.v) / dd_sum(DD(problem.v))
@@ -394,18 +392,19 @@ def reference_solution(problem, mode=MINIMAL):
         vals_dd = DD(B.vals) * alpha_dd / _dd_column_sums(B)[B.cols]
     else:
         B = problem.tensor.to_tensor3()
+        vals_dd = DD(B.vals)
+    terms = dd_sym_terms(B)
     gth = mode == MINIMAL and problem.is_pagerank
 
     def resid(xx):
-        return a_dd + dd_apply_quadratic(B, xx, vals=vals_dd) - xx
+        """(a + Bx^2 - x, C) from one contraction C = Bx: + B:x, Bx^2 = C x / 2."""
+        C = dd_contract_sym(B, xx, vals_dd, terms)
+        return a_dd + 0.5 * (C @ xx) - xx, C
 
     def newton(x):
-        r = resid(x)
+        r, C = resid(x)
         iterations = 0
         while r.abs().max_abs() > REFERENCE_TOL and iterations < REFERENCE_MAXIT:
-            C = dd_contract_left(B, x, vals=vals_dd) + dd_contract_right(
-                B, x, vals=vals_dd
-            )
             if gth:
                 # the column triplet of R_x: offdiag(C) (GTH ignores the
                 # diagonal) and column sums z = 1 - 2 alpha 1^T x, in pairs
@@ -418,7 +417,7 @@ def reference_solution(problem, mode=MINIMAL):
                 R = DD(np.eye(n)) - C
                 h = dd_lu_solve(R, r)
             x = x + h
-            r = resid(x)
+            r, C = resid(x)
             iterations += 1
             if np.abs(x.hi).max() > 1e6:
                 raise ArithmeticError("reference iteration diverged")

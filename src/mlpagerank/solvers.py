@@ -11,12 +11,15 @@ Every GTH step solves its column triplets with mmatrix.gth_col_solve: one
 elimination pass that carries the right-hand side along, split in blocks
 above mmatrix.GTH_BLOCK unknowns, with no L or U formed.
 
-Newton-GTH and block Jacobi never contract B with the iterate.  They carry
-the Jacobian part C_k = Bx_k: + B:x_k from step to step, starting from
-C_0 = 0 at x_0 = 0, as C_{k+1} = C_k + G with G = alpha (Ph: + P:h), one
-tensor.contract_sym of P, and take the next residual's Bh^2 = G h / 2 from
-the same G.  Their steps are nonnegative, so these updates add nonnegative
-terms only and stay subtraction-free; the halving is exact.
+Every method makes one tensor product per step, Problem.contract, which
+gives the Jacobian part C = Bx: + B:x; Bx^2 = C x / 2 comes from the same C,
+the halving exact.  Fixed-point, Newton and the variant contract the new
+iterate and carry its C (or a + Bx^2) into the next step.  Newton-GTH and
+block Jacobi never contract the iterate: they carry C_k from C_0 = 0 at
+x_0 = 0 as C_{k+1} = C_k + G with G the contraction of the step h, and take
+the next residual's Bh^2 = G h / 2 from the same G.  Their steps are
+nonnegative, so these updates add nonnegative terms only and stay
+subtraction-free.
 
 The iterations run in binary64 throughout, stopping tests and right-hand
 sides included, since these are the algorithms whose accuracy is analysed.
@@ -62,8 +65,9 @@ class Problem:
     """Instance data (a, B) with an optional PageRank view (v, P, alpha).
 
     A PageRank problem built without B forms tensor = P.scale(alpha) on its
-    first read and keeps it; Newton-GTH and block Jacobi read P and alpha
-    only, so on a stored P their runs never copy its values.
+    first read and keeps it.  The solvers and the analysis read the tensor
+    only through contract(), which on a problem with P contracts P itself,
+    so their runs never copy its values.
     """
 
     def __init__(self, a, tensor=None, v=None, p_tensor=None, alpha=None,
@@ -124,6 +128,15 @@ class Problem:
             self._tensor = self.p_tensor.scale(self.alpha)
         return self._tensor
 
+    def contract(self, x):
+        """C = Bx: + B:x, from contract_sym(P, alpha x) when P is kept.
+
+        Every alpha problem of one stored P then shares P's slice matrix.
+        """
+        if self.p_tensor is not None and self.alpha is not None:
+            return tz.contract_sym(self.p_tensor, self.alpha * x)
+        return tz.contract_sym(self.tensor, x)
+
     @property
     def n(self):
         return len(self.a)
@@ -181,10 +194,10 @@ def residual(problem, x):
     return dd_residual(problem, x).to_float()
 
 
-def _residual64(problem, x):
-    """a + Bx^2 - x in binary64, the residual the iterations work with."""
-    x = np.asarray(x, dtype=np.float64)
-    return problem.a + tz.apply_quadratic(problem.tensor, x) - x
+def _residual_and_jacobian(problem, x):
+    """r = a + Bx^2 - x in binary64 and C = Bx: + B:x, from one contraction."""
+    C = problem.contract(x)
+    return problem.a + 0.5 * (C @ x) - x, C
 
 
 def _starting_vector(problem, opts):
@@ -255,40 +268,40 @@ def _iterate(method, opts, x, r, z, step, diverged=_too_large):
 def fixed_point(problem, opts):
     """x_{k+1} = a + B x_k^2; monotone to the minimal solution from zero.
 
-    The residual a + Bx_k^2 - x_k already holds Bx_k^2, so each step takes
-    the next iterate from it: one product with B per iteration.
+    The residual a + Bx_k^2 - x_k already holds a + Bx_k^2, so each step
+    takes the next iterate from it: one product per iteration.
     """
-    a, B = problem.a, problem.tensor
     q = None
 
     def residual_of(x):
         nonlocal q
-        q = tz.apply_quadratic(B, x)
-        return a + q - x
+        q = problem.a + 0.5 * (problem.contract(x) @ x)
+        return q - x
 
     def step(x, r, z):
-        x = a + q
+        x = q
         return x, residual_of(x), z
 
     x = _starting_vector(problem, opts)
     return _iterate(Method.FIXED_POINT, opts, x, residual_of(x), None, step)
 
 
-def _jacobian_parts(problem, x):
-    """C = Bx: + B:x; R_x = I - C."""
-    B = problem.tensor
-    return tz.contract_left(B, x) + tz.contract_right(B, x)
-
-
 def newton(problem, opts):
-    """Plain Newton: solve R_x h = r with partial-pivoting LU, x <- x + h."""
-    def step(x, r, z):
-        R = np.eye(problem.n) - _jacobian_parts(problem, x)
-        x = x + plain_lu_solve(R, r)
-        return x, _residual64(problem, x), z
+    """Plain Newton: solve R_x h = r with partial-pivoting LU, x <- x + h.
 
+    R_x = I - C takes the C of the residual's contraction: one product per
+    step.
+    """
     x = _starting_vector(problem, opts)
-    return _iterate(Method.NEWTON, opts, x, _residual64(problem, x), None, step)
+    r, C = _residual_and_jacobian(problem, x)
+
+    def step(x, r, z):
+        nonlocal C
+        x = x + plain_lu_solve(np.eye(problem.n) - C, r)
+        r, C = _residual_and_jacobian(problem, x)
+        return x, r, z
+
+    return _iterate(Method.NEWTON, opts, x, r, None, step)
 
 
 def _require_pagerank_from_zero(problem, opts, name):
@@ -381,14 +394,12 @@ def block_jacobi(problem, opts):
 def _gth_block_jacobi(problem, opts, method, block_sizes):
     """The driver of newton_gth and block_jacobi, from x_0 = 0 and C_0 = 0.
 
-    Each step contracts P once, G = alpha (Ph: + P:h); a Tensor3 P keeps the
-    slice matrix for that for every alpha problem built from it.
+    Each step contracts once, G = alpha (Ph: + P:h).
     """
     slices = _block_slices(problem.n, block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
-    P = problem.p_tensor
     C = np.zeros((problem.n, problem.n))
 
     def step(x, r, u):
@@ -397,7 +408,7 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
         col_n = N.sum(axis=0)
         h = _gth_sweep(C, slices, u, col_n, r)
         u_next = (u * u + omt_sq + 4.0 * alpha * (col_n @ h)) / (2.0 * u)
-        G = tz.contract_sym(P, alpha * h)
+        G = problem.contract(h)
         C += G
         return x + h, 0.5 * (G @ h) + N @ h, u_next
 
@@ -427,22 +438,23 @@ def block_jacobi_gth_variant(problem, opts):
     slices = _block_slices(problem.n, opts.block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
+    x = np.zeros(problem.n)
+    r, C = _residual_and_jacobian(problem, x)
 
     def step(x, r, z):
-        b = problem.a - tz.apply_quadratic(problem.tensor, x)
-        C = _jacobian_parts(problem, x)
+        nonlocal C
+        b = problem.a - 0.5 * (C @ x)
         N = _offblock(C, slices)
         x = _gth_sweep(C, slices, z, N.sum(axis=0), N @ x + b)
-        return x, _residual64(problem, x), (omt_sq + z * z) / (2.0 * z)
+        r, C = _residual_and_jacobian(problem, x)
+        return x, r, (omt_sq + z * z) / (2.0 * z)
 
     def diverged(x):
         # a negative entry means the sweep left the nonnegative cone where
         # the triplet representation exists (possible: steps are non-monotone)
         return _too_large(x) or (x < 0.0).any()
 
-    x = np.zeros(problem.n)
-    return _iterate(Method.BLOCK_JACOBI_GTH_VARIANT, opts, x, _residual64(problem, x),
-                    1.0, step, diverged)
+    return _iterate(Method.BLOCK_JACOBI_GTH_VARIANT, opts, x, r, 1.0, step, diverged)
 
 
 _DISPATCH = {

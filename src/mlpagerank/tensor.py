@@ -1,13 +1,14 @@
-"""Order-3 tensors and the contraction products used by the solvers.
+"""Order-3 tensors and the one contraction product the solvers use.
 
-The solvers and Problem.from_pagerank touch a tensor only through its
-product protocol: the module functions apply_bilinear, apply_quadratic,
-contract_left, contract_right, contract_sym and check_stochastic (its
-unfolding column sums), plus unfolding(), scale(), n and nnz.  Code that
-reads stored entries (pair-precision arithmetic, cw_distance on tensors,
-the tensor file) calls to_tensor3() first.  Two types implement the
-protocol: Tensor3, which stores entries, and PageRankTensor, which keeps a
-graph's PageRank tensor in factored form.
+The solvers, the analysis and Problem.from_pagerank touch a tensor only
+through contract_sym and check_stochastic (its unfolding column sums), plus
+unfolding(), scale(), n and nnz.  Every other quantity comes from the
+Jacobian part C = Bx: + B:x that contract_sym returns: R_x = I - C, and
+Bx^2 = C x / 2, the halving exact.  Code that reads stored entries
+(pair-precision arithmetic, cw_distance on tensors, the tensor file) calls
+to_tensor3() first.  Two types implement the protocol: Tensor3, which stores
+entries, and PageRankTensor, which keeps a graph's PageRank tensor in
+factored form.
 
 An n x n x n tensor B is stored through its first-mode unfolding: entry
 b_{ijk} lives in row i, column c = j + (k-1)*n of an n x n^2 matrix.  The
@@ -20,43 +21,37 @@ Read in that order, the storage is also the compressed-column (CSC) form of
 the n^2 x n^2 block-diagonal slice matrix D = diag(B_1, ..., B_n), with
 (B_i)_{jk} = b_{ijk}: column i*n + k of D holds the entries b_{ijk} of one
 (i, k) in storage order, at rows i*n + j.  With x~ = (x, ..., x) (n copies),
+vec(B:x) = D x~ and vec(Bx:) = D^T x~, so
 
-    vec(B:x) = D x~   (row i*n + j)      vec(Bx:) = D^T x~   (row i*n + k),
+    vec(Bx: + B:x) = S x~,   S = D + D^T,
 
-so the two Jacobian contractions are scipy matrix-vector products with D
-and with its transpose, a CSR matrix on the same arrays.  Their sum
-vec(Bx: + B:x) = S x~ takes one product (contract_sym) with S = D + D^T,
-whose blocks B_i + B_i^T are symmetric; S is kept per tensor, not per copy.
+one scipy CSR product with S, whose blocks B_i + B_i^T are symmetric.  S is
+built on the first product and kept per tensor, not per scale() copy; D's
+row indices and column pointer, from which it is built, are shared by all
+copies (4 bytes an entry while 32-bit indices fit).  So a solve holds a
+dense P at 36 bytes an entry: its rows, cols and vals, D's row indices and
+S's values.
 
-Index arrays are derived from the storage on the first product that reads
-them and shared by all of a tensor's scale() copies.  contract_left,
-contract_right and contract_sym build D's row indices and column pointer
-(4 bytes an entry while 32-bit indices fit); apply_bilinear and
-apply_quadratic build the j and k of every entry (8 bytes an entry).  So a
-Newton-GTH run, which only calls contract_sym, holds a dense P at 36 bytes
-an entry: its rows, cols and vals, D's row indices and S's values.
-
-Summation-order contract: every product adds the terms b_{ijk} x_j,
-b_{ijk} x_k or (b_{ijk} x_j) y_k of one output entry one at a time, starting
-from 0.0, in storage order.  Results are therefore bit-for-bit reproducible
-and equal to a sequential ``np.bincount`` over the same terms, however the
-work is dispatched.  contract_sym adds the terms fl(b_{ijk} + b_{ikj}) x_k of
-row i*n + j of S in the same way, in the order S stores them (k ascending).
+Summation-order contract: entry (i, j) of contract_sym adds the terms
+fl(b_{ijk} + b_{ikj}) x_k of row i*n + j of S one at a time, starting from
+0.0, in the order S stores them (k ascending).  Results are therefore
+bit-for-bit reproducible and equal to a sequential ``np.bincount`` over the
+same terms, however the work is dispatched.
 
 PageRankTensor holds P_(1) = w [nu (S + v d_S^T) + (1 - nu) F kron 1^T]
 as its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative
 terms only, in one order: the S product by the rule above, plus v times a
 BLAS product with d_S, times w nu; plus w (1 - nu) times the F terms (BLAS
-products with F, and 1^T x).  For example, with D_{jk} = d_S(j, k),
+products with F, and 1^T x).  With D_{jk} = d_S(j, k),
 
     (Px: + P:x)_{ij} = w nu [(Sx: + S:x)_{ij} + v_i ((D + D^T) x)_j]
                      + w (1 - nu) [(Fx)_i + F_{ij} 1^T x].
 
-Let m be the largest of n (2n for apply_bilinear) and the stored entries
-of S in one row.  Each entry of a product is then within gamma_{m+6} =
-(m+6)u / (1 - (m+6)u) of the exact product of the stored factors, relative
-to that entry.  BLAS fixes its own summation order, so results repeat bit
-for bit from call to call on one BLAS build and thread count.
+Let m be the largest of n and the stored entries of S in one row.  Each
+entry of a product is then within gamma_{m+6} = (m+6)u / (1 - (m+6)u) of the
+exact product of the stored factors, relative to that entry.  BLAS fixes its
+own summation order, so results repeat bit for bit from call to call on one
+BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -66,45 +61,31 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csc_array, csr_array
 
-# apply_bilinear sums with np.bincount below this many stored entries, where
-# building a CSR matrix per call costs more than it saves; both add the same
-# terms in the same order.
-BINCOUNT_MAX_NNZ = 4096
-
 
 class _Layout:
-    """Index arrays derived from a storage pattern, each set built on first use.
+    """Index arrays derived from a storage pattern, built on first use.
 
     One instance is shared by a tensor and all of its scale() copies.
-    slices() builds what the slice matrices read (slice_rows, col_ptr and
-    tile); pairs() builds the j and k of every entry, which apply_bilinear
-    reads.
+    slices() builds what the slice matrix and the product read: slice_rows,
+    col_ptr and tile.
     """
 
-    __slots__ = ("j", "k", "col_ptr", "slice_rows", "tile")
+    __slots__ = ("col_ptr", "slice_rows", "tile")
 
     def __init__(self):
-        self.j = self.slice_rows = None
-
-    @staticmethod
-    def _index(B):
-        # 32-bit indices where they fit make the products cheaper and smaller
-        return np.int32 if max(B.n * B.n, B.nnz) < 2**31 else np.int64
+        self.slice_rows = None
 
     def slices(self, B):
         if self.slice_rows is None:
-            n, index = B.n, self._index(B)
+            n = B.n
+            # 32-bit indices where they fit make the product cheaper and smaller
+            index = np.int32 if max(n * n, B.nnz) < 2**31 else np.int64
             base = B.rows * n
             # storage runs by (i, k, j), so the columns i*n + k of D are sorted
             self.col_ptr = np.searchsorted(base + B.cols // n, np.arange(n * n + 1)).astype(index)
             base += B.cols % n
             self.slice_rows = base.astype(index)
             self.tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
-        return self
-
-    def pairs(self, B):
-        if self.j is None:
-            self.k, self.j = (a.astype(self._index(B)) for a in np.divmod(B.cols, B.n))
         return self
 
 
@@ -134,7 +115,7 @@ class Tensor3:
     reproducible order.
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_layout", "_slices", "_sym")
+    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_layout", "_sym")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -186,7 +167,6 @@ class Tensor3:
         self.vals = vals
         self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
         self._layout = _Layout()
-        self._slices = None
         self._sym = None
 
     @classmethod
@@ -198,10 +178,11 @@ class Tensor3:
             raise ValueError(f"unfolding must be n x n^2, got {U.shape}")
         if n == 0:
             raise ValueError("tensor dimension must be positive")
-        # np.nonzero lists each coordinate once, in row-major order, whatever
-        # the memory layout of U: sorted by (row, column) already
-        rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(U))
-        vals = U[rows, cols]
+        # np.nonzero and the boolean gather list each entry once, in row-major
+        # order, whatever the memory layout of U: sorted by (row, column) already
+        nonzero = U != 0.0
+        rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(nonzero))
+        vals = U[nonzero]
         _check_values(n, rows, cols, vals)
         out = cls.__new__(cls)
         out._keep(n, rows, cols, vals)
@@ -250,31 +231,21 @@ class Tensor3:
         out.vals = self.vals * factor
         out.row_ptr = self.row_ptr
         out._layout = self._layout
-        out._slices = None
         out._sym = None
         return out
-
-    def slice_matrices(self):
-        """(D, D^T): the slice matrix in CSC form and its CSR transpose.
-
-        Both wrap this tensor's own arrays, copying nothing, and are built
-        once per tensor.
-        """
-        if self._slices is None:
-            lay = self._layout.slices(self)
-            nn = self.n * self.n
-            D = csc_array((self.vals, lay.slice_rows, lay.col_ptr), shape=(nn, nn))
-            self._slices = (D, D.T)
-        return self._slices
 
     def sym_matrix(self):
         """S = D + D^T in CSR form, built once per tensor.
 
-        S shares D^T's index arrays where D has their pattern; otherwise it is
-        copied at its exact size out of scipy's nnz(D) + nnz(D^T) buffers.
+        D (CSC) and D^T (CSR) wrap this tensor's own arrays.  S shares D^T's
+        index arrays where D has their pattern; otherwise it is copied at its
+        exact size out of scipy's nnz(D) + nnz(D^T) buffers.
         """
         if self._sym is None:
-            D, DT = self.slice_matrices()
+            lay = self._layout.slices(self)
+            nn = self.n * self.n
+            D = csc_array((self.vals, lay.slice_rows, lay.col_ptr), shape=(nn, nn))
+            DT = D.T
             S = D.tocsr()
             if np.array_equal(S.indptr, DT.indptr) and np.array_equal(S.indices, DT.indices):
                 S.data += DT.data
@@ -288,22 +259,6 @@ class Tensor3:
 
     def to_tensor3(self):
         return self
-
-    def _bilinear(self, x, y):
-        lay = self._layout.pairs(self)
-        w = self.vals * x.take(lay.j)
-        if 0 < self.nnz <= BINCOUNT_MAX_NNZ:  # with no weights bincount gives integers
-            w *= y.take(lay.k)
-            return np.bincount(self.rows, weights=w, minlength=self.n)
-        return csr_array((w, lay.k, self.row_ptr), shape=(self.n, self.n)) @ y
-
-    def _left(self, x):
-        _, DT = self.slice_matrices()
-        return (DT @ x.take(self._layout.tile)).reshape(self.n, self.n)
-
-    def _right(self, x):
-        D, _ = self.slice_matrices()
-        return (D @ x.take(self._layout.tile)).reshape(self.n, self.n)
 
     def _symmetric(self, x):
         return (self.sym_matrix() @ x.take(self._layout.tile)).reshape(self.n, self.n)
@@ -362,19 +317,6 @@ class PageRankTensor:
     def _mix(self):
         return self.weight * self.nu, self.weight * (1.0 - self.nu)
 
-    def _bilinear(self, x, y):
-        a, b = self._mix()
-        return (a * (self.S._bilinear(x, y) + self.v * ((self.dS @ x) @ y))
-                + b * ((self.F @ y) * x.sum()))
-
-    def _left(self, x):
-        a, b = self._mix()
-        return a * (self.S._left(x) + np.outer(self.v, self.dS @ x)) + b * (self.F * x.sum())
-
-    def _right(self, x):
-        a, b = self._mix()
-        return a * (self.S._right(x) + np.outer(self.v, x @ self.dS)) + (b * (self.F @ x))[:, None]
-
     def _symmetric(self, x):
         a, b = self._mix()
         d = self.dS @ x + x @ self.dS
@@ -387,44 +329,16 @@ class PageRankTensor:
                 + b * np.repeat(self.F.sum(axis=0), self.n))
 
 
-def _check_dim(B, x, name="x"):
+def contract_sym(B, x):
+    """C = Bx: + B:x in one pass: C_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
+
+    A Tensor3 takes one product with its symmetric slice matrix.  C is the
+    Jacobian part of R_x = I - C, and Bx^2 = C x / 2.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({B.n},)")
-    return x
-
-
-def apply_bilinear(B, x, y):
-    """(Bxy)_i = sum_{j,k} b_{ijk} x_j y_k.
-
-    On a Tensor3 each term is (b_{ijk} x_j) y_k, accumulated in storage
-    order, so repeated calls are bit-for-bit reproducible; for nonnegative
-    x, y only additions and multiplications of nonnegative terms occur.
-    """
-    return B._bilinear(_check_dim(B, x, "x"), _check_dim(B, y, "y"))
-
-
-def apply_quadratic(B, x):
-    """(Bx^2)_i = sum_{j,k} b_{ijk} x_j x_k."""
-    return apply_bilinear(B, x, x)
-
-
-def contract_left(B, x):
-    """Matrix of y -> Bxy, i.e. (Bx:)_{ik} = sum_j b_{ijk} x_j."""
-    return B._left(_check_dim(B, x))
-
-
-def contract_right(B, x):
-    """Matrix of y -> Byx, i.e. (B:x)_{ij} = sum_k b_{ijk} x_k."""
-    return B._right(_check_dim(B, x))
-
-
-def contract_sym(B, x):
-    """Bx: + B:x in one pass: (Bx: + B:x)_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
-
-    A Tensor3 takes one product with its symmetric slice matrix.
-    """
-    return B._symmetric(_check_dim(B, x))
+        raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
+    return B._symmetric(x)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from mlpagerank import (
+    Method,
+    Tensor3,
     build_pagerank_tensor,
+    cli,
     precision,
     random_teleport_vector,
     read_matrix_market,
     read_tensor_text,
+    write_tensor_text,
 )
 from mlpagerank.cli import EXIT_MAXIT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+from conftest import exact_stochastic_unfolding
 
 EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
 
@@ -153,3 +159,33 @@ def test_ingest_writes_the_unfolding_bit_for_bit(graph_file, tmp_path, capsys):
     assert read_tensor_text(out).unfolding().tobytes() == U.tobytes()
     assert report["tensor_entries"] == np.count_nonzero(U)
     assert report["three_cycle_entries"] > 0 and report["stochastic_ok"]
+
+
+def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, capsys):
+    # all five methods reach the tensor through P's one symmetric slice
+    # matrix; none of them forms B = alpha P
+    path = tmp_path / "p.txt"
+    write_tensor_text(Tensor3.from_unfolding(
+        exact_stochastic_unfolding(np.random.default_rng(30), 30)), path)
+    loaded, builds = [], []
+    load, build = cli._load_problem, Tensor3.sym_matrix
+
+    def loading(args, parser):
+        loaded.append(load(args, parser))
+        return loaded[-1]
+
+    def counting(self):
+        if self._sym is None:
+            builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(cli, "_load_problem", loading)
+    monkeypatch.setattr(Tensor3, "sym_matrix", counting)
+    methods = [m.value for m in Method]
+    argv = ["compare", "--tensor", str(path), "--alpha", "0.3", "--methods", ",".join(methods)]
+    assert main(argv) == EXIT_OK
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["method"] for row in rows] == methods
+    [problem] = loaded
+    assert builds == [problem.p_tensor]
+    assert problem._tensor is None

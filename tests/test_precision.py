@@ -18,9 +18,16 @@ from mlpagerank import (
     ex2,
     reference_solution,
 )
-from mlpagerank import solvers
+from mlpagerank import precision, solvers
 from mlpagerank.mmatrix import SingularPivotError
-from mlpagerank.precision import DD, _dd_segment_sums, dd_lu_solve, dd_sum
+from mlpagerank.precision import (
+    DD,
+    _dd_segment_sums,
+    dd_contract_sym,
+    dd_lu_solve,
+    dd_sum,
+    dd_sym_terms,
+)
 from mlpagerank.solvers import Method, SolverOptions, Start, Termination, solve
 
 finite_floats = st.floats(
@@ -143,6 +150,26 @@ class TestDDVectors:
                 want[b] = dd_sum(weights[bounds[b]:bounds[b + 1]])
         self.assert_same_bits(_dd_segment_sums(weights, keys, len(lengths)), want)
 
+    def test_contract_sym_within_2_n_ulps_of_exact_rationals(self, rng):
+        # values and x with nonzero low parts; C_il = sum_j (b_ijl + b_ilj) x_j
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            U = rng.random((n, n * n)) * 10.0 ** rng.integers(-3, 3, size=(n, n * n))
+            U[rng.random((n, n * n)) < rng.random()] = 0.0
+            B = Tensor3.from_unfolding(U)
+            vals = DD(B.vals, B.vals * 2.0 ** -53 * rng.uniform(-1.0, 1.0, B.nnz))
+            x = self.random_dd(rng, n).abs()
+            got = dd_contract_sym(B, x, vals, dd_sym_terms(B))
+            b = {}
+            for t, (i, j, k, _) in enumerate(B.entries()):
+                b[i - 1, j - 1, k - 1] = as_fraction(vals[t])
+            xs = [as_fraction(x[j]) for j in range(n)]
+            for i in range(n):
+                for l in range(n):
+                    want = sum((b.get((i, j, l), 0) + b.get((i, l, j), 0)) * xs[j]
+                               for j in range(n))
+                    assert abs(as_fraction(got[i, l]) - want) <= 2 * n * want / 2**104
+
     @staticmethod
     def lu_solve_row_by_row(A, b):
         """dd_lu_solve with its elimination one row at a time."""
@@ -230,6 +257,29 @@ class TestReferenceSolution:
                              start=Start.CUSTOM, x0=ref.x)
         rep = solve(p, opts)
         assert np.max(np.abs(rep.x - ref.x) / np.abs(ref.x)) <= 1e-14
+
+    @pytest.mark.parametrize("build,mode", [
+        (lambda: ex1(0.3), MINIMAL),  # seeded from binary64 Newton-GTH
+        (lambda: ex2(0.9951), STOCHASTIC),
+        (lambda: Problem.from_general(ex1(0.3).a, ex1(0.3).tensor), MINIMAL),
+    ], ids=["seeded", "stochastic", "general"])
+    def test_one_contraction_per_step(self, monkeypatch, build, mode):
+        counts = {"terms": 0, "contract": 0}
+        terms, contract = precision.dd_sym_terms, precision.dd_contract_sym
+
+        def counting_terms(B):
+            counts["terms"] += 1
+            return terms(B)
+
+        def counting_contract(*args):
+            counts["contract"] += 1
+            return contract(*args)
+
+        monkeypatch.setattr(precision, "dd_sym_terms", counting_terms)
+        monkeypatch.setattr(precision, "dd_contract_sym", counting_contract)
+        ref = reference_solution(build(), mode)
+        assert ref.converged and ref.iterations > 0
+        assert counts == {"terms": 1, "contract": ref.iterations + 1}
 
     def test_stochastic_mode_needs_pagerank(self):
         p = Problem.from_general(np.array([0.1]), Tensor3.zeros(1))

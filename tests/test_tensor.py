@@ -1,24 +1,20 @@
 """Tensor storage and contraction products."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpagerank import tensor as tz
 from mlpagerank import (
     Adjacency,
     Problem,
     SolverOptions,
     Tensor3,
-    apply_bilinear,
-    apply_quadratic,
     build_pagerank_tensor,
     check_stochastic,
-    contract_left,
-    contract_right,
     contract_sym,
     read_tensor_text,
     solve,
@@ -59,13 +55,8 @@ def loop_built_arrays(n, entries):
     return rows[order], cols[order], vals[order]
 
 
-# The products as the per-call index arithmetic and np.bincount computed them.
-# The kernels promise the same terms summed in the same order, so equal bits.
-def bincount_apply_bilinear(B, x, y):
-    w = B.vals * x[B.cols % B.n] * y[B.cols // B.n]
-    return np.bincount(B.rows, weights=w, minlength=B.n)
-
-
+# The two Jacobian contractions Bx: and B:x by index arithmetic and np.bincount,
+# each entry summed in storage order: oracles for contract_sym's sum.
 def bincount_contract_left(B, x):
     w = B.vals * x[B.cols % B.n]
     flat = B.rows * B.n + B.cols // B.n
@@ -86,7 +77,7 @@ def random_sparse_tensor(rng, n, density, empty_rows=()):
     return Tensor3.from_unfolding(U)
 
 
-KERNEL_CASES = [  # (n, density, empty rows); n = 20 dense lies above BINCOUNT_MAX_NNZ
+KERNEL_CASES = [  # (n, density, empty rows)
     (1, 1.0, ()),
     (1, 0.0, ()),
     (3, 0.5, (1,)),
@@ -97,52 +88,23 @@ KERNEL_CASES = [  # (n, density, empty rows); n = 20 dense lies above BINCOUNT_M
 
 
 class TestKernelsMatchBincountFormulas:
-    @pytest.mark.parametrize("n,density,empty_rows", KERNEL_CASES)
-    def test_bit_identical(self, n, density, empty_rows):
-        rng = np.random.default_rng(1000 + n)
-        B = random_sparse_tensor(rng, n, density, empty_rows).scale(0.4)
-        for _ in range(3):
-            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
-            y = rng.random(n)
-            for got, want in (
-                (apply_bilinear(B, x, y), bincount_apply_bilinear(B, x, y)),
-                (apply_quadratic(B, x), bincount_apply_bilinear(B, x, x)),
-                (contract_left(B, x), bincount_contract_left(B, x)),
-                (contract_right(B, x), bincount_contract_right(B, x)),
-            ):
-                assert got.dtype == np.float64
-                assert got.shape == want.shape
-                assert got.tobytes() == want.astype(np.float64).tobytes()
-
-    def test_both_bilinear_paths_are_exercised(self):
-        sizes = [random_sparse_tensor(np.random.default_rng(1000 + n), n, d, e).nnz
-                 for n, d, e in KERNEL_CASES]
-        assert min(sizes) <= tz.BINCOUNT_MAX_NNZ < max(sizes)
-
     def test_scale_copies_share_index_arrays_not_values(self, rng):
         P = random_sparse_tensor(rng, 6, 0.5)
         A, B = P.scale(0.3), P.scale(0.6)
         x = rng.random(6)
-        assert contract_left(A, x).tobytes() == bincount_contract_left(A, x).tobytes()
-        assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
+        assert contract_sym(A, x).tobytes() == bincount_contract_sym(A, x).tobytes()
+        assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
         assert A._layout is B._layout is P._layout
-        assert np.shares_memory(A.slice_matrices()[0].data, A.vals)
-        assert np.shares_memory(B.slice_matrices()[1].data, B.vals)
+        assert A._layout.slice_rows is not None
+        assert not np.shares_memory(A.vals, B.vals)
 
     def test_dense_slice_matrices_have_32_bit_indices(self, rng):
         B = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 30)).scale(0.4)
-        assert B.nnz > tz.BINCOUNT_MAX_NNZ  # the CSR path of apply_bilinear
-        for M in B.slice_matrices():
-            assert M.indices.dtype == M.indptr.dtype == np.int32
+        S = B.sym_matrix()
+        assert S.indices.dtype == S.indptr.dtype == np.int32
         for _ in range(3):
             x = rng.random(30) * 10.0 ** rng.integers(-3, 3, size=30)
-            y = rng.random(30)
-            assert contract_left(B, x).tobytes() == bincount_contract_left(B, x).tobytes()
-            assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
-            got = apply_bilinear(B, x, y)
-            # apply_bilinear builds j and k on its first call
-            assert B._layout.j.dtype == B._layout.k.dtype == np.int32
-            assert got.tobytes() == bincount_apply_bilinear(B, x, y).tobytes()
+            assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
 
     def test_unsorted_input_is_sorted(self, rng):
         n = 4
@@ -157,8 +119,7 @@ class TestKernelsMatchBincountFormulas:
         assert B.vals.tobytes() == vals.tobytes()
         assert np.array_equal(B.row_ptr, np.searchsorted(rows, np.arange(n + 1)))
         x = rng.random(n)
-        assert contract_right(B, x).tobytes() == bincount_contract_right(B, x).tobytes()
-        assert apply_quadratic(B, x).tobytes() == bincount_apply_bilinear(B, x, x).tobytes()
+        assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
 
 
 def bincount_contract_sym(B, x):
@@ -206,7 +167,7 @@ class TestContractSym:
             x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
             got = contract_sym(B, x)
             assert got.tobytes() == bincount_contract_sym(B, x).tobytes()
-            want = contract_left(B, x) + contract_right(B, x)
+            want = bincount_contract_left(B, x) + bincount_contract_right(B, x)
             assert (np.abs(got - want) <= 2 * (n + 1) * u * want).all()
 
     def test_built_once_at_its_exact_size(self, rng):
@@ -246,7 +207,6 @@ class TestContractSym:
 
     def test_memory_is_that_of_its_entries(self, rng):
         P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 60))
-        P.slice_matrices()
         S = P.sym_matrix()
         # an upper bound: a dense P's S shares the index arrays of D^T
         added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
@@ -336,17 +296,22 @@ class TestConstruction:
             read_tensor_text(path)
 
 
-class TestApplyQuadratic:
+def half_c_x(B, x):
+    """Bx^2 as the solvers take it: (Bx: + B:x) x / 2."""
+    return 0.5 * (contract_sym(B, x) @ x)
+
+
+class TestQuadraticFromContraction:
     def test_zero_tensor(self):
         B = Tensor3.zeros(3)
-        assert np.array_equal(apply_quadratic(B, np.ones(3)), np.zeros(3))
+        assert np.array_equal(half_c_x(B, np.ones(3)), np.zeros(3))
 
     def test_intro_tensor_scales_x(self):
         # (Bx^2)_i = alpha x_i (x_1 + x_2), so for stochastic x this is alpha x
         alpha, delta = 0.3, 1e-6
         B = intro_tensor(alpha)
         x = np.array([1.0 - delta, delta])
-        got = apply_quadratic(B, x)
+        got = half_c_x(B, x)
         expected = alpha * x * x.sum()
         assert np.max(np.abs(got - expected) / expected) <= 1e-15
 
@@ -354,55 +319,39 @@ class TestApplyQuadratic:
         U = rng.random((3, 9))
         B = Tensor3.from_unfolding(U)
         x = rng.random(3)
-        got = apply_quadratic(B, x)
+        got = half_c_x(B, x)
         want = brute_force_quadratic(B, x)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n,density,empty_rows", KERNEL_CASES)
+    def test_within_2_n_plus_2_u_of_exact_rationals(self, n, density, empty_rows):
+        # C's entries add n + 1 rounded terms, C x adds n more; halving is exact
+        rng = np.random.default_rng(3000 + n)
+        B = random_sparse_tensor(rng, n, density, empty_rows).scale(0.4)
+        x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+        xs = [Fraction(float(t)) for t in x]
+        want = [Fraction(0)] * n
+        for i, j, k, b in B.entries():
+            want[i - 1] += Fraction(b) * xs[j - 1] * xs[k - 1]
+        for got, exact in zip(half_c_x(B, x), want, strict=True):
+            assert abs(Fraction(float(got)) - exact) <= (2 * n + 2) * exact / 2**53
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            apply_quadratic(intro_tensor(), np.ones(3))
-
-
-class TestApplyBilinear:
-    def test_zero_y(self):
-        B = intro_tensor()
-        assert np.array_equal(apply_bilinear(B, np.ones(2), np.zeros(2)), np.zeros(2))
-
-    def test_unfolding_column_lookup(self):
-        # x = e1, y = e2 reads the unfolding column for (j,k) = (1,2)
-        alpha = 0.3
-        B = intro_tensor(alpha)
-        got = apply_bilinear(B, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.array_equal(got, alpha * np.array([0.5, 0.5]))
-
-    def test_bit_for_bit_equal_to_quadratic(self, rng):
-        U = rng.random((4, 16))
-        B = Tensor3.from_unfolding(U)
-        x = rng.random(4)
-        assert np.array_equal(apply_bilinear(B, x, x), apply_quadratic(B, x))
+            contract_sym(intro_tensor(), np.ones(3))
 
 
 class TestContractions:
     def test_zero_vector(self):
         B = intro_tensor()
-        assert np.array_equal(contract_left(B, np.zeros(2)), np.zeros((2, 2)))
-        assert np.array_equal(contract_right(B, np.zeros(2)), np.zeros((2, 2)))
-
-    def test_contraction_bilinear_identity(self, rng):
-        U = rng.random((4, 16))
-        U[U < 0.3] = 0.0
-        B = Tensor3.from_unfolding(U)
-        x, y = rng.random(4), rng.random(4)
-        bxy = apply_bilinear(B, x, y)
-        assert np.max(np.abs(contract_left(B, x) @ y - bxy)) <= 1e-14
-        assert np.max(np.abs(contract_right(B, x) @ y - apply_bilinear(B, y, x))) <= 1e-14
+        assert np.array_equal(contract_sym(B, np.zeros(2)), np.zeros((2, 2)))
 
     def test_intro_column_sum_identity(self):
         # column sums of Bx: + B:x equal 2 alpha (1^T x) for stochastic slices
         alpha = 0.3
         B = intro_tensor(alpha)
         x = np.array([1.0, 0.0])
-        C = contract_left(B, x) + contract_right(B, x)
+        C = contract_sym(B, x)
         assert np.max(np.abs(C.sum(axis=0) - 2 * alpha)) <= 1e-16
 
     def test_jacobian_column_sums_random(self, rng):
@@ -411,7 +360,7 @@ class TestContractions:
         U = exact_stochastic_unfolding(rng, n)
         B = Tensor3.from_unfolding(U).scale(alpha)
         x = rng.random(n)
-        R = np.eye(n) - contract_left(B, x) - contract_right(B, x)
+        R = np.eye(n) - contract_sym(B, x)
         want = 1.0 - 2.0 * alpha * x.sum()
         assert np.max(np.abs(R.sum(axis=0) - want)) <= 1e-13
 
@@ -442,11 +391,6 @@ def test_nonnegative_inputs_give_nonnegative_outputs(seed):
     U[rng.random((n, n * n)) < 0.5] = 0.0
     B = Tensor3.from_unfolding(U)
     x = rng.random(n)
-    y = rng.random(n)
-    assert (apply_bilinear(B, x, y) >= 0.0).all()
-    assert (apply_quadratic(B, x) >= 0.0).all()
-    assert (contract_left(B, x) >= 0.0).all()
-    assert (contract_right(B, x) >= 0.0).all()
     assert (contract_sym(B, x) >= 0.0).all()
 
 
@@ -469,11 +413,11 @@ def dense_pagerank_unfolding(A, v, nu):
     return nu * second + (1.0 - nu) * np.kron(first, np.ones((1, n)))
 
 
-def exact_products(U, x, y):
+def exact_products(U, x):
     """Every protocol product of the tensor with unfolding U, each entry one fsum.
 
-    The terms u x_j (y_k) are rounded products, so each entry is within 2u of
-    the exact value for these stored entries.
+    The terms u x_j are rounded products, so each entry is within 2u of the
+    exact value for these stored entries.
     """
     n = len(x)
     T = U.reshape(n, n, n).transpose(0, 2, 1)  # T[i, j, k] = p_ijk
@@ -481,23 +425,15 @@ def exact_products(U, x, y):
     def fsum(a):
         return math.fsum(np.ravel(a).tolist())
 
-    left = np.array([[fsum(T[i, :, k] * x) for k in range(n)] for i in range(n)])
-    right = np.array([[fsum(T[i, j, :] * x) for j in range(n)] for i in range(n)])
     return {
-        "bilinear": np.array([fsum(T[i] * np.outer(x, y)) for i in range(n)]),
-        "left": left,
-        "right": right,
         "sym": np.array([[fsum(np.concatenate([T[i, :, j] * x, T[i, j, :] * x]))
                           for j in range(n)] for i in range(n)]),
         "column_sums": np.array([fsum(U[:, c]) for c in range(n * n)]),
     }
 
 
-def factored_products(P, x, y):
+def factored_products(P, x):
     return {
-        "bilinear": apply_bilinear(P, x, y),
-        "left": contract_left(P, x),
-        "right": contract_right(P, x),
         "sym": contract_sym(P, x),
         "column_sums": P._column_sums(),
     }
@@ -546,9 +482,8 @@ class TestPageRankTensor:
         assert B.to_tensor3().unfolding().tobytes() == oracle.unfolding().tobytes()
         for _ in range(3):
             x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
-            y = rng.random(n)
-            want = exact_products(oracle.unfolding(), x, y)
-            for name, got in factored_products(B, x, y).items():
+            want = exact_products(oracle.unfolding(), x)
+            for name, got in factored_products(B, x).items():
                 assert (got >= 0.0).all(), name
                 assert (np.abs(got - want[name]) <= 2 * (n + 1) * u * want[name]).all(), name
 
@@ -565,9 +500,9 @@ class TestPageRankTensor:
         n = len(A)
         rng = np.random.default_rng(7)
         P = build_pagerank_tensor(Adjacency(matrix=A), np.full(n, 1.0 / n), 0.1).scale(0.49)
-        x, y = rng.random(n), rng.random(n)
-        first = factored_products(P, x, y)
-        again = factored_products(P, x.copy(), y.copy())
+        x = rng.random(n)
+        first = factored_products(P, x)
+        again = factored_products(P, x.copy())
         for name in first:
             assert first[name].tobytes() == again[name].tobytes(), name
 
