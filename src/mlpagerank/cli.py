@@ -58,7 +58,7 @@ def _add_instance_args(p):
                    help="delta for the intro builtin")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--one-minus-two-alpha", type=float, default=None,
-                   help="exact 1-2*alpha for alpha near 1/2")
+                   help="exact 1-2*alpha near 1/2, within 2^-51 of the rounded one")
 
 
 def _load_problem(args, parser):

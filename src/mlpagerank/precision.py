@@ -6,18 +6,24 @@ below are the classical error-free transformations (Dekker split, two-sum,
 two-product); vector versions operate on numpy arrays elementwise.
 
 This module stands in for variable-precision arithmetic: it provides the
-Newton reference solver that the rest of the package treats as ground truth
-(residuals around 1e-28, far beyond binary64).  For the minimal solution of a
-PageRank problem that Newton starts from the binary64 Newton-GTH solution,
-and from zero when the binary64 run or the seeded pair run fails; its
-iteration count is of pair-arithmetic steps only.  Its GTH steps are the
-mmatrix kernel's fused solve (gth_col_solve) run on DD arrays, which is why
-DD offers the few numpy-style methods that kernel uses: .sum(axis=0),
-.item(), .T, and @ between vectors and matrices, each entry of a product a
-dd_sum of its terms.  In pair arithmetic the elimination update rounds as
-(a b) / d, the order binary64 keeps.  Each reference step makes one tensor
-product, dd_contract_sym, whose C = Bx: + B:x gives both the step's matrix
-R_x = I - C and the next residual's Bx^2 = C x / 2.
+reference solution that the rest of the package treats as ground truth
+(residuals around 1e-28, far beyond binary64).  It has no Newton loop of its
+own.  reference_solution hands the solvers' drivers a pair view of the
+problem (_PairProblem: a, v, alpha, n, 1 - 2 alpha and contract, the latter
+dd_contract_sym), and they run on DD arrays as they run on binary64 ones.
+For the minimal solution of a PageRank problem they run Newton-GTH with its
+z-recurrence, started from the binary64 Newton-GTH solution, or from zero
+when the binary64 run or the seeded pair run fails; its iteration count is
+of pair-arithmetic steps only.  Its GTH steps are the mmatrix kernel's fused
+solve (gth_col_solve) run on DD arrays, which is why DD offers the few
+numpy-style methods that the kernel and the drivers use: .sum(axis=0),
+.item(), .max(), .T, abs(), float(), and @ between vectors and matrices,
+each entry of a product a dd_sum of its terms.  In pair arithmetic the
+elimination update rounds as (a b) / d, the order binary64 keeps.  Each
+reference step makes one tensor product, dd_contract_sym: the contraction of
+the step h on the Newton-GTH path, which updates C = Bx: + B:x and gives the
+next residual Bh^2 = G h / 2, and the contraction of the iterate for plain
+Newton, whose C gives both R_x = I - C and the residual's Bx^2 = C x / 2.
 """
 
 from __future__ import annotations
@@ -25,16 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
+from functools import partial
 
 import numpy as np
 
-from .mmatrix import SingularPivotError, gth_col_solve
+from .mmatrix import SingularPivotError
 
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
 
-# The reference Newton stops once its pair-precision residual is this small
-# in the max norm, or after this many steps.
+# A reference run stops once the driver's pair-precision residual is this
+# small in the max norm, or after this many steps.
 REFERENCE_TOL = 1e-28
 REFERENCE_MAXIT = 200
 
@@ -92,9 +99,16 @@ def _dd_div(h1, l1, h2, l2):
 
 
 class DD:
-    """Array of compensated pairs; shape follows the hi component."""
+    """Array of compensated pairs; shape follows the hi component.
+
+    DD never mixes silently with ndarrays: an operator with an ndarray on
+    either side gives a DD (__array_ufunc__ = None makes numpy defer to it),
+    and converting a DD to an ndarray raises TypeError, so no binary64
+    routine rounds a pair array it is handed without a word.
+    """
 
     __slots__ = ("hi", "lo")
+    __array_ufunc__ = None
 
     def __init__(self, hi, lo=None):
         self.hi = np.asarray(hi, dtype=np.float64)
@@ -113,6 +127,10 @@ class DD:
         if isinstance(other, DD):
             return other
         return DD(np.asarray(other, dtype=np.float64))
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a DD pair array does not convert to an ndarray; "
+                        "use .to_float() to round it")
 
     @property
     def shape(self):
@@ -166,12 +184,21 @@ class DD:
         sign = np.where(neg, -1.0, 1.0)
         return DD(self.hi * sign, self.lo * sign)
 
+    __abs__ = abs
+
+    def max(self):
+        """The largest pair, as a 0-d DD: the largest hi, then the largest lo."""
+        i = np.lexsort((self.lo.ravel(), self.hi.ravel()))[-1]
+        return DD(self.hi.ravel()[i], self.lo.ravel()[i])
+
     def to_float(self):
         return self.hi + self.lo
 
     def item(self):
         """The value of a one-element pair array, rounded to a Python float."""
         return float(self.hi + self.lo)
+
+    __float__ = item
 
     @property
     def T(self):
@@ -192,9 +219,8 @@ class DD:
         return dd_sum(DD(lhs.hi.reshape(lhs_shape), lhs.lo.reshape(lhs_shape))
                       * DD(other.hi.reshape(rhs_shape), other.lo.reshape(rhs_shape)))
 
-    def max_abs(self):
-        a = self.abs()
-        return float(np.max(a.hi + a.lo)) if a.hi.size else 0.0
+    # the solve of solvers.newton in pairs, looked up when called
+    lu_solve = staticmethod(lambda A, b: dd_lu_solve(A, b))
 
     def __repr__(self):
         return f"DD(hi={self.hi!r}, lo={self.lo!r})"
@@ -337,8 +363,36 @@ def dd_contract_sym(B, x, vals, terms):
 
 
 # ---------------------------------------------------------------------------
-# Reference Newton solver
+# Reference solutions
 # ---------------------------------------------------------------------------
+
+
+class _PairProblem:
+    """A problem in pairs, as the solvers' drivers read it.
+
+    It has a, v, alpha, n, one_minus_two_alpha and contract(x), the pair
+    C = Bx: + B:x from dd_contract_sym over terms built once.  A PageRank
+    problem is renormalized in pairs (see reference_solution), and its
+    1 - 2 alpha, exact in pairs for a binary64 alpha, comes from alpha: the
+    reference is defined by alpha, not by Problem.one_minus_two_alpha.
+    """
+
+    def __init__(self, problem):
+        self.n, self.alpha = problem.n, problem.alpha
+        self.v = self.one_minus_two_alpha = None
+        if problem.is_pagerank:
+            alpha = DD(problem.alpha)
+            self.v = DD(problem.v) / dd_sum(DD(problem.v))
+            self.a = (DD(1.0) - alpha) * self.v
+            self.one_minus_two_alpha = DD(1.0) - 2.0 * alpha
+            B = problem.p_tensor.to_tensor3()  # structure only; values from vals
+            vals = DD(B.vals) * alpha / _dd_column_sums(B)[B.cols]
+        else:
+            self.a = DD(problem.a)
+            B = problem.tensor.to_tensor3()
+            vals = DD(B.vals)
+        terms = dd_sym_terms(B)
+        self.contract = lambda x: dd_contract_sym(B, x, vals, terms)
 
 
 @dataclass
@@ -357,19 +411,24 @@ class ReferenceSolution:
 def reference_solution(problem, mode=MINIMAL):
     """Newton in pair arithmetic, the stand-in for an exact solution.
 
-    MINIMAL solves each step with the fused GTH solve of the column triplet
-    in pair arithmetic (subtraction-free); STOCHASTIC starts from v and uses
-    an extended partial-pivoting LU.  Residuals are evaluated directly in
-    pair arithmetic, so the iteration is self-correcting down to ~1e-30; it
-    stops at residual REFERENCE_TOL or after REFERENCE_MAXIT steps.
+    The solvers' own drivers run on the problem in pairs (_PairProblem), to
+    residual REFERENCE_TOL or REFERENCE_MAXIT steps.  The MINIMAL reference
+    of a PageRank problem is Newton-GTH (solvers._gth_block_jacobi): GTH
+    solves of the column triplet and the z-recurrence, subtraction-free.
+    STOCHASTIC starts solvers.newton from v, and the general MINIMAL
+    reference starts it from zero; its steps are dense partial-pivoting LU
+    solves in pairs (dd_lu_solve).
 
     On a PageRank problem MINIMAL starts from the binary64 Newton-GTH solution
-    (mixed-precision refinement: the start only sets the number of DD steps).
-    It starts from zero instead when that binary64 run does not end
-    TOL_REACHED, or when the seeded DD run raises SingularPivotError or
-    ArithmeticError or ends unconverged.  The general (non-PageRank) MINIMAL
-    reference always starts from zero.  `iterations` counts the DD Newton steps
-    of the run that produced x_pair; the binary64 seed run is not counted.
+    (mixed-precision refinement: the start only sets the number of DD steps),
+    with one pair contraction for its residual and C and z_0 = 1 - 2 alpha
+    1^T x_0.  It starts from zero instead when that binary64 run or the seeded
+    pair run does not end TOL_REACHED, as when the seed lies past the
+    singular root and z_0 <= 0 ends it SINGULAR_PIVOT.  `iterations` counts
+    the pair steps of the run that produced x_pair; the binary64 seed run is
+    not counted.  `residual_norm` is that run's last residual in the max
+    norm: on the MINIMAL path the carried one, r_{k+1} = Bh^2 (1.3e-46 for
+    ex1 at alpha = 0.49999), elsewhere a + Bx^2 - x evaluated in pairs.
 
     A PageRank problem's data is renormalized in pair precision first
     (1^T v = 1 and unit column sums to ~1e-32), which matches how
@@ -382,65 +441,28 @@ def reference_solution(problem, mode=MINIMAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == STOCHASTIC and not problem.is_pagerank:
         raise ValueError("stochastic mode needs a PageRank problem")
-    n = problem.n
-    a_dd = DD(problem.a)
-    if problem.is_pagerank:
-        alpha_dd = DD(problem.alpha)
-        v0 = DD(problem.v) / dd_sum(DD(problem.v))
-        a_dd = (DD(1.0) - alpha_dd) * v0
-        B = problem.p_tensor.to_tensor3()  # structure only; values come from vals_dd
-        vals_dd = DD(B.vals) * alpha_dd / _dd_column_sums(B)[B.cols]
+    from . import solvers  # solvers imports this module
+
+    pairs = _PairProblem(problem)
+    opts = partial(solvers.SolverOptions, tol=REFERENCE_TOL, maxit=REFERENCE_MAXIT)
+    done = solvers.Termination.TOL_REACHED
+    if mode == STOCHASTIC or not problem.is_pagerank:
+        start = solvers.Start.V if mode == STOCHASTIC else solvers.Start.ZERO
+        rep = solvers.newton(pairs, opts(start=start))
     else:
-        B = problem.tensor.to_tensor3()
-        vals_dd = DD(B.vals)
-    terms = dd_sym_terms(B)
-    gth = mode == MINIMAL and problem.is_pagerank
+        def pair_newton_gth(opts):
+            return solvers._gth_block_jacobi(pairs, opts, solvers.Method.NEWTON_GTH, None)
 
-    def resid(xx):
-        """(a + Bx^2 - x, C) from one contraction C = Bx: + B:x, Bx^2 = C x / 2."""
-        C = dd_contract_sym(B, xx, vals_dd, terms)
-        return a_dd + 0.5 * (C @ xx) - xx, C
-
-    def newton(x):
-        r, C = resid(x)
-        iterations = 0
-        while r.abs().max_abs() > REFERENCE_TOL and iterations < REFERENCE_MAXIT:
-            if gth:
-                # the column triplet of R_x: offdiag(C) (GTH ignores the
-                # diagonal) and column sums z = 1 - 2 alpha 1^T x, in pairs
-                z = 1.0 - (2.0 * problem.alpha) * x.sum()
-                if z.item() <= 0.0:
-                    raise SingularPivotError("nonpositive column sums in reference run")
-                sums = DD(np.full(n, z.hi), np.full(n, z.lo))
-                h = gth_col_solve(C, sums, r)
-            else:
-                R = DD(np.eye(n)) - C
-                h = dd_lu_solve(R, r)
-            x = x + h
-            r, C = resid(x)
-            iterations += 1
-            if np.abs(x.hi).max() > 1e6:
-                raise ArithmeticError("reference iteration diverged")
-        res = r.abs().max_abs()
-        return ReferenceSolution(
-            x_pair=x,
-            x=x.to_float(),
-            residual_norm=res,
-            iterations=iterations,
-            converged=bool(res <= REFERENCE_TOL),
-            mode=mode,
-        )
-
-    if gth:
-        from . import solvers  # solvers imports this module
-
-        seed = solvers.newton_gth(problem, solvers.SolverOptions())
-        if seed.termination is solvers.Termination.TOL_REACHED:
-            try:
-                ref = newton(DD(seed.x))
-            except (SingularPivotError, ArithmeticError):
-                pass
-            else:
-                if ref.converged:
-                    return ref
-    return newton(v0.copy() if mode == STOCHASTIC else DD.zeros(n))
+        rep = solvers.newton_gth(problem, solvers.SolverOptions())
+        if rep.termination is done:
+            rep = pair_newton_gth(opts(start=solvers.Start.CUSTOM, x0=rep.x))
+        if rep.termination is not done:
+            rep = pair_newton_gth(opts())
+    return ReferenceSolution(
+        x_pair=rep.x,
+        x=rep.x.to_float(),
+        residual_norm=rep.final_residual,
+        iterations=rep.iterations,
+        converged=rep.termination is done,
+        mode=mode,
+    )

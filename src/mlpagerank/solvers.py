@@ -21,9 +21,13 @@ the next residual's Bh^2 = G h / 2 from the same G.  Their steps are
 nonnegative, so these updates add nonnegative terms only and stay
 subtraction-free.
 
-The iterations run in binary64 throughout, stopping tests and right-hand
-sides included, since these are the algorithms whose accuracy is analysed.
-Only the public residual() evaluates beyond binary64, to check a result.
+The iterations run in the arithmetic of the problem's a.  On a Problem that
+is binary64 throughout, stopping tests and right-hand sides included, since
+these are the algorithms whose accuracy is analysed.  The pair-precision
+reference (precision.reference_solution) runs the same drivers, newton and
+_gth_block_jacobi, on precision.DD arrays: one loop, one stopping test and
+one z-recurrence serve both.  Only the public residual() evaluates a binary64
+result beyond binary64, to check it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .mmatrix import SingularPivotError, gth_col_solve, plain_lu_solve
+from .mmatrix import SingularPivotError, _zeros, gth_col_solve, plain_lu_solve
 from .precision import dd_residual
 
 DIVERGENCE_LIMIT = 1e6
@@ -83,12 +87,14 @@ class Problem:
         self.v = None if v is None else np.asarray(v, dtype=np.float64)
         self.p_tensor = p_tensor
         self.alpha = None if alpha is None else float(alpha)
+        self.one_minus_two_alpha = None if alpha is None else 1.0 - 2.0 * self.alpha
         if one_minus_two_alpha is not None:
-            self.one_minus_two_alpha = float(one_minus_two_alpha)
-        elif self.alpha is not None:
-            self.one_minus_two_alpha = 1.0 - 2.0 * self.alpha
-        else:
-            self.one_minus_two_alpha = None
+            # an exact 1 - 2 alpha differs from the rounded one by an ulp or two
+            omt = float(one_minus_two_alpha)
+            if not abs(omt - self.one_minus_two_alpha) <= 2.0 ** -51:
+                raise ValueError(f"one_minus_two_alpha {omt!r} is not 1 - 2 alpha "
+                                 f"= {self.one_minus_two_alpha!r}")
+            self.one_minus_two_alpha = omt
 
     @classmethod
     def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None):
@@ -157,8 +163,8 @@ class SolverOptions:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
         if self.maxit < 0:
             raise ValueError("maxit must be nonnegative")
 
@@ -201,22 +207,24 @@ def _residual_and_jacobian(problem, x):
 
 
 def _starting_vector(problem, opts):
-    if opts.start is Start.ZERO:
-        return np.zeros(problem.n)
+    """x_0 in the arithmetic of problem.a; a binary64 x0 is taken exactly."""
     if opts.start is Start.V:
         if problem.v is None:
             raise ValueError("start=V needs a PageRank problem")
         return problem.v.copy()
-    if opts.x0 is None:
-        raise ValueError("start=CUSTOM needs x0")
-    x0 = np.asarray(opts.x0, dtype=np.float64)
-    if x0.shape != (problem.n,):
-        raise ValueError("x0 has the wrong shape")
-    return x0.copy()
+    x = _zeros(problem.a, problem.n)
+    if opts.start is Start.CUSTOM:
+        if opts.x0 is None:
+            raise ValueError("start=CUSTOM needs x0")
+        x0 = np.asarray(opts.x0, dtype=np.float64)
+        if x0.shape != (problem.n,):
+            raise ValueError("x0 has the wrong shape")
+        x[:] = x0
+    return x
 
 
 def _norm_inf(v):
-    return float(np.abs(v).max()) if len(v) else 0.0
+    return float(abs(v).max()) if len(v) else 0.0
 
 
 def _too_large(x):
@@ -234,7 +242,7 @@ def _iterate(method, opts, x, r, z, step, diverged=_too_large):
     """
     res_hist = [_norm_inf(r)]
     iter_hist = [x.copy()] if opts.record_history else None
-    z_hist = None if z is None else [z]
+    z_hist = None if z is None else [float(z)]
     iterations = 0
     while res_hist[-1] > opts.tol and iterations < opts.maxit:
         try:
@@ -247,7 +255,7 @@ def _iterate(method, opts, x, r, z, step, diverged=_too_large):
         if iter_hist is not None:
             iter_hist.append(x.copy())
         if z_hist is not None:
-            z_hist.append(z)
+            z_hist.append(float(z))
         if diverged(x):
             termination = Termination.DIVERGED
             break
@@ -290,14 +298,16 @@ def newton(problem, opts):
     """Plain Newton: solve R_x h = r with partial-pivoting LU, x <- x + h.
 
     R_x = I - C takes the C of the residual's contraction: one product per
-    step.
+    step.  The solve is the arithmetic's own: plain_lu_solve in binary64,
+    the lu_solve of precision.DD in pairs.
     """
     x = _starting_vector(problem, opts)
     r, C = _residual_and_jacobian(problem, x)
+    lu_solve = getattr(type(C), "lu_solve", plain_lu_solve)
 
     def step(x, r, z):
         nonlocal C
-        x = x + plain_lu_solve(np.eye(problem.n) - C, r)
+        x = x + lu_solve(np.eye(problem.n) - C, r)
         r, C = _residual_and_jacobian(problem, x)
         return x, r, z
 
@@ -345,13 +355,13 @@ def _gth_sweep(C, slices, level, col_n, rhs):
     which for rhs >= 0 is what the elimination gives bit for bit.  A
     level <= 0 gives no M-matrix and is reported as a singular pivot.
     """
-    if level <= 0.0:
-        raise SingularPivotError(f"column-sum level {level!r} is not positive")
-    y = np.empty(len(rhs))
+    if float(level) <= 0.0:
+        raise SingularPivotError(f"column-sum level {float(level)!r} is not positive")
+    y = _zeros(rhs, len(rhs))
     for s in slices:
         # neither path reads the diagonal of C[s, s]
         block, sums = C[s, s], level + col_n[s]
-        if np.count_nonzero(block) == np.count_nonzero(block.diagonal()):
+        if _norm_inf(block[~np.eye(len(sums), dtype=bool)]) == 0.0:
             y[s] = rhs[s] / sums
         else:
             y[s] = gth_col_solve(block, sums, rhs[s])
@@ -392,15 +402,24 @@ def block_jacobi(problem, opts):
 
 
 def _gth_block_jacobi(problem, opts, method, block_sizes):
-    """The driver of newton_gth and block_jacobi, from x_0 = 0 and C_0 = 0.
+    """The driver of newton_gth and block_jacobi, and of the pair reference.
 
-    Each step contracts once, G = alpha (Ph: + P:h).
+    From start ZERO it takes x_0 = 0, C_0 = 0, r_0 = a and u_0 = 1 with no
+    product.  From another start, which only precision.reference_solution
+    gives it, one contraction gives r_0 and C_0 and u_0 = 1 - 2 alpha 1^T x_0.
+    Each step contracts once, G = alpha (Ph: + P:h).  Values follow the
+    arithmetic of problem.a: binary64 ndarrays or precision.DD pairs.
     """
     slices = _block_slices(problem.n, block_sizes)
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
-    C = np.zeros((problem.n, problem.n))
+    x = _starting_vector(problem, opts)
+    if opts.start is Start.ZERO:
+        r, C, u = problem.a.copy(), _zeros(problem.a, (problem.n, problem.n)), 1.0
+    else:
+        r, C = _residual_and_jacobian(problem, x)
+        u = 1.0 - 2.0 * alpha * x.sum()
 
     def step(x, r, u):
         nonlocal C
@@ -412,7 +431,7 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
         C += G
         return x + h, 0.5 * (G @ h) + N @ h, u_next
 
-    return _iterate(method, opts, np.zeros(problem.n), problem.a.copy(), 1.0, step)
+    return _iterate(method, opts, x, r, u, step)
 
 
 def block_jacobi_gth_variant(problem, opts):

@@ -29,6 +29,16 @@ EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
     (["solve", *EX1, "--method", "block-jacobi", "--block-sizes", "a,b"],
      "--block-sizes must be comma-separated integers"),
     (["solve", *EX1, "--tol", "-1"], "tol must be nonnegative"),
+    (["solve", *EX1, "--tol", "nan"], "tol must be nonnegative"),
+    (["solve", *EX1, "--tol", "inf"], "tol must be nonnegative"),
+    (["perturb", *EX1, "--epsilon", "1e-8", "--tol", "nan"], "tol must be nonnegative"),
+    (["solve", *EX1, "--one-minus-two-alpha", "0.9"], "one_minus_two_alpha 0.9 is not"),
+    (["solve", *EX1, "--one-minus-two-alpha", "nan"], "one_minus_two_alpha nan is not"),
+    (["solve", *EX1, "--one-minus-two-alpha", "inf"], "one_minus_two_alpha inf is not"),
+    (["solve", "--builtin", "ex1", "--alpha", "nan"], "alpha must be in (0,1)"),
+    (["solve", "--builtin", "intro", "--alpha", "0.3", "--delta", "nan"],
+     "delta must be in (0, 1)"),
+    (["perturb", *EX1, "--epsilon", "nan"], "--epsilon must be in"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

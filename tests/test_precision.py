@@ -1,5 +1,6 @@
 """Compensated-pair arithmetic and the extended-precision reference solver."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +20,8 @@ from mlpagerank import (
     reference_solution,
 )
 from mlpagerank import precision, solvers
-from mlpagerank.mmatrix import SingularPivotError
+from mlpagerank.analysis import componentwise_zero_sum_perturb
+from mlpagerank.mmatrix import SingularPivotError, plain_lu_solve
 from mlpagerank.precision import (
     DD,
     _dd_segment_sums,
@@ -29,6 +31,8 @@ from mlpagerank.precision import (
     dd_sym_terms,
 )
 from mlpagerank.solvers import Method, SolverOptions, Start, Termination, solve
+
+from conftest import random_pagerank_problem
 
 finite_floats = st.floats(
     min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False
@@ -223,7 +227,7 @@ class TestReferenceSolution:
         ref = reference_solution(p, MINIMAL)
         assert ref.converged and ref.residual_norm <= 1e-25
         analytic = DD(p.v.copy())
-        err = (ref.x_pair - analytic).abs().max_abs()
+        err = float(abs(ref.x_pair - analytic).max())
         assert err <= 1e-25
 
     def test_intro_matches_analytic_decimal_delta(self):
@@ -424,3 +428,111 @@ class TestSeededReference:
         assert ref.x_pair.hi.tobytes() == want.x_pair.hi.tobytes()
         assert ref.x_pair.lo.tobytes() == want.x_pair.lo.tobytes()
         assert ref.iterations == want.iterations
+
+
+class TestNoSilentMixing:
+    def test_ndarray_operands_give_dd(self):
+        A = DD(np.ones((2, 2)), np.full((2, 2), 2.0 ** -60))
+        for got, want in ((np.eye(2) - A, DD(np.eye(2)) - A),
+                          (np.eye(2) + A, DD(np.eye(2)) + A),
+                          (np.full((2, 2), 3.0) * A, DD(np.full((2, 2), 3.0)) * A),
+                          (np.float64(2.0) * A, DD(2.0) * A)):
+            assert isinstance(got, DD)
+            TestDDVectors.assert_same_bits(got, want)
+
+    def test_conversion_to_ndarray_raises(self):
+        x = DD(np.ones(2), np.full(2, 2.0 ** -60))
+        with pytest.raises(TypeError, match="to_float"):
+            np.asarray(x)
+        with pytest.raises(TypeError):
+            plain_lu_solve(np.eye(2), x)  # a binary64 solve handed pairs
+
+
+def recording_iterate(monkeypatch):
+    """The reports of every solvers._iterate run, in call order."""
+    reports = []
+    real = solvers._iterate
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(solvers, "_iterate", recording)
+    return reports
+
+
+def direct_pair_residual(problem, x):
+    """max |a + Bx^2 - x| for the pair-renormalized problem, C from one contraction."""
+    B = problem.p_tensor.to_tensor3()
+    alpha = DD(problem.alpha)
+    v = DD(problem.v) / dd_sum(DD(problem.v))
+    vals = DD(B.vals) * alpha / precision._dd_column_sums(B)[B.cols]
+    C = dd_contract_sym(B, x, vals, dd_sym_terms(B))
+    return float(abs((DD(1.0) - alpha) * v + 0.5 * (C @ x) - x).max())
+
+
+def grid_problem(name, alpha):
+    """A built-in, or a dense random problem "dense<n>", at the decimal alpha."""
+    if name in BUILTINS:
+        return BUILTINS[name](float(alpha))
+    n = int(name.removeprefix("dense"))
+    omt = float(1 - 2 * Decimal(alpha))
+    return random_pagerank_problem(np.random.default_rng(n), n, float(alpha), omt)
+
+
+class TestOneDriver:
+    """The references run on the solvers' drivers, on pair arrays."""
+
+    @pytest.mark.parametrize("name, alpha", [
+        *((name, alpha) for name in sorted(BUILTINS)
+          for alpha in ("0.3", "0.49", "0.49999", "0.5", "0.6", "0.9")),
+        *((name, alpha) for name in ("dense8", "dense16")
+          for alpha in ("0.3", "0.49", "0.49999", "0.5", "0.6")),
+    ])
+    def test_converged_reference_has_a_direct_residual_within_tol(self, name, alpha):
+        # the driver stops on its carried residual; the direct one must agree
+        problem = grid_problem(name, alpha)
+        converged = 0
+        for p in (problem, *(componentwise_zero_sum_perturb(problem, 1e-8, seed)
+                             for seed in (1, 2))):
+            ref = reference_solution(p, MINIMAL)
+            if ref.converged:
+                converged += 1
+                assert direct_pair_residual(p, ref.x_pair) <= precision.REFERENCE_TOL
+        assert converged > 0
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_pair_z_halves_exactly_from_zero_at_alpha_half(self, monkeypatch, name):
+        reports = recording_iterate(monkeypatch)
+        ref = from_zero(BUILTINS[name](0.5), monkeypatch)
+        run = reports[-1]
+        assert ref.converged and isinstance(run.x, DD)
+        assert run.iterations == ref.iterations
+        assert np.array_equal(run.z_history, 2.0 ** -np.arange(ref.iterations + 1.0))
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_seeded_reference_runs_the_loop_twice(self, monkeypatch, name):
+        reports = recording_iterate(monkeypatch)
+        ref = reference_solution(BUILTINS[name](0.3), MINIMAL)
+        assert ref.converged
+        assert [type(r.x) for r in reports] == [np.ndarray, DD]
+        assert ref.iterations == reports[-1].iterations
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_fallback_reference_runs_the_loop_three_times(self, monkeypatch, name):
+        real = solvers.newton_gth
+
+        def past_the_root(p, opts):
+            rep = real(p, opts)
+            rep.x = rep.x * (1.0 + 1e-6)  # z_0 = 1 - 1^T x_0 < 0 at alpha = 1/2
+            return rep
+
+        monkeypatch.setattr(solvers, "newton_gth", past_the_root)
+        reports = recording_iterate(monkeypatch)
+        ref = reference_solution(BUILTINS[name](0.5), MINIMAL)
+        assert ref.converged
+        assert [(type(r.x), r.termination) for r in reports] == [
+            (np.ndarray, Termination.TOL_REACHED),
+            (DD, Termination.SINGULAR_PIVOT),
+            (DD, Termination.TOL_REACHED),
+        ]
