@@ -111,6 +111,20 @@ def _options(args, parser, **kwargs):
         parser.error(str(exc))
 
 
+def _fail(code, message):
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(code)
+
+
+def _reference(problem, stochastic):
+    """The pair-precision reference; exit 3 if it does not converge."""
+    ref = precision.reference_solution(
+        problem, precision.STOCHASTIC if stochastic else precision.MINIMAL)
+    if not ref.converged:
+        _fail(EXIT_NUMERICAL, "extended-precision reference did not converge")
+    return ref
+
+
 def _termination_exit(termination):
     if termination is Termination.TOL_REACHED:
         return EXIT_OK
@@ -168,11 +182,7 @@ def cmd_solve(args, parser):
     reference = None
     ref_info = None
     if args.reference:
-        mode = precision.STOCHASTIC if args.start == "v" else precision.MINIMAL
-        ref = precision.reference_solution(problem, mode)
-        if not ref.converged:
-            sys.stderr.write("error: extended-precision reference did not converge\n")
-            return EXIT_NUMERICAL
+        ref = _reference(problem, stochastic=args.start == "v")
         reference = ref.x
         ref_info = {
             "reference_residual": ref.residual_norm,
@@ -193,11 +203,6 @@ def cmd_solve(args, parser):
     print(json.dumps({k: payload[k] for k in
                       ("method", "iterations", "termination", "final_residual", "x")}))
     return _termination_exit(report.termination)
-
-
-def _fail(code, message):
-    sys.stderr.write(f"error: {message}\n")
-    sys.exit(code)
 
 
 def cmd_perturb(args, parser):
@@ -287,13 +292,10 @@ def cmd_ingest(args, parser):
     try:
         adj = ingest.read_matrix_market(args.graph)
         v = ingest.random_teleport_vector(adj.n, args.v_seed)
-        if not 0.0 <= args.nu <= 1.0:
-            parser.error(f"nu must be in [0, 1], got {args.nu}")
-        cycles = ingest.three_cycle_tensor(adj)
         P = ingest.build_pagerank_tensor(adj, v, args.nu)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    if cycles.nnz == 0:
+    if P.S.nnz == 0:
         sys.stderr.write("warning: graph has no directed three-cycles\n")
     stored = P.to_tensor3()
     tz.write_tensor_text(stored, args.out_tensor)
@@ -305,7 +307,7 @@ def cmd_ingest(args, parser):
     payload = {
         "n": adj.n,
         "edges": adj.edge_count,
-        "three_cycle_entries": cycles.nnz,
+        "three_cycle_entries": P.S.nnz,
         "tensor_entries": stored.nnz,
         "stochastic_ok": rep.ok,
         "max_column_deviation": rep.max_deviation,
@@ -324,11 +326,7 @@ def cmd_compare(args, parser):
     start = Start.V if stochastic else Start.ZERO
     options = [_options(args, parser, method=m, start=start, record_history=True)
                for m in methods]
-    mode = precision.STOCHASTIC if stochastic else precision.MINIMAL
-    ref = precision.reference_solution(problem, mode)
-    if not ref.converged:
-        sys.stderr.write("error: extended-precision reference did not converge\n")
-        return EXIT_NUMERICAL
+    ref = _reference(problem, stochastic)
     rows = []
     worst = EXIT_OK
     for method, opts in zip(methods, options):
@@ -359,6 +357,18 @@ def cmd_compare(args, parser):
     return worst
 
 
+def _add_solver_args(p, several=False):
+    """The solver flags: --method (--methods if several), --tol, --maxit, --block-sizes."""
+    if several:
+        p.add_argument("--methods", required=True, help="comma-separated method names")
+    else:
+        p.add_argument("--method", default="newton-gth")
+    p.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
+    p.add_argument("--maxit", type=int, default=500)
+    p.add_argument("--block-sizes", default=None,
+                   help="comma-separated block sizes for Jacobi methods")
+
+
 def build_parser():
     parser = _Parser(prog="mlpagerank",
                      description="Componentwise-accurate multilinear PageRank solvers")
@@ -366,11 +376,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="run one method on one instance")
     _add_instance_args(p_solve)
-    p_solve.add_argument("--method", default="newton-gth")
-    p_solve.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
-    p_solve.add_argument("--maxit", type=int, default=500)
-    p_solve.add_argument("--block-sizes", default=None,
-                         help="comma-separated block sizes for Jacobi methods")
+    _add_solver_args(p_solve)
     p_solve.add_argument("--start", choices=["zero", "v"], default="zero")
     p_solve.add_argument("--reference", action="store_true",
                          help="attach extended-precision error columns; "
@@ -398,10 +404,7 @@ def build_parser():
                         help="relative size of the perturbation, in [0, 0.25)")
     p_pert.add_argument("--trials", type=int, default=100)
     p_pert.add_argument("--seed", type=int, default=0)
-    p_pert.add_argument("--method", default="newton-gth")
-    p_pert.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
-    p_pert.add_argument("--maxit", type=int, default=500)
-    p_pert.add_argument("--block-sizes", default=None)
+    _add_solver_args(p_pert)
     p_pert.add_argument("--reference", action="store_true",
                         help="solve perturbed instances in extended precision")
     p_pert.add_argument("--out-json", default=None)
@@ -419,11 +422,7 @@ def build_parser():
 
     p_cmp = sub.add_parser("compare", help="methods vs extended reference")
     _add_instance_args(p_cmp)
-    p_cmp.add_argument("--methods", required=True,
-                       help="comma-separated method names")
-    p_cmp.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
-    p_cmp.add_argument("--maxit", type=int, default=500)
-    p_cmp.add_argument("--block-sizes", default=None)
+    _add_solver_args(p_cmp, several=True)
     p_cmp.add_argument("--stochastic", action="store_true",
                        help="start from v, reference the stochastic solution")
     p_cmp.add_argument("--out-csv", default=None)
@@ -434,7 +433,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args, parser)
+    try:
+        return args.fn(args, parser)
+    except OSError as exc:
+        # input files are read inside the commands, which report their
+        # errors; what reaches here is an output file that cannot be written
+        _fail(EXIT_USAGE, str(exc))
 
 
 if __name__ == "__main__":

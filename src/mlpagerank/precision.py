@@ -295,12 +295,17 @@ def dd_residual(problem, x):
     the products.  Chained pair arithmetic would not do: its absolute error,
     about 2^-104 times the sum of the terms' magnitudes, exceeds half an ulp
     of the result once the residual falls below about 2^-50.
+
+    On a PageRank problem B's stored entries are fl(alpha p), taken from P's
+    stored entries here; B is not kept.
     """
-    B = problem.tensor.to_tensor3()
+    pagerank = problem.p_tensor is not None
+    B = (problem.p_tensor if pagerank else problem.tensor).to_tensor3()
+    vals = B.vals * problem.alpha if pagerank else B.vals
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
-    p, e = _two_prod(B.vals, x[B.cols % B.n])
+    p, e = _two_prod(vals, x[B.cols % B.n])
     xk = x[B.cols // B.n]
     parts = np.stack(_two_prod(p, xk) + _two_prod(e, xk))
     hi = np.empty(B.n)

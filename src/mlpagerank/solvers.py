@@ -66,24 +66,38 @@ class Termination(enum.Enum):
 
 
 class Problem:
-    """Instance data (a, B) with an optional PageRank view (v, P, alpha).
+    """One of two problems, x = a + Bx^2 in both.
 
-    A PageRank problem built without B forms tensor = P.scale(alpha) on its
-    first read and keeps it.  The solvers and the analysis read the tensor
-    only through contract(), which on a problem with P contracts P itself,
-    so their runs never copy its values.
+    A general problem is (a, B), from from_general: tensor is B, and v,
+    p_tensor, alpha and one_minus_two_alpha are None.  A PageRank problem
+    is (v, P, alpha, and optionally 1 - 2 alpha), from from_pagerank, with
+    a = (1 - alpha) v: tensor is None, and B = alpha P is never formed.
+    Any other combination raises ValueError.  The solvers and the analysis
+    read the tensor only through contract(); code that reads B's stored
+    entries takes them as fl(alpha p) on a PageRank problem.
     """
 
     def __init__(self, a, tensor=None, v=None, p_tensor=None, alpha=None,
                  one_minus_two_alpha=None):
         self.a = np.asarray(a, dtype=np.float64)
-        if tensor is None and (p_tensor is None or alpha is None):
-            raise ValueError("B is needed unless P and alpha are given")
-        self._tensor = tensor
+        if tensor is None and p_tensor is None:
+            raise ValueError("B is needed unless v, P and alpha are given")
         if self.a.shape != ((p_tensor if tensor is None else tensor).n,):
             raise ValueError("a and B dimensions disagree")
         if (self.a < 0.0).any():
             raise ValueError("a must be nonnegative")
+        fields = {"v": v, "P": p_tensor, "alpha": alpha,
+                  "one_minus_two_alpha": one_minus_two_alpha}
+        if tensor is not None:
+            given = [name for name, value in fields.items() if value is not None]
+            if given:
+                raise ValueError(f"B is given with {', '.join(given)}: a general problem "
+                                 "is (a, B) alone, a PageRank problem (v, P, alpha)")
+        else:
+            missing = [name for name in ("v", "P", "alpha") if fields[name] is None]
+            if missing:
+                raise ValueError(f"a PageRank problem needs {' and '.join(missing)}")
+        self.tensor = tensor
         self.v = None if v is None else np.asarray(v, dtype=np.float64)
         self.p_tensor = p_tensor
         self.alpha = None if alpha is None else float(alpha)
@@ -98,10 +112,7 @@ class Problem:
 
     @classmethod
     def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None):
-        """Build a = (1-alpha) v and B = alpha P; validates stochasticity.
-
-        B is formed on its first read (see Problem).
-        """
+        """Build a = (1-alpha) v and keep P and alpha; validates stochasticity."""
         v = np.asarray(v, dtype=np.float64)
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
@@ -127,19 +138,12 @@ class Problem:
     def from_general(cls, a, tensor):
         return cls(a=a, tensor=tensor)
 
-    @property
-    def tensor(self):
-        """B = alpha P for a PageRank problem, formed on first read."""
-        if self._tensor is None:
-            self._tensor = self.p_tensor.scale(self.alpha)
-        return self._tensor
-
     def contract(self, x):
-        """C = Bx: + B:x, from contract_sym(P, alpha x) when P is kept.
+        """C = Bx: + B:x, on a PageRank problem from contract_sym(P, alpha x).
 
         Every alpha problem of one stored P then shares P's slice matrix.
         """
-        if self.p_tensor is not None and self.alpha is not None:
+        if self.p_tensor is not None:
             return tz.contract_sym(self.p_tensor, self.alpha * x)
         return tz.contract_sym(self.tensor, x)
 
@@ -193,9 +197,11 @@ def residual(problem, x):
     The result is the single rounding of precision.dd_residual's pair, so
     each component differs from the exact value for the stored a, B and x
     by at most 2^-53 of that value (barring underflow), even where the terms
-    cancel to far below their size, as they do at a solution.  The solvers'
-    stopping tests and right-hand sides do not use it: they evaluate in
-    binary64, as the analysed algorithms do.
+    cancel to far below their size, as they do at a solution.  On a PageRank
+    problem B's stored entries are fl(alpha p), alpha times each stored
+    entry of P rounded once.  The solvers' stopping tests and right-hand
+    sides do not use it: they evaluate in binary64, as the analysed
+    algorithms do.
     """
     return dd_residual(problem, x).to_float()
 
@@ -317,8 +323,6 @@ def newton(problem, opts):
 def _require_pagerank_from_zero(problem, opts, name):
     if not problem.is_pagerank:
         raise ValueError(f"{name} needs a PageRank problem")
-    if problem.p_tensor is None:
-        raise ValueError(f"{name} needs the PageRank tensor P (Problem.from_pagerank)")
     if opts.start is not Start.ZERO:
         raise ValueError(f"{name} targets the minimal solution; use start=ZERO")
 

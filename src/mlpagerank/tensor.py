@@ -2,9 +2,9 @@
 
 The solvers, the analysis and Problem.from_pagerank touch a tensor only
 through contract_sym and check_stochastic (its unfolding column sums), plus
-unfolding(), scale(), n and nnz.  Every other quantity comes from the
-Jacobian part C = Bx: + B:x that contract_sym returns: R_x = I - C, and
-Bx^2 = C x / 2, the halving exact.  Code that reads stored entries
+unfolding(), n and nnz.  Every other quantity comes from the Jacobian part
+C = Bx: + B:x that contract_sym returns: R_x = I - C, and Bx^2 = C x / 2,
+the halving exact.  Code that reads stored entries
 (pair-precision arithmetic, cw_distance on tensors, the tensor file) calls
 to_tensor3() first.  Two types implement the protocol: Tensor3, which stores
 entries, and PageRankTensor, which keeps a graph's PageRank tensor in
@@ -26,11 +26,11 @@ vec(B:x) = D x~ and vec(Bx:) = D^T x~, so
     vec(Bx: + B:x) = S x~,   S = D + D^T,
 
 one scipy CSR product with S, whose blocks B_i + B_i^T are symmetric.  S is
-built on the first product and kept per tensor, not per scale() copy; D's
-row indices and column pointer, from which it is built, are shared by all
-copies (4 bytes an entry while 32-bit indices fit).  So a solve holds a
-dense P at 36 bytes an entry: its rows, cols and vals, D's row indices and
-S's values.
+built on the first product and kept per tensor.  Where D^T has S's pattern,
+as for a dense tensor, S shares D^T's index arrays: its column indices are
+D's row indices (4 bytes an entry while 32-bit indices fit).  So a solve
+holds a dense P at 36 bytes an entry: its rows, cols and vals (24), and S's
+values (8) and column indices (4).
 
 Summation-order contract: entry (i, j) of contract_sym adds the terms
 fl(b_{ijk} + b_{ikj}) x_k of row i*n + j of S one at a time, starting from
@@ -38,14 +38,14 @@ fl(b_{ijk} + b_{ikj}) x_k of row i*n + j of S one at a time, starting from
 bit-for-bit reproducible and equal to a sequential ``np.bincount`` over the
 same terms, however the work is dispatched.
 
-PageRankTensor holds P_(1) = w [nu (S + v d_S^T) + (1 - nu) F kron 1^T]
-as its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative
-terms only, in one order: the S product by the rule above, plus v times a
-BLAS product with d_S, times w nu; plus w (1 - nu) times the F terms (BLAS
-products with F, and 1^T x).  With D_{jk} = d_S(j, k),
+PageRankTensor holds P_(1) = nu (S + v d_S^T) + (1 - nu) F kron 1^T as
+its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative terms
+only, in one order: the S product by the rule above, plus v times a BLAS
+product with d_S, times nu; plus (1 - nu) times the F terms (BLAS products
+with F, and 1^T x).  With D_{jk} = d_S(j, k),
 
-    (Px: + P:x)_{ij} = w nu [(Sx: + S:x)_{ij} + v_i ((D + D^T) x)_j]
-                     + w (1 - nu) [(Fx)_i + F_{ij} 1^T x].
+    (Px: + P:x)_{ij} = nu [(Sx: + S:x)_{ij} + v_i ((D + D^T) x)_j]
+                     + (1 - nu) [(Fx)_i + F_{ij} 1^T x].
 
 Let m be the largest of n and the stored entries of S in one row.  Each
 entry of a product is then within gamma_{m+6} = (m+6)u / (1 - (m+6)u) of the
@@ -60,33 +60,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
-
-
-class _Layout:
-    """Index arrays derived from a storage pattern, built on first use.
-
-    One instance is shared by a tensor and all of its scale() copies.
-    slices() builds what the slice matrix and the product read: slice_rows,
-    col_ptr and tile.
-    """
-
-    __slots__ = ("col_ptr", "slice_rows", "tile")
-
-    def __init__(self):
-        self.slice_rows = None
-
-    def slices(self, B):
-        if self.slice_rows is None:
-            n = B.n
-            # 32-bit indices where they fit make the product cheaper and smaller
-            index = np.int32 if max(n * n, B.nnz) < 2**31 else np.int64
-            base = B.rows * n
-            # storage runs by (i, k, j), so the columns i*n + k of D are sorted
-            self.col_ptr = np.searchsorted(base + B.cols // n, np.arange(n * n + 1)).astype(index)
-            base += B.cols % n
-            self.slice_rows = base.astype(index)
-            self.tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
-        return self
 
 
 def _entry(n, row, col):
@@ -115,7 +88,7 @@ class Tensor3:
     reproducible order.
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_layout", "_sym")
+    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_sym", "_tile")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -166,7 +139,6 @@ class Tensor3:
         self.cols = cols
         self.vals = vals
         self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
-        self._layout = _Layout()
         self._sym = None
 
     @classmethod
@@ -219,32 +191,25 @@ class Tensor3:
         U[self.rows, self.cols] = self.vals
         return U
 
-    def scale(self, factor):
-        """Return the tensor scaled by a nonnegative factor."""
-        factor = float(factor)
-        if factor < 0.0:
-            raise ValueError("scale factor must be nonnegative")
-        out = Tensor3.__new__(Tensor3)
-        out.n = self.n
-        out.rows = self.rows
-        out.cols = self.cols
-        out.vals = self.vals * factor
-        out.row_ptr = self.row_ptr
-        out._layout = self._layout
-        out._sym = None
-        return out
-
     def sym_matrix(self):
         """S = D + D^T in CSR form, built once per tensor.
 
-        D (CSC) and D^T (CSR) wrap this tensor's own arrays.  S shares D^T's
-        index arrays where D has their pattern; otherwise it is copied at its
-        exact size out of scipy's nnz(D) + nnz(D^T) buffers.
+        D (CSC) and D^T (CSR) wrap this tensor's values and D's slice rows and
+        column pointer, built here.  S shares D^T's index arrays where D has
+        their pattern; otherwise it is copied at its exact size out of scipy's
+        nnz(D) + nnz(D^T) buffers.  The gather index of x~ is built with it.
         """
         if self._sym is None:
-            lay = self._layout.slices(self)
-            nn = self.n * self.n
-            D = csc_array((self.vals, lay.slice_rows, lay.col_ptr), shape=(nn, nn))
+            n, nn = self.n, self.n * self.n
+            # 32-bit indices where they fit make the product cheaper and smaller
+            index = np.int32 if max(nn, self.nnz) < 2**31 else np.int64
+            base = self.rows * n
+            # storage runs by (i, k, j), so the columns i*n + k of D are sorted
+            col_ptr = np.searchsorted(base + self.cols // n, np.arange(nn + 1)).astype(index)
+            base += self.cols % n
+            slice_rows = base.astype(index)
+            del base  # 8 bytes an entry that would otherwise outlive the S build
+            D = csc_array((self.vals, slice_rows, col_ptr), shape=(nn, nn))
             DT = D.T
             S = D.tocsr()
             if np.array_equal(S.indptr, DT.indptr) and np.array_equal(S.indices, DT.indices):
@@ -255,13 +220,15 @@ class Tensor3:
                 S = csr_array((S.data[:S.nnz].copy(), S.indices[:S.nnz].copy(), S.indptr),
                               shape=S.shape)
             self._sym = S
+            self._tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
         return self._sym
 
     def to_tensor3(self):
         return self
 
     def _symmetric(self, x):
-        return (self.sym_matrix() @ x.take(self._layout.tile)).reshape(self.n, self.n)
+        S = self.sym_matrix()
+        return (S @ x.take(self._tile)).reshape(self.n, self.n)
 
     def _column_sums(self):
         return np.bincount(self.cols, weights=self.vals, minlength=self.n * self.n)
@@ -271,23 +238,22 @@ class Tensor3:
 
 
 class PageRankTensor:
-    """P_(1) = w [nu (S + v d_S^T) + (1 - nu) F kron 1^T], kept in factored form.
+    """P_(1) = nu (S + v d_S^T) + (1 - nu) F kron 1^T, kept in factored form.
 
     S is a sparse Tensor3; dS is the n x n array of d_S, with dS[k, j] = 1
     exactly where unfolding column j + k*n of S is empty and 0 elsewhere; F
     is dense n x n, its entry (i, k) the first-order part of p_{ijk} for
-    every j; nu is the mixing weight in [0, 1] and w the scale weight, so
-    scale() copies share the factors.  Products follow the order and bound in
-    the module docstring; to_tensor3() stores the entries, once per object.
+    every j; nu is the mixing weight in [0, 1].  Products follow the order
+    and bound in the module docstring; to_tensor3() stores the entries, once
+    per object.
     """
 
-    __slots__ = ("n", "S", "v", "dS", "F", "nu", "weight", "_stored")
+    __slots__ = ("n", "S", "v", "dS", "F", "nu", "_stored")
 
-    def __init__(self, S, v, dS, F, nu, weight=1.0):
+    def __init__(self, S, v, dS, F, nu):
         self.n = S.n
         self.S, self.v, self.dS, self.F = S, v, dS, F
         self.nu = float(nu)
-        self.weight = float(weight)
         self._stored = None
 
     @property
@@ -295,38 +261,25 @@ class PageRankTensor:
         """Entries stored across the factors (not the nonzeros of P_(1))."""
         return self.S.nnz + self.v.size + self.dS.size + self.F.size
 
-    def scale(self, factor):
-        factor = float(factor)
-        if factor < 0.0:
-            raise ValueError("scale factor must be nonnegative")
-        return PageRankTensor(self.S, self.v, self.dS, self.F, self.nu, self.weight * factor)
-
     def unfolding(self):
         """A new dense n x n^2 unfolding, entry by entry as the formula reads."""
         n = self.n
-        U = (self.nu * (self.S.unfolding() + self.v[:, None] * self.dS.reshape(1, n * n))
-             + (1.0 - self.nu) * np.repeat(self.F, n, axis=1))
-        U *= self.weight
-        return U
+        return (self.nu * (self.S.unfolding() + self.v[:, None] * self.dS.reshape(1, n * n))
+                + (1.0 - self.nu) * np.repeat(self.F, n, axis=1))
 
     def to_tensor3(self):
         if self._stored is None:
             self._stored = Tensor3.from_unfolding(self.unfolding())
         return self._stored
 
-    def _mix(self):
-        return self.weight * self.nu, self.weight * (1.0 - self.nu)
-
     def _symmetric(self, x):
-        a, b = self._mix()
         d = self.dS @ x + x @ self.dS
-        return (a * (self.S._symmetric(x) + np.outer(self.v, d))
-                + b * ((self.F @ x)[:, None] + self.F * x.sum()))
+        return (self.nu * (self.S._symmetric(x) + np.outer(self.v, d))
+                + (1.0 - self.nu) * ((self.F @ x)[:, None] + self.F * x.sum()))
 
     def _column_sums(self):
-        a, b = self._mix()
-        return (a * (self.S._column_sums() + self.dS.ravel() * self.v.sum())
-                + b * np.repeat(self.F.sum(axis=0), self.n))
+        return (self.nu * (self.S._column_sums() + self.dS.ravel() * self.v.sum())
+                + (1.0 - self.nu) * np.repeat(self.F.sum(axis=0), self.n))
 
 
 def contract_sym(B, x):

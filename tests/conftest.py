@@ -30,6 +30,18 @@ def exact_stochastic_unfolding(rng, n, density=1.0):
     return U
 
 
+def scaled(B, c):
+    """B with every stored value times c, rounded once: non-stochastic values."""
+    return Tensor3.from_coordinates(B.n, B.rows, B.cols, B.vals * c)
+
+
+def stored_b_entries(p):
+    """(i, j, k, b) of B as stored: fl(alpha p) from P on a PageRank problem."""
+    if p.p_tensor is None:
+        return list(p.tensor.entries())
+    return [(i, j, k, p.alpha * b) for i, j, k, b in p.p_tensor.to_tensor3().entries()]
+
+
 def random_pagerank_problem(rng, n, alpha, density=1.0, one_minus_two_alpha=None):
     U = exact_stochastic_unfolding(rng, n, density)
     v = rng.random(n) + 0.05

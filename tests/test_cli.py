@@ -171,6 +171,45 @@ def test_ingest_writes_the_unfolding_bit_for_bit(graph_file, tmp_path, capsys):
     assert report["three_cycle_entries"] > 0 and report["stochastic_ok"]
 
 
+def test_ingest_builds_the_three_cycle_tensor_once(graph_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    build = cli.ingest.three_cycle_tensor
+
+    def counting(adj):
+        calls.append(adj)
+        return build(adj)
+
+    monkeypatch.setattr(cli.ingest, "three_cycle_tensor", counting)
+    argv = ["ingest", "--graph", graph_file, "--out-tensor", str(tmp_path / "t.txt")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["three_cycle_entries"] > 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", *EX1], "--out-json"),
+    (["solve", *EX1], "--out-csv"),
+    (["perturb", *EX1, "--epsilon", "1e-8", "--trials", "1"], "--out-csv"),
+    (["perturb", *EX1, "--epsilon", "1e-8", "--trials", "1"], "--out-json"),
+    (["compare", *EX1, "--methods", "newton-gth"], "--out-csv"),
+    (["ingest"], "--out-tensor"),
+    (["ingest", "--out-tensor", "{tmp}/t.txt"], "--out-v"),
+    (["ingest", "--out-tensor", "{tmp}/t.txt"], "--out-report"),
+], ids=["solve-json", "solve-csv", "perturb-csv", "perturb-json", "compare-csv",
+        "ingest-tensor", "ingest-v", "ingest-report"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(argv, flag, graph_file,
+                                                                tmp_path, capsys):
+    missing = tmp_path / "no-such-directory" / "out"
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + [flag, str(missing)]
+    if argv[0] == "ingest":
+        argv += ["--graph", graph_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, capsys):
     # all five methods reach the tensor through P's one symmetric slice
     # matrix; none of them forms B = alpha P
@@ -198,4 +237,4 @@ def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, 
     assert [row["method"] for row in rows] == methods
     [problem] = loaded
     assert builds == [problem.p_tensor]
-    assert problem._tensor is None
+    assert problem.tensor is None

@@ -32,7 +32,7 @@ from mlpagerank.precision import (
 )
 from mlpagerank.solvers import Method, SolverOptions, Start, Termination, solve
 
-from conftest import random_pagerank_problem
+from conftest import random_pagerank_problem, scaled
 
 finite_floats = st.floats(
     min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False
@@ -265,7 +265,7 @@ class TestReferenceSolution:
     @pytest.mark.parametrize("build,mode", [
         (lambda: ex1(0.3), MINIMAL),  # seeded from binary64 Newton-GTH
         (lambda: ex2(0.9951), STOCHASTIC),
-        (lambda: Problem.from_general(ex1(0.3).a, ex1(0.3).tensor), MINIMAL),
+        (lambda: Problem.from_general(ex1(0.3).a, scaled(ex1(0.3).p_tensor, 0.3)), MINIMAL),
     ], ids=["seeded", "stochastic", "general"])
     def test_one_contraction_per_step(self, monkeypatch, build, mode):
         counts = {"terms": 0, "contract": 0}

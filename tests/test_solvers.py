@@ -34,7 +34,12 @@ from mlpagerank import (
 from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
 from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
 
-from conftest import exact_stochastic_unfolding, random_pagerank_problem
+from conftest import (
+    exact_stochastic_unfolding,
+    random_pagerank_problem,
+    scaled,
+    stored_b_entries,
+)
 
 U = 2.0 ** -53
 
@@ -82,7 +87,7 @@ def exact_residual(p, x):
     """a + Bx^2 - x for the stored binary64 data, in exact rationals."""
     xs = [Fraction(float(t)) for t in x]
     out = [Fraction(float(a)) - xi for a, xi in zip(p.a, xs)]
-    for i, j, k, b in p.tensor.entries():
+    for i, j, k, b in stored_b_entries(p):
         out[i - 1] += Fraction(b) * xs[j - 1] * xs[k - 1]
     return out
 
@@ -101,7 +106,7 @@ class TestResidual:
         p = ex1(0.3)
         x = rng.random(4)
         dense = np.zeros((4, 4, 4))
-        for i, j, k, v in p.tensor.entries():
+        for i, j, k, v in stored_b_entries(p):
             dense[i - 1, j - 1, k - 1] = v
         want = p.a + np.einsum("ijk,j,k->i", dense, x, x) - x
         assert np.max(np.abs(residual(p, x) - want)) <= 1e-14
@@ -232,14 +237,6 @@ class TestNewtonGTH:
             solve(p, opts(Method.NEWTON_GTH))
         with pytest.raises(ValueError, match="start"):
             solve(ex1(0.3), opts(Method.NEWTON_GTH, start=Start.V))
-
-    @pytest.mark.parametrize("method", [Method.NEWTON_GTH, Method.BLOCK_JACOBI,
-                                        Method.BLOCK_JACOBI_GTH_VARIANT])
-    def test_pagerank_alpha_without_p_is_a_clear_error(self, method):
-        p = ex1(0.3)
-        bare = Problem(p.a, p.tensor, v=p.v, alpha=p.alpha)
-        with pytest.raises(ValueError, match="needs the PageRank tensor P"):
-            solve(bare, opts(method))
 
     def test_subtraction_free_residual_reaches_tiny_levels(self):
         # the symbolic residual alpha P h^2 underflows smoothly; no noise floor
@@ -559,38 +556,53 @@ def test_dense_n_200_within_60_bytes_an_entry():
     assert peak <= 60 * nnz
 
 
-class TestPageRankTensorOnFirstRead:
-    def test_is_p_scaled_once(self):
-        p = ex1(0.3)
-        B = p.tensor
-        want = p.p_tensor.scale(p.alpha)
-        for name in ("rows", "cols", "vals"):
-            assert getattr(B, name).tobytes() == getattr(want, name).tobytes()
+class TestTwoProblems:
+    def test_general_problem_is_a_and_b(self):
+        B = scaled(ex1(0.3).p_tensor, 0.3)
+        p = Problem.from_general(ex1(0.3).a, B)
         assert p.tensor is B
-        assert p.n == 4
+        assert (p.v, p.p_tensor, p.alpha, p.one_minus_two_alpha) == (None,) * 4
+        assert not p.is_pagerank
 
-    @pytest.mark.parametrize("run,scales", [
-        (lambda p: solve(p, opts(Method.NEWTON_GTH)), 0),
-        (lambda p: solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(1, 3))), 0),
-        (lambda p: solve(p, opts(Method.FIXED_POINT)), 0),
-        (lambda p: solve(p, opts(Method.NEWTON)), 0),
-        (lambda p: solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT)), 0),
-        (lambda p: residual(p, p.v), 1),
-    ], ids=["newton-gth", "block-jacobi", "fixed-point", "newton", "variant", "residual"])
-    def test_formed_only_by_what_reads_it(self, monkeypatch, run, scales):
-        calls = []
-        scale = Tensor3.scale
-
-        def counting(self, factor):
-            calls.append(factor)
-            return scale(self, factor)
-
-        monkeypatch.setattr(Tensor3, "scale", counting)
+    def test_pagerank_problem_never_forms_b(self):
         p = ex1(0.3)
-        assert calls == []
-        run(p)
-        run(p)
-        assert calls == [0.3] * scales
+        assert p.tensor is None
+        for run in (lambda: solve(p, opts(Method.NEWTON_GTH)), lambda: residual(p, p.v)):
+            run()
+            assert p.tensor is None
+            assert not any(isinstance(value, Tensor3) for value in vars(p).values()
+                           if value is not p.p_tensor)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda p, B: Problem(p.a, B, one_minus_two_alpha=0.4),
+         "B is given with one_minus_two_alpha"),
+        (lambda p, B: Problem(p.a, B, v=p.v, alpha=p.alpha), "B is given with v, alpha"),
+        (lambda p, B: Problem(p.a, B, v=p.v, p_tensor=p.p_tensor, alpha=p.alpha),
+         "B is given with v, P, alpha"),
+    ], ids=["one-minus-two-alpha-without-alpha", "b-with-alpha-but-no-p", "b-and-p"])
+    def test_every_other_combination_is_a_value_error(self, build, message):
+        p = ex1(0.3)
+        with pytest.raises(ValueError, match=message):
+            build(p, scaled(p.p_tensor, p.alpha))
+
+    def test_pagerank_problem_needs_v_p_and_alpha(self):
+        p = ex1(0.3)
+        with pytest.raises(ValueError, match="a PageRank problem needs alpha"):
+            Problem(p.a, v=p.v, p_tensor=p.p_tensor, one_minus_two_alpha=0.4)
+        with pytest.raises(ValueError, match="a PageRank problem needs v$"):
+            Problem(p.a, p_tensor=p.p_tensor, alpha=0.3)
+
+    def test_graph_residual_is_exact_for_b_rounded_from_p(self, rng):
+        # the factored path: B's stored entries are fl(alpha p) over P.to_tensor3()
+        A = np.triu(np.random.default_rng(5).random((9, 9)) < 0.5, k=1)
+        v = random_teleport_vector(9, 5)
+        p = Problem.from_pagerank(v, build_pagerank_tensor(Adjacency(matrix=A | A.T), v, 0.2), 0.45)
+        solution = solve(p, opts(Method.NEWTON_GTH)).x
+        points = [rng.random(9), solution]
+        points += [solution * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, 9)) for _ in range(3)]
+        for x in points:
+            for got, want in zip(residual(p, x), exact_residual(p, x), strict=True):
+                assert abs(Fraction(float(got)) - want) <= abs(want) / 2**53
 
     def test_needs_b_or_p_and_alpha(self):
         with pytest.raises(ValueError, match="B is needed"):

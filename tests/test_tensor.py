@@ -22,7 +22,7 @@ from mlpagerank import (
     write_tensor_text,
 )
 
-from conftest import exact_stochastic_unfolding
+from conftest import exact_stochastic_unfolding, scaled
 
 
 def intro_tensor(alpha=0.3):
@@ -88,18 +88,8 @@ KERNEL_CASES = [  # (n, density, empty rows)
 
 
 class TestKernelsMatchBincountFormulas:
-    def test_scale_copies_share_index_arrays_not_values(self, rng):
-        P = random_sparse_tensor(rng, 6, 0.5)
-        A, B = P.scale(0.3), P.scale(0.6)
-        x = rng.random(6)
-        assert contract_sym(A, x).tobytes() == bincount_contract_sym(A, x).tobytes()
-        assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
-        assert A._layout is B._layout is P._layout
-        assert A._layout.slice_rows is not None
-        assert not np.shares_memory(A.vals, B.vals)
-
     def test_dense_slice_matrices_have_32_bit_indices(self, rng):
-        B = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 30)).scale(0.4)
+        B = scaled(Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 30)), 0.4)
         S = B.sym_matrix()
         assert S.indices.dtype == S.indptr.dtype == np.int32
         for _ in range(3):
@@ -148,7 +138,7 @@ class TestContractSym:
     @pytest.mark.parametrize("n,density,empty_rows", KERNEL_CASES)
     def test_bit_identical_to_bincount(self, n, density, empty_rows):
         rng = np.random.default_rng(2000 + n)
-        B = random_sparse_tensor(rng, n, density, empty_rows).scale(0.4)
+        B = scaled(random_sparse_tensor(rng, n, density, empty_rows), 0.4)
         for _ in range(3):
             x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
             assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
@@ -159,7 +149,7 @@ class TestContractSym:
         (graph_pipeline_tensor, False),
     ])
     def test_within_2_n_plus_1_u_of_both_contractions(self, rng, build, symmetric_pattern):
-        B = build(rng).scale(0.4)
+        B = scaled(build(rng), 0.4)
         n, u = B.n, 2.0 ** -53
         # a symmetric pattern gives S the pattern of D; else (j, k) and (k, j) differ
         assert (B.sym_matrix().nnz == B.nnz) is symmetric_pattern
@@ -178,15 +168,6 @@ class TestContractSym:
         assert S.data.size == S.indices.size == S.nnz
         assert held_bytes(S.data) == S.data.nbytes
         assert held_bytes(S.indices) == S.indices.nbytes
-
-    def test_scale_copies_do_not_inherit_it(self, rng):
-        P = random_sparse_tensor(rng, 8, 0.5)
-        S = P.sym_matrix()
-        A = P.scale(0.3)
-        assert A._sym is None
-        assert A.sym_matrix() is not S
-        x = rng.random(8)
-        assert contract_sym(A, x).tobytes() == bincount_contract_sym(A, x).tobytes()
 
     def test_every_alpha_problem_of_one_p_shares_it(self, rng, monkeypatch):
         builds = []
@@ -327,7 +308,7 @@ class TestQuadraticFromContraction:
     def test_within_2_n_plus_2_u_of_exact_rationals(self, n, density, empty_rows):
         # C's entries add n + 1 rounded terms, C x adds n more; halving is exact
         rng = np.random.default_rng(3000 + n)
-        B = random_sparse_tensor(rng, n, density, empty_rows).scale(0.4)
+        B = scaled(random_sparse_tensor(rng, n, density, empty_rows), 0.4)
         x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
         xs = [Fraction(float(t)) for t in x]
         want = [Fraction(0)] * n
@@ -358,7 +339,7 @@ class TestContractions:
         # 1^T R_x = (1 - 2 alpha 1^T x) 1^T for stochastic P
         n, alpha = 5, 0.4
         U = exact_stochastic_unfolding(rng, n)
-        B = Tensor3.from_unfolding(U).scale(alpha)
+        B = scaled(Tensor3.from_unfolding(U), alpha)
         x = rng.random(n)
         R = np.eye(n) - contract_sym(B, x)
         want = 1.0 - 2.0 * alpha * x.sum()
@@ -467,8 +448,7 @@ GRAPHS = {
 class TestPageRankTensor:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0])
-    @pytest.mark.parametrize("weight", [1.0, 0.4])
-    def test_products_within_2_n_plus_1_u_of_the_dense_oracle(self, graph, nu, weight):
+    def test_products_within_2_n_plus_1_u_of_the_dense_oracle(self, graph, nu):
         A = GRAPHS[graph]()
         n, u = len(A), 2.0 ** -53
         rng = np.random.default_rng(n)
@@ -477,13 +457,11 @@ class TestPageRankTensor:
         P = build_pagerank_tensor(Adjacency(matrix=A), v, nu)
         U = dense_pagerank_unfolding(A, v, nu)
         assert P.unfolding().tobytes() == U.tobytes()
-        oracle = Tensor3.from_unfolding(U).scale(weight)
-        B = P.scale(weight)
-        assert B.to_tensor3().unfolding().tobytes() == oracle.unfolding().tobytes()
+        assert P.to_tensor3().unfolding().tobytes() == U.tobytes()
         for _ in range(3):
             x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
-            want = exact_products(oracle.unfolding(), x)
-            for name, got in factored_products(B, x).items():
+            want = exact_products(U, x)
+            for name, got in factored_products(P, x).items():
                 assert (got >= 0.0).all(), name
                 assert (np.abs(got - want[name]) <= 2 * (n + 1) * u * want[name]).all(), name
 
@@ -499,19 +477,12 @@ class TestPageRankTensor:
         A = GRAPHS[graph]()
         n = len(A)
         rng = np.random.default_rng(7)
-        P = build_pagerank_tensor(Adjacency(matrix=A), np.full(n, 1.0 / n), 0.1).scale(0.49)
+        P = build_pagerank_tensor(Adjacency(matrix=A), np.full(n, 1.0 / n), 0.1)
         x = rng.random(n)
         first = factored_products(P, x)
         again = factored_products(P, x.copy())
         for name in first:
             assert first[name].tobytes() == again[name].tobytes(), name
-
-    def test_scale_copies_share_the_factors(self):
-        P = build_pagerank_tensor(Adjacency(matrix=random_graph(4)), np.full(12, 1.0 / 12), 0.1)
-        B = P.scale(0.3)
-        assert B.S is P.S and B.F is P.F and B.dS is P.dS and B.v is P.v
-        assert B.to_tensor3() is B.to_tensor3()
-        assert B.to_tensor3() is not P.to_tensor3()
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_three_cycle_tensor_is_the_dense_formula(self, graph):
