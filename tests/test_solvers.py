@@ -564,11 +564,19 @@ class TestTwoProblems:
         assert (p.v, p.p_tensor, p.alpha, p.one_minus_two_alpha) == (None,) * 4
         assert not p.is_pagerank
 
-    def test_pagerank_problem_never_forms_b(self):
+    @pytest.mark.parametrize("run", [
+        lambda p: solve(p, opts(Method.NEWTON_GTH)),
+        lambda p: solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(1, 3))),
+        lambda p: solve(p, opts(Method.FIXED_POINT)),
+        lambda p: solve(p, opts(Method.NEWTON)),
+        lambda p: solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT)),
+        lambda p: residual(p, p.v),
+    ], ids=["newton-gth", "block-jacobi", "fixed-point", "newton", "variant", "residual"])
+    def test_pagerank_problem_never_forms_b(self, run):
         p = ex1(0.3)
         assert p.tensor is None
-        for run in (lambda: solve(p, opts(Method.NEWTON_GTH)), lambda: residual(p, p.v)):
-            run()
+        for _ in range(2):
+            run(p)
             assert p.tensor is None
             assert not any(isinstance(value, Tensor3) for value in vars(p).values()
                            if value is not p.p_tensor)

@@ -448,7 +448,9 @@ GRAPHS = {
 class TestPageRankTensor:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0])
-    def test_products_within_2_n_plus_1_u_of_the_dense_oracle(self, graph, nu):
+    @pytest.mark.parametrize("weight", [1.0, 0.4])
+    def test_products_within_2_n_plus_1_u_of_the_dense_oracle(self, graph, nu, weight):
+        # weight < 1 is the alpha x at which Problem.contract takes P's products
         A = GRAPHS[graph]()
         n, u = len(A), 2.0 ** -53
         rng = np.random.default_rng(n)
@@ -459,7 +461,7 @@ class TestPageRankTensor:
         assert P.unfolding().tobytes() == U.tobytes()
         assert P.to_tensor3().unfolding().tobytes() == U.tobytes()
         for _ in range(3):
-            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+            x = weight * (rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n))
             want = exact_products(U, x)
             for name, got in factored_products(P, x).items():
                 assert (got >= 0.0).all(), name
