@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -430,10 +431,23 @@ def build_parser():
     return parser
 
 
+def _check_outputs(args):
+    """Open every --out-* path for appending, before any work, so that one
+    that cannot be written fails at once; a file made here is removed."""
+    for name, path in vars(args).items():
+        if name.startswith("out_") and path is not None:
+            existed = os.path.exists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                os.remove(path)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.fn(args, parser)
     except OSError as exc:
         # input files are read inside the commands, which report their

@@ -9,9 +9,13 @@ componentwise regardless of how close M is to singularity.
 
 The GTH kernel is written once and runs unchanged on float64 ndarrays and
 on precision.DD pair arrays.  Its one elimination pass (_eliminate) works in
-place on an augmented array: the off-diagonal magnitudes fill the leading
-n x n block, right-hand sides are further columns, and the column sums ride
-beside it as a vector.  Two paths use the pass:
+place on an augmented array W of n + 1 rows, the augmented form of
+Grassmann, Taksar and Heyman (Oper. Res. 33, 1985): the off-diagonal
+magnitudes fill the leading n x n block, the column sums are row n, and
+right-hand sides are further columns.  A pivot is the sum of the column
+below it, the sums entry last, and one rank-1 update per pivot, rounded as
+(a / d) b, updates the entries, the sums and the right-hand sides alike.
+Two paths use the pass:
 
 - gth_col_solve, the solve of the iterations, eliminates the right-hand
   sides along with the matrix and back-substitutes, without forming L and U.
@@ -19,8 +23,7 @@ beside it as a vector.  Two paths use the pass:
   Schur complement, whose off-diagonal part, column sums and right-hand
   sides are again sums of products of nonnegative numbers.
 - gth_eliminate reads L and U off the pass for gth_solve (the substitution),
-  gth_partial_inverse and null_vector, keeping the classical GTH rounding:
-  pivot = sums + sum of the rest, (a b) / d on entries, a (b / d) on sums.
+  gth_partial_inverse and null_vector.
 
 The binary64 routines that take a TripletMMatrix validate it and call the
 kernel; the solvers' block sweeps call gth_col_solve directly on their own
@@ -42,9 +45,10 @@ ROW = "row"
 COL = "col"
 
 # gth_col_solve splits a system with more unknowns than this in half.  The
-# split trades per-pivot interpreter work for matrix products; block sizes
-# 20 to 48 measured alike at n = 80 and 120, and no split at all was about
-# 1.7 times slower at n = 120.
+# split trades per-pivot interpreter work for matrix products.  With the
+# sums row in the pass, block sizes 16 to 48 measured within 5% of each other
+# at n = 80, 120 and 200 (binary64, one BLAS thread), and no split at all was
+# 1.2, 1.6 and 3.1 times slower.
 GTH_BLOCK = 40
 
 
@@ -125,7 +129,8 @@ class GTHFactors:
 
     @property
     def pivots(self):
-        return np.diag(self.upper)
+        i = np.arange(self.n)
+        return self.upper[i, i]
 
     @property
     def n(self):
@@ -137,36 +142,30 @@ def _zeros(like, shape):
     return getattr(type(like), "zeros", np.zeros)(shape)
 
 
-def _eye(like, n):
-    eye = _zeros(like, (n, n))
-    i = np.arange(n)
-    eye[i, i] = 1.0
-    return eye
+def _eliminate(W, offset=0):
+    """The GTH forward pass, in place, on the augmented column-oriented W.
 
-
-def _eliminate(A, sig, offset=0):
-    """The GTH forward pass, in place, on a column-oriented array A.
-
-    The leading n x n block of A holds the off-diagonal magnitudes and sig
-    the column sums; further columns of A are right-hand sides, eliminated
-    along with the matrix.  Pivot k is sig_k plus the entries of column k
-    below row k, so the diagonal is never read.  Step k adds (A_ik A_kj) / d_k
-    to the rows below it, right-hand sides included, and A_kj (sig_k / d_k)
-    to the later sums: nonnegative terms only.  A then holds U's strict upper
-    part negated, L's strict lower part times -d, and the forward-eliminated
-    right-hand sides.  Returns the pivots; raises SingularPivotError, before
-    any division by it, if one vanishes, naming its step as offset + k + 1.
+    W has n + 1 rows: the leading n x n block holds the off-diagonal
+    magnitudes, row n the column sums, and columns past n are right-hand
+    sides, eliminated along with the matrix.  Pivot k is the sum of column k
+    below row k, the sums entry last, so the diagonal is never read.  Step k
+    adds (W_ik / d_k) W_kj to every entry below and right of the pivot, the
+    sums row and the right-hand sides included: nonnegative terms only.  W
+    then holds U's strict upper part negated, L's strict lower part times
+    -d, and the forward-eliminated right-hand sides.  Returns the pivots;
+    raises SingularPivotError, before any division by it, if one vanishes,
+    naming its step as offset + k + 1.
     """
-    n = A.shape[0]
-    d = _zeros(A, n)
+    n = W.shape[0] - 1
+    d = _zeros(W, n)
     for k in range(n):
-        dk = sig[k] + A[k + 1 :, k].sum()
-        if dk.item() <= 0.0:
+        dk = W[k + 1 :, k].sum()
+        if float(dk) <= 0.0:
             raise SingularPivotError(f"zero pivot at step {offset + k + 1}")
         d[k] = dk
-        if k < n - 1:
-            A[k + 1 :, k + 1 :] += A[k + 1 :, k : k + 1] * A[k : k + 1, k + 1 :] / dk
-            sig[k + 1 :] += A[k, k + 1 : n] * (sig[k] / dk)
+        if k < n - 1:  # the last step would update only the sums' right-hand sides
+            rest = W[k + 1 :, k + 1 :]  # += on a view: no copy back into W
+            rest += W[k + 1 :, k : k + 1] / dk * W[k : k + 1, k + 1 :]
     return d
 
 
@@ -175,75 +174,95 @@ def gth_eliminate(offdiag, sums, orientation=ROW):
 
     The factor path of the package's one elimination pass (_eliminate), run
     unchanged on float64 ndarrays and on precision.DD pair arrays.  A ROW
-    triplet is eliminated as the COL triplet of its transpose, on a
-    transposed view, which gives the same pivots and updates.  L and U are
-    read off the eliminated array: U_kj = -N_kj above the diagonal, the
+    triplet is eliminated as the COL triplet of its transpose, which gives
+    the same pivots and updates.  L and U are read off the eliminated array
+    N, offdiag in its own orientation: U_kj = -N_kj above the diagonal, the
     pivots on it, and L_ik = -N_ik / d_k below.  The diagonal of offdiag is
     never read.  Raises SingularPivotError if a pivot vanishes.
     """
-    N = offdiag.copy()
-    d = _eliminate(N if orientation == COL else N.T, sums.copy())
-    n = len(d)
-    L = _eye(N, n)
-    U = _zeros(N, (n, n))
+    n = offdiag.shape[0]
+    W = _zeros(offdiag, (n + 1, n))
+    N = W[:n] if orientation == COL else W[:n].T  # offdiag's orientation, a view
+    N[...] = offdiag
+    W[n] = sums
+    d = _eliminate(W)
+    # identity and diagonal in the arithmetic of N, both exact
+    L = _zeros(N, (n, n)) + np.eye(n)
+    U = np.eye(n) * d
     i, j = np.triu_indices(n, 1)
     U[i, j] = -N[i, j]
     L[j, i] = -N[j, i] / d[i]
-    diag = np.arange(n)
-    U[diag, diag] = d
     return GTHFactors(lower=L, upper=U)
 
 
-def _solve_in_place(A, sig, offset=0):
-    """Overwrite the right-hand-side columns of A with the solution.
+def _back_substitute(V, d, y):
+    """y_k <- (y_k + sum_{j>k} V_kj y_j) / d_k for k = n, ..., 1, in place, in
+    any arithmetic; only the strict upper triangle of V is read."""
+    for k in range(len(d) - 1, -1, -1):
+        y[k] = (y[k] + V[k, k + 1 :] @ y[k + 1 :]) / d[k]
 
-    A and sig are as in _eliminate.  Up to GTH_BLOCK unknowns, one
-    elimination pass and a back-substitution y_k = (z_k + sum_{j>k} A_kj y_j)
-    / d_k.  Above it the system splits in half, M = [[M1, -N12], [-N21, M2]]:
-    the leading block, whose column sums are s1 + 1^T N21, is solved against
-    [N12 | R1] for [X | Y1]; the trailing block recurses on the Schur
-    complement, with off-diagonal part N22 + N21 X, column sums s2 + X^T s1
-    and right-hand sides R2 + N21 Y1; then Y1 += X Y2.  Every term is a sum
-    of products of nonnegative numbers.  A block's pivots are steps offset + 1,
-    offset + 2, ... of the whole system.
+
+def _unit_upper_solve(V, d, y):
+    """_back_substitute in binary64: one LAPACK solve for x of the unit upper
+    system x_k + sum_{j>k} (-V_kj / d_k) x_j = y_k / d_k, stored in y.  It
+    too reads only the strict upper triangle of V."""
+    y[...] = scipy.linalg.lapack.dtrtrs(V / -d[:, None], (y.T / d).T, unitdiag=1)[0]
+
+
+def _solve_in_place(W, offset=0):
+    """Overwrite the right-hand-side columns of the augmented W with the solution.
+
+    W is as in _eliminate, n + 1 rows with the column sums last.  Up to
+    GTH_BLOCK unknowns, one elimination pass and a back-substitution: the
+    arithmetic's own (gth_substitute, the loop in pairs) if it has one,
+    else one binary64 unit-upper solve.  Above it the system splits in half,
+    M = [[M1, -N12], [-N21, M2]]: the leading block, whose column sums are
+    the sums of the rows below it, 1^T N21 + s1, is solved against
+    [N12 | R1] for [X | Y1]; then one product adds N21 X to N22, X^T s1 to
+    s2 (row n belongs to W[h:, :h]) and N21 Y1 to R2, the trailing block
+    recurses on that Schur complement, and Y1 += X Y2.  Every term is a sum
+    of products of nonnegative numbers.  A block's pivots are steps
+    offset + 1, offset + 2, ... of the whole system.
     """
-    n = A.shape[0]
+    n = W.shape[0] - 1
     if n > GTH_BLOCK:
         h = n // 2
-        _solve_in_place(A[:h], sig[:h] + A[h:, :h].sum(axis=0), offset)
-        trailing_sums = sig[h:] + sig[:h] @ A[:h, h:n]
-        A[h:, h:] += A[h:, :h] @ A[:h, h:]
-        _solve_in_place(A[h:, h:], trailing_sums, offset + h)
-        A[:h, n:] += A[:h, h:n] @ A[h:, n:]
+        # row h of W, for the while, is the leading block's sums row
+        row = W[h].copy()
+        W[h, :h] = W[h:, :h].sum(axis=0)
+        _solve_in_place(W[: h + 1], offset)
+        W[h] = row
+        W[h:, h:] += W[h:, :h] @ W[:h, h:]
+        _solve_in_place(W[h:, h:], offset + h)
+        W[:h, n:] += W[:h, h:n] @ W[h:n, n:]
         return
-    d = _eliminate(A, sig, offset)
+    d = _eliminate(W, offset)
     # one right-hand side stays a vector: cheaper steps, in pairs above all
-    y = A[:, n] if A.shape[1] == n + 1 else A[:, n:]
-    for k in range(n - 1, -1, -1):
-        acc = y[k] if k == n - 1 else y[k] + A[k, k + 1 : n] @ y[k + 1 :]
-        y[k] = acc / d[k]
+    y = W[:n, n] if W.shape[1] == n + 1 else W[:n, n:]
+    getattr(type(W), "gth_substitute", _unit_upper_solve)(W[:n, :n], d, y)
 
 
 def gth_col_solve(offdiag, sums, rhs):
     """Solve M y = rhs for the COL triplet (offdiag, sums) without forming L, U.
 
-    The solves of the iterations: the right-hand sides ride in the
-    elimination pass as further columns, and systems above GTH_BLOCK
-    unknowns are split in blocks (see _solve_in_place).  Runs unchanged on
-    float64 ndarrays and on precision.DD pair arrays; rhs is a vector or a
-    matrix of stacked right-hand sides, and rhs >= 0 gives y >= 0.  The
-    diagonal of offdiag is never read.  Raises SingularPivotError if a pivot
-    vanishes.
+    The solves of the iterations: the sums are the last row and the
+    right-hand sides further columns of one augmented array, eliminated in
+    one pass, and systems above GTH_BLOCK unknowns are split in blocks (see
+    _solve_in_place).  Runs unchanged on float64 ndarrays and on
+    precision.DD pair arrays; rhs is a vector or a matrix of stacked
+    right-hand sides, and rhs >= 0 gives y >= 0.  The diagonal of offdiag is
+    never read.  Raises SingularPivotError if a pivot vanishes.
     """
     n = offdiag.shape[0]
     if rhs.shape[0] != n:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
     vector = len(rhs.shape) == 1
-    A = _zeros(offdiag, (n, n + (1 if vector else rhs.shape[1])))
-    A[:, :n] = offdiag
-    y = A[:, n] if vector else A[:, n:]
+    W = _zeros(offdiag, (n + 1, n + (1 if vector else rhs.shape[1])))
+    W[:n, :n] = offdiag
+    W[n, :n] = sums
+    y = W[:n, n] if vector else W[:n, n:]
     y[...] = rhs
-    _solve_in_place(A, sums.copy())
+    _solve_in_place(W)
     return y
 
 
@@ -272,10 +291,7 @@ def gth_solve(F, b):
     G = -F.lower  # nonnegative below the diagonal
     for k in range(1, n):
         y[k] += G[k, :k] @ y[:k]
-    W = -F.upper  # nonnegative above the diagonal
-    for k in range(n - 1, -1, -1):
-        acc = y[k] if k == n - 1 else y[k] + W[k, k + 1 :] @ y[k + 1 :]
-        y[k] = acc / F.upper[k, k]
+    _back_substitute(-F.upper, F.pivots, y)  # -U is nonnegative above the diagonal
     return y[:, 0] if squeeze else y
 
 
@@ -351,7 +367,7 @@ def gth_partial_inverse(offdiag, sums):
         scale *= F1.upper[k, k] / F.upper[k, k]
     scale /= F.upper[n - 1, n - 1]
     z = t * scale
-    return PartialInverse(z=z, S=gth_solve(F, _eye(sums, n)) - z[None, :])
+    return PartialInverse(z=z, S=gth_solve(F, _zeros(sums, (n, n)) + np.eye(n)) - z[None, :])
 
 
 def partial_inverse(T, check=True):

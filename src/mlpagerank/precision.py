@@ -17,9 +17,10 @@ when the binary64 run or the seeded pair run fails; its iteration count is
 of pair-arithmetic steps only.  Its GTH steps are the mmatrix kernel's fused
 solve (gth_col_solve) run on DD arrays, which is why DD offers the few
 numpy-style methods that the kernel and the drivers use: .sum(axis=0),
-.item(), .max(), .T, abs(), float(), and @ between vectors and matrices,
-each entry of a product a dd_sum of its terms.  In pair arithmetic the
-elimination update rounds as (a b) / d, the order binary64 keeps.  Each
+.max(), .T, abs(), float(), += into a view, and @ between vectors and
+matrices, each entry of a product a dd_sum of its terms, and the kernel's
+leaf back-substitution, gth_substitute.  In pair arithmetic the elimination
+update rounds as (a / d) b, the order binary64 keeps.  Each
 reference step makes one tensor product, dd_contract_sym: the contraction of
 the step h on the Newton-GTH path, which updates C = Bx: + B:x and gives the
 next residual Bh^2 = G h / 2, and the contraction of the iterate for plain
@@ -35,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .mmatrix import SingularPivotError
+from .mmatrix import SingularPivotError, _back_substitute
 
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
@@ -156,6 +157,11 @@ class DD:
 
     __radd__ = __add__
 
+    def __iadd__(self, other):
+        """In place, as for an ndarray: a view adds into the array it views."""
+        self[...] = self + other
+        return self
+
     def __neg__(self):
         return DD(-self.hi, -self.lo)
 
@@ -194,11 +200,9 @@ class DD:
     def to_float(self):
         return self.hi + self.lo
 
-    def item(self):
+    def __float__(self):
         """The value of a one-element pair array, rounded to a Python float."""
         return float(self.hi + self.lo)
-
-    __float__ = item
 
     @property
     def T(self):
@@ -221,6 +225,8 @@ class DD:
 
     # the solve of solvers.newton in pairs, looked up when called
     lu_solve = staticmethod(lambda A, b: dd_lu_solve(A, b))
+    # the back-substitution of mmatrix's GTH leaf in pairs: the plain loop
+    gth_substitute = staticmethod(_back_substitute)
 
     def __repr__(self):
         return f"DD(hi={self.hi!r}, lo={self.lo!r})"

@@ -8,8 +8,9 @@ Newton-GTH is its one-block case), and the block Jacobi-GTH variant that
 reuses Newton's z-recurrence for cheaper, faster, non-monotone steps.
 
 Every GTH step solves its column triplets with mmatrix.gth_col_solve: one
-elimination pass that carries the right-hand side along, split in blocks
-above mmatrix.GTH_BLOCK unknowns, with no L or U formed.
+elimination pass over the matrix with its column sums as the last row and
+the right-hand side as a further column, split in blocks above
+mmatrix.GTH_BLOCK unknowns, with no L or U formed.
 
 Every method makes one tensor product per step, Problem.contract, which
 gives the Jacobian part C = Bx: + B:x; Bx^2 = C x / 2 comes from the same C,
@@ -427,13 +428,18 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
 
     def step(x, r, u):
         nonlocal C
-        N = _offblock(C, slices)
-        col_n = N.sum(axis=0)
+        # one block has N = 0, whose terms would add exact zeros: skip them
+        N = _offblock(C, slices) if len(slices) > 1 else None
+        col_n = _zeros(r, problem.n) if N is None else N.sum(axis=0)
         h = _gth_sweep(C, slices, u, col_n, r)
-        u_next = (u * u + omt_sq + 4.0 * alpha * (col_n @ h)) / (2.0 * u)
+        top = u * u + omt_sq
         G = problem.contract(h)
         C += G
-        return x + h, 0.5 * (G @ h) + N @ h, u_next
+        r = 0.5 * (G @ h)
+        if N is not None:
+            top = top + 4.0 * alpha * (col_n @ h)
+            r = r + N @ h
+        return x + h, r, top / (2.0 * u)
 
     return _iterate(method, opts, x, r, u, step)
 

