@@ -9,6 +9,7 @@ are reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -117,12 +118,14 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _reference(problem, stochastic):
-    """The pair-precision reference; exit 3 if it does not converge."""
+def _reference(problem, stochastic=False, what=None):
+    """The pair-precision reference of problem, named `what` in the message
+    if given; exit 3 if it does not converge."""
     ref = precision.reference_solution(
         problem, precision.STOCHASTIC if stochastic else precision.MINIMAL)
     if not ref.converged:
-        _fail(EXIT_NUMERICAL, "extended-precision reference did not converge")
+        of = "" if what is None else f" of {what}"
+        _fail(EXIT_NUMERICAL, f"extended-precision reference{of} did not converge")
     return ref
 
 
@@ -217,11 +220,7 @@ def cmd_perturb(args, parser):
 
     def minimal_solution(p, what):
         if args.reference:
-            ref = precision.reference_solution(p, precision.MINIMAL)
-            if not ref.converged:
-                _fail(EXIT_NUMERICAL, f"extended-precision reference of {what} "
-                                      "did not converge")
-            return ref.x
+            return _reference(p, what=what).x
         try:
             report = solve(p, opts)
         except ValueError as exc:
@@ -370,7 +369,10 @@ def _add_solver_args(p, several=False):
                    help="comma-separated block sizes for Jacobi methods")
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parse_args leaves it as it
+    was, so every main() call shares it."""
     parser = _Parser(prog="mlpagerank",
                      description="Componentwise-accurate multilinear PageRank solvers")
     sub = parser.add_subparsers(dest="command", required=True)

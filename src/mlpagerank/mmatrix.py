@@ -262,7 +262,8 @@ def gth_col_solve(offdiag, sums, rhs):
     W[n, :n] = sums
     y = W[:n, n] if vector else W[:n, n:]
     y[...] = rhs
-    _solve_in_place(W)
+    if n:  # LAPACK's dtrtrs rejects an empty system, and prints that it does
+        _solve_in_place(W)
     return y
 
 

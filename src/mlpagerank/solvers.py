@@ -2,10 +2,13 @@
 
 Five methods run as step functions of one iteration loop, which owns the
 stopping test, the histories and the singular-pivot and divergence exits:
-plain fixed-point, Newton with a partial-pivoting solve, the subtraction-free
-Newton-GTH, the GTH block Jacobi (exact block triplets via the u-recurrence;
-Newton-GTH is its one-block case), and the block Jacobi-GTH variant that
-reuses Newton's z-recurrence for cheaper, faster, non-monotone steps.
+plain fixed-point, Newton with a partial-pivoting solve, and three GTH
+methods run by one driver, _gth_block_jacobi, which differ only in the
+column-sum level of their triplet solves: the subtraction-free Newton-GTH
+(Newton's z), the GTH block Jacobi (the exact block level u; Newton-GTH is
+its one-block case), and the block Jacobi-GTH variant (Newton's z with a
+correction d = u - z beside it, for cheaper, faster, non-monotone steps;
+with one block it is Newton-GTH).
 
 Every GTH step solves its column triplets with mmatrix.gth_col_solve: one
 elimination pass over the matrix with its column sums as the last row and
@@ -14,13 +17,13 @@ mmatrix.GTH_BLOCK unknowns, with no L or U formed.
 
 Every method makes one tensor product per step, Problem.contract, which
 gives the Jacobian part C = Bx: + B:x; Bx^2 = C x / 2 comes from the same C,
-the halving exact.  Fixed-point, Newton and the variant contract the new
-iterate and carry its C (or a + Bx^2) into the next step.  Newton-GTH and
-block Jacobi never contract the iterate: they carry C_k from C_0 = 0 at
-x_0 = 0 as C_{k+1} = C_k + G with G the contraction of the step h, and take
-the next residual's Bh^2 = G h / 2 from the same G.  Their steps are
-nonnegative, so these updates add nonnegative terms only and stay
-subtraction-free.
+the halving exact.  Fixed-point and Newton contract the new iterate and
+carry its C (or a + Bx^2) into the next step.  The three GTH methods never
+contract the iterate: they carry C_k from C_0 = 0 at x_0 = 0 as
+C_{k+1} = C_k + G with G the contraction of the step h, and take the next
+residual's Bh^2 = G h / 2 from the same G.  The steps of Newton-GTH and
+block Jacobi are nonnegative, so these updates add nonnegative terms only
+and stay subtraction-free; the variant's need not be.
 
 The iterations run in the arithmetic of the problem's a.  On a Problem that
 is binary64 throughout, stopping tests and right-hand sides included, since
@@ -407,15 +410,25 @@ def block_jacobi(problem, opts):
 
 
 def _gth_block_jacobi(problem, opts, method, block_sizes):
-    """The driver of newton_gth and block_jacobi, and of the pair reference.
+    """The driver of the three GTH methods, and of the pair reference.
 
     From start ZERO it takes x_0 = 0, C_0 = 0, r_0 = a and u_0 = 1 with no
     product.  From another start, which only precision.reference_solution
     gives it, one contraction gives r_0 and C_0 and u_0 = 1 - 2 alpha 1^T x_0.
     Each step contracts once, G = alpha (Ph: + P:h).  Values follow the
     arithmetic of problem.a: binary64 ndarrays or precision.DD pairs.
+
+    The level of the triplet solve follows one of three rules: Newton's z
+    (one block, where N = 0), block Jacobi's u, or the variant's z with the
+    correction d = u - z beside it.  The variant solves T h = r + d x, takes
+    r <- Bh^2 + N h - d x_{k+1} and d <- theta d_C + (1 - theta) d_A, where
+    d_C follows u = 1 - 2 alpha 1^T x directly, d_A eliminates 1^T h through
+    the column sums of the solve, and theta = c / (c + z) with
+    c = 2 alpha 1^T N x_k.  With one block d stays 0: the variant is
+    Newton-GTH, and only it ends DIVERGED on an iterate with a negative entry.
     """
     slices = _block_slices(problem.n, block_sizes)
+    variant = method is Method.BLOCK_JACOBI_GTH_VARIANT
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
@@ -425,65 +438,63 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
     else:
         r, C = _residual_and_jacobian(problem, x)
         u = 1.0 - 2.0 * alpha * x.sum()
+    d = 0.0
 
-    def step(x, r, u):
-        nonlocal C
+    def step(x, r, z):
+        nonlocal C, d
         # one block has N = 0, whose terms would add exact zeros: skip them
         N = _offblock(C, slices) if len(slices) > 1 else None
         col_n = _zeros(r, problem.n) if N is None else N.sum(axis=0)
-        h = _gth_sweep(C, slices, u, col_n, r)
-        top = u * u + omt_sq
+        if N is not None and variant:
+            r = r + d * x
+        h = _gth_sweep(C, slices, z, col_n, r)
+        top = z * z + omt_sq
         G = problem.contract(h)
         C += G
         r = 0.5 * (G @ h)
         if N is not None:
-            top = top + 4.0 * alpha * (col_n @ h)
             r = r + N @ h
-        return x + h, r, top / (2.0 * u)
+            if variant:
+                r = r - d * (x + h)
+                c = 2.0 * alpha * (col_n @ x)
+                theta = c / (c + z)
+                d_c = d + (z * z - omt_sq) / (2.0 * z) - 2.0 * alpha * h.sum()
+                d_a = (4.0 * alpha * (col_n @ h) - d * (2.0 - (z + d) - z)) / (2.0 * z)
+                d = theta * d_c + (1.0 - theta) * d_a
+            else:
+                top = top + 4.0 * alpha * (col_n @ h)
+        return x + h, r, top / (2.0 * z)
 
-    return _iterate(method, opts, x, r, u, step)
+    def diverged(x):
+        # the variant's steps are not monotone and can leave the nonnegative
+        # cone, where the triplet representation exists
+        return _too_large(x) or (variant and (x < 0.0).any())
+
+    return _iterate(method, opts, x, r, u, step, diverged)
 
 
 def block_jacobi_gth_variant(problem, opts):
     """Block Jacobi-GTH variant: Newton's z-recurrence in the block triplet.
 
-    Each sweep solves T_k w_next = N w + (1-alpha) v - alpha P w^2 where T_k
-    has the block off-diagonals and column sums z + 1^T N.  The smaller z
-    (z <= u) lengthens the steps towards the minimal solution, trading the
-    monotonicity guarantee for near-Newton convergence speed; overshoot is
-    recorded by solve() when a reference is available, never raised.
+    Each sweep solves T_k x_{k+1} = N x_k + (1-alpha) v - alpha P x_k^2,
+    where T_k has the block off-diagonals and column sums z + 1^T N, in the
+    incremental form of _gth_block_jacobi.  The smaller z (z <= u) lengthens
+    the steps towards the minimal solution, trading the monotonicity
+    guarantee for near-Newton convergence speed; overshoot is recorded by
+    solve() when a reference is available, never raised.  A run whose
+    iterate leaves the nonnegative cone ends DIVERGED.  With one block it is
+    Newton-GTH bit for bit.
 
-    Known to fail on common inputs.  With several blocks an iterate often
-    leaves the nonnegative cone and the run ends DIVERGED: on ex2 with
-    blocks (2,2) and (1,3) and on intro with blocks (1,1) at every alpha of
-    0.3, 0.49999, 0.5 and 0.6, and on ex1 with (1,3) at 0.49999 and 0.5.
-    block_jacobi with blocks (1,1) on intro and (2,2) on ex2 converges at all
-    of these but ex2 at 0.5.  With one block the variant ends DIVERGED at
-    alpha >= 0.49999 on all three built-ins: the right-hand side
-    N x + a - B x^2 carries an absolute error near 1e-16, which T_k^{-1}
-    amplifies by 1/z as z -> 0.
+    Known to fail on common inputs with several blocks, where an iterate
+    often leaves the nonnegative cone: on ex2 with blocks (2,2) and (1,3)
+    and on intro with blocks (1,1) at every alpha of 0.3, 0.49999, 0.5 and
+    0.6, and on ex1 with (1,3) at 0.49999 and 0.5.  block_jacobi with blocks
+    (1,1) on intro and (2,2) on ex2 converges at all of these but ex2 at
+    0.5.  ex1 with (2,2) at 0.49999 ends TOL_REACHED at iteration 351.
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi_gth_variant")
-    slices = _block_slices(problem.n, opts.block_sizes)
-    omt = problem.one_minus_two_alpha
-    omt_sq = omt * omt
-    x = np.zeros(problem.n)
-    r, C = _residual_and_jacobian(problem, x)
-
-    def step(x, r, z):
-        nonlocal C
-        b = problem.a - 0.5 * (C @ x)
-        N = _offblock(C, slices)
-        x = _gth_sweep(C, slices, z, N.sum(axis=0), N @ x + b)
-        r, C = _residual_and_jacobian(problem, x)
-        return x, r, (omt_sq + z * z) / (2.0 * z)
-
-    def diverged(x):
-        # a negative entry means the sweep left the nonnegative cone where
-        # the triplet representation exists (possible: steps are non-monotone)
-        return _too_large(x) or (x < 0.0).any()
-
-    return _iterate(Method.BLOCK_JACOBI_GTH_VARIANT, opts, x, r, 1.0, step, diverged)
+    return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI_GTH_VARIANT,
+                             opts.block_sizes)
 
 
 _DISPATCH = {

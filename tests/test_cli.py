@@ -67,6 +67,32 @@ def builtin_args(name, alpha):
     return ["--builtin", name, "--alpha", alpha, "--one-minus-two-alpha", repr(omt)]
 
 
+@pytest.mark.parametrize("alpha", ["0.49999", "0.5", "0.6"])
+@pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
+def test_variant_with_one_block_solves_as_newton_gth(name, alpha, capsys):
+    xs = []
+    for method in ("block-jacobi-gth-variant", "newton-gth"):
+        assert main(["solve", *builtin_args(name, alpha), "--method", method]) == EXIT_OK
+        xs.append(json.loads(capsys.readouterr().out)["x"])
+    assert xs[0] == xs[1]
+
+
+def test_the_parser_is_built_once_and_keeps_no_flags():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["solve", *EX1, "--method", "newton", "--tol", "0",
+                               "--reference", "--start", "v"])
+    second = parser.parse_args(["compare", "--builtin", "ex2", "--alpha", "0.6",
+                                "--methods", "newton-gth"])
+    third = parser.parse_args(["solve", *EX1])
+    assert (first.method, first.tol, first.reference, first.start) == ("newton", 0.0, True, "v")
+    assert second.command == "compare" and second.builtin == "ex2"
+    assert not hasattr(second, "method") and not hasattr(second, "reference")
+    assert (third.method, third.tol, third.reference, third.start) == (
+        "newton-gth", 1e-15, False, "zero")
+    assert third.fn is cli.cmd_solve and second.fn is cli.cmd_compare
+
+
 def perturb_args(name, alpha, *extra, epsilon="1e-8"):
     return ["perturb", *builtin_args(name, alpha), f"--epsilon={epsilon}",
             "--trials", "3", "--seed", "0", *extra]

@@ -274,6 +274,14 @@ class TestInverseBoundCheck:
         assert np.isinf(rep.d_offdiag)
 
 
+@pytest.mark.parametrize("rhs", [np.zeros(0), np.zeros((0, 3))], ids=["vector", "matrix"])
+def test_col_solve_of_an_empty_system_is_empty_and_quiet(rhs, capfd):
+    y = gth_col_solve(np.zeros((0, 0)), np.zeros(0), rhs)
+    assert y.shape == rhs.shape
+    # LAPACK's complaint about an empty system would go to file descriptor 1
+    assert capfd.readouterr() == ("", "")
+
+
 def test_plain_lu_solve_matches_numpy(rng):
     A = rng.random((4, 4)) + np.eye(4)
     b = rng.random(4)

@@ -63,9 +63,10 @@ def cw_err(x, ref):
     return float(np.max(np.abs(x - ref) / np.abs(ref)))
 
 
-def assert_one_contraction_per_iterate(monkeypatch, p, method):
-    """One Problem.contract per iterate, of that iterate, with outputs unchanged."""
-    want = solve(p, opts(method, record_history=True))
+def counted_solve(monkeypatch, p, o):
+    """solve(p, o) and the vectors it passed to Problem.contract, with the
+    outputs checked unchanged by the counting."""
+    want = solve(p, o)
     calls = []
     contract = Problem.contract
 
@@ -74,13 +75,39 @@ def assert_one_contraction_per_iterate(monkeypatch, p, method):
         return contract(self, x)
 
     monkeypatch.setattr(Problem, "contract", counting)
-    rep = solve(p, opts(method, record_history=True))
+    rep = solve(p, o)
     assert rep.termination is Termination.TOL_REACHED
+    assert rep.x.tobytes() == want.x.tobytes()
+    assert rep.residual_history.tobytes() == want.residual_history.tobytes()
+    return rep, calls
+
+
+def assert_one_contraction_per_iterate(monkeypatch, p, method):
+    """One Problem.contract per iterate, of that iterate."""
+    rep, calls = counted_solve(monkeypatch, p, opts(method, record_history=True))
     assert len(calls) == rep.iterations + 1
     for got, xk in zip(calls, rep.iterate_history, strict=True):
         assert got.tobytes() == xk.tobytes()
-    assert rep.x.tobytes() == want.x.tobytes()
-    assert rep.residual_history.tobytes() == want.residual_history.tobytes()
+
+
+def assert_one_contraction_per_step(monkeypatch, p, method, block_sizes=None):
+    """One Problem.contract per step, of that step: x_k + g_k is x_{k+1}."""
+    o = opts(method, block_sizes=block_sizes, record_history=True)
+    rep, calls = counted_solve(monkeypatch, p, o)
+    assert len(calls) == rep.iterations
+    hist = rep.iterate_history
+    for g, xk, xnext in zip(calls, hist[:-1], hist[1:], strict=True):
+        assert (xk + g).tobytes() == xnext.tobytes()
+
+
+@pytest.mark.parametrize("method,block_sizes", [
+    (Method.NEWTON_GTH, None),
+    (Method.BLOCK_JACOBI, (2, 2)),
+    (Method.BLOCK_JACOBI_GTH_VARIANT, None),
+    (Method.BLOCK_JACOBI_GTH_VARIANT, (2, 2)),
+], ids=["newton-gth", "block-jacobi", "variant-one-block", "variant"])
+def test_gth_methods_contract_each_step_once(monkeypatch, method, block_sizes):
+    assert_one_contraction_per_step(monkeypatch, ex1(0.3), method, block_sizes)
 
 
 def exact_residual(p, x):
@@ -305,15 +332,16 @@ class TestBlockJacobi:
         else:
             p = builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha))
         ng = solve(p, opts(Method.NEWTON_GTH, record_history=True))
-        bj = solve(p, opts(Method.BLOCK_JACOBI, record_history=True))
         assert ng.termination is Termination.TOL_REACHED
-        assert bj.termination is ng.termination
-        assert bj.iterations == ng.iterations
-        assert bj.x.tobytes() == ng.x.tobytes()
-        assert bj.residual_history.tobytes() == ng.residual_history.tobytes()
-        assert bj.z_history.tobytes() == ng.z_history.tobytes()
-        for xb, xn in zip(bj.iterate_history, ng.iterate_history, strict=True):
-            assert xb.tobytes() == xn.tobytes()
+        for method in (Method.BLOCK_JACOBI, Method.BLOCK_JACOBI_GTH_VARIANT):
+            one = solve(p, opts(method, record_history=True))
+            assert one.termination is ng.termination
+            assert one.iterations == ng.iterations
+            assert one.x.tobytes() == ng.x.tobytes()
+            assert one.residual_history.tobytes() == ng.residual_history.tobytes()
+            assert one.z_history.tobytes() == ng.z_history.tobytes()
+            for xb, xn in zip(one.iterate_history, ng.iterate_history, strict=True):
+                assert xb.tobytes() == xn.tobytes()
 
     def test_one_block_never_builds_the_off_block_part(self, monkeypatch):
         # one block has N = 0: nothing to build, sum or apply, in binary64 or pairs
@@ -326,7 +354,8 @@ class TestBlockJacobi:
         monkeypatch.setattr("mlpagerank.solvers._offblock", forbidden)
         for rep in (solve(p, opts(Method.NEWTON_GTH)),
                     solve(p, opts(Method.BLOCK_JACOBI)),
-                    solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,)))):
+                    solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,))),
+                    solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT))):
             assert rep.termination is Termination.TOL_REACHED
             assert rep.x.tobytes() == want.x.tobytes()
         assert reference_solution(p, MINIMAL).converged
@@ -422,10 +451,6 @@ def test_gth_sweep_solves_a_diagonal_block_as_the_elimination_does(n):
 
 
 class TestBlockJacobiVariant:
-    def test_one_product_per_step(self, monkeypatch):
-        assert_one_contraction_per_iterate(monkeypatch, ex1(0.3),
-                                           Method.BLOCK_JACOBI_GTH_VARIANT)
-
     def test_one_block_matches_newton_gth_at_alpha_half(self):
         p = ex1(0.5)
         var = solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(4,),
