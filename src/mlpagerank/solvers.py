@@ -116,8 +116,14 @@ class Problem:
 
     @classmethod
     def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None):
-        """Build a = (1-alpha) v and keep P and alpha; validates stochasticity."""
+        """Build a = (1-alpha) v and keep P and alpha.
+
+        Checks v's shape against P's n first, then alpha, then the
+        stochasticity of v and P.
+        """
         v = np.asarray(v, dtype=np.float64)
+        if v.shape != (p_tensor.n,):
+            raise ValueError(f"v has shape {v.shape}, but P has n = {p_tensor.n}")
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -145,7 +151,8 @@ class Problem:
     def contract(self, x):
         """C = Bx: + B:x, on a PageRank problem from contract_sym(P, alpha x).
 
-        Every alpha problem of one stored P then shares P's slice matrix.
+        Every alpha problem of one stored P then shares P's one product
+        structure, its slab or its slice matrix.
         """
         if self.p_tensor is not None:
             return tz.contract_sym(self.p_tensor, self.alpha * x)

@@ -25,18 +25,32 @@ vec(B:x) = D x~ and vec(Bx:) = D^T x~, so
 
     vec(Bx: + B:x) = S x~,   S = D + D^T,
 
-one scipy CSR product with S, whose blocks B_i + B_i^T are symmetric.  S is
-built on the first product and kept per tensor.  Where D^T has S's pattern,
-as for a dense tensor, S shares D^T's index arrays: its column indices are
-D's row indices (4 bytes an entry while 32-bit indices fit).  So a solve
-holds a dense P at 36 bytes an entry: its rows, cols and vals (24), and S's
-values (8) and column indices (4).
+one scipy CSR product with S, whose blocks B_i + B_i^T are symmetric.  This
+is the sparse path.  S is built on the first product and kept per tensor.
+Where D^T has S's pattern, as for a pattern symmetric in (j, k), S shares
+D^T's index arrays: its column indices are D's row indices (4 bytes an entry
+while 32-bit indices fit).  So a solve holds such a tensor at 36 bytes an
+entry: its rows, cols and vals (24), and S's values (8) and column indices
+(4).
 
-Summation-order contract: entry (i, j) of contract_sym adds the terms
-fl(b_{ijk} + b_{ikj}) x_k of row i*n + j of S one at a time, starting from
-0.0, in the order S stores them (k ascending).  Results are therefore
-bit-for-bit reproducible and equal to a sequential ``np.bincount`` over the
-same terms, however the work is dispatched.
+A tensor that stores every one of its n^3 entries (some may be explicit
+zeros) takes the slab path instead.  Its values in storage order are the
+array A[i, k, j] = b_{ijk}, and the k-major slab K[k, i, j] = b_{ijk} +
+b_{ikj} is one copy of A's (k, i, j) transpose plus, in place, its (j, i, k)
+transpose.  The product is np.einsum("kij,k->ij", K, x).  K is built on the
+first product and kept per tensor; S, D's index arrays and the x~ gather are
+never built.  So a solve holds a full tensor at 32 bytes an entry: its rows,
+cols and vals (24), and K (8).
+
+Summation-order contract, on both paths: entry (i, j) of contract_sym adds
+the terms fl(b_{ijk} + b_{ikj}) x_k one at a time, starting from 0.0, k
+ascending (the terms of row i*n + j of S, in the order S stores them, or
+every k of the slab).  einsum without optimize makes one pass over k with
+the (i, j) plane innermost, so it adds the same terms in the same order as
+the CSR product; a BLAS product (tensordot, matmul) would not.  Results are
+therefore bit-for-bit reproducible, equal on the two paths, and equal to a
+sequential ``np.bincount`` over the same terms, however the work is
+dispatched.
 
 PageRankTensor holds P_(1) = nu (S + v d_S^T) + (1 - nu) F kron 1^T as
 its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative terms
@@ -88,7 +102,7 @@ class Tensor3:
     reproducible order.
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_sym", "_tile")
+    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_sym", "_tile", "_slab")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -139,7 +153,7 @@ class Tensor3:
         self.cols = cols
         self.vals = vals
         self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
-        self._sym = None
+        self._sym = self._slab = None
 
     @classmethod
     def from_unfolding(cls, unfolding):
@@ -192,7 +206,7 @@ class Tensor3:
         return U
 
     def sym_matrix(self):
-        """S = D + D^T in CSR form, built once per tensor.
+        """S = D + D^T in CSR form, the sparse path's structure, built once per tensor.
 
         D (CSC) and D^T (CSR) wrap this tensor's values and D's slice rows and
         column pointer, built here.  S shares D^T's index arrays where D has
@@ -223,12 +237,27 @@ class Tensor3:
             self._tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
         return self._sym
 
+    def slab(self):
+        """K[k, i, j] = b_{ijk} + b_{ikj}, the slab path's structure, built once per tensor.
+
+        Only a tensor that stores all n^3 entries has one: its values in
+        storage order are A[i, k, j] = b_{ijk}.
+        """
+        if self._slab is None:
+            A = self.vals.reshape((self.n,) * 3)
+            self._slab = A.transpose(1, 0, 2).copy()
+            self._slab += A.transpose(2, 0, 1)
+        return self._slab
+
     def to_tensor3(self):
         return self
 
     def _symmetric(self, x):
-        S = self.sym_matrix()
-        return (S @ x.take(self._tile)).reshape(self.n, self.n)
+        n = self.n
+        if self.nnz == n ** 3:
+            # not optimize=True, which may hand the sum to BLAS in another order
+            return np.einsum("kij,k->ij", self.slab(), x)
+        return (self.sym_matrix() @ x.take(self._tile)).reshape(n, n)
 
     def _column_sums(self):
         return np.bincount(self.cols, weights=self.vals, minlength=self.n * self.n)
@@ -285,8 +314,10 @@ class PageRankTensor:
 def contract_sym(B, x):
     """C = Bx: + B:x in one pass: C_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
 
-    A Tensor3 takes one product with its symmetric slice matrix.  C is the
-    Jacobian part of R_x = I - C, and Bx^2 = C x / 2.
+    A Tensor3 that stores all n^3 entries takes one einsum over its slab;
+    any other takes one product with its symmetric slice matrix, both
+    summing in the order the module docstring states.  C is the Jacobian
+    part of R_x = I - C, and Bx^2 = C x / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
@@ -325,19 +356,20 @@ def check_stochastic(B, target, tol):
 def read_tensor_text(path):
     """Read the tensor text format: header ``n nnz`` then ``i j k value`` lines."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: expected header 'n nnz'")
-        n, nnz = int(header[0]), int(header[1])
+        try:
+            n, nnz = map(int, fh.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}:1: expected header 'n nnz'") from None
         entries = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'i j k value'")
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            value = float(parts[3])
+            try:
+                i, j, k, value = parts
+                i, j, k, value = int(i), int(j), int(k), float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'i j k value'") from None
             if value < 0.0:
                 raise ValueError(f"{path}:{lineno}: negative value {value}")
             entries.append((i, j, k, value))

@@ -42,6 +42,36 @@ def stored_b_entries(p):
     return [(i, j, k, p.alpha * b) for i, j, k, b in p.p_tensor.to_tensor3().entries()]
 
 
+def held_bytes(a):
+    """Bytes of the buffer an array lives in, not just of its view."""
+    return (a if a.base is None else a.base).nbytes
+
+
+def count_product_builds(monkeypatch):
+    """A list that gets (structure, tensor) at each build of a Tensor3's
+    product structure: its "slab" or its slice matrix, "sym_matrix"."""
+    builds = []
+
+    def counted(name, slot):
+        build = getattr(Tensor3, name)
+
+        def counting(self):
+            if getattr(self, slot) is None:
+                builds.append((name, self))
+            return build(self)
+
+        monkeypatch.setattr(Tensor3, name, counting)
+
+    counted("slab", "_slab")
+    counted("sym_matrix", "_sym")
+    return builds
+
+
+def csr_symmetric(B, x):
+    """The sparse path's product S x~ on any Tensor3, a full one included."""
+    return (B.sym_matrix() @ np.tile(x, B.n)).reshape(B.n, B.n)
+
+
 def random_pagerank_problem(rng, n, alpha, density=1.0, one_minus_two_alpha=None):
     U = exact_stochastic_unfolding(rng, n, density)
     v = rng.random(n) + 0.05

@@ -19,7 +19,7 @@ from mlpagerank import (
 )
 from mlpagerank.cli import EXIT_MAXIT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
-from conftest import exact_stochastic_unfolding
+from conftest import count_product_builds, exact_stochastic_unfolding
 
 EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
 
@@ -267,30 +267,50 @@ def test_checking_an_output_path_leaves_what_was_there(tmp_path, capsys):
 
 
 def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, capsys):
-    # all five methods reach the tensor through P's one symmetric slice
-    # matrix; none of them forms B = alpha P
+    # all five methods reach the tensor through P's one slab, built once: a
+    # full P never builds S, and none of them forms B = alpha P
     path = tmp_path / "p.txt"
     write_tensor_text(Tensor3.from_unfolding(
         exact_stochastic_unfolding(np.random.default_rng(30), 30)), path)
-    loaded, builds = [], []
-    load, build = cli._load_problem, Tensor3.sym_matrix
+    loaded = []
+    load = cli._load_problem
 
     def loading(args, parser):
         loaded.append(load(args, parser))
         return loaded[-1]
 
-    def counting(self):
-        if self._sym is None:
-            builds.append(self)
-        return build(self)
-
     monkeypatch.setattr(cli, "_load_problem", loading)
-    monkeypatch.setattr(Tensor3, "sym_matrix", counting)
+    builds = count_product_builds(monkeypatch)
     methods = [m.value for m in Method]
     argv = ["compare", "--tensor", str(path), "--alpha", "0.3", "--methods", ",".join(methods)]
     assert main(argv) == EXIT_OK
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["method"] for row in rows] == methods
     [problem] = loaded
-    assert builds == [problem.p_tensor]
+    assert builds == [("slab", problem.p_tensor)]
     assert problem.tensor is None
+
+
+@pytest.mark.parametrize("tensor,v,message", [
+    ("2 1\n1 1 x 0.5\n", None, "{tensor}:2: expected 'i j k value'"),
+    ("2 1\n\n1 1 1 half\n", None, "{tensor}:3: expected 'i j k value'"),
+    ("2 1\n1 1 1 0.5 7\n", None, "{tensor}:2: expected 'i j k value'"),
+    ("2 one\n1 1 1 0.5\n", None, "{tensor}:1: expected header 'n nnz'"),
+    (None, "0.5\n0.5\n", "v has shape (2,), but P has n = 3"),
+    (None, "0.5\n0.25\n", "v has shape (2,), but P has n = 3"),
+], ids=["index", "value", "extra-field", "header", "v-length", "v-length-not-stochastic"])
+def test_malformed_tensor_and_v_files_name_the_fault(tensor, v, message, tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    if tensor is None:
+        write_tensor_text(Tensor3.from_unfolding(
+            exact_stochastic_unfolding(np.random.default_rng(3), 3)), path)
+    else:
+        path.write_text(tensor)
+    argv = ["solve", "--tensor", str(path), "--alpha", "0.3"]
+    if v is not None:
+        (tmp_path / "v.txt").write_text(v)
+        argv += ["--v-file", str(tmp_path / "v.txt")]
+    assert exit_code(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.endswith(f"error: {message.format(tensor=path)}\n")
+    assert out == ""

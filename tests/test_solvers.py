@@ -1,5 +1,6 @@
 """Iteration schemes: convergence, monotonicity, invariants, cross-checks."""
 
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -35,7 +36,9 @@ from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
 from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
 
 from conftest import (
+    csr_symmetric,
     exact_stochastic_unfolding,
+    held_bytes,
     random_pagerank_problem,
     scaled,
     stored_b_entries,
@@ -579,13 +582,47 @@ def pagerank_set_up_and_solves(U, v, alphas):
 
 
 def test_newton_gth_keeps_only_what_it_reads(dense_unfolding_60):
-    # P's rows, cols and vals are 24 bytes an entry; the solves add D's row
-    # indices (4) and S's values (8), held once for all problems of one P
+    # P's rows, cols and vals are 24 bytes an entry; the solves add the slab
+    # (8), held once for all problems of one P
     nnz, set_up, solved, peak = pagerank_set_up_and_solves(*dense_unfolding_60, ALPHAS)
     assert nnz == 60 ** 3
     assert set_up <= 32 * nnz
     assert solved <= 40 * nnz
     assert peak <= 60 * nnz
+
+
+def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
+    U, v = dense_unfolding_60
+    P = Tensor3.from_unfolding(U)
+    for alpha in ALPHAS:
+        rep = solve(Problem.from_pagerank(v, P, alpha), SolverOptions())
+        assert rep.termination is Termination.TOL_REACHED
+    assert sum(held_bytes(a) for a in (P.rows, P.cols, P.vals)) == 24 * P.nnz
+    assert held_bytes(P._slab) == 8 * P.nnz
+    assert P._sym is None and not hasattr(P, "_tile")
+
+
+@pytest.mark.parametrize("method,block_sizes", [
+    (Method.NEWTON_GTH, None), (Method.BLOCK_JACOBI, (15, 15)), (Method.NEWTON, None),
+], ids=["newton-gth", "block-jacobi-15-15", "newton"])
+@pytest.mark.parametrize("alpha", ["0.3", "0.49", "0.6"])
+def test_slab_and_csr_products_solve_bit_for_bit(monkeypatch, method, block_sizes, alpha):
+    o = opts(method, block_sizes=block_sizes, record_history=True)
+    p = dense_problem(11, alpha)
+    assert p.p_tensor.nnz == 30 ** 3
+    slab = solve(p, o)
+    assert p.p_tensor._sym is None
+    monkeypatch.setattr(Tensor3, "_symmetric", csr_symmetric)
+    csr = solve(p, o)
+    assert slab.termination is csr.termination
+    assert slab.iterations == csr.iterations > 1
+    assert slab.x.tobytes() == csr.x.tobytes()
+    assert slab.residual_history.tobytes() == csr.residual_history.tobytes()
+    assert (slab.z_history is None) is (method is Method.NEWTON)
+    if slab.z_history is not None:
+        assert slab.z_history.tobytes() == csr.z_history.tobytes()
+    for xs, xc in zip(slab.iterate_history, csr.iterate_history, strict=True):
+        assert xs.tobytes() == xc.tobytes()
 
 
 @pytest.mark.slow
@@ -653,6 +690,15 @@ class TestTwoProblems:
         for x in points:
             for got, want in zip(residual(p, x), exact_residual(p, x), strict=True):
                 assert abs(Fraction(float(got)) - want) <= abs(want) / 2**53
+
+    @pytest.mark.parametrize("v", [np.full(2, 0.5), np.full(4, 0.5), np.full((3, 1), 1 / 3)],
+                             ids=["short", "long-not-stochastic", "column"])
+    def test_v_of_another_shape_than_p_is_named_first(self, rng, v):
+        # checked before alpha, v's sum or P's column sums
+        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 3))
+        message = re.escape(f"v has shape {v.shape}, but P has n = 3")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Problem.from_pagerank(v, P, 2.0)
 
     def test_needs_b_or_p_and_alpha(self):
         with pytest.raises(ValueError, match="B is needed"):

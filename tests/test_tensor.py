@@ -22,7 +22,13 @@ from mlpagerank import (
     write_tensor_text,
 )
 
-from conftest import exact_stochastic_unfolding, scaled
+from conftest import (
+    count_product_builds,
+    csr_symmetric,
+    exact_stochastic_unfolding,
+    held_bytes,
+    scaled,
+)
 
 
 def intro_tensor(alpha=0.3):
@@ -129,11 +135,6 @@ def graph_pipeline_tensor(rng, n=12):
     return Tensor3.from_unfolding(P.unfolding())
 
 
-def held_bytes(a):
-    """Bytes of the buffer an array lives in, not just of its view."""
-    return (a if a.base is None else a.base).nbytes
-
-
 class TestContractSym:
     @pytest.mark.parametrize("n,density,empty_rows", KERNEL_CASES)
     def test_bit_identical_to_bincount(self, n, density, empty_rows):
@@ -169,22 +170,17 @@ class TestContractSym:
         assert held_bytes(S.data) == S.data.nbytes
         assert held_bytes(S.indices) == S.indices.nbytes
 
-    def test_every_alpha_problem_of_one_p_shares_it(self, rng, monkeypatch):
-        builds = []
-        build = Tensor3.sym_matrix
-
-        def counting(self):
-            if self._sym is None:
-                builds.append(self)
-            return build(self)
-
-        monkeypatch.setattr(Tensor3, "sym_matrix", counting)
-        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 6))
+    @pytest.mark.parametrize("density,structure", [(1.0, "slab"), (0.5, "sym_matrix")])
+    def test_every_alpha_problem_of_one_p_shares_it(self, rng, monkeypatch, density, structure):
+        # a full P builds its slab and never S; any other P builds S
+        builds = count_product_builds(monkeypatch)
+        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 6, density))
+        assert (P.nnz == 6 ** 3) is (structure == "slab")
         v = np.full(6, 1.0 / 6.0)
         for alpha in (0.3, 0.49, 0.4999, 0.6):
             rep = solve(Problem.from_pagerank(v, P, alpha), SolverOptions())
             assert rep.iterations > 1
-        assert builds == [P]
+        assert builds == [(structure, P)]
 
     def test_memory_is_that_of_its_entries(self, rng):
         P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 60))
@@ -193,6 +189,58 @@ class TestContractSym:
         added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
         assert S.nnz == P.nnz
         assert added <= 1.1 * (8 + 4) * P.nnz
+
+
+def full_tensor(rng, n):
+    """All n^3 entries stored, values spread over 12 decades."""
+    B = random_sparse_tensor(rng, n, 1.0)
+    assert B.nnz == n ** 3
+    return B
+
+
+def mixed_x(rng, n):
+    """Mixed scales and signs: the variant's steps can be negative."""
+    return rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n) * rng.choice([-1.0, 1.0], n)
+
+
+def assert_slab_product_is_the_csr_product(B, xs):
+    """contract_sym takes the slab path, and its bits are those of S x~ and
+    of the sequential bincount over S's terms."""
+    got = [contract_sym(B, x) for x in xs]
+    assert B._slab is not None and B._sym is None
+    for x, C in zip(xs, got, strict=True):
+        assert C.tobytes() == csr_symmetric(B, x).tobytes()
+        assert C.tobytes() == bincount_contract_sym(B, x).tobytes()
+
+
+class TestSlabPath:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 120])
+    def test_bit_identical_to_the_csr_product(self, n):
+        rng = np.random.default_rng(3000 + n)
+        B = full_tensor(rng, n)
+        xs = [mixed_x(rng, n) for _ in range(3)]
+        assert_slab_product_is_the_csr_product(B, xs)
+
+    def test_listed_entries_with_explicit_zeros(self, rng):
+        n = 5
+        U = full_tensor(rng, n).unfolding()
+        U[rng.random(U.shape) < 0.3] = 0.0
+        entries = [(i + 1, c % n + 1, c // n + 1, U[i, c])
+                   for i in range(n) for c in range(n * n)]
+        rng.shuffle(entries)
+        B = Tensor3(n, entries)
+        assert B.nnz == n ** 3 and (B.vals == 0.0).any()
+        assert_slab_product_is_the_csr_product(B, [mixed_x(rng, n) for _ in range(3)])
+
+    def test_slab_is_k_major_and_built_once(self, rng):
+        n = 4
+        B = full_tensor(rng, n)
+        K = B.slab()
+        assert B.slab() is K
+        assert K.shape == (n, n, n) and K.flags.c_contiguous
+        U = B.unfolding()
+        for i, j, k in np.ndindex(n, n, n):
+            assert K[k, i, j] == U[i, j + k * n] + U[i, k + j * n]
 
 
 class TestConstruction:
