@@ -11,13 +11,10 @@ from .tensor import (
 from .mmatrix import (
     COL,
     ROW,
-    GTHFactors,
     PartialInverse,
     ReducibleMatrixError,
     SingularPivotError,
     TripletMMatrix,
-    gth_factor,
-    gth_solve,
     null_vector,
     partial_inverse,
     plain_lu_solve,
@@ -47,7 +44,6 @@ from .analysis import (
     cw_distance,
     inverse_cw_bound_check,
     kappa,
-    norm_error,
     omega,
 )
 from .precision import (

@@ -21,10 +21,9 @@ from . import tensor as tz
 from .mmatrix import (
     COL,
     TripletMMatrix,
+    check_irreducible,
     gth_col_solve,
-    gth_factor,
     gth_partial_inverse,
-    gth_solve,
 )
 from .precision import DD
 from .solvers import Problem
@@ -85,13 +84,6 @@ def cw_distance(x_tilde, x):
         i, col = divmod(int(union[d.argmax_index[0] - 1]), n * n)
         return CwDistance(d.value, (i + 1, col % n + 1, col // n + 1))
     return _cw_arrays(x_tilde, x)
-
-
-def norm_error(x_tilde, x):
-    """e_norm = ||x - x~||_2 / ||x||_2."""
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.linalg.norm(x - x_tilde) / np.linalg.norm(x))
 
 
 def _rm_col_triplet(problem, m):
@@ -180,16 +172,26 @@ class InverseStabilityReport:
     pattern_mismatch: bool
 
 
+def _col_inverse(T):
+    check_irreducible(T.offdiag)
+    offdiag = T.offdiag if T.orientation == COL else T.offdiag.T
+    return gth_col_solve(offdiag, T.sums, np.eye(T.n))
+
+
 def inverse_cw_bound_check(T, T_tilde, epsilon):
-    """Compare d(M~^-1, M^-1) with the componentwise bound (2n-1) epsilon."""
+    """Compare d(M~^-1, M^-1) with the componentwise bound (2n-1) epsilon.
+
+    Each inverse is the fused GTH solve of the triplet's COL form against
+    the identity; a ROW triplet's COL form is M^T, whose inverse has the
+    same componentwise distance.  Raises ReducibleMatrixError on a
+    reducible pattern.
+    """
     if T.orientation != T_tilde.orientation or T.n != T_tilde.n:
         raise ValueError("triplets must share shape and orientation")
     d_off = cw_distance(T_tilde.offdiag, T.offdiag).value
     d_sums = cw_distance(T_tilde.sums, T.sums).value
     n = T.n
-    eye = np.eye(n)
-    minv = gth_solve(gth_factor(T), eye)
-    minv_t = gth_solve(gth_factor(T_tilde), eye)
+    minv, minv_t = (_col_inverse(t) for t in (T, T_tilde))
     d_inv = cw_distance(minv_t, minv).value
     bound = (2 * n - 1) * float(epsilon)
     return InverseStabilityReport(

@@ -42,6 +42,31 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _write_csv(path, command, header, rows):
+    """The schema line, the header, then one line per row: floats by _fmt,
+    None as an empty field, anything else by str."""
+    def cell(value):
+        return "" if value is None else _fmt(value) if isinstance(value, float) else str(value)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {CSV_SCHEMA} {command}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
+def _read_vector(path):
+    """One value per line, blank lines skipped; a malformed line is FILE:LINE."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected one value") from None
+    return np.array(values)
+
+
 def _add_instance_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", choices=["intro", "ex1", "ex2"],
@@ -72,11 +97,7 @@ def _load_problem(args, parser):
                                   one_minus_two_alpha=args.one_minus_two_alpha)
         if args.tensor:
             P = tz.read_tensor_text(args.tensor)
-            if args.v_file:
-                with open(args.v_file, "r", encoding="utf-8") as fh:
-                    v = np.array([float(line) for line in fh if line.strip()])
-            else:
-                v = np.full(P.n, 1.0 / P.n)
+            v = _read_vector(args.v_file) if args.v_file else np.full(P.n, 1.0 / P.n)
             return Problem.from_pagerank(v, P, args.alpha,
                                          one_minus_two_alpha=args.one_minus_two_alpha)
         adj = ingest.read_matrix_market(args.graph)
@@ -158,25 +179,6 @@ def _report_dict(report, problem):
     return out
 
 
-def _write_iteration_csv(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {CSV_SCHEMA} solve\n")
-        fh.write("k,residual_inf,e_cw,e_norm\n")
-        n_rows = len(report.residual_history)
-        for k in range(n_rows):
-            e_cw = (
-                _fmt(report.e_cw_history[k])
-                if report.e_cw_history is not None
-                else ""
-            )
-            e_norm = (
-                _fmt(report.e_norm_history[k])
-                if report.e_norm_history is not None
-                else ""
-            )
-            fh.write(f"{k},{_fmt(report.residual_history[k])},{e_cw},{e_norm}\n")
-
-
 def cmd_solve(args, parser):
     problem = _load_problem(args, parser)
     method = _parse_method(args.method, parser)
@@ -203,7 +205,11 @@ def cmd_solve(args, parser):
     if args.out_json:
         analysis.dump_json(payload, args.out_json)
     if args.out_csv:
-        _write_iteration_csv(args.out_csv, report)
+        res = report.residual_history
+        errors = ([None] * len(res) if h is None else h
+                  for h in (report.e_cw_history, report.e_norm_history))
+        _write_csv(args.out_csv, "solve", "k,residual_inf,e_cw,e_norm",
+                   zip(range(len(res)), res, *errors))
     print(json.dumps({k: payload[k] for k in
                       ("method", "iterations", "termination", "final_residual", "x")}))
     return _termination_exit(report.termination)
@@ -256,15 +262,12 @@ def cmd_perturb(args, parser):
             ratios.append(d_obs / ro.bound)
         rows.append((trial, eps_real, d_obs, ro, rk))
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(f"# {CSV_SCHEMA} perturb\n")
-            fh.write("trial,epsilon_realized,d_cw_observed,bound_omega,"
-                     "bound_kappa,applicable_omega,applicable_kappa\n")
-            for trial, eps_real, d_obs, ro, rk in rows:
-                fh.write(
-                    f"{trial},{_fmt(eps_real)},{_fmt(d_obs)},{_fmt(ro.bound)},"
-                    f"{_fmt(rk.bound)},{int(ro.applicable)},{int(rk.applicable)}\n"
-                )
+        _write_csv(args.out_csv, "perturb",
+                   "trial,epsilon_realized,d_cw_observed,bound_omega,"
+                   "bound_kappa,applicable_omega,applicable_kappa",
+                   ((trial, eps_real, d_obs, ro.bound, rk.bound,
+                     int(ro.applicable), int(rk.applicable))
+                    for trial, eps_real, d_obs, ro, rk in rows))
     _, eps_real, d_obs, ro, rk = rows[-1]
     # with no trial checked against its bound, the bound says nothing
     max_ratio = max(ratios) if ratios else None
@@ -349,11 +352,7 @@ def cmd_compare(args, parser):
             "e_norm_final": float(report.e_norm_history[-1]),
         }))
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(f"# {CSV_SCHEMA} compare\n")
-            fh.write("method,k,e_cw,e_norm,residual_inf\n")
-            for method, k, e_cw, e_norm, res in rows:
-                fh.write(f"{method},{k},{_fmt(e_cw)},{_fmt(e_norm)},{_fmt(res)}\n")
+        _write_csv(args.out_csv, "compare", "method,k,e_cw,e_norm,residual_inf", rows)
     return worst
 
 

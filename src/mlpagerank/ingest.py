@@ -41,8 +41,8 @@ def read_matrix_market(path):
     """Read a coordinate-format Matrix Market file into an Adjacency.
 
     Supports pattern/real/integer fields and general/symmetric symmetry;
-    nonzeros are binarized.  Malformed input raises ValueError with the
-    offending line number.
+    nonzeros are binarized.  Malformed input, a weight that is not a finite
+    number included, raises ValueError with the offending line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -66,10 +66,10 @@ def read_matrix_market(path):
         idx += 1
     if idx >= len(lines):
         raise ValueError(f"{path}:{len(lines)}: missing size line")
-    size = lines[idx].split()
-    if len(size) != 3:
-        raise ValueError(f"{path}:{idx + 1}: size line must be 'rows cols nnz'")
-    nrows, ncols, nnz = (int(s) for s in size)
+    try:
+        nrows, ncols, nnz = (int(s) for s in lines[idx].split())
+    except ValueError:
+        raise ValueError(f"{path}:{idx + 1}: size line must be 'rows cols nnz'") from None
     if nrows != ncols:
         raise ValueError(f"{path}:{idx + 1}: adjacency must be square")
     A = np.zeros((nrows, nrows), dtype=bool)
@@ -81,10 +81,15 @@ def read_matrix_market(path):
         want = 2 if field == "pattern" else 3
         if len(parts) != want:
             raise ValueError(f"{path}:{lineno + 1}: expected {want} fields")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            value = 1.0 if field == "pattern" else float(parts[2])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):  # a NaN weight would pass for a nonzero
+            raise ValueError(f"{path}:{lineno + 1}: malformed entry {' '.join(parts)!r}")
         if not (0 <= i < nrows and 0 <= j < nrows):
             raise ValueError(f"{path}:{lineno + 1}: index out of range")
-        value = 1.0 if field == "pattern" else float(parts[2])
         count += 1
         if value == 0.0:
             continue

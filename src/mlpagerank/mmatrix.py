@@ -11,19 +11,21 @@ The GTH kernel is written once and runs unchanged on float64 ndarrays and
 on precision.DD pair arrays.  Its one elimination pass (_eliminate) works in
 place on an augmented array W of n + 1 rows, the augmented form of
 Grassmann, Taksar and Heyman (Oper. Res. 33, 1985): the off-diagonal
-magnitudes fill the leading n x n block, the column sums are row n, and
-right-hand sides are further columns.  A pivot is the sum of the column
-below it, the sums entry last, and one rank-1 update per pivot, rounded as
-(a / d) b, updates the entries, the sums and the right-hand sides alike.
-Two paths use the pass:
+magnitudes of a COL triplet fill the leading n x n block, the column sums
+are row n, and right-hand sides are further columns (_augmented builds it).
+A pivot is the sum of the column below it, the sums entry last, and one
+rank-1 update per pivot, rounded as (a / d) b, updates the entries, the sums
+and the right-hand sides alike.  A ROW triplet is the COL triplet of its
+transpose.  Every routine runs on that one pass, and none forms L or U:
 
 - gth_col_solve, the solve of the iterations, eliminates the right-hand
-  sides along with the matrix and back-substitutes, without forming L and U.
-  Above GTH_BLOCK unknowns it splits the system in half and recurses on the
-  Schur complement, whose off-diagonal part, column sums and right-hand
-  sides are again sums of products of nonnegative numbers.
-- gth_eliminate reads L and U off the pass for gth_solve (the substitution),
-  gth_partial_inverse and null_vector.
+  sides along with the matrix and back-substitutes.  Above GTH_BLOCK
+  unknowns it splits the system in half and recurses on the Schur
+  complement, whose off-diagonal part, column sums and right-hand sides are
+  again sums of products of nonnegative numbers.
+- null_vector reads the GTH multipliers off the eliminated W.
+- gth_partial_inverse solves against the identity in one unblocked pass,
+  which also gives the pivots of its determinant ratio.
 
 The binary64 routines that take a TripletMMatrix validate it and call the
 kernel; the solvers' block sweeps call gth_col_solve directly on their own
@@ -120,23 +122,6 @@ def check_irreducible(offdiag):
         )
 
 
-@dataclass(frozen=True)
-class GTHFactors:
-    """LU factors from GTH elimination: unit lower L, upper M-matrix factor U."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def pivots(self):
-        i = np.arange(self.n)
-        return self.upper[i, i]
-
-    @property
-    def n(self):
-        return self.lower.shape[0]
-
-
 def _zeros(like, shape):
     """Zeros in the arithmetic of `like`: a float64 ndarray or a precision.DD."""
     return getattr(type(like), "zeros", np.zeros)(shape)
@@ -169,32 +154,6 @@ def _eliminate(W, offset=0):
     return d
 
 
-def gth_eliminate(offdiag, sums, orientation=ROW):
-    """GTH LU factors of the triplet (offdiag, sums), natural pivot order.
-
-    The factor path of the package's one elimination pass (_eliminate), run
-    unchanged on float64 ndarrays and on precision.DD pair arrays.  A ROW
-    triplet is eliminated as the COL triplet of its transpose, which gives
-    the same pivots and updates.  L and U are read off the eliminated array
-    N, offdiag in its own orientation: U_kj = -N_kj above the diagonal, the
-    pivots on it, and L_ik = -N_ik / d_k below.  The diagonal of offdiag is
-    never read.  Raises SingularPivotError if a pivot vanishes.
-    """
-    n = offdiag.shape[0]
-    W = _zeros(offdiag, (n + 1, n))
-    N = W[:n] if orientation == COL else W[:n].T  # offdiag's orientation, a view
-    N[...] = offdiag
-    W[n] = sums
-    d = _eliminate(W)
-    # identity and diagonal in the arithmetic of N, both exact
-    L = _zeros(N, (n, n)) + np.eye(n)
-    U = np.eye(n) * d
-    i, j = np.triu_indices(n, 1)
-    U[i, j] = -N[i, j]
-    L[j, i] = -N[j, i] / d[i]
-    return GTHFactors(lower=L, upper=U)
-
-
 def _back_substitute(V, d, y):
     """y_k <- (y_k + sum_{j>k} V_kj y_j) / d_k for k = n, ..., 1, in place, in
     any arithmetic; only the strict upper triangle of V is read."""
@@ -209,15 +168,26 @@ def _unit_upper_solve(V, d, y):
     y[...] = scipy.linalg.lapack.dtrtrs(V / -d[:, None], (y.T / d).T, unitdiag=1)[0]
 
 
+def _solve_unblocked(W, offset=0):
+    """Overwrite the right-hand-side columns of the augmented W with the
+    solution, by one elimination pass and a back-substitution: the
+    arithmetic's own (gth_substitute, the loop in pairs) if it has one, else
+    one binary64 unit-upper solve.  Returns the pivots, as _eliminate."""
+    n = W.shape[0] - 1
+    d = _eliminate(W, offset)
+    # one right-hand side stays a vector: cheaper steps, in pairs above all
+    y = W[:n, n] if W.shape[1] == n + 1 else W[:n, n:]
+    getattr(type(W), "gth_substitute", _unit_upper_solve)(W[:n, :n], d, y)
+    return d
+
+
 def _solve_in_place(W, offset=0):
     """Overwrite the right-hand-side columns of the augmented W with the solution.
 
     W is as in _eliminate, n + 1 rows with the column sums last.  Up to
-    GTH_BLOCK unknowns, one elimination pass and a back-substitution: the
-    arithmetic's own (gth_substitute, the loop in pairs) if it has one,
-    else one binary64 unit-upper solve.  Above it the system splits in half,
-    M = [[M1, -N12], [-N21, M2]]: the leading block, whose column sums are
-    the sums of the rows below it, 1^T N21 + s1, is solved against
+    GTH_BLOCK unknowns, _solve_unblocked.  Above it the system splits in
+    half, M = [[M1, -N12], [-N21, M2]]: the leading block, whose column sums
+    are the sums of the rows below it, 1^T N21 + s1, is solved against
     [N12 | R1] for [X | Y1]; then one product adds N21 X to N22, X^T s1 to
     s2 (row n belongs to W[h:, :h]) and N21 Y1 to R2, the trailing block
     recurses on that Schur complement, and Y1 += X Y2.  Every term is a sum
@@ -236,23 +206,12 @@ def _solve_in_place(W, offset=0):
         _solve_in_place(W[h:, h:], offset + h)
         W[:h, n:] += W[:h, h:n] @ W[h:n, n:]
         return
-    d = _eliminate(W, offset)
-    # one right-hand side stays a vector: cheaper steps, in pairs above all
-    y = W[:n, n] if W.shape[1] == n + 1 else W[:n, n:]
-    getattr(type(W), "gth_substitute", _unit_upper_solve)(W[:n, :n], d, y)
+    _solve_unblocked(W, offset)
 
 
-def gth_col_solve(offdiag, sums, rhs):
-    """Solve M y = rhs for the COL triplet (offdiag, sums) without forming L, U.
-
-    The solves of the iterations: the sums are the last row and the
-    right-hand sides further columns of one augmented array, eliminated in
-    one pass, and systems above GTH_BLOCK unknowns are split in blocks (see
-    _solve_in_place).  Runs unchanged on float64 ndarrays and on
-    precision.DD pair arrays; rhs is a vector or a matrix of stacked
-    right-hand sides, and rhs >= 0 gives y >= 0.  The diagonal of offdiag is
-    never read.  Raises SingularPivotError if a pivot vanishes.
-    """
+def _augmented(offdiag, sums, rhs):
+    """The augmented W of the COL triplet (offdiag, sums) with the columns of
+    rhs, a vector or a matrix of stacked right-hand sides, and W's view of them."""
     n = offdiag.shape[0]
     if rhs.shape[0] != n:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
@@ -262,71 +221,61 @@ def gth_col_solve(offdiag, sums, rhs):
     W[n, :n] = sums
     y = W[:n, n] if vector else W[:n, n:]
     y[...] = rhs
-    if n:  # LAPACK's dtrtrs rejects an empty system, and prints that it does
+    return W, y
+
+
+def gth_col_solve(offdiag, sums, rhs):
+    """Solve M y = rhs for the COL triplet (offdiag, sums).
+
+    The solves of the iterations: the sums are the last row and the
+    right-hand sides further columns of one augmented array, eliminated in
+    one pass, and systems above GTH_BLOCK unknowns are split in blocks (see
+    _solve_in_place).  Runs unchanged on float64 ndarrays and on
+    precision.DD pair arrays; rhs is a vector or a matrix of stacked
+    right-hand sides, and rhs >= 0 gives y >= 0.  The diagonal of offdiag is
+    never read.  Raises SingularPivotError if a pivot vanishes.
+    """
+    W, y = _augmented(offdiag, sums, rhs)
+    if len(y):  # LAPACK's dtrtrs rejects an empty system, and prints that it does
         _solve_in_place(W)
     return y
-
-
-def gth_factor(T, check=True):
-    """GTH factors of a binary64 triplet; ReducibleMatrixError when ``check``
-    is set and the sparsity pattern is reducible."""
-    if check:
-        check_irreducible(T.offdiag)
-    return gth_eliminate(T.offdiag, T.sums, T.orientation)
-
-
-def gth_solve(F, b):
-    """Solve LUx = b by substitution, in the arithmetic of the factors.
-
-    The strict parts of L and U are nonpositive, so for b >= 0 both sweeps
-    only add nonnegative terms (plus one division by the positive pivot).
-    b is a float64 vector or matrix of stacked right-hand sides, or a DD
-    vector or matrix for DD factors.
-    """
-    n = F.n
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
-    # a binary64 vector runs as one column, which fixes the BLAS calls and the bits
-    squeeze = isinstance(b, np.ndarray) and b.ndim == 1
-    y = np.array(b, dtype=np.float64, ndmin=2).T if squeeze else b.copy()
-    G = -F.lower  # nonnegative below the diagonal
-    for k in range(1, n):
-        y[k] += G[k, :k] @ y[:k]
-    _back_substitute(-F.upper, F.pivots, y)  # -U is nonnegative above the diagonal
-    return y[:, 0] if squeeze else y
 
 
 def _null_profile(offdiag):
     """Null profile t of the zero-row-sum triplet (offdiag, 0) and its pivots.
 
-    t_n = 1 and t_k = sum_{i>k} t_i m_ik with the GTH multipliers m = -L.
-    The elimination runs with sums e_n: a positive last sum leaves the first
-    n - 1 steps of the zero-sum elimination as they are and gives the last
-    step a nonzero pivot.  Returns t and the factors, whose first n - 1
-    pivots are those of the zero-sum triplet.
+    t_n = 1 and t_k = sum_{i>k} t_i m_ik with the GTH multipliers
+    m_ik = W_ki / d_k of the eliminated W of offdiag^T.  The elimination
+    runs with sums e_n: a positive last sum leaves the first n - 1 steps of
+    the zero-sum elimination as they are and gives the last step a nonzero
+    pivot.  Returns t and the pivots, whose first n - 1 are those of the
+    zero-sum triplet.
     """
     n = offdiag.shape[0]
     t = _zeros(offdiag, n)
     t[n - 1] = 1.0  # t_n = 1; as it stands, also the sums e_n
-    F = gth_eliminate(offdiag, t, ROW)
-    G = -F.lower
+    W, _ = _augmented(offdiag.T, t, _zeros(t, (n, 0)))
+    d = _eliminate(W)
+    # m row-major, m[i, k] = m_ik: each dot below reads a strided column,
+    # which BLAS sums in another order than a contiguous row; the order fixes t's bits
+    m = (W[:n, :n] / d[:, None]).T.copy()
     for k in range(n - 2, -1, -1):
-        t[k] = t[k + 1 :] @ G[k + 1 :, k]
-    return t, F
+        t[k] = t[k + 1 :] @ m[k + 1 :, k]
+    return t, d
 
 
-def null_vector(T, check=True):
+def null_vector(T):
     """Positive t with t^T L1 = 0 for a zero-row-sum triplet (ROW, sums = 0).
 
     GTH elimination followed by the subtraction-free back-recursion
-    t_n = 1, t_k = sum_{i>k} t_i m_ik; normalized so t[n-1] = 1.
+    t_n = 1, t_k = sum_{i>k} t_i m_ik; normalized so t[n-1] = 1.  Raises
+    ReducibleMatrixError on a reducible pattern.
     """
     if T.orientation != ROW:
         raise ValueError("null_vector expects a ROW-oriented triplet")
     if (T.sums != 0.0).any():
         raise ValueError("null_vector expects sums identically zero")
-    if check:
-        check_irreducible(T.offdiag)
+    check_irreducible(T.offdiag)
     return _null_profile(T.offdiag)[0]
 
 
@@ -354,34 +303,37 @@ def gth_partial_inverse(offdiag, sums):
 
     Runs unchanged on float64 ndarrays and on precision.DD pair arrays.  z is
     assembled subtraction-free: the null profile t of L1 = M - diag(w)
-    scaled by det(L1 leading minor) / det(M), both read off GTH pivots.  S is
-    then M^{-1} - 1 z^T in the working arithmetic, accurate in binary64 away
-    from singularity and in pair arithmetic much closer to it.
+    scaled by det(L1 leading minor) / det(M), both read off GTH pivots.  One
+    unblocked pass on M^T, the COL triplet (offdiag^T, w), with the identity
+    appended gives M's pivots and M^{-T}; S is then M^{-1} - 1 z^T in the
+    working arithmetic, accurate in binary64 away from singularity and in
+    pair arithmetic much closer to it.
     """
     n = offdiag.shape[0]
     if n == 1:
         return PartialInverse(z=1.0 / sums, S=_zeros(sums, (1, 1)))
-    t, F1 = _null_profile(offdiag)
-    F = gth_eliminate(offdiag, sums, ROW)
+    t, d1 = _null_profile(offdiag)
+    W, inv_t = _augmented(offdiag.T, sums, _zeros(sums, (n, n)) + np.eye(n))
+    d = _solve_unblocked(W)
     scale = 1.0
     for k in range(n - 1):
-        scale *= F1.upper[k, k] / F.upper[k, k]
-    scale /= F.upper[n - 1, n - 1]
+        scale *= d1[k] / d[k]
+    scale /= d[n - 1]
     z = t * scale
-    return PartialInverse(z=z, S=gth_solve(F, _zeros(sums, (n, n)) + np.eye(n)) - z[None, :])
+    return PartialInverse(z=z, S=inv_t.T - z[None, :])
 
 
-def partial_inverse(T, check=True):
+def partial_inverse(T):
     """Tree-split partial inverse of a ROW triplet with sums w >= 0, w != 0.
 
-    See gth_partial_inverse; S only feeds diagnostics.
+    See gth_partial_inverse; S only feeds diagnostics.  Raises
+    ReducibleMatrixError on a reducible pattern.
     """
     if T.orientation != ROW:
         raise ValueError("partial_inverse expects a ROW-oriented triplet")
     if (T.sums == 0.0).all():
         raise ValueError("sums identically zero: M is singular")
-    if check:
-        check_irreducible(T.offdiag)
+    check_irreducible(T.offdiag)
     return gth_partial_inverse(T.offdiag, T.sums)
 
 

@@ -37,6 +37,7 @@ result beyond binary64, to check it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,15 @@ class Termination(enum.Enum):
     DIVERGED = "diverged"
 
 
+def _require_finite(name, values, total):
+    """ValueError naming the first entry of values that is not finite; total
+    is values.sum(), which is finite when every entry is."""
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{name} must be finite; entry {bad[0] + 1} is {values[bad[0]]}")
+
+
 class Problem:
     """One of two problems, x = a + Bx^2 in both.
 
@@ -88,6 +98,7 @@ class Problem:
             raise ValueError("B is needed unless v, P and alpha are given")
         if self.a.shape != ((p_tensor if tensor is None else tensor).n,):
             raise ValueError("a and B dimensions disagree")
+        _require_finite("a", self.a, self.a.sum())
         if (self.a < 0.0).any():
             raise ValueError("a must be nonnegative")
         fields = {"v": v, "P": p_tensor, "alpha": alpha,
@@ -118,8 +129,8 @@ class Problem:
     def from_pagerank(cls, v, p_tensor, alpha, one_minus_two_alpha=None):
         """Build a = (1-alpha) v and keep P and alpha.
 
-        Checks v's shape against P's n first, then alpha, then the
-        stochasticity of v and P.
+        Checks v's shape against P's n first, then alpha, then that v is
+        finite and nonnegative, then the stochasticity of v and P.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (p_tensor.n,):
@@ -127,10 +138,12 @@ class Problem:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {alpha}")
+        total = v.sum()
+        _require_finite("v", v, total)
         if (v < 0.0).any():
             raise ValueError("v must be nonnegative")
-        if abs(v.sum() - 1.0) > 1e-14:
-            raise ValueError(f"v must be stochastic, 1^T v - 1 = {v.sum() - 1.0:.3e}")
+        if abs(total - 1.0) > 1e-14:
+            raise ValueError(f"v must be stochastic, 1^T v - 1 = {total - 1.0:.3e}")
         rep = tz.check_stochastic(p_tensor, target=1.0, tol=1e-13)
         if not rep.ok:
             raise ValueError(

@@ -79,6 +79,56 @@ def random_pagerank_problem(rng, n, alpha, density=1.0, one_minus_two_alpha=None
     return Problem.from_pagerank(v, Tensor3.from_unfolding(U), alpha, one_minus_two_alpha)
 
 
+# The seed's binary64 formulas, restated as plain loops of the kernel's
+# rounding: a pivot sums the entries beyond it in the eliminated orientation
+# with the sums entry last, and every update is (a / d) b, with a the entry
+# in the pivot's column of that orientation (its row for a ROW triplet).
+# The kernel's pivots and multipliers reproduce these factors bit for bit;
+# the fused solve, which rounds the right-hand sides inside the pass, matches
+# the substitutions to the componentwise bound of a subtraction-free solve.
+
+def seed_gth_factor(N, sig, by_row):
+    n = N.shape[0]
+    N = N.copy()
+    sig = sig.copy()
+    L = np.eye(n)
+    U = np.zeros((n, n))
+    for k in range(n):
+        if by_row:
+            d = np.append(N[k, k + 1 :], sig[k]).sum()
+        else:
+            d = np.append(N[k + 1 :, k], sig[k]).sum()
+        U[k, k] = d
+        U[k, k + 1 :] = -N[k, k + 1 :]
+        L[k + 1 :, k] = -N[k + 1 :, k] / d
+        if k < n - 1:
+            if by_row:
+                N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :] / d)
+            else:
+                N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k] / d, N[k, k + 1 :])
+            np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
+            if by_row:
+                sig[k + 1 :] += N[k + 1 :, k] * (sig[k] / d)
+            else:
+                sig[k + 1 :] += N[k, k + 1 :] * (sig[k] / d)
+    return L, U
+
+
+def seed_gth_solve(L, U, b):
+    squeeze = b.ndim == 1
+    y = np.array(b, ndmin=2, copy=True).T if squeeze else b.copy()
+    n = L.shape[0]
+    G = -L
+    for k in range(1, n):
+        y[k] += G[k, :k] @ y[:k]
+    piv = np.diag(U)
+    W = -U
+    x = np.empty_like(y)
+    for k in range(n - 1, -1, -1):
+        x[k] = (y[k] + W[k, k + 1 :] @ x[k + 1 :]) / piv[k]
+    return x[:, 0] if squeeze else x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

@@ -298,7 +298,10 @@ def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, 
     ("2 one\n1 1 1 0.5\n", None, "{tensor}:1: expected header 'n nnz'"),
     (None, "0.5\n0.5\n", "v has shape (2,), but P has n = 3"),
     (None, "0.5\n0.25\n", "v has shape (2,), but P has n = 3"),
-], ids=["index", "value", "extra-field", "header", "v-length", "v-length-not-stochastic"])
+    (None, "nan\n0.5\n0.5\n", "v must be finite; entry 1 is nan"),
+    (None, "0.5\ninf\n0.5\n", "v must be finite; entry 2 is inf"),
+], ids=["index", "value", "extra-field", "header", "v-length", "v-length-not-stochastic",
+        "v-nan", "v-inf"])
 def test_malformed_tensor_and_v_files_name_the_fault(tensor, v, message, tmp_path, capsys):
     path = tmp_path / "t.txt"
     if tensor is None:
@@ -314,3 +317,81 @@ def test_malformed_tensor_and_v_files_name_the_fault(tensor, v, message, tmp_pat
     out, err = capsys.readouterr()
     assert err.endswith(f"error: {message.format(tensor=path)}\n")
     assert out == ""
+
+
+@pytest.mark.parametrize("graph,v,message", [
+    ("%%MatrixMarket matrix coordinate pattern general\n3 x 2\n1 2\n2 1\n", None,
+     "{graph}:2: size line must be 'rows cols nnz'"),
+    ("%%MatrixMarket matrix coordinate pattern general\n% c\n2 2 2\n1 2\n2 b\n", None,
+     "{graph}:5: malformed entry '2 b'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n2 1 one\n", None,
+     "{graph}:4: malformed entry '2 1 one'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 nan\n2 1 1\n", None,
+     "{graph}:3: malformed entry '1 2 nan'"),
+    (None, "0.25\n\nabc\n0.75\n", "{v}:3: expected one value"),
+], ids=["mm-size", "mm-index", "mm-value", "mm-nan", "v-line"])
+def test_malformed_graph_and_v_lines_name_file_and_line(graph, v, message, tmp_path, capsys):
+    paths = {"graph": tmp_path / "g.mtx", "v": tmp_path / "v.txt"}
+    if graph is not None:
+        paths["graph"].write_text(graph)
+        argv = ["solve", "--graph", str(paths["graph"]), "--alpha", "0.3"]
+    else:
+        write_tensor_text(Tensor3.from_unfolding(
+            exact_stochastic_unfolding(np.random.default_rng(3), 3)), tmp_path / "t.txt")
+        paths["v"].write_text(v)
+        argv = ["solve", "--tensor", str(tmp_path / "t.txt"), "--alpha", "0.3",
+                "--v-file", str(paths["v"])]
+    assert exit_code(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.endswith(f"error: {message.format(**paths)}\n")
+    assert out == ""
+
+
+# The --out-csv files of each command on ex1 at alpha = 0.3, byte for byte.
+SOLVE_CSV = """\
+# mlpagerank-csv-v1 solve
+k,residual_inf,e_cw,e_norm
+0,0.68917637424572997,,
+1,0.14248922244566967,,
+2,0.015767115516747129,,
+3,0.00029314096581441391,,
+4,4.0669399543026498e-07,,
+5,4.9935313918437165e-13,,
+6,8.5095663581627803e-25,,
+"""
+PERTURB_CSV = """\
+# mlpagerank-csv-v1 perturb
+trial,epsilon_realized,d_cw_observed,bound_omega,bound_kappa,applicable_omega,applicable_kappa
+0,6.4292411394717419e-09,8.3203897934105154e-10,5.7164370351690257e-08,9.238013866547192e-08,1,1
+1,7.8133688408144053e-09,1.3507070045612838e-10,6.9471078273302849e-08,1.1226832036535863e-07,1,1
+2,4.8809107866532031e-09,2.5677565399641381e-10,4.3397686100895833e-08,7.0132570954537573e-08,1,1
+"""
+COMPARE_CSV = """\
+# mlpagerank-csv-v1 compare
+method,k,e_cw,e_norm,residual_inf
+newton-gth,0,1,1,0.68917637424572997
+newton-gth,1,0.99999999997716926,0.25400918438589537,0.14248922244566967
+newton-gth,2,0.15945968047475334,0.038127973179594661,0.015767115516747129
+newton-gth,3,0.0061056884119343059,0.001175692551888321,0.00029314096581441391
+newton-gth,4,6.8287682174338629e-06,1.3512717915512363e-06,4.0669399543026498e-07
+newton-gth,5,8.875088259635802e-12,1.7440662259307885e-12,4.9935313918437165e-13
+newton-gth,6,3.1614883817386415e-16,1.4600073618490815e-16,8.5095663581627803e-25
+newton,0,1,1,0.68917637424572997
+newton,1,0.99999999997716926,0.25400918438589537,0.14248922244566967
+newton,2,0.15945968047475351,0.038127973179594786,0.015767115516747143
+newton,3,0.0061056884119343059,0.0011756925518884033,0.00029314096581445348
+newton,4,6.8287682175919371e-06,1.3512717916833491e-06,4.0669399548054486e-07
+newton,5,8.8747721107976273e-12,1.7440010630142376e-12,4.9937831647639541e-13
+newton,6,2.9014080671942679e-16,1.574537544742272e-16,6.9388939039072284e-18
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["solve", *EX1], SOLVE_CSV),
+    (["perturb", *EX1, "--epsilon", "1e-8", "--trials", "3"], PERTURB_CSV),
+    (["compare", *EX1, "--methods", "newton-gth,newton"], COMPARE_CSV),
+], ids=["solve", "perturb", "compare"])
+def test_out_csv_bytes_on_ex1(argv, expected, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--out-csv", str(path)]) == EXIT_OK
+    assert path.read_bytes() == expected.encode()

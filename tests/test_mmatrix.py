@@ -1,4 +1,4 @@
-"""GTH factorization, triplet solves, null vectors, and partial inverses."""
+"""GTH elimination, triplet solves, null vectors, and partial inverses."""
 
 import warnings
 from fractions import Fraction
@@ -12,8 +12,6 @@ from mlpagerank import (
     ReducibleMatrixError,
     SingularPivotError,
     TripletMMatrix,
-    gth_factor,
-    gth_solve,
     inverse_cw_bound_check,
     null_vector,
     partial_inverse,
@@ -21,13 +19,15 @@ from mlpagerank import (
 )
 from mlpagerank.mmatrix import (
     GTH_BLOCK,
+    _augmented,
+    _eliminate,
     check_irreducible,
     gth_col_solve,
-    gth_eliminate,
     gth_partial_inverse,
 )
 from mlpagerank.precision import DD, dd_sum
 
+from conftest import seed_gth_factor, seed_gth_solve
 from test_tree_oracle import tree_oracle_rs, triplet_weights
 
 U_FLOAT = np.finfo(float).eps / 2
@@ -38,6 +38,31 @@ def random_row_triplet(rng, n):
     np.fill_diagonal(N, 0.0)
     sums = rng.random(n) + 0.1
     return TripletMMatrix(N, sums, ROW)
+
+
+def col_form(T):
+    """T's off-diagonal part as a COL triplet's: a ROW triplet is the COL
+    triplet of its transpose."""
+    return T.offdiag if T.orientation == COL else T.offdiag.T
+
+
+def eliminated(T, pairs=False):
+    """The kernel's pivots d and eliminated block V, in T's orientation: U's
+    strict upper part is -V's, and L's strict lower part is -V's over d."""
+    wrap = DD if pairs else np.asarray
+    W, _ = _augmented(wrap(col_form(T)), wrap(T.sums), wrap(np.zeros((T.n, 0))))
+    d = _eliminate(W)
+    V = W[: T.n, : T.n]
+    return d, V if T.orientation == COL else V.T
+
+
+def seed_solve(T, b):
+    """The seed formulas' solve of the system gth_col_solve solves for T."""
+    return seed_gth_solve(*seed_gth_factor(col_form(T), T.sums, False), b)
+
+
+def assert_within_4nu(got, want, n):
+    assert (np.abs(got - want) <= 4 * n * U_FLOAT * np.abs(want)).all()
 
 
 class TestTripletValidation:
@@ -57,19 +82,18 @@ class TestTripletValidation:
         assert np.array_equal(col, np.array([[3.0, -1.0], [-2.0, 4.0]]))
 
 
-class TestGTHFactor:
+class TestGTHColSolve:
     def test_two_by_two_pivots(self):
-        # M = [[2,-1],[-1,2]] with row sums [1,1]: pivots 2 and 1.5, LU = M
-        T = TripletMMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), ROW)
-        F = gth_factor(T)
-        assert np.array_equal(F.pivots, np.array([2.0, 1.5]))
-        assert np.array_equal(F.lower @ F.upper, T.materialize())
+        # M = [[2,-1],[-1,2]] with sums [1,1]: pivots 2 and 1.5, and M 1 = sums
+        N = np.array([[0.0, 1.0], [1.0, 0.0]])
+        T = TripletMMatrix(N, np.ones(2), COL)
+        assert np.array_equal(eliminated(T)[0], np.array([2.0, 1.5]))
+        assert np.array_equal(gth_col_solve(N, T.sums, T.sums), np.ones(2))
+        assert_within_4nu(gth_col_solve(N, T.sums, np.eye(2)), seed_solve(T, np.eye(2)), 2)
 
     def test_one_by_one(self):
-        T = TripletMMatrix(np.zeros((1, 1)), np.array([3.0]), ROW)
-        F = gth_factor(T)
-        assert np.array_equal(F.lower, np.array([[1.0]]))
-        assert np.array_equal(F.upper, np.array([[3.0]]))
+        y = gth_col_solve(np.zeros((1, 1)), np.array([3.0]), np.array([[3.0, 6.0]]))
+        assert np.array_equal(y, np.array([[1.0, 2.0]]))
 
     def test_singular_only_last_sum_positive(self, rng):
         # sums zero except the last entry: irreducibility keeps pivots positive
@@ -78,56 +102,43 @@ class TestGTHFactor:
         np.fill_diagonal(N, 0.0)
         sums = np.zeros(n)
         sums[-1] = 0.7
-        F = gth_factor(TripletMMatrix(N, sums, ROW))
-        assert (F.pivots > 0.0).all()
-        M = TripletMMatrix(N, sums, ROW).materialize()
-        assert np.max(np.abs(F.lower @ F.upper - M)) <= 5 * n * np.finfo(float).eps * np.abs(M).max()
+        for orientation in (ROW, COL):
+            T = TripletMMatrix(N, sums, orientation)
+            assert (eliminated(T)[0] > 0.0).all()
+            X = gth_col_solve(col_form(T), sums, np.eye(n))
+            assert (X > 0.0).all()
+            assert_within_4nu(X, seed_solve(T, np.eye(n)), n)
 
-    def test_lu_reconstruction_random(self, rng):
+    def test_random_solves_match_seed_formulas(self, rng):
         for orientation in (ROW, COL):
             for _ in range(10):
                 n = int(rng.integers(2, 7))
                 N = rng.random((n, n))
                 np.fill_diagonal(N, 0.0)
                 T = TripletMMatrix(N, rng.random(n) + 0.01, orientation)
-                F = gth_factor(T)
-                M = T.materialize()
-                tol = 10 * n * np.finfo(float).eps * np.abs(M).max()
-                assert np.max(np.abs(F.lower @ F.upper - M)) <= tol
-
-    def test_reducible_rejected_with_index_set(self):
-        N = np.zeros((3, 3))
-        N[0, 1] = 1.0
-        N[1, 0] = 1.0  # node 3 disconnected
-        with pytest.raises(ReducibleMatrixError, match=r"\["):
-            gth_factor(TripletMMatrix(N, np.ones(3), ROW))
+                for b in (rng.random(n), np.eye(n)):
+                    assert_within_4nu(gth_col_solve(col_form(T), T.sums, b), seed_solve(T, b), n)
 
     def test_zero_pivot_raises(self):
-        N = np.zeros((2, 2))
-        with pytest.raises((SingularPivotError, ReducibleMatrixError)):
-            gth_factor(TripletMMatrix(N, np.zeros(2), ROW), check=False)
+        with pytest.raises(SingularPivotError, match="zero pivot at step 1$"):
+            gth_col_solve(np.zeros((2, 2)), np.zeros(2), np.ones(2))
 
-
-class TestGTHSolve:
     def test_identity(self):
-        T = TripletMMatrix(np.zeros((3, 3)), np.ones(3), ROW)
-        F = gth_factor(T, check=False)
         b = np.array([0.3, 0.1, 2.0])
-        assert np.array_equal(gth_solve(F, b), b)
+        assert np.array_equal(gth_col_solve(np.zeros((3, 3)), np.ones(3), b), b)
 
-    def test_row_sums_vector(self):
-        # M 1 = sums, so b = sums returns the all-ones vector
-        T = TripletMMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), ROW)
-        x = gth_solve(gth_factor(T), np.array([1.0, 1.0]))
+    def test_sums_vector(self):
+        # 1^T M = sums for a symmetric N, so b = sums returns the all-ones vector
+        N = np.array([[0.0, 1.0], [1.0, 0.0]])
+        x = gth_col_solve(N, np.ones(2), np.array([1.0, 1.0]))
         assert np.max(np.abs(x - 1.0)) <= 1e-15
 
     def test_matrix_rhs(self, rng):
+        # a ROW triplet's COL form is M^T
         T = random_row_triplet(rng, 4)
-        F = gth_factor(T)
         eye = np.eye(4)
-        cols = gth_solve(F, eye)
-        M = T.materialize()
-        assert np.max(np.abs(M @ cols - eye)) <= 1e-12
+        cols = gth_col_solve(col_form(T), T.sums, eye)
+        assert np.max(np.abs(T.materialize().T @ cols - eye)) <= 1e-12
 
     def test_ill_conditioned_matches_pair_precision(self, rng):
         # column sums at 1e-13: componentwise agreement with the pair oracle
@@ -135,11 +146,23 @@ class TestGTHSolve:
         N = rng.random((n, n)) + 0.05
         np.fill_diagonal(N, 0.0)
         sums = np.full(n, 1e-13)
-        T = TripletMMatrix(N, sums, COL)
         b = rng.random(n)
-        x = gth_solve(gth_factor(T), b)
-        x_dd = gth_solve(gth_eliminate(DD(N), DD(sums), COL), DD(b)).to_float()
+        x = gth_col_solve(N, sums, b)
+        x_dd = gth_col_solve(DD(N), DD(sums), DD(b)).to_float()
         assert np.max(np.abs(x - x_dd) / np.abs(x_dd)) <= 1e-12
+
+
+def test_reducible_pattern_rejected_with_index_set():
+    N = np.zeros((3, 3))
+    N[0, 1] = 1.0
+    N[1, 0] = 1.0  # node 3 disconnected
+    T = TripletMMatrix(N, np.ones(3), ROW)
+    calls = (lambda: partial_inverse(T),
+             lambda: null_vector(TripletMMatrix(N, np.zeros(3), ROW)),
+             lambda: inverse_cw_bound_check(T, T, 0.0))
+    for call in calls:
+        with pytest.raises(ReducibleMatrixError, match=r"\["):
+            call()
 
 
 class TestNullVector:
@@ -293,54 +316,6 @@ def test_plain_lu_solve_singular():
         plain_lu_solve(np.zeros((2, 2)), np.ones(2))
 
 
-# The seed's binary64 formulas, restated as plain loops of the kernel's
-# rounding, the reference it must reproduce bit for bit: a pivot sums the
-# entries beyond it in the eliminated orientation with the sums entry last,
-# and every update is (a / d) b, with a the entry in the pivot's column of
-# that orientation (its row for a ROW triplet).
-
-def seed_gth_factor(N, sig, by_row):
-    n = N.shape[0]
-    N = N.copy()
-    sig = sig.copy()
-    L = np.eye(n)
-    U = np.zeros((n, n))
-    for k in range(n):
-        if by_row:
-            d = np.append(N[k, k + 1 :], sig[k]).sum()
-        else:
-            d = np.append(N[k + 1 :, k], sig[k]).sum()
-        U[k, k] = d
-        U[k, k + 1 :] = -N[k, k + 1 :]
-        L[k + 1 :, k] = -N[k + 1 :, k] / d
-        if k < n - 1:
-            if by_row:
-                N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k], N[k, k + 1 :] / d)
-            else:
-                N[k + 1 :, k + 1 :] += np.outer(N[k + 1 :, k] / d, N[k, k + 1 :])
-            np.fill_diagonal(N[k + 1 :, k + 1 :], 0.0)
-            if by_row:
-                sig[k + 1 :] += N[k + 1 :, k] * (sig[k] / d)
-            else:
-                sig[k + 1 :] += N[k, k + 1 :] * (sig[k] / d)
-    return L, U
-
-
-def seed_gth_solve(L, U, b):
-    squeeze = b.ndim == 1
-    y = np.array(b, ndmin=2, copy=True).T if squeeze else b.copy()
-    n = L.shape[0]
-    G = -L
-    for k in range(1, n):
-        y[k] += G[k, :k] @ y[:k]
-    piv = np.diag(U)
-    W = -U
-    x = np.empty_like(y)
-    for k in range(n - 1, -1, -1):
-        x[k] = (y[k] + W[k, k + 1 :] @ x[k + 1 :]) / piv[k]
-    return x[:, 0] if squeeze else x
-
-
 def seed_null_elimination(N):
     n = N.shape[0]
     N = N.copy()
@@ -381,8 +356,8 @@ def seed_partial_inverse(N, w):
     return z, seed_gth_solve(L, U, np.eye(n)) - z[None, :]
 
 
-def exact_gth_factor(N, sig, by_row):
-    """The GTH recurrences in exact rational arithmetic."""
+def exact_gth_factor(N, sig):
+    """The GTH recurrences of the COL triplet (N, sig) in exact rational arithmetic."""
     n = len(sig)
     N = [[Fraction(float(v)) for v in row] for row in N]
     sig = [Fraction(float(v)) for v in sig]
@@ -390,15 +365,28 @@ def exact_gth_factor(N, sig, by_row):
     U = [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
         rest = range(k + 1, n)
-        U[k][k] = sig[k] + sum(N[k][j] if by_row else N[j][k] for j in rest)
+        U[k][k] = sig[k] + sum(N[j][k] for j in rest)
         for j in rest:
             U[k][j] = -N[k][j]
             L[j][k] = -N[j][k] / U[k][k]
         for i in rest:
             for j in rest:
                 N[i][j] += N[i][k] * N[k][j] / U[k][k] if i != j else 0
-            sig[i] += (N[i][k] if by_row else N[k][i]) * sig[k] / U[k][k]
+            sig[i] += N[k][i] * sig[k] / U[k][k]
     return L, U
+
+
+def exact_gth_solve(N, sig, b):
+    """M x = b for the COL triplet (N, sig), exactly: exact_gth_factor's
+    factors, then forward and back substitution."""
+    L, U = exact_gth_factor(N, sig)
+    n = len(b)
+    x = [Fraction(float(v)) for v in b]
+    for k in range(n):
+        x[k] -= sum(L[k][j] * x[j] for j in range(k))
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - sum(U[k][j] * x[j] for j in range(k + 1, n))) / U[k][k]
+    return x
 
 
 def same_bits(a, b):
@@ -422,70 +410,77 @@ def ill_conditioned_triplets(rng, orientations=(ROW, COL)):
 
 
 class TestSharedKernel:
-    def test_float_factor_and_solve_match_seed_formulas(self, rng):
+    def test_float_elimination_and_solve_match_seed_formulas(self, rng):
+        # the pass's pivots and multipliers are the seed factors' bits; the
+        # fused solve rounds the right-hand sides inside the pass, so it
+        # matches the seed's substitutions to the componentwise bound
         count = 0
         for T in ill_conditioned_triplets(rng):
-            F = gth_factor(T, check=False)
+            d, V = eliminated(T)
             L, U = seed_gth_factor(T.offdiag, T.sums, T.orientation == ROW)
-            assert same_bits(F.lower, L) and same_bits(F.upper, U)
+            i, j = np.triu_indices(T.n, 1)
+            assert same_bits(d, np.diag(U).copy())
+            assert same_bits(-V[i, j], U[i, j]) and same_bits(-V[j, i] / d[i], L[j, i])
             for b in (rng.random(T.n), rng.random((T.n, 3)), np.eye(T.n)):
-                assert same_bits(gth_solve(F, b), seed_gth_solve(L, U, b))
+                assert_within_4nu(gth_col_solve(col_form(T), T.sums, b), seed_solve(T, b), T.n)
             count += 1
         assert count >= 100
 
     def test_float_null_vector_and_partial_inverse_match_seed_formulas(self, rng):
+        # t and z bit for bit; S, which the seed substitutes through the
+        # factors of M and the pass solves on M^T, to the binary64 slack of
+        # its defining subtraction, as in test_s_stays_bounded_near_singularity
         for T in ill_conditioned_triplets(rng, orientations=(ROW,)):
             if T.n > 1:
                 zero_sum = TripletMMatrix(T.offdiag, np.zeros(T.n), ROW)
                 assert same_bits(null_vector(zero_sum), seed_null_vector(T.offdiag))
             pi = partial_inverse(T)
             z, S = seed_partial_inverse(T.offdiag, T.sums)
-            assert same_bits(pi.z, z) and same_bits(pi.S, S)
+            assert same_bits(pi.z, z)
+            inv_norm = np.abs(pi.inverse()).sum(axis=1).max()
+            assert np.abs(pi.S - S).max() <= 100 * U_FLOAT * inv_norm
 
-    def test_pair_and_float_factors_agree_componentwise(self, rng):
-        # every factor entry is a sum of nonnegative terms, each produced by
-        # at most n steps of a product, a quotient and an addition, so the
-        # binary64 factors agree with the pair ones to within 4 n u
+    def test_pair_and_float_eliminations_agree_componentwise(self, rng):
+        # every pivot and eliminated entry is a sum of nonnegative terms, each
+        # produced by at most n steps of a product, a quotient and an
+        # addition, so the binary64 ones agree with the pair ones to within 4 n u
         for T in ill_conditioned_triplets(rng):
-            F = gth_factor(T, check=False)
-            F_dd = gth_eliminate(DD(T.offdiag), DD(T.sums), T.orientation)
-            for got, want in ((F.lower, F_dd.lower), (F.upper, F_dd.upper)):
+            off = ~np.eye(T.n, dtype=bool)
+            (d, V), (d_dd, V_dd) = eliminated(T), eliminated(T, pairs=True)
+            for got, want in ((d, d_dd), (V[off], V_dd[off])):
                 assert ((got == 0.0) == (want.hi == 0.0)).all()
                 nz = want.hi != 0.0
                 err = np.abs((DD(got) - want).to_float())[nz]
                 assert (err <= 4 * T.n * U_FLOAT * np.abs(want.to_float()[nz])).all()
 
-    def test_pair_factors_match_exact_rationals(self, rng):
-        # the same argument in pair arithmetic, unit roundoff 2^-106
+    def test_pair_solves_match_exact_rationals(self, rng):
+        # the same argument in pair arithmetic, unit roundoff 2^-106, for a
+        # solve: a solution entry's terms each take at most n steps of the
+        # pass and n of the back-substitution, so 2 n steps and 8 n u
         for T in ill_conditioned_triplets(rng):
             if T.n > 5:
                 continue
-            F = gth_eliminate(DD(T.offdiag), DD(T.sums), T.orientation)
-            exact = exact_gth_factor(T.offdiag, T.sums, T.orientation == ROW)
-            for got, want in zip((F.lower, F.upper), exact):
-                for (i, j), w in np.ndenumerate(np.array(want, dtype=object)):
-                    err = abs(Fraction(float(got.hi[i, j])) + Fraction(float(got.lo[i, j])) - w)
-                    assert err <= 4 * T.n * Fraction(2) ** -106 * abs(w)
+            C = col_form(T)
+            for b in (rng.random(T.n), *np.eye(T.n)):
+                got = gth_col_solve(DD(C), DD(T.sums), DD(b))
+                for i, w in enumerate(exact_gth_solve(C, T.sums, b)):
+                    err = abs(Fraction(float(got.hi[i])) + Fraction(float(got.lo[i])) - w)
+                    assert err <= 8 * T.n * Fraction(2) ** -106 * abs(w)
 
 
 @pytest.mark.parametrize("pairs", [False, True], ids=["binary64", "double-double"])
-def test_factor_signs_and_nonnegative_solves(rng, pairs):
-    # strict L <= 0, strict U <= 0 and pivots > 0 in both arithmetics, from
-    # row and column sums near 1 down to 1e-13; b >= 0 then gives x >= 0
+def test_elimination_signs_and_nonnegative_solves(rng, pairs):
+    # pivots > 0 and an eliminated array >= 0 off its diagonal, that is
+    # strict L <= 0 and strict U <= 0, in both arithmetics, from row and
+    # column sums near 1 down to 1e-13; b >= 0 then gives x >= 0
+    wrap = DD if pairs else np.asarray
     for T in ill_conditioned_triplets(rng):
-        if pairs:
-            F = gth_eliminate(DD(T.offdiag), DD(T.sums), T.orientation)
-            L, U = F.lower.to_float(), F.upper.to_float()
-        else:
-            F = gth_factor(T, check=False)
-            L, U = F.lower, F.upper
-        strict_lower = np.tril(np.ones((T.n, T.n), dtype=bool), -1)
-        assert (L[strict_lower] <= 0.0).all() and (np.diag(L) == 1.0).all()
-        assert (U[strict_lower.T] <= 0.0).all() and (np.diag(U) > 0.0).all()
-        assert (U[strict_lower] == 0.0).all() and (L[strict_lower.T] == 0.0).all()
+        d, V = eliminated(T, pairs)
+        d, V = (d.to_float(), V.to_float()) if pairs else (d, V)
+        assert (d > 0.0).all() and (V[~np.eye(T.n, dtype=bool)] >= 0.0).all()
         b = rng.random(T.n) * (rng.random(T.n) < 0.6)
-        x = gth_solve(F, DD(b)).to_float() if pairs else gth_solve(F, b)
-        assert (x >= 0.0).all()
+        x = gth_col_solve(wrap(col_form(T)), wrap(T.sums), wrap(b))
+        assert ((x.to_float() if pairs else x) >= 0.0).all()
 
 
 def col_triplets_above_the_block(rng):
@@ -505,10 +500,6 @@ def right_hand_sides(rng, n):
                  for shape in (n, (n, 3), (n, 0)))
 
 
-def assert_within_4nu(got, want, n):
-    assert (np.abs(got - want) <= 4 * n * U_FLOAT * np.abs(want)).all()
-
-
 class TestFusedSolveAboveTheBlock:
     # Every entry the blocked solve computes is a sum of products of
     # nonnegative numbers, as in the unblocked pass, so the binary64 result
@@ -526,12 +517,12 @@ class TestFusedSolveAboveTheBlock:
 
     def test_matches_factor_then_substitute_and_ignores_the_diagonal(self, rng):
         for T in col_triplets_above_the_block(rng):
-            F = gth_factor(T, check=False)
+            L, U = seed_gth_factor(T.offdiag, T.sums, False)
             poisoned = T.offdiag.copy()
             np.fill_diagonal(poisoned, np.nan)
             for R in right_hand_sides(rng, T.n):
                 y = gth_col_solve(T.offdiag, T.sums, R)
-                assert_within_4nu(y, gth_solve(F, R), T.n)
+                assert_within_4nu(y, seed_gth_solve(L, U, R), T.n)
                 assert same_bits(gth_col_solve(poisoned, T.sums, R), y)
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["binary64", "double-double"])

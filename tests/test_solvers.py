@@ -23,10 +23,7 @@ from mlpagerank import (
     builtin,
     ex1,
     ex2,
-    gth_factor,
-    gth_solve,
     intro,
-    norm_error,
     random_teleport_vector,
     reference_solution,
     residual,
@@ -41,6 +38,8 @@ from conftest import (
     held_bytes,
     random_pagerank_problem,
     scaled,
+    seed_gth_factor,
+    seed_gth_solve,
     stored_b_entries,
 )
 
@@ -403,13 +402,14 @@ class TestBlockJacobi:
 
 def gth_sweep_by_triplets(C, slices, level, col_n, rhs):
     """The block sweep through a validated TripletMMatrix per block, whose
-    copy of C[s, s] has a zeroed diagonal, factored and then substituted."""
+    copy of C[s, s] has a zeroed diagonal, factored and then substituted by
+    the seed formulas."""
     y = np.empty(len(rhs))
     for s in slices:
         Nb = C[s, s].copy()
         np.fill_diagonal(Nb, 0.0)
         T = TripletMMatrix(Nb, level + col_n[s], COL)
-        y[s] = gth_solve(gth_factor(T, check=False), rhs[s])
+        y[s] = seed_gth_solve(*seed_gth_factor(T.offdiag, T.sums, False), rhs[s])
     return y
 
 
@@ -699,6 +699,16 @@ class TestTwoProblems:
         message = re.escape(f"v has shape {v.shape}, but P has n = 3")
         with pytest.raises(ValueError, match=f"^{message}$"):
             Problem.from_pagerank(v, P, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_v_or_a_is_rejected(self, rng, bad):
+        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 3))
+        v = np.full(3, 1 / 3)
+        v[1] = bad
+        with pytest.raises(ValueError, match=f"^v must be finite; entry 2 is {bad}$"):
+            Problem.from_pagerank(v, P, 0.3)
+        with pytest.raises(ValueError, match=f"^a must be finite; entry 2 is {bad}$"):
+            Problem.from_general(v, P)
 
     def test_needs_b_or_p_and_alpha(self):
         with pytest.raises(ValueError, match="B is needed"):
