@@ -28,9 +28,13 @@ from .mmatrix import (
 from .precision import DD
 from .solvers import Problem
 
-# Below this column-sum level the binary64 subtraction M^{-1} - 1 z^T has no
-# correct digits; omega switches to the pair-precision partial inverse.
-OMEGA_DD_THRESHOLD = 1e-13
+# The binary64 subtraction S = M^{-1} - 1 z^T carries a relative error of
+# about u / w at column sums w, u = 2^-52 the machine epsilon (in omega on
+# ex1 at w = 2^-20, 2^-26 and 2^-39: 1.5e-10, 1.2e-8 and 1.4e-5).  omega
+# takes the pair-precision partial inverse wherever u / min(w) would exceed
+# OMEGA_TARGET, that is at column sums up to u / OMEGA_TARGET, about 2.2e-7.
+OMEGA_TARGET = 1e-9
+OMEGA_DD_THRESHOLD = np.finfo(np.float64).eps / OMEGA_TARGET
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,9 @@ def omega(problem, m):
     """omega = max (S^T m)_i / m_i for (R_m^T)^{-1} = 1 z^T + S.
 
     Away from the singular limit this uses the binary64 partial inverse of
-    the ROW triplet of R_m^T; once the column sums drop below
-    OMEGA_DD_THRESHOLD the subtraction defining S is carried out in pair
+    the ROW triplet of R_m^T; once the column sums drop to
+    OMEGA_DD_THRESHOLD, below which binary64 would leave S a relative error
+    above OMEGA_TARGET, the subtraction defining S is carried out in pair
     precision instead (the partial inverse itself stays bounded there).
     """
     m = np.asarray(m, dtype=np.float64)

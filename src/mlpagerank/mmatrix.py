@@ -16,7 +16,12 @@ are row n, and right-hand sides are further columns (_augmented builds it).
 A pivot is the sum of the column below it, the sums entry last, and one
 rank-1 update per pivot, rounded as (a / d) b, updates the entries, the sums
 and the right-hand sides alike.  A ROW triplet is the COL triplet of its
-transpose.  Every routine runs on that one pass, and none forms L or U:
+transpose.  Only two steps differ by arithmetic.  A pair pivot is the
+exactly rounded sum of its column (precision.DD.sum).  The leaf's
+back-substitution is one LAPACK unit-upper solve in binary64, and in pairs
+a sweep by columns that multiplies by the pivots' reciprocals
+(_back_substitute).  Every routine runs on that one pass, and none forms L
+or U:
 
 - gth_col_solve, the solve of the iterations, eliminates the right-hand
   sides along with the matrix and back-substitutes.  Above GTH_BLOCK
@@ -155,10 +160,18 @@ def _eliminate(W, offset=0):
 
 
 def _back_substitute(V, d, y):
-    """y_k <- (y_k + sum_{j>k} V_kj y_j) / d_k for k = n, ..., 1, in place, in
-    any arithmetic; only the strict upper triangle of V is read."""
+    """y_k = (y_k + sum_{j>k} V_kj y_j) / d_k for k = n, ..., 1, in place,
+    swept by columns: with r = 1 / d from one vectorised division, y_k <- y_k
+    r_k, then y_i += V_ik y_k for every i < k.  The leaf's back-substitution
+    in pairs.  It reads only the strict upper triangle of V, adds
+    nonnegative terms only when V and y are nonnegative, and takes a vector
+    y or stacked right-hand sides, one per column."""
+    Y = y if len(y.shape) == 2 else y[:, None]  # a view: writes reach y
+    r = 1.0 / d
     for k in range(len(d) - 1, -1, -1):
-        y[k] = (y[k] + V[k, k + 1 :] @ y[k + 1 :]) / d[k]
+        Y[k] = Y[k] * r[k]
+        if k:
+            Y[:k] += V[:k, k : k + 1] * Y[k : k + 1]
 
 
 def _unit_upper_solve(V, d, y):
@@ -171,8 +184,9 @@ def _unit_upper_solve(V, d, y):
 def _solve_unblocked(W, offset=0):
     """Overwrite the right-hand-side columns of the augmented W with the
     solution, by one elimination pass and a back-substitution: the
-    arithmetic's own (gth_substitute, the loop in pairs) if it has one, else
-    one binary64 unit-upper solve.  Returns the pivots, as _eliminate."""
+    arithmetic's own (gth_substitute, the column sweep in pairs) if it has
+    one, else one binary64 unit-upper solve.  Returns the pivots, as
+    _eliminate."""
     n = W.shape[0] - 1
     d = _eliminate(W, offset)
     # one right-hand side stays a vector: cheaper steps, in pairs above all

@@ -17,14 +17,30 @@ when the binary64 run or the seeded pair run fails; its iteration count is
 of pair-arithmetic steps only.  Its GTH steps are the mmatrix kernel's fused
 solve (gth_col_solve) run on DD arrays, which is why DD offers the few
 numpy-style methods that the kernel and the drivers use: .sum(axis=0),
-.max(), .T, abs(), float(), += into a view, and @ between vectors and
-matrices, each entry of a product a dd_sum of its terms, and the kernel's
-leaf back-substitution, gth_substitute.  In pair arithmetic the elimination
-update rounds as (a / d) b, the order binary64 keeps.  Each
-reference step makes one tensor product, dd_contract_sym: the contraction of
-the step h on the Newton-GTH path, which updates C = Bx: + B:x and gives the
-next residual Bh^2 = G h / 2, and the contraction of the iterate for plain
+.max(), .T, .transpose(), .reshape(), abs(), float(), += into a view, @
+between vectors and matrices, and the kernel's leaf back-substitution,
+gth_substitute.
+
+Two sums serve them.  DD.sum of a vector, every GTH pivot among them, is
+exactly rounded: math.fsum of its 2m parts, then of the rest.  dd_sum, the
+pairwise fold batched over columns, gives the sums along the first axis of
+a matrix, each entry of @ and the segment sums of the sparse product.  In
+pair arithmetic the elimination update rounds as (a / d) b, the order
+binary64 keeps, and gth_substitute (mmatrix._back_substitute) multiplies
+by the pivot reciprocals from one vectorised division and sweeps by
+columns, so a pair solve of n unknowns makes n pair divisions.
+
+Each reference step makes one tensor product: the contraction of the step h
+on the Newton-GTH path, which updates C = Bx: + B:x and gives the next
+residual Bh^2 = G h / 2, and the contraction of the iterate for plain
 Newton, whose C gives both R_x = I - C and the residual's Bx^2 = C x / 2.
+There are two product paths, chosen as Tensor3 chooses its own.  A tensor
+that stores all n^3 entries contracts through the pair slab
+K[k, i, j] = b_ijk + b_ikj, built once (dd_slab): one dd_sum over k, n terms
+per entry (dd_contract_slab).  Any other contracts by dd_contract_sym over
+its 2 nnz terms, listed once (dd_sym_terms).  A PageRank problem is
+renormalized first by one pair reciprocal alpha / colsum per unfolding
+column, which multiplies every entry of that column.
 """
 
 from __future__ import annotations
@@ -204,28 +220,41 @@ class DD:
         """The value of a one-element pair array, rounded to a Python float."""
         return float(self.hi + self.lo)
 
-    @property
-    def T(self):
-        """The transpose, a view sharing this array's storage."""
-        return DD(self.hi.T, self.lo.T)
+    def transpose(self, *axes):
+        """A view with its axes permuted, as ndarray.transpose."""
+        return DD(self.hi.transpose(*axes), self.lo.transpose(*axes))
+
+    T = property(transpose, doc="The transpose, a view sharing this array's storage.")
+
+    def reshape(self, *shape):
+        return DD(self.hi.reshape(*shape), self.lo.reshape(*shape))
 
     def sum(self, axis=0):
-        """dd_sum along the first axis, the only axis offered."""
+        """The sum along the first axis, the only axis offered.
+
+        A vector's sum is exactly rounded: hi is its 2m parts added exactly
+        and rounded once (math.fsum, Shewchuk, DCG 18, 1997), lo the rest,
+        rounded the same way, as in dd_residual.  Along the first axis of a
+        matrix it is dd_sum, the pairwise fold batched over the columns.
+        """
         if axis != 0:
             raise ValueError("DD.sum folds along axis 0 only")
-        return dd_sum(self)
+        if self.hi.ndim != 1:
+            return dd_sum(self)
+        parts = self.hi.tolist() + self.lo.tolist()
+        hi = math.fsum(parts)
+        return DD(hi, math.fsum(parts + [-hi]))
 
     def __matmul__(self, other):
         """Vectors and matrices: each entry a dd_sum of its products in order."""
         lhs = self.T if len(self.shape) == 2 else self  # contracted axis first
         lhs_shape = lhs.shape + (1,) * (len(other.shape) - 1)
         rhs_shape = other.shape[:1] + (1,) * (len(lhs.shape) - 1) + other.shape[1:]
-        return dd_sum(DD(lhs.hi.reshape(lhs_shape), lhs.lo.reshape(lhs_shape))
-                      * DD(other.hi.reshape(rhs_shape), other.lo.reshape(rhs_shape)))
+        return dd_sum(lhs.reshape(lhs_shape) * other.reshape(rhs_shape))
 
     # the solve of solvers.newton in pairs, looked up when called
     lu_solve = staticmethod(lambda A, b: dd_lu_solve(A, b))
-    # the back-substitution of mmatrix's GTH leaf in pairs: the plain loop
+    # the back-substitution of mmatrix's GTH leaf in pairs: a column sweep
     gth_substitute = staticmethod(_back_substitute)
 
     def __repr__(self):
@@ -369,8 +398,20 @@ def dd_contract_sym(B, x, vals, terms):
     one dd_sum of its terms in the order of `terms`.
     """
     entry, index, key = terms
-    flat = _dd_segment_sums(vals[entry] * x[index], key, B.n * B.n)
-    return DD(flat.hi.reshape(B.n, B.n), flat.lo.reshape(B.n, B.n))
+    return _dd_segment_sums(vals[entry] * x[index], key, B.n * B.n).reshape(B.n, B.n)
+
+
+def dd_slab(vals, n):
+    """K[k, i, j] = b_ijk + b_ikj in pairs, for a tensor that stores all n^3
+    entries: vals, in storage order, are A[i, k, j] = b_ijk (Tensor3.slab)."""
+    A = vals.reshape(n, n, n)
+    return A.transpose(1, 0, 2) + A.transpose(2, 0, 1)
+
+
+def dd_contract_slab(K, x):
+    """dd_contract_sym through the slab K = dd_slab(...): C_ij = sum_k K_kij x_k,
+    one dd_sum over k, so n terms per entry where the sparse path sums 2n."""
+    return dd_sum(K * x[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +423,41 @@ class _PairProblem:
     """A problem in pairs, as the solvers' drivers read it.
 
     It has a, v, alpha, n, one_minus_two_alpha and contract(x), the pair
-    C = Bx: + B:x from dd_contract_sym over terms built once.  A PageRank
-    problem is renormalized in pairs (see reference_solution), and its
-    1 - 2 alpha, exact in pairs for a binary64 alpha, comes from alpha: the
-    reference is defined by alpha, not by Problem.one_minus_two_alpha.
+    C = Bx: + B:x.  A tensor that stores all n^3 entries, by Tensor3's rule
+    for its slab path, contracts through a pair slab built once
+    (dd_contract_slab); any other through dd_contract_sym over terms built
+    once.  A PageRank problem is renormalized in pairs (see
+    reference_solution): each entry times its column's alpha / colsum, one
+    pair reciprocal per unfolding column, the sums of a full tensor one fold
+    over i.  Its 1 - 2 alpha, exact in pairs for a binary64 alpha, comes
+    from alpha: the reference is defined by alpha, not by
+    Problem.one_minus_two_alpha.
     """
 
     def __init__(self, problem):
         self.n, self.alpha = problem.n, problem.alpha
         self.v = self.one_minus_two_alpha = None
+        B = (problem.p_tensor if problem.is_pagerank else problem.tensor).to_tensor3()
+        full = B.nnz == B.n ** 3
         if problem.is_pagerank:
             alpha = DD(problem.alpha)
             self.v = DD(problem.v) / dd_sum(DD(problem.v))
             self.a = (DD(1.0) - alpha) * self.v
             self.one_minus_two_alpha = DD(1.0) - 2.0 * alpha
-            B = problem.p_tensor.to_tensor3()  # structure only; values from vals
-            vals = DD(B.vals) * alpha / _dd_column_sums(B)[B.cols]
+            if full:  # the unfolding, row by row; its column sums fold over i
+                U = DD(B.vals.reshape(B.n, -1))
+                vals = U * (alpha / dd_sum(U))
+            else:
+                vals = DD(B.vals) * (alpha / _dd_column_sums(B))[B.cols]
         else:
             self.a = DD(problem.a)
-            B = problem.tensor.to_tensor3()
             vals = DD(B.vals)
-        terms = dd_sym_terms(B)
-        self.contract = lambda x: dd_contract_sym(B, x, vals, terms)
+        if full:
+            K = dd_slab(vals, B.n)
+            self.contract = lambda x: dd_contract_slab(K, x)
+        else:
+            terms = dd_sym_terms(B)
+            self.contract = lambda x: dd_contract_sym(B, x, vals, terms)
 
 
 @dataclass
@@ -442,11 +496,17 @@ def reference_solution(problem, mode=MINIMAL):
     ex1 at alpha = 0.49999), elsewhere a + Bx^2 - x evaluated in pairs.
 
     A PageRank problem's data is renormalized in pair precision first
-    (1^T v = 1 and unit column sums to ~1e-32), which matches how
-    variable-precision references treat the inputs.  Binary64 data is
-    stochastic only to one ulp, and near alpha = 1/2 the solution responds to
-    a sum defect delta like sqrt(delta): the as-stored float problem can sit
-    ~1e-8 away from the mathematical one, or lose its solution entirely.
+    (1^T v = 1 and unit column sums to ~1e-32: each entry times its column's
+    pair reciprocal alpha / colsum), which matches how variable-precision
+    references treat the inputs.  Binary64 data is stochastic only to one
+    ulp, and near alpha = 1/2 the solution responds to a sum defect delta
+    like sqrt(delta): the as-stored float problem can sit ~1e-8 away from
+    the mathematical one, or lose its solution entirely.
+
+    A tensor that stores all n^3 entries contracts through a pair slab, any
+    other through its listed terms (see _PairProblem).  The GTH solves take
+    exactly rounded pivots and substitute by the pivots' reciprocals
+    (mmatrix._back_substitute).
     """
     if mode not in (MINIMAL, STOCHASTIC):
         raise ValueError(f"unknown mode {mode!r}")

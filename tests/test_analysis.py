@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mlpagerank import Tensor3, builtin, componentwise_zero_sum_perturb, cw_distance, ex1
+from mlpagerank import (
+    Tensor3,
+    builtin,
+    componentwise_zero_sum_perturb,
+    cw_distance,
+    ex1,
+    omega,
+    reference_solution,
+)
 
 from conftest import random_pagerank_problem
 
@@ -98,3 +106,16 @@ def test_zero_perturbation_returns_the_problem():
 def test_perturbation_size_out_of_range(epsilon):
     with pytest.raises(ValueError, match=r"epsilon must be in \[0, 0.25\)"):
         componentwise_zero_sum_perturb(ex1(0.3), epsilon, 0)
+
+
+def test_omega_keeps_its_digits_just_above_the_pair_threshold():
+    # at column sums 1 - 2 alpha = 2^-39 the binary64 S = M^{-1} - 1 z^T
+    # loses about u / w = 1e-4 of its accuracy (omega read 4.462975 on ex1,
+    # for 4.463039); omega is flat this close to 1/2, so the value at 2^-39
+    # must agree with the one at 2^-47
+    values = []
+    for e in (39, 47):
+        problem = ex1(0.5 - 2.0 ** -(e + 1))
+        assert problem.one_minus_two_alpha == 2.0 ** -e
+        values.append(omega(problem, reference_solution(problem).x))
+    assert abs(values[0] - values[1]) <= 1e-9 * values[1]

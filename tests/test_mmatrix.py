@@ -17,6 +17,7 @@ from mlpagerank import (
     partial_inverse,
     plain_lu_solve,
 )
+from mlpagerank import precision
 from mlpagerank.mmatrix import (
     GTH_BLOCK,
     _augmented,
@@ -376,17 +377,20 @@ def exact_gth_factor(N, sig):
     return L, U
 
 
-def exact_gth_solve(N, sig, b):
-    """M x = b for the COL triplet (N, sig), exactly: exact_gth_factor's
-    factors, then forward and back substitution."""
+def exact_gth_solve(N, sig, bs):
+    """M x = b for the COL triplet (N, sig) and each b of bs, exactly:
+    exact_gth_factor's factors, then forward and back substitution."""
     L, U = exact_gth_factor(N, sig)
-    n = len(b)
-    x = [Fraction(float(v)) for v in b]
-    for k in range(n):
-        x[k] -= sum(L[k][j] * x[j] for j in range(k))
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - sum(U[k][j] * x[j] for j in range(k + 1, n))) / U[k][k]
-    return x
+    n = len(sig)
+    solutions = []
+    for b in bs:
+        x = [Fraction(float(v)) for v in b]
+        for k in range(n):
+            x[k] -= sum(L[k][j] * x[j] for j in range(k))
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - sum(U[k][j] * x[j] for j in range(k + 1, n))) / U[k][k]
+        solutions.append(x)
+    return solutions
 
 
 def same_bits(a, b):
@@ -456,16 +460,40 @@ class TestSharedKernel:
     def test_pair_solves_match_exact_rationals(self, rng):
         # the same argument in pair arithmetic, unit roundoff 2^-106, for a
         # solve: a solution entry's terms each take at most n steps of the
-        # pass and n of the back-substitution, so 2 n steps and 8 n u
+        # pass and n of the back-substitution, so 2 n steps and 8 n u; for
+        # one right-hand side and for stacked ones
         for T in ill_conditioned_triplets(rng):
-            if T.n > 5:
-                continue
             C = col_form(T)
-            for b in (rng.random(T.n), *np.eye(T.n)):
-                got = gth_col_solve(DD(C), DD(T.sums), DD(b))
-                for i, w in enumerate(exact_gth_solve(C, T.sums, b)):
+            B = rng.random((T.n, 3))
+            solves = [(b, gth_col_solve(DD(C), DD(T.sums), DD(b)))
+                      for b in (rng.random(T.n), *np.eye(T.n))]
+            stacked = gth_col_solve(DD(C), DD(T.sums), DD(B))
+            solves += [(B[:, c], stacked[:, c]) for c in range(3)]
+            exact = exact_gth_solve(C, T.sums, [b for b, _ in solves])
+            for (_, got), want in zip(solves, exact):
+                for i, w in enumerate(want):
                     err = abs(Fraction(float(got.hi[i])) + Fraction(float(got.lo[i])) - w)
                     assert err <= 8 * T.n * Fraction(2) ** -106 * abs(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, GTH_BLOCK])
+def test_pair_solve_divides_once_per_unknown(monkeypatch, rng, n):
+    # n - 1 pivot columns divided in the pass and one vector of reciprocals
+    # for the substitution, with exactly rounded pivot sums and no folds
+    counts = {"_dd_div": 0, "dd_sum": 0}
+    for name in counts:
+        def counting(*args, _name=name, _real=getattr(precision, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(precision, name, counting)
+    N = rng.random((n, n))
+    np.fill_diagonal(N, 0.0)
+    for rhs in (rng.random(n), rng.random((n, 3))):
+        counts.update(dict.fromkeys(counts, 0))
+        y = gth_col_solve(DD(N), DD(rng.random(n) + 0.01), DD(rhs))
+        assert y.shape == rhs.shape
+        assert counts == {"_dd_div": n, "dd_sum": 0}
 
 
 @pytest.mark.parametrize("pairs", [False, True], ids=["binary64", "double-double"])

@@ -25,8 +25,10 @@ from mlpagerank.mmatrix import SingularPivotError, plain_lu_solve
 from mlpagerank.precision import (
     DD,
     _dd_segment_sums,
+    dd_contract_slab,
     dd_contract_sym,
     dd_lu_solve,
+    dd_slab,
     dd_sum,
     dd_sym_terms,
 )
@@ -128,6 +130,27 @@ class TestDDVectors:
         want = Fraction(2) ** -60 + Fraction(2) ** -61
         assert as_fraction(total) == want
 
+    def test_vector_sum_is_exactly_rounded(self, rng):
+        # hi is the exact sum of all 2m parts rounded once, lo the rest of it
+        # rounded once, at mixed scales and where hi or low parts cancel
+        cases = [DD(np.array([1.0, -1.0, 2.0 ** -60]),
+                    np.array([2.0 ** -80, -2.0 ** -80, 2.0 ** -120])),
+                 DD(np.zeros(0))]
+        for mode in range(300):
+            m = int(rng.integers(1, 30))
+            hi = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-30, 31, m)
+            lo = hi * 2.0 ** -53 * rng.uniform(-1.0, 1.0, m)
+            if mode % 3:  # the hi parts cancel, so the low parts decide
+                hi = np.concatenate((hi, -hi))
+                lo = np.concatenate((lo, -rng.permutation(lo) if mode % 3 == 2 else lo))
+            cases.append(DD(hi, lo))
+        for v in cases:
+            exact = sum(map(Fraction, v.hi.tolist() + v.lo.tolist()), Fraction(0))
+            total = v.sum()
+            # Fraction -> float divides two integers, which rounds once, to nearest
+            assert float(total.hi) == float(exact)
+            assert float(total.lo) == float(exact - Fraction(float(total.hi)))
+
     @staticmethod
     def random_dd(rng, shape):
         hi = rng.uniform(-1.0, 1.0, shape)
@@ -155,15 +178,21 @@ class TestDDVectors:
         self.assert_same_bits(_dd_segment_sums(weights, keys, len(lengths)), want)
 
     def test_contract_sym_within_2_n_ulps_of_exact_rationals(self, rng):
-        # values and x with nonzero low parts; C_il = sum_j (b_ijl + b_ilj) x_j
-        for _ in range(40):
+        # values and x with nonzero low parts; C_il = sum_j (b_ijl + b_ilj) x_j;
+        # every other tensor stores all n^3 entries and goes through the slab too
+        for case in range(80):
             n = int(rng.integers(1, 9))
             U = rng.random((n, n * n)) * 10.0 ** rng.integers(-3, 3, size=(n, n * n))
-            U[rng.random((n, n * n)) < rng.random()] = 0.0
+            full = case % 2 == 1
+            if not full:
+                U[rng.random((n, n * n)) < rng.random()] = 0.0
             B = Tensor3.from_unfolding(U)
+            assert (B.nnz == n ** 3) or not full
             vals = DD(B.vals, B.vals * 2.0 ** -53 * rng.uniform(-1.0, 1.0, B.nnz))
             x = self.random_dd(rng, n).abs()
-            got = dd_contract_sym(B, x, vals, dd_sym_terms(B))
+            products = [dd_contract_sym(B, x, vals, dd_sym_terms(B))]
+            if full:
+                products.append(dd_contract_slab(dd_slab(vals, n), x))
             b = {}
             for t, (i, j, k, _) in enumerate(B.entries()):
                 b[i - 1, j - 1, k - 1] = as_fraction(vals[t])
@@ -172,7 +201,8 @@ class TestDDVectors:
                 for l in range(n):
                     want = sum((b.get((i, j, l), 0) + b.get((i, l, j), 0)) * xs[j]
                                for j in range(n))
-                    assert abs(as_fraction(got[i, l]) - want) <= 2 * n * want / 2**104
+                    for got in products:
+                        assert abs(as_fraction(got[i, l]) - want) <= 2 * n * want / 2**104
 
     @staticmethod
     def lu_solve_row_by_row(A, b):
@@ -262,28 +292,29 @@ class TestReferenceSolution:
         rep = solve(p, opts)
         assert np.max(np.abs(rep.x - ref.x) / np.abs(ref.x)) <= 1e-14
 
-    @pytest.mark.parametrize("build,mode", [
-        (lambda: ex1(0.3), MINIMAL),  # seeded from binary64 Newton-GTH
-        (lambda: ex2(0.9951), STOCHASTIC),
-        (lambda: Problem.from_general(ex1(0.3).a, scaled(ex1(0.3).p_tensor, 0.3)), MINIMAL),
-    ], ids=["seeded", "stochastic", "general"])
-    def test_one_contraction_per_step(self, monkeypatch, build, mode):
-        counts = {"terms": 0, "contract": 0}
-        terms, contract = precision.dd_sym_terms, precision.dd_contract_sym
+    @pytest.mark.parametrize("build,mode,path", [
+        (lambda: ex1(0.3), MINIMAL, "terms"),  # seeded from binary64 Newton-GTH
+        (lambda: ex2(0.9951), STOCHASTIC, "terms"),
+        (lambda: Problem.from_general(ex1(0.3).a, scaled(ex1(0.3).p_tensor, 0.3)), MINIMAL,
+         "terms"),
+        # all n^3 entries stored: the pair slab, built once
+        (lambda: random_pagerank_problem(np.random.default_rng(1), 6, 0.3), MINIMAL, "slab"),
+    ], ids=["seeded", "stochastic", "general", "full"])
+    def test_one_contraction_per_step(self, monkeypatch, build, mode, path):
+        builders = {"terms": "dd_sym_terms", "slab": "dd_slab"}
+        products = {"terms": "dd_contract_sym", "slab": "dd_contract_slab"}
+        counts = dict.fromkeys([*builders.values(), *products.values()], 0)
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(precision, name)):
+                counts[_name] += 1
+                return _real(*args)
 
-        def counting_terms(B):
-            counts["terms"] += 1
-            return terms(B)
-
-        def counting_contract(*args):
-            counts["contract"] += 1
-            return contract(*args)
-
-        monkeypatch.setattr(precision, "dd_sym_terms", counting_terms)
-        monkeypatch.setattr(precision, "dd_contract_sym", counting_contract)
+            monkeypatch.setattr(precision, name, counting)
         ref = reference_solution(build(), mode)
         assert ref.converged and ref.iterations > 0
-        assert counts == {"terms": 1, "contract": ref.iterations + 1}
+        want = dict.fromkeys(counts, 0)
+        want.update({builders[path]: 1, products[path]: ref.iterations + 1})
+        assert counts == want
 
     def test_stochastic_mode_needs_pagerank(self):
         p = Problem.from_general(np.array([0.1]), Tensor3.zeros(1))
@@ -380,6 +411,18 @@ class TestSeededReference:
         assert ref.converged
         assert ref.iterations <= max_steps
         assert error_against_mpmath(ref, problem) <= bound
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6])
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (6, 10) for seed in (1, 2, 3)])
+    def test_fully_stored_matches_mpmath_newton(self, n, seed, alpha):
+        # every entry stored: the pair renormalization folds over i and the
+        # products go through the pair slab
+        problem = random_pagerank_problem(np.random.default_rng(seed), n, alpha)
+        assert problem.p_tensor.nnz == n ** 3
+        ref = reference_solution(problem, MINIMAL)
+        assert ref.converged
+        assert ref.iterations <= 2
+        assert error_against_mpmath(ref, problem) <= 1e-30
 
     @pytest.mark.parametrize("name, alpha, steps", [
         ("intro", 0.3, {7}), ("ex1", 0.49999, {21}), ("ex2", 0.5, {46, 47}),
