@@ -75,8 +75,9 @@ def cw_distance(x_tilde, x):
         if x.n != x_tilde.n:
             raise ValueError("tensor dimensions disagree")
         n = x.n
-        keys = [t.rows * (n * n) + t.cols for t in (x_tilde, x)]
-        union = np.union1d(*keys)
+        keys = [t.positions() for t in (x_tilde, x)]
+        # equal supports, as a perturbation keeps, skip union1d's sort of both
+        union = keys[0] if np.array_equal(*keys) else np.union1d(*keys)
         dense = []
         for t, key in zip((x_tilde, x), keys):
             vals = np.zeros(len(union))

@@ -340,9 +340,12 @@ def dd_residual(problem, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
-    p, e = _two_prod(vals, x[B.cols % B.n])
-    xk = x[B.cols // B.n]
-    parts = np.stack(_two_prod(p, xk) + _two_prod(e, xk))
+    if B.nnz == B.n ** 3:  # storage runs by (i, k, j): x_j and x_k broadcast
+        vals, xj, xk = vals.reshape((B.n,) * 3), x, x[:, None]
+    else:
+        xj, xk = x[B.cols % B.n], x[B.cols // B.n]
+    p, e = _two_prod(vals, xj)
+    parts = np.stack(_two_prod(p, xk) + _two_prod(e, xk)).reshape(4, -1)
     hi = np.empty(B.n)
     lo = np.empty(B.n)
     for i in range(B.n):

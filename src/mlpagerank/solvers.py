@@ -373,6 +373,16 @@ def _offblock(C, slices):
     return N
 
 
+def _off_diagonal_empty(block):
+    """Whether a square block, binary64 or pairs, is zero off its diagonal.
+
+    Compares nonzero counts (a NaN counts) of the block and of its diagonal,
+    so the diagonal's values do not matter and nothing block-sized is made.
+    """
+    parts = (block.hi, block.lo) if hasattr(block, "hi") else (block,)
+    return all(np.count_nonzero(a) == np.count_nonzero(a.diagonal()) for a in parts)
+
+
 def _gth_sweep(C, slices, level, col_n, rhs):
     """Solve M y = rhs block by block, each diagonal block of M a column triplet.
 
@@ -389,7 +399,7 @@ def _gth_sweep(C, slices, level, col_n, rhs):
     for s in slices:
         # neither path reads the diagonal of C[s, s]
         block, sums = C[s, s], level + col_n[s]
-        if _norm_inf(block[~np.eye(len(sums), dtype=bool)]) == 0.0:
+        if _off_diagonal_empty(block):
             y[s] = rhs[s] / sums
         else:
             y[s] = gth_col_solve(block, sums, rhs[s])

@@ -14,8 +14,11 @@ An n x n x n tensor B is stored through its first-mode unfolding: entry
 b_{ijk} lives in row i, column c = j + (k-1)*n of an n x n^2 matrix.  The
 entries are kept in coordinate arrays (rows, cols, vals), zero-based and
 sorted by (row, column) with a CSR row pointer, so within a row they run by
-k, then j.  All stored values are nonnegative; the solvers rely on this to
-keep their nonnegative code paths free of cancellation.
+k, then j.  A tensor that stores all n^3 entries keeps vals alone, the
+unfolding in row-major order: the position of an entry gives its row and
+column, so rows and cols are derived from it when read, and never kept.
+All stored values are nonnegative; the solvers rely on this to keep their
+nonnegative code paths free of cancellation.
 
 Read in that order, the storage is also the compressed-column (CSC) form of
 the n^2 x n^2 block-diagonal slice matrix D = diag(B_1, ..., B_n), with
@@ -39,8 +42,8 @@ array A[i, k, j] = b_{ijk}, and the k-major slab K[k, i, j] = b_{ijk} +
 b_{ikj} is one copy of A's (k, i, j) transpose plus, in place, its (j, i, k)
 transpose.  The product is np.einsum("kij,k->ij", K, x).  K is built on the
 first product and kept per tensor; S, D's index arrays and the x~ gather are
-never built.  So a solve holds a full tensor at 32 bytes an entry: its rows,
-cols and vals (24), and K (8).
+never built.  So a solve holds a full tensor at 16 bytes an entry: its vals
+(8) and K (8).
 
 Summation-order contract, on both paths: entry (i, j) of contract_sym adds
 the terms fl(b_{ijk} + b_{ikj}) x_k one at a time, starting from 0.0, k
@@ -71,6 +74,7 @@ BLAS build and thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
@@ -85,13 +89,18 @@ def _invalid(vals):
     return ~np.isfinite(vals) | (vals < 0.0)
 
 
-def _check_values(n, rows, cols, vals):
-    """Raise ValueError naming the first stored value that is negative or not finite."""
-    bad = _invalid(vals)
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise ValueError(f"entry {_entry(n, rows[e], cols[e])} "
-                         f"has invalid value {float(vals[e])!r}")
+def _check_values(n, vals, rows=None, cols=None):
+    """Raise ValueError naming the first stored value that is negative or not finite.
+
+    Without rows and cols, vals are all n^3 entries in storage order.  Two
+    reductions clear valid values (a NaN makes the minimum NaN); only
+    invalid ones are looked for entry by entry.
+    """
+    if not len(vals) or (vals.min() >= 0.0 and vals.max() < np.inf):
+        return
+    e = int(np.argmax(_invalid(vals)))
+    row, col = divmod(e, n * n) if rows is None else (rows[e], cols[e])
+    raise ValueError(f"entry {_entry(n, row, col)} has invalid value {float(vals[e])!r}")
 
 
 class Tensor3:
@@ -99,10 +108,13 @@ class Tensor3:
 
     Entries are kept sorted by (row, unfolding column) with a CSR-style row
     pointer, so one pass over the arrays streams the tensor in a fixed,
-    reproducible order.
+    reproducible order.  Whatever builds it, a tensor with all n^3 entries
+    stored keeps only vals and row_ptr; its rows and cols are derived from
+    storage order when read.  The unfolding's column sums are computed once
+    and kept.
     """
 
-    __slots__ = ("n", "rows", "cols", "vals", "row_ptr", "_sym", "_tile", "_slab")
+    __slots__ = ("n", "vals", "row_ptr", "_rows", "_cols", "_colsum", "_sym", "_tile", "_slab")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -135,7 +147,7 @@ class Tensor3:
 
         rows and cols are zero-based int64 arrays already known to be in range.
         """
-        _check_values(n, rows, cols, vals)
+        _check_values(n, vals, rows, cols)
         flat = rows * (n * n)
         flat += cols
         if len(flat) > 1 and not (np.diff(flat) > 0).all():
@@ -147,29 +159,47 @@ class Tensor3:
         self._keep(n, rows, cols, vals)
 
     def _keep(self, n, rows, cols, vals):
-        """Keep arrays sorted by (row, column) with unique, in-range coordinates."""
+        """Keep arrays sorted by (row, column) with unique, in-range coordinates.
+
+        With all n^3 entries stored, their positions row * n^2 + col are
+        0, 1, ..., n^3 - 1, so a full tensor keeps its values alone (rows and
+        cols may then be None).
+        """
         self.n = n
-        self.rows = rows
-        self.cols = cols
         self.vals = vals
-        self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
-        self._sym = self._slab = None
+        if len(vals) == n ** 3:
+            self._rows = self._cols = None
+            self.row_ptr = np.arange(n + 1) * (n * n)
+        else:
+            self._rows, self._cols = rows, cols
+            self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
+        self._sym = self._slab = self._colsum = None
 
     @classmethod
     def from_unfolding(cls, unfolding):
-        """Build from a dense n x n^2 first-mode unfolding (zeros dropped)."""
+        """Build from a dense n x n^2 first-mode unfolding (zeros dropped).
+
+        The values are copied, so changing the unfolding later leaves the
+        tensor alone.  An unfolding whose entries are all positive is taken
+        as one C-order copy: no coordinates are listed.
+        """
         U = np.asarray(unfolding, dtype=np.float64)
         n = U.shape[0]
         if U.shape != (n, n * n):
             raise ValueError(f"unfolding must be n x n^2, got {U.shape}")
         if n == 0:
             raise ValueError("tensor dimension must be positive")
-        # np.nonzero and the boolean gather list each entry once, in row-major
-        # order, whatever the memory layout of U: sorted by (row, column) already
-        nonzero = U != 0.0
-        rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(nonzero))
-        vals = U[nonzero]
-        _check_values(n, rows, cols, vals)
+        if U.min() > 0.0:  # no zeros, and no NaN, which makes the minimum NaN
+            rows = cols = None
+            vals = U.flatten()
+        else:
+            # np.nonzero and the boolean gather list each entry once, in
+            # row-major order, whatever the memory layout of U: sorted by
+            # (row, column) already
+            nonzero = U != 0.0
+            rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(nonzero))
+            vals = U[nonzero]
+        _check_values(n, vals, rows, cols)
         out = cls.__new__(cls)
         out._keep(n, rows, cols, vals)
         return out
@@ -193,16 +223,43 @@ class Tensor3:
     def nnz(self):
         return len(self.vals)
 
+    @property
+    def rows(self):
+        """Zero-based unfolding row of each stored entry; a full tensor's is
+        derived from storage order on each read."""
+        if self._rows is None:
+            return np.repeat(np.arange(self.n), self.n * self.n)
+        return self._rows
+
+    @property
+    def cols(self):
+        """Zero-based unfolding column j + k*n of each stored entry; a full
+        tensor's is derived from storage order on each read."""
+        if self._cols is None:
+            return np.tile(np.arange(self.n * self.n), self.n)
+        return self._cols
+
+    def positions(self):
+        """Row-major position row * n^2 + col of each stored entry in the unfolding."""
+        if self._cols is None:
+            return np.arange(self.nnz)
+        return self._rows * (self.n * self.n) + self._cols
+
     def entries(self):
         """Iterate (i, j, k, value) with 1-based indices in storage order."""
-        k, j = np.divmod(self.cols, self.n)
-        return zip((self.rows + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
+        if self._cols is None:  # storage runs by i, then k, then j
+            r = range(1, self.n + 1)
+            return ((i, j, k, v) for (i, k, j), v in zip(product(r, r, r), self.vals.tolist()))
+        k, j = np.divmod(self._cols, self.n)
+        return zip((self._rows + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
                    self.vals.tolist())
 
     def unfolding(self):
         """A new dense n x n^2 unfolding."""
+        if self._cols is None:
+            return self.vals.reshape(self.n, -1).copy()
         U = np.zeros((self.n, self.n * self.n))
-        U[self.rows, self.cols] = self.vals
+        U[self._rows, self._cols] = self.vals
         return U
 
     def sym_matrix(self):
@@ -217,10 +274,10 @@ class Tensor3:
             n, nn = self.n, self.n * self.n
             # 32-bit indices where they fit make the product cheaper and smaller
             index = np.int32 if max(nn, self.nnz) < 2**31 else np.int64
-            base = self.rows * n
+            base, cols = self.rows * n, self.cols
             # storage runs by (i, k, j), so the columns i*n + k of D are sorted
-            col_ptr = np.searchsorted(base + self.cols // n, np.arange(nn + 1)).astype(index)
-            base += self.cols % n
+            col_ptr = np.searchsorted(base + cols // n, np.arange(nn + 1)).astype(index)
+            base += cols % n
             slice_rows = base.astype(index)
             del base  # 8 bytes an entry that would otherwise outlive the S build
             D = csc_array((self.vals, slice_rows, col_ptr), shape=(nn, nn))
@@ -260,7 +317,20 @@ class Tensor3:
         return (self.sym_matrix() @ x.take(self._tile)).reshape(n, n)
 
     def _column_sums(self):
-        return np.bincount(self.cols, weights=self.vals, minlength=self.n * self.n)
+        """The unfolding's column sums, read-only, computed once per tensor.
+
+        Each adds its column's entries in storage order, starting from 0.0:
+        np.bincount does, and so does a sum over the rows of a full
+        tensor's (n, n^2) values, which adds them row by row.
+        """
+        if self._colsum is None:
+            if self._cols is None:
+                sums = self.vals.reshape(self.n, -1).sum(axis=0, initial=0.0)
+            else:
+                sums = np.bincount(self._cols, weights=self.vals, minlength=self.n * self.n)
+            sums.flags.writeable = False
+            self._colsum = sums
+        return self._colsum
 
     def __repr__(self):
         return f"Tensor3(n={self.n}, nnz={self.nnz})"

@@ -36,6 +36,16 @@ class TestTensorCwDistance:
         d = cw_distance(Tensor3.from_unfolding(V), Tensor3.from_unfolding(U))
         assert d.value == 0.0
 
+    def test_same_support_names_the_largest_change(self, n, rng):
+        U, V = pair(n, rng)
+        V *= 1.0 + 2.0 ** -40
+        rows, cols = np.nonzero(U)
+        r, c = rows[len(rows) // 2], cols[len(rows) // 2]
+        V[r, c] = U[r, c] * 1.25
+        d = cw_distance(Tensor3.from_unfolding(V), Tensor3.from_unfolding(U))
+        assert d.value == abs(V[r, c] - U[r, c]) / U[r, c]
+        assert d.argmax_index == (r + 1, c % n + 1, c // n + 1)
+
     def test_dropped_entry_gives_one(self, n, rng):
         U, V = pair(n, rng)
         V[0, 0] = 0.0

@@ -30,7 +30,8 @@ from mlpagerank import (
     solve,
 )
 from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
-from mlpagerank.solvers import _block_slices, _gth_sweep, _offblock
+from mlpagerank.precision import DD
+from mlpagerank.solvers import _block_slices, _gth_sweep, _off_diagonal_empty, _offblock
 
 from conftest import (
     csr_symmetric,
@@ -453,6 +454,32 @@ def test_gth_sweep_solves_a_diagonal_block_as_the_elimination_does(n):
             assert _gth_sweep(C, [slice(0, n)], level, col_n, rhs).tobytes() == want.tobytes()
 
 
+def test_off_diagonal_empty_reads_no_diagonal_and_allocates_no_block():
+    n = 120
+    C = np.zeros((3 * n, 3 * n))
+    block = C[n:2 * n, n:2 * n]  # a strided view, as block Jacobi's blocks are
+    for diagonal in (np.zeros(n), np.full(n, np.nan), np.full(n, -1.0)):
+        np.fill_diagonal(block, diagonal)
+        C[0, 1] = C[2 * n, 2 * n + 1] = 1.0  # outside the block
+        tracemalloc.start()
+        try:
+            assert _off_diagonal_empty(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # not even one byte an entry of the block
+        for value in (np.nan, 5e-324, -1.0):
+            for where in ((0, n - 1), (n - 1, 0), (3, 4)):
+                block[where] = value
+                assert not _off_diagonal_empty(block)
+                block[where] = -0.0  # a zero like any other
+                assert _off_diagonal_empty(block)
+    pairs = DD(np.eye(4), np.zeros((4, 4)))
+    assert _off_diagonal_empty(pairs)
+    pairs.lo[1, 2] = 1e-30  # off the diagonal in the lo part alone
+    assert not _off_diagonal_empty(pairs)
+
+
 class TestBlockJacobiVariant:
     def test_one_block_matches_newton_gth_at_alpha_half(self):
         p = ex1(0.5)
@@ -582,8 +609,8 @@ def pagerank_set_up_and_solves(U, v, alphas):
 
 
 def test_newton_gth_keeps_only_what_it_reads(dense_unfolding_60):
-    # P's rows, cols and vals are 24 bytes an entry; the solves add the slab
-    # (8), held once for all problems of one P
+    # P's vals are 8 bytes an entry; the solves add the slab (8), held once
+    # for all problems of one P
     nnz, set_up, solved, peak = pagerank_set_up_and_solves(*dense_unfolding_60, ALPHAS)
     assert nnz == 60 ** 3
     assert set_up <= 32 * nnz
@@ -597,7 +624,9 @@ def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
     for alpha in ALPHAS:
         rep = solve(Problem.from_pagerank(v, P, alpha), SolverOptions())
         assert rep.termination is Termination.TOL_REACHED
-    assert sum(held_bytes(a) for a in (P.rows, P.cols, P.vals)) == 24 * P.nnz
+    # its values alone: rows and cols follow from storage order
+    assert P._rows is None and P._cols is None
+    assert held_bytes(P.vals) == 8 * P.nnz
     assert held_bytes(P._slab) == 8 * P.nnz
     assert P._sym is None and not hasattr(P, "_tile")
 

@@ -1,6 +1,7 @@
 """Tensor storage and contraction products."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,12 @@ from mlpagerank import (
     Tensor3,
     build_pagerank_tensor,
     check_stochastic,
+    componentwise_zero_sum_perturb,
     contract_sym,
+    cw_distance,
     read_tensor_text,
+    reference_solution,
+    residual,
     solve,
     three_cycle_tensor,
     write_tensor_text,
@@ -323,6 +328,164 @@ class TestConstruction:
         path.write_text("2 1\n1 1 1 -0.5\n")
         with pytest.raises(ValueError, match="negative"):
             read_tensor_text(path)
+
+
+def full_constructions(U, tmp_path, rng):
+    """A full tensor built every way there is, by name."""
+    n = U.shape[0]
+    rows, cols = np.nonzero(U)
+    entries = [(i + 1, c % n + 1, c // n + 1, U[i, c]) for i, c in zip(rows, cols)]
+    rng.shuffle(entries)
+    path = tmp_path / "full.txt"
+    write_tensor_text(Tensor3.from_unfolding(U), path)
+    return {
+        "from_unfolding C": Tensor3.from_unfolding(np.ascontiguousarray(U)),
+        "from_unfolding F": Tensor3.from_unfolding(np.asfortranarray(U)),
+        "entries shuffled": Tensor3(n, entries),
+        "from_coordinates": Tensor3.from_coordinates(n, rows, cols, U[rows, cols]),
+        "text round trip": read_tensor_text(path),
+    }
+
+
+class TestFullTensors:
+    """A tensor that stores all n^3 entries keeps its values alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_every_construction_agrees(self, n, rng, tmp_path):
+        U = exact_stochastic_unfolding(rng, n)
+        want_rows, want_cols = np.nonzero(U)
+        x = mixed_x(rng, n)
+        built = full_constructions(U, tmp_path, rng)
+        first = built["from_unfolding C"]
+        for name, T in built.items():
+            assert T._rows is None and T._cols is None, name
+            assert T.vals.tobytes() == U.tobytes(), name
+            assert T.row_ptr.tobytes() == np.searchsorted(want_rows, np.arange(n + 1)).tobytes()
+            for got, want in ((T.rows, want_rows), (T.cols, want_cols)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert contract_sym(T, x).tobytes() == contract_sym(first, x).tobytes(), name
+            assert check_stochastic(T, 1.0, 1e-13) == check_stochastic(first, 1.0, 1e-13)
+            assert cw_distance(T, first).value == 0.0 and cw_distance(first, T).value == 0.0
+            assert T.unfolding().tobytes() == U.tobytes(), name
+            assert list(T.entries()) == list(zip((want_rows + 1).tolist(),
+                                                 (want_cols % n + 1).tolist(),
+                                                 (want_cols // n + 1).tolist(), T.vals.tolist()))
+
+    def test_column_sums_are_the_bincount_over_storage_order(self, rng):
+        for n in (1, 3, 30):
+            B = full_tensor(rng, n)
+            want = np.bincount(B.cols, weights=B.vals, minlength=n * n)
+            assert B._column_sums().tobytes() == want.tobytes()
+        B = Tensor3(1, [(1, 1, 1, -0.0)])  # started from 0.0, as bincount starts
+        assert B._column_sums().tobytes() == np.zeros(1).tobytes()
+
+    def test_rows_and_cols_are_read_only_and_not_kept(self, rng):
+        B = full_tensor(rng, 4)
+        with pytest.raises(AttributeError):
+            B.rows = np.zeros(B.nnz, dtype=np.int64)
+        with pytest.raises(AttributeError):
+            B.cols = np.zeros(B.nnz, dtype=np.int64)
+        B.cols[:] = 0  # a derived copy: the tensor does not change
+        assert np.array_equal(B.cols, np.tile(np.arange(16), 4))
+
+    def test_changing_the_unfolding_later_leaves_it_alone(self, rng):
+        U = exact_stochastic_unfolding(rng, 5)
+        kept = U.copy()
+        B = Tensor3.from_unfolding(U)
+        sums = B._column_sums().copy()
+        U[:] = 7.0
+        assert B.vals.tobytes() == kept.tobytes()
+        assert B.unfolding().tobytes() == kept.tobytes()
+        assert B._column_sums().tobytes() == sums.tobytes()
+
+    @pytest.mark.parametrize("bad,where,message", [
+        (np.nan, (1, 2), r"^entry \(2,3,1\) has invalid value nan$"),
+        (-0.5, (0, 0), r"^entry \(1,1,1\) has invalid value -0.5$"),
+        (np.inf, (2, 8), r"^entry \(3,3,3\) has invalid value inf$"),
+        (np.inf, (0, 5), r"^entry \(1,3,2\) has invalid value inf$"),
+    ], ids=["nan", "negative", "inf-last", "inf"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_bad_entry_is_named_by_its_ijk(self, bad, where, message, order):
+        U = np.full((3, 9), 0.25)
+        U[where] = bad
+        with pytest.raises(ValueError, match=message):
+            Tensor3.from_unfolding(np.asarray(U, order=order))
+
+    def test_one_zero_takes_the_stored_index_path(self, rng):
+        n = 6
+        U = exact_stochastic_unfolding(rng, n)
+        U[2, 17] = 0.0
+        B = Tensor3.from_unfolding(U)
+        assert B.nnz == n ** 3 - 1
+        rows, cols = np.nonzero(U)
+        assert B._rows is not None and np.array_equal(B.rows, rows)
+        assert B._cols is not None and np.array_equal(B.cols, cols)
+        assert B.unfolding().tobytes() == U.tobytes()
+        x = mixed_x(rng, n)
+        assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
+        assert B._slab is None
+
+    def test_holds_8_bytes_an_entry_then_16_with_its_slab(self, rng):
+        n = 40
+        U = exact_stochastic_unfolding(rng, n)
+        x = rng.random(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            B = Tensor3.from_unfolding(U)
+            built = tracemalloc.get_traced_memory()[0] - base
+            C = contract_sym(B, x)
+            contracted = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert C.shape == (n, n)
+        assert built <= 8 * B.nnz + 32 * n * n
+        assert contracted <= 16 * B.nnz + 32 * n * n
+
+    def test_column_sums_computed_once_for_every_problem(self, rng, monkeypatch):
+        n = 8
+        U = exact_stochastic_unfolding(rng, n)
+        v = np.full(n, 1.0 / n)
+        computed = []
+        column_sums = Tensor3._column_sums
+
+        def counting(self):
+            if self._colsum is None:
+                computed.append(self)
+            return column_sums(self)
+
+        monkeypatch.setattr(Tensor3, "_column_sums", counting)
+        for P in (Tensor3.from_unfolding(U), random_sparse_tensor(rng, n, 0.5)):
+            if P._cols is not None:  # make the sparse one stochastic
+                P = Tensor3.from_coordinates(n, P.rows, P.cols,
+                                             P.vals / P._column_sums()[P.cols])
+                computed.clear()
+            sums = P._column_sums()
+            computed.clear()
+            for alpha in (0.3, 0.49, 0.4999, 0.6):
+                Problem.from_pagerank(v, P, alpha)
+            assert computed == [] and P._column_sums() is sums
+            assert not sums.flags.writeable
+
+    def test_no_hot_path_derives_rows_or_cols(self, rng, monkeypatch, tmp_path):
+        n = 6
+        U = exact_stochastic_unfolding(rng, n)
+        v = np.full(n, 1.0 / n)
+        P = Tensor3.from_unfolding(U)
+
+        def derived(self):
+            raise AssertionError("rows or cols derived")
+
+        monkeypatch.setattr(Tensor3, "rows", property(derived))
+        monkeypatch.setattr(Tensor3, "cols", property(derived))
+        problem = Problem.from_pagerank(v, P, 0.4)
+        rep = solve(problem, SolverOptions())
+        residual(problem, rep.x)
+        reference_solution(problem)
+        perturbed = componentwise_zero_sum_perturb(problem, 1e-6, 1)
+        assert cw_distance(perturbed.p_tensor, P).value > 0.0
+        write_tensor_text(P, tmp_path / "p.txt")
+        assert P.unfolding().tobytes() == U.tobytes()
 
 
 def half_c_x(B, x):
