@@ -225,6 +225,9 @@ EX1_SOLUTION_0_49999 = np.array([2.4655e-1, 8.2687e-2, 2.1565e-7, 6.7076e-1])
 EX2_SOLUTION_0_9951 = np.array([8.6225e-7, 8.5301e-5, 8.5971e-3, 9.9132e-1])
 
 
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
 def force_sum_one(v):
     """Nudge the largest entry so the binary64 sum is exactly 1.
 
@@ -240,9 +243,26 @@ def force_sum_one(v):
         if excess == 0.0:
             return v
         v[imax] -= excess
-    if v.sum() != 1.0:
-        raise ArithmeticError("could not normalize v to an exact unit sum")
-    return v
+    # The nudges can cycle: numpy's pairwise sum can round across 1 and back
+    # as v[imax] moves by one ulp.  The sum is nondecreasing in each entry,
+    # so bisect on the bits of one entry at a time over [0, 1], from the
+    # largest down, until one of them gives the sum 1 exactly.
+    if math.isfinite(excess):
+        for i in np.argsort(-v, kind="stable"):
+            bits = v[i : i + 1].view(np.int64)  # aliases v[i]
+            kept = int(bits[0])
+            below, above = 0, _ONE_BITS
+            while above - below > 1:
+                bits[0] = (below + above) // 2
+                total = v.sum()
+                if total == 1.0:
+                    return v
+                if total < 1.0:
+                    below = int(bits[0])
+                else:
+                    above = int(bits[0])
+            bits[0] = kept
+    raise ArithmeticError("could not normalize v to an exact unit sum")
 
 
 def intro(delta, alpha, one_minus_two_alpha=None):

@@ -36,12 +36,30 @@ The binary64 routines that take a TripletMMatrix validate it and call the
 kernel; the solvers' block sweeps call gth_col_solve directly on their own
 binary64 blocks, and the pair-precision reference, compute_y and omega call
 the kernel on their own data.
+
+In binary64 the elimination pass runs compiled: _GTH_C, a C transcription
+of it with the same bits, is built on first import by the system C compiler
+("cc" on PATH) and loaded through ctypes.  The library is cached per user in
+$XDG_CACHE_HOME/mlpagerank (~/.cache/mlpagerank by default), named by a
+hash of the source, the flags and the machine; no build step is asked of
+the user.  The Python pass stays the specification, the pair arithmetic's
+kernel and the fallback when there is no compiler.  Compiled, a NaN passes
+through the pass without numpy's RuntimeWarnings; TripletMMatrix rejects
+non-finite entries before they get there.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -52,10 +70,13 @@ ROW = "row"
 COL = "col"
 
 # gth_col_solve splits a system with more unknowns than this in half.  The
-# split trades per-pivot interpreter work for matrix products.  With the
-# sums row in the pass, block sizes 16 to 48 measured within 5% of each other
-# at n = 80, 120 and 200 (binary64, one BLAS thread), and no split at all was
-# 1.2, 1.6 and 3.1 times slower.
+# split trades rank-1 updates in the compiled pass for matrix products.
+# Against 40, on a 20%-dense triplet with one BLAS thread (best of 7): at
+# n = 120 and 200, blocks of 32 to 80 took within 5% of its time, 16 and 24
+# 1.2 to 1.4 times, and 120 1.6 times; at n = 80, 24 and 32 took 1.4 times,
+# 16 took 2.3, and 64 or more 0.7 to 0.8 times.  No split took 0.76, 1.5
+# and 2.6 times at n = 80, 120 and 200.  Another block size would change
+# the output bits, since the Schur products would round otherwise.
 GTH_BLOCK = 40
 
 
@@ -89,6 +110,12 @@ class TripletMMatrix:
             raise ValueError("offdiag must be square")
         if sums.shape != (n,):
             raise ValueError("sums length must match offdiag")
+        for name, values in (("offdiag", off), ("sums", sums)):
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                at = tuple(int(i) + 1 for i in bad[0])
+                raise ValueError(f"{name} must be finite; entry "
+                                 f"{at if len(at) > 1 else at[0]} is {values[tuple(bad[0])]}")
         if (np.diag(off) != 0.0).any():
             raise ValueError("offdiag must have a zero diagonal")
         if (off < 0.0).any() or (sums < 0.0).any():
@@ -132,6 +159,114 @@ def _zeros(like, shape):
     return getattr(type(like), "zeros", np.zeros)(shape)
 
 
+# _eliminate's pass in C, for binary64 arrays with unit column stride.  Its
+# pivot is numpy's own pairwise sum of the strided column (8 accumulators,
+# blocks of 128, halving above), and its update rounds as numpy's does,
+# w_ij + (w_ik / d_k) w_kj, so the two give the same bits.
+_GTH_C = r"""
+#include <stddef.h>
+
+static double pairwise_sum(const double *a, ptrdiff_t n, ptrdiff_t s)
+{
+    ptrdiff_t i, j, h;
+    double r[8], res = -0.0;
+    if (n < 8) {
+        for (i = 0; i < n; i++) res += a[i * s];
+        return res;
+    }
+    if (n > 128) {
+        h = n / 2;
+        h -= h % 8;
+        return pairwise_sum(a, h, s) + pairwise_sum(a + h * s, n - h, s);
+    }
+    for (j = 0; j < 8; j++) r[j] = a[j * s];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++) r[j] += a[(i + j) * s];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++) res += a[i * s];
+    return res;
+}
+
+/* w: n + 1 rows of m entries, ld apart; the pivots go to d.  Returns 0, or
+   k + 1 if pivot k is not positive (a NaN pivot passes). */
+ptrdiff_t gth_eliminate(double *w, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld, double *d)
+{
+    ptrdiff_t i, j, k;
+    for (k = 0; k < n; k++) {
+        double dk = pairwise_sum(w + (k + 1) * ld + k, n - k, ld);
+        if (dk <= 0.0) return k + 1;
+        d[k] = dk;
+        if (k == n - 1) break;  /* it would update only the sums' right-hand sides */
+        for (i = k + 1; i <= n; i++) {
+            double *wi = w + i * ld, c = wi[k] / dk;
+            for (j = k + 1; j < m; j++) wi[j] += c * w[k * ld + j];
+        }
+    }
+    return 0;
+}
+"""
+# No contraction into fused multiply-adds and no fast-math: IEEE rounding
+# of every operation, as numpy's.
+_GTH_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_gth_leaf(cc, path):
+    """Compile _GTH_C to path: under a temporary name beside it, then moved
+    into place, so a concurrent reader sees a whole library or none.  The
+    compiler's output is captured, never printed."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *_GTH_FLAGS, "-x", "c", "-", "-o", tmp], input=_GTH_C, text=True,
+            capture_output=True, check=True, timeout=120,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_gth_leaf():
+    """_GTH_C's gth_eliminate through ctypes, or None if there is no C
+    compiler ("cc" on PATH) or the build fails.
+
+    The library is cached per user, under $XDG_CACHE_HOME/mlpagerank or
+    ~/.cache/mlpagerank, named by a hash of the source, the flags and the
+    machine; a cache that cannot be written gives way to a private temporary
+    directory, removed once the library is loaded.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    key = "\0".join((_GTH_C, *_GTH_FLAGS, platform.machine()))
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mlpagerank"
+    path = cache / f"gth-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+    private = None
+    try:
+        if not path.exists():
+            try:
+                cache.mkdir(parents=True, exist_ok=True)
+                _build_gth_leaf(cc, path)
+            except OSError:
+                private = Path(tempfile.mkdtemp(prefix="mlpagerank-"))
+                path = private / path.name
+                _build_gth_leaf(cc, path)
+        leaf = ctypes.CDLL(str(path)).gth_eliminate
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+    leaf.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                     ctypes.c_void_p)
+    leaf.restype = ctypes.c_ssize_t
+    return leaf
+
+
+_gth_leaf = _load_gth_leaf()
+
+
 def _eliminate(W, offset=0):
     """The GTH forward pass, in place, on the augmented column-oriented W.
 
@@ -144,9 +279,22 @@ def _eliminate(W, offset=0):
     then holds U's strict upper part negated, L's strict lower part times
     -d, and the forward-eliminated right-hand sides.  Returns the pivots;
     raises SingularPivotError, before any division by it, if one vanishes,
-    naming its step as offset + k + 1.
+    naming its step as offset + k + 1.  A NaN pivot does not raise.
+
+    A binary64 W with unit column stride runs the compiled _GTH_C, which
+    gives the same bits and, unlike numpy, no RuntimeWarning on NaN or inf.
+    The Python loop below is its specification, the pair-arithmetic kernel
+    and the fallback without a C compiler.
     """
     n = W.shape[0] - 1
+    if (_gth_leaf is not None and type(W) is np.ndarray and W.dtype == np.float64
+            and W.shape[1] >= n and W.strides[1] == 8 and W.strides[0] % 8 == 0
+            and W.flags.aligned and W.flags.writeable):
+        d = np.empty(n)
+        k = _gth_leaf(W.ctypes.data, n, W.shape[1], W.strides[0] // 8, d.ctypes.data)
+        if k:
+            raise SingularPivotError(f"zero pivot at step {offset + k}")
+        return d
     d = _zeros(W, n)
     for k in range(n):
         dk = W[k + 1 :, k].sum()

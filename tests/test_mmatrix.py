@@ -1,23 +1,33 @@
 """GTH elimination, triplet solves, null vectors, and partial inverses."""
 
+import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import mlpagerank
 from mlpagerank import (
     COL,
     ROW,
+    Method,
     ReducibleMatrixError,
     SingularPivotError,
+    SolverOptions,
     TripletMMatrix,
     inverse_cw_bound_check,
     null_vector,
+    omega,
     partial_inverse,
     plain_lu_solve,
+    solve,
 )
-from mlpagerank import precision
+from mlpagerank import mmatrix, precision
 from mlpagerank.mmatrix import (
     GTH_BLOCK,
     _augmented,
@@ -28,7 +38,7 @@ from mlpagerank.mmatrix import (
 )
 from mlpagerank.precision import DD, dd_sum
 
-from conftest import seed_gth_factor, seed_gth_solve
+from conftest import random_pagerank_problem, seed_gth_factor, seed_gth_solve
 from test_tree_oracle import tree_oracle_rs, triplet_weights
 
 U_FLOAT = np.finfo(float).eps / 2
@@ -70,6 +80,24 @@ class TestTripletValidation:
     def test_rejects_negative_offdiag(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TripletMMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where,message", [
+        ("offdiag", r"offdiag must be finite; entry \(1, 2\) is "),
+        ("sums", r"sums must be finite; entry 2 is "),
+    ])
+    @pytest.mark.parametrize("routine", [
+        partial_inverse,
+        lambda T: null_vector(TripletMMatrix(T.offdiag, np.zeros(2), ROW)),
+        lambda T: inverse_cw_bound_check(T, T, 1e-8),
+    ], ids=["partial_inverse", "null_vector", "inverse_cw_bound_check"])
+    def test_rejects_non_finite_entries(self, bad, where, message, routine):
+        # once accepted: partial_inverse returned an all-NaN z and S
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sums = np.ones(2)
+        (off[0] if where == "offdiag" else sums)[1] = bad
+        with pytest.raises(ValueError, match=message + str(bad)):
+            routine(TripletMMatrix(off, sums, ROW))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="zero diagonal"):
@@ -594,3 +622,166 @@ class TestFusedSolveAboveTheBlock:
         for got, loop in cases:
             assert same_bits(got.hi.ravel(), np.array([float(e.hi) for e in loop]))
             assert same_bits(got.lo.ravel(), np.array([float(e.lo) for e in loop]))
+
+
+# The compiled leaf: _eliminate runs mmatrix._GTH_C on binary64 arrays, and
+# the Python pass is its specification.  Switching the leaf off (_gth_leaf =
+# None) runs the Python pass, as on a machine without a C compiler.
+
+needs_leaf = pytest.mark.skipif(mmatrix._gth_leaf is None, reason="no compiled GTH leaf")
+
+
+def test_leaf_is_compiled_when_a_c_compiler_is_on_path():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert mmatrix._gth_leaf is not None
+
+
+def both_passes(monkeypatch, W, offset=0, view=lambda V: V):
+    """_eliminate on view(V) of copies V of W by the leaf and by the Python
+    pass: for each, the pivots' bytes or the SingularPivotError's message,
+    and V's bytes after."""
+    results = []
+    for leaf in (mmatrix._gth_leaf, None):
+        V = W.copy()
+        with monkeypatch.context() as m:
+            m.setattr(mmatrix, "_gth_leaf", leaf)
+            try:
+                outcome = _eliminate(view(V), offset).tobytes()
+            except SingularPivotError as exc:
+                outcome = str(exc)
+        results.append((outcome, V.tobytes()))
+    return results
+
+
+def random_augmented(rng, n, extra):
+    """An augmented W: zeros, entries 1e-8 .. 1e8, column sums down to 1e-16."""
+    shape = (n + 1, n + extra)
+    W = rng.random(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    W[rng.random(shape) < 0.2] = 0.0
+    W[n, :n] *= 10.0 ** rng.integers(-16, 1, n)
+    return W
+
+
+@needs_leaf
+class TestCompiledLeaf:
+    def test_same_bits_as_the_python_pass(self, monkeypatch, rng):
+        for n in [*range(1, 20), *rng.integers(20, 141, 40)]:
+            W = random_augmented(rng, n, int(rng.integers(0, 61)))
+            leaf, python = both_passes(monkeypatch, W)
+            assert leaf == python, n
+
+    def test_same_bits_on_the_views_the_blocked_solve_passes(self, monkeypatch, rng):
+        # _solve_in_place hands the pass row-strided views of one array:
+        # the leading block W[: h + 1] and the trailing block W[h:, h:]
+        for n in (2 * GTH_BLOCK + 1, 139):
+            W = random_augmented(rng, n, 3)
+            h = n // 2
+            for view in (lambda V: V[: h + 1], lambda V: V[h:, h:],
+                         lambda V: V[h:, h:][: (n - h) // 2 + 1]):
+                assert view(W).strides[0] == W.strides[0]
+                leaf, python = both_passes(monkeypatch, W, view=view)
+                assert leaf == python, (n, view(W).shape)
+
+    def test_same_bits_on_columns_the_pairwise_sum_halves(self, monkeypatch, rng):
+        # numpy sums a column of more than 128 entries by halves; an
+        # unblocked pass sums them at null_vector and partial_inverse sizes
+        for n in (128, 129, 136, 200, 255, 256, 257, 300):
+            leaf, python = both_passes(monkeypatch, random_augmented(rng, n, 1))
+            assert leaf == python, n
+
+    def test_zero_pivot_raises_at_the_same_step(self, monkeypatch, rng):
+        for n, k in ((1, 0), (5, 0), (5, 2), (30, 29), (60, 17)):
+            W = random_augmented(rng, n, 2)
+            W[:, k] = 0.0  # the updates before step k add W_jk = 0 below it
+            leaf, python = both_passes(monkeypatch, W, offset=7)
+            assert leaf == python
+            assert leaf[0] == f"zero pivot at step {7 + k + 1}"
+
+    def test_nan_passes_through_quietly(self, monkeypatch, rng):
+        W = random_augmented(rng, 12, 2)
+        W[4, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = _eliminate(W.copy())
+        assert np.isnan(d[2:]).all() and not np.isnan(d[:2]).any()
+        leaf, python = both_passes(monkeypatch, W)
+        assert leaf == python
+
+    @pytest.mark.parametrize("n", [1, 4, 2 * GTH_BLOCK + 1])
+    def test_solvers_and_diagnostics_give_the_same_bytes_without_it(self, monkeypatch, n):
+        def outputs():
+            rng = np.random.default_rng(n)
+            p = random_pagerank_problem(rng, n, 0.49, density=0.5)
+            blocks = (n // 2, n - n // 2) if n > 1 else (1,)
+            x = solve(p, SolverOptions()).x
+            T = random_row_triplet(rng, n)
+            pi = partial_inverse(T)
+            return [
+                x,
+                solve(p, SolverOptions(method=Method.BLOCK_JACOBI, block_sizes=blocks)).x,
+                null_vector(TripletMMatrix(T.offdiag, np.zeros(n), ROW)),
+                pi.z,
+                pi.S,
+                np.array([omega(p, x)]),
+            ]
+
+        compiled = outputs()
+        monkeypatch.setattr(mmatrix, "_gth_leaf", None)
+        for got, want in zip(outputs(), compiled):
+            assert same_bits(got, want)
+
+
+def run_cli_solve(tmp_path, path):
+    """`python -m mlpagerank.cli solve --builtin ex1 --alpha 0.3` in a fresh
+    process, with an empty home and cache and the given PATH, from the
+    checkout; returns the completed process."""
+    src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
+    home = tmp_path / "home"
+    home.mkdir(exist_ok=True)
+    env = dict(os.environ, HOME=str(home), XDG_CACHE_HOME=str(home / ".cache"), PATH=path,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mlpagerank.cli", "solve", "--builtin", "ex1", "--alpha", "0.3"],
+        capture_output=True, env=env, cwd=os.path.dirname(src), timeout=300,
+    )
+
+
+def checkout_status(root):
+    """`git status --porcelain` of the checkout, or None outside a git checkout."""
+    if shutil.which("git") is None:
+        return None
+    out = subprocess.run(["git", "status", "--porcelain"], capture_output=True, cwd=root)
+    return out.stdout if out.returncode == 0 else None
+
+
+def test_cli_output_is_the_same_without_a_c_compiler(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(mlpagerank.__file__)))
+    before = checkout_status(root)
+    built = run_cli_solve(tmp_path, os.environ.get("PATH", ""))
+    empty = tmp_path / "no-compiler"
+    empty.mkdir()
+    fallback = run_cli_solve(tmp_path, str(empty))
+    assert built.returncode == fallback.returncode == 0
+    # compiler output must not reach the JSON on stdout
+    assert built.stderr == b"" and fallback.stderr == b""
+    assert built.stdout.count(b"\n") == 1 and json.loads(built.stdout)
+    assert fallback.stdout == built.stdout
+    if shutil.which("cc") is not None:
+        assert len(list((tmp_path / "home" / ".cache" / "mlpagerank").glob("gth-*.so"))) == 1
+    assert checkout_status(root) == before
+
+
+@needs_leaf
+def test_unwritable_cache_builds_in_a_private_directory_and_removes_it(tmp_path):
+    src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
+    (tmp_path / "cache").write_text("a file where the cache directory would go")
+    (tmp_path / "tmp").mkdir()
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), TMPDIR=str(tmp_path / "tmp"),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "from mlpagerank import mmatrix; print(mmatrix._gth_leaf is not None)"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (out.stdout, out.stderr) == ("True\n", "")
+    assert list((tmp_path / "tmp").iterdir()) == []
