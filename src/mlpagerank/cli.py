@@ -27,6 +27,8 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
 CSV_SCHEMA = "mlpagerank-csv-v1"
+SIZE_HELP = ("its n must leave a dense n x n float64 array (8 n^2 bytes) within "
+             "the machine's physical memory")
 TOL_HELP = ("stop once the max-norm of the binary64 residual a + Bx^2 - x, as the "
             "iteration computes it, is at most TOL (default %(default)s)")
 
@@ -72,9 +74,10 @@ def _add_instance_args(p):
     src.add_argument("--builtin", choices=["intro", "ex1", "ex2"],
                      help="built-in instance")
     src.add_argument("--tensor", metavar="FILE",
-                     help="stochastic tensor in the text format")
+                     help="stochastic tensor in the text format; " + SIZE_HELP)
     src.add_argument("--graph", metavar="FILE",
-                     help="MatrixMarket adjacency; tensor built via three-cycles")
+                     help="MatrixMarket adjacency; tensor built via three-cycles; "
+                          + SIZE_HELP)
     p.add_argument("--v-file", metavar="FILE",
                    help="teleport vector, one value per line (with --tensor)")
     p.add_argument("--v-seed", type=int, default=0,
@@ -100,13 +103,22 @@ def _load_problem(args, parser):
             v = _read_vector(args.v_file) if args.v_file else np.full(P.n, 1.0 / P.n)
             return Problem.from_pagerank(v, P, args.alpha,
                                          one_minus_two_alpha=args.one_minus_two_alpha)
-        adj = ingest.read_matrix_market(args.graph)
-        v = ingest.random_teleport_vector(adj.n, args.v_seed)
-        P = ingest.build_pagerank_tensor(adj, v, args.nu)
+        _, v, P = _graph_tensor(args)
         return Problem.from_pagerank(v, P, args.alpha,
                                      one_minus_two_alpha=args.one_minus_two_alpha)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+
+
+def _graph_tensor(args, power=2):
+    """The adjacency, teleport vector and PageRank tensor of --graph, read
+    for dense arrays of n**power entries (ingest.read_matrix_market); a
+    graph too small for three-cycles raises ValueError before v is drawn."""
+    adj = ingest.read_matrix_market(args.graph, power)
+    if adj.n < 3:
+        raise ValueError(f"{args.graph}: the three-cycle tensor needs n >= 3, got n = {adj.n}")
+    v = ingest.random_teleport_vector(adj.n, args.v_seed)
+    return adj, v, ingest.build_pagerank_tensor(adj, v, args.nu)
 
 
 _METHODS = {m.value: m for m in Method}
@@ -293,9 +305,7 @@ def cmd_perturb(args, parser):
 
 def cmd_ingest(args, parser):
     try:
-        adj = ingest.read_matrix_market(args.graph)
-        v = ingest.random_teleport_vector(adj.n, args.v_seed)
-        P = ingest.build_pagerank_tensor(adj, v, args.nu)
+        adj, v, P = _graph_tensor(args, power=3)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     if P.S.nnz == 0:
@@ -414,7 +424,10 @@ def build_parser():
     p_pert.set_defaults(fn=cmd_perturb)
 
     p_ing = sub.add_parser("ingest", help="graph -> stochastic tensor pipeline")
-    p_ing.add_argument("--graph", required=True)
+    p_ing.add_argument("--graph", required=True,
+                       help="MatrixMarket adjacency; the tensor stores all n^3 entries, "
+                            "so its n must leave a dense n^3 float64 array (8 n^3 bytes) "
+                            "within the machine's physical memory")
     p_ing.add_argument("--nu", type=float, default=0.1)
     p_ing.add_argument("--v-seed", type=int, default=0)
     p_ing.add_argument("--out-tensor", required=True)

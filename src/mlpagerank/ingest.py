@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import Problem
-from .tensor import PageRankTensor, Tensor3, check_stochastic
+from .tensor import PageRankTensor, Tensor3, check_dense_fits, check_stochastic
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,15 @@ class Adjacency:
         return int(self.matrix.sum())
 
 
-def read_matrix_market(path):
+def read_matrix_market(path, power=2):
     """Read a coordinate-format Matrix Market file into an Adjacency.
 
     Supports pattern/real/integer fields and general/symmetric symmetry;
     nonzeros are binarized.  Malformed input, a weight that is not a finite
-    number included, raises ValueError with the offending line number.
+    number included, raises ValueError with the offending line number, as
+    does a size whose dense float64 array of n**power entries, the largest
+    the caller makes of the graph, would not fit in physical memory
+    (tensor.check_dense_fits).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -72,6 +75,7 @@ def read_matrix_market(path):
         raise ValueError(f"{path}:{idx + 1}: size line must be 'rows cols nnz'") from None
     if nrows != ncols:
         raise ValueError(f"{path}:{idx + 1}: adjacency must be square")
+    check_dense_fits(nrows, f"{path}:{idx + 1}", power)
     A = np.zeros((nrows, nrows), dtype=bool)
     count = 0
     for lineno in range(idx + 1, len(lines)):

@@ -37,14 +37,22 @@ kernel; the solvers' block sweeps call gth_col_solve directly on their own
 binary64 blocks, and the pair-precision reference, compute_y and omega call
 the kernel on their own data.
 
-In binary64 the elimination pass runs compiled: _GTH_C, a C transcription
-of it with the same bits, is built on first import by the system C compiler
-("cc" on PATH) and loaded through ctypes.  The library is cached per user in
+The pass runs compiled in both arithmetics.  _GTH_C, a C transcription
+with the same bits, is built on first import by the system C compiler ("cc"
+on PATH) and loaded through ctypes.  The library is cached per user in
 $XDG_CACHE_HOME/mlpagerank (~/.cache/mlpagerank by default), named by a
 hash of the source, the flags and the machine; no build step is asked of
-the user.  The Python pass stays the specification, the pair arithmetic's
-kernel and the fallback when there is no compiler.  Compiled, a NaN passes
-through the pass without numpy's RuntimeWarnings; TripletMMatrix rejects
+the user.  gth_eliminate is the binary64 pass.  dd_gth_solve is the pair
+pass and, for a leaf solve, its back-substitution, in one call.  Its pivot
+is the exactly rounded sum that DD.sum takes with math.fsum: the column's
+hi parts, then its lo parts, go into Shewchuk's partials as fsum adds them,
+the partials are rounded as fsum rounds them, and lo is the same partials
+with -hi added, rounded again.  The same library folds pairs for precision
+(dd_fold and dd_fold_runs).  The Python code stays the specification.  It
+runs where there is no compiler, and in pairs from the first pivot column
+that has a part that is not finite or a sum that overflows, so that
+math.fsum's NaN, inf, ValueError and OverflowError stand.  Compiled, a NaN
+or inf passes without numpy's RuntimeWarnings; TripletMMatrix rejects
 non-finite entries before they get there.
 """
 
@@ -159,11 +167,18 @@ def _zeros(like, shape):
     return getattr(type(like), "zeros", np.zeros)(shape)
 
 
-# _eliminate's pass in C, for binary64 arrays with unit column stride.  Its
-# pivot is numpy's own pairwise sum of the strided column (8 accumulators,
-# blocks of 128, halving above), and its update rounds as numpy's does,
-# w_ij + (w_ik / d_k) w_kj, so the two give the same bits.
+# The compiled kernels, one C source for both arithmetics.  gth_eliminate is
+# _eliminate's pass for binary64 arrays with unit column stride.  Its pivot
+# is numpy's own pairwise sum of the strided column (8 accumulators, blocks of
+# 128, halving above), and its update rounds as numpy's does,
+# w_ij + (w_ik / d_k) w_kj, so the two give the same bits.  The pair kernels
+# transcribe precision's operation for operation: two_sum to dd_div as
+# _two_sum to _dd_div, fsum_add and fsum_round as CPython's math.fsum
+# (Shewchuk's partials, then the sum rounded half to even across them),
+# dd_gth_solve as _eliminate and _back_substitute on DD arrays, and fold as
+# precision.dd_sum's pairwise fold.
 _GTH_C = r"""
+#include <math.h>
 #include <stddef.h>
 
 static double pairwise_sum(const double *a, ptrdiff_t n, ptrdiff_t s)
@@ -204,6 +219,223 @@ ptrdiff_t gth_eliminate(double *w, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld, doubl
     }
     return 0;
 }
+
+typedef struct { double hi, lo; } pair;
+
+static pair two_sum(double a, double b)
+{
+    double s = a + b, bb = s - a;
+    pair r = {s, (a - (s - bb)) + (b - bb)};
+    return r;
+}
+
+static pair quick_two_sum(double a, double b)
+{
+    double s = a + b;
+    pair r = {s, b - (s - a)};
+    return r;
+}
+
+static pair two_prod(double a, double b)
+{
+    double p = a * b, c = 134217729.0 * a, d = 134217729.0 * b;
+    double ahi = c - (c - a), alo = a - ahi, bhi = d - (d - b), blo = b - bhi;
+    pair r = {p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo};
+    return r;
+}
+
+static pair dd_add(pair x, pair y)
+{
+    pair s = two_sum(x.hi, y.hi), t = two_sum(x.lo, y.lo);
+    s = quick_two_sum(s.hi, s.lo + t.hi);
+    return quick_two_sum(s.hi, s.lo + t.lo);
+}
+
+static pair dd_mul(pair x, pair y)
+{
+    pair p = two_prod(x.hi, y.hi);
+    return quick_two_sum(p.hi, p.lo + (x.hi * y.lo + x.lo * y.hi));
+}
+
+static pair dd_div(pair x, pair y)
+{
+    pair minus_y = {-y.hi, -y.lo}, q1 = {x.hi / y.hi, 0.0}, q2, q3, r;
+    q1.lo = 0.0 * q1.hi;
+    r = dd_add(x, dd_mul(q1, minus_y));
+    q2.hi = r.hi / y.hi;
+    q2.lo = 0.0 * q2.hi;
+    r = dd_add(r, dd_mul(q2, minus_y));
+    q3.hi = r.hi / y.hi;
+    q3.lo = 0.0 * q3.hi;
+    return dd_add(quick_two_sum(q1.hi, q2.hi), q3);
+}
+
+/* Adds x to the *n partials p, smallest first, as math.fsum does.  Returns
+   -1 if the sum is not finite, where fsum sets partials aside (NaN, inf) or
+   raises (inf - inf, overflow), else 0. */
+static int fsum_add(double *p, ptrdiff_t *n, double x)
+{
+    ptrdiff_t i = 0, j;
+    for (j = 0; j < *n; j++) {
+        double y = p[j], hi, lo;
+        if (fabs(x) < fabs(y)) {
+            hi = x;
+            x = y;
+            y = hi;
+        }
+        hi = x + y;
+        lo = y - (hi - x);
+        if (lo != 0.0) p[i++] = lo;
+        x = hi;
+    }
+    *n = i;
+    if (x != 0.0) {
+        if (!isfinite(x)) return -1;
+        p[(*n)++] = x;
+    }
+    return 0;
+}
+
+/* The sum of the n partials p rounded once, as math.fsum returns it. */
+static double fsum_round(const double *p, ptrdiff_t n)
+{
+    double hi = 0.0, lo = 0.0, x, y;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            lo = y - (hi - x);
+            if (lo != 0.0) break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            if (y == x - hi) hi = x;
+        }
+    }
+    return hi;
+}
+
+#define HI(i, j) wh[(i) * ld + (j)]
+#define LO(i, j) wl[(i) * ld + (j)]
+#define AT(i, j) ((pair){HI(i, j), LO(i, j)})
+#define PUT(i, j, v) do { pair v_ = (v); HI(i, j) = v_.hi; LO(i, j) = v_.lo; } while (0)
+
+/* The pair pass on w = wh + wl, n + 1 rows of m entries, ld apart, with the
+   pivots to dh + dl, then, if solve, the back-substitution of the columns
+   past n.  p holds 2 n + 1 partials.  Returns 0; k + 1 if pivot k is not
+   positive; or -(k + 1) if column k has a part that is not finite or sums
+   past the largest double, leaving the pass from step k to Python. */
+ptrdiff_t dd_gth_solve(double *wh, double *wl, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld,
+                       double *dh, double *dl, double *p, int solve)
+{
+    ptrdiff_t i, j, k, np;
+    for (k = 0; k < n; k++) {
+        pair dk;
+        np = 0;
+        for (i = k + 1; i <= n; i++)  /* fsum of the hi parts, then the lo parts */
+            if (fsum_add(p, &np, HI(i, k))) return -(k + 1);
+        for (i = k + 1; i <= n; i++)
+            if (fsum_add(p, &np, LO(i, k))) return -(k + 1);
+        dk.hi = fsum_round(p, np);
+        if (fsum_add(p, &np, -dk.hi)) return -(k + 1);
+        dk.lo = fsum_round(p, np);
+        if (dk.hi + dk.lo <= 0.0) return k + 1;
+        dh[k] = dk.hi;
+        dl[k] = dk.lo;
+        if (k == n - 1) break;
+        for (i = k + 1; i <= n; i++) {
+            pair c = dd_div(AT(i, k), dk);
+            for (j = k + 1; j < m; j++) PUT(i, j, dd_add(AT(i, j), dd_mul(c, AT(k, j))));
+        }
+    }
+    for (k = n - 1; solve && k >= 0; k--) {
+        pair one = {1.0, 0.0}, r = dd_div(one, (pair){dh[k], dl[k]});
+        for (j = n; j < m; j++) PUT(k, j, dd_mul(AT(k, j), r));
+        for (i = 0; i < k; i++)
+            for (j = n; j < m; j++) PUT(i, j, dd_add(AT(i, j), dd_mul(AT(i, k), AT(k, j))));
+    }
+    return 0;
+}
+
+/* precision.dd_sum's pairwise fold of the m pairs th + tl, in place. */
+static pair fold(double *th, double *tl, ptrdiff_t m)
+{
+    while (m > 1) {
+        ptrdiff_t i, half = m / 2;
+        pair s;
+        for (i = 0; i < half; i++) {
+            s = dd_add((pair){th[i], tl[i]}, (pair){th[half + i], tl[half + i]});
+            th[i] = s.hi;
+            tl[i] = s.lo;
+        }
+        if (m % 2) {
+            s = dd_add((pair){th[0], tl[0]}, (pair){th[m - 1], tl[m - 1]});
+            th[0] = s.hi;
+            tl[0] = s.lo;
+        }
+        m = half;
+    }
+    return (pair){th[0], tl[0]};
+}
+
+/* o[i, j] = the fold over r < m of the terms a[r, i, j], or of the products
+   a[r, i, j] b[r, i, j] if bh is not NULL; strides in doubles, 0 along a
+   broadcast axis; o p x q and contiguous.  t holds 2 m doubles. */
+void dd_fold(ptrdiff_t m, ptrdiff_t p, ptrdiff_t q,
+             const double *ah, const double *al, ptrdiff_t a0, ptrdiff_t a1, ptrdiff_t a2,
+             const double *bh, const double *bl, ptrdiff_t b0, ptrdiff_t b1, ptrdiff_t b2,
+             double *oh, double *ol, double *t)
+{
+    ptrdiff_t i, j, r;
+    for (i = 0; i < p; i++)
+        for (j = 0; j < q; j++) {
+            pair o;
+            for (r = 0; r < m; r++) {
+                ptrdiff_t a = r * a0 + i * a1 + j * a2, b = r * b0 + i * b1 + j * b2;
+                pair v = {ah[a], al[a]};
+                if (bh) v = dd_mul(v, (pair){bh[b], bl[b]});
+                t[r] = v.hi;
+                t[m + r] = v.lo;
+            }
+            o = fold(t, t + m, m);
+            oh[i * q + j] = o.hi;
+            ol[i * q + j] = o.lo;
+        }
+}
+
+/* o[s] = the fold of the terms in [bounds[s], bounds[s + 1]), 0 for none: v[r],
+   or v[entry[r]] x[index[r]] if entry is not NULL.  t holds 2 terms per term
+   of the longest run.  Returns -1, having stopped, if an entry is not below
+   nv or an index not below nx, else 0. */
+ptrdiff_t dd_fold_runs(ptrdiff_t runs, const ptrdiff_t *bounds,
+                       ptrdiff_t nv, const double *vh, const double *vl, const ptrdiff_t *entry,
+                       ptrdiff_t nx, const double *xh, const double *xl, const ptrdiff_t *index,
+                       double *oh, double *ol, double *t)
+{
+    ptrdiff_t s, r;
+    for (s = 0; s < runs; s++) {
+        ptrdiff_t m = bounds[s + 1] - bounds[s];
+        pair o = {0.0, 0.0};
+        for (r = 0; r < m; r++) {
+            ptrdiff_t e = bounds[s] + r;
+            pair v = {vh[e], vl[e]};
+            if (entry) {
+                ptrdiff_t a = entry[e], b = index[e];
+                if (a < 0 || a >= nv || b < 0 || b >= nx) return -1;
+                v = dd_mul((pair){vh[a], vl[a]}, (pair){xh[b], xl[b]});
+            }
+            t[r] = v.hi;
+            t[m + r] = v.lo;
+        }
+        if (m) o = fold(t, t + m, m);
+        oh[s] = o.hi;
+        ol[s] = o.lo;
+    }
+    return 0;
+}
 """
 # No contraction into fused multiply-adds and no fast-math: IEEE rounding
 # of every operation, as numpy's.
@@ -227,9 +459,9 @@ def _build_gth_leaf(cc, path):
             os.unlink(tmp)
 
 
-def _load_gth_leaf():
-    """_GTH_C's gth_eliminate through ctypes, or None if there is no C
-    compiler ("cc" on PATH) or the build fails.
+def _load_gth_kernels():
+    """_GTH_C's library through ctypes, or None if there is no C compiler
+    ("cc" on PATH) or the build fails.
 
     The library is cached per user, under $XDG_CACHE_HOME/mlpagerank or
     ~/.cache/mlpagerank, named by a hash of the source, the flags and the
@@ -252,22 +484,76 @@ def _load_gth_leaf():
                 private = Path(tempfile.mkdtemp(prefix="mlpagerank-"))
                 path = private / path.name
                 _build_gth_leaf(cc, path)
-        leaf = ctypes.CDLL(str(path)).gth_eliminate
+        lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
     finally:
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
-    leaf.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                     ctypes.c_void_p)
-    leaf.restype = ctypes.c_ssize_t
-    return leaf
+    p, i = ctypes.c_void_p, ctypes.c_ssize_t
+    for name, result, args in (
+        ("gth_eliminate", i, (p, i, i, i, p)),
+        ("dd_gth_solve", i, (p, p, i, i, i, p, p, p, ctypes.c_int)),
+        ("dd_fold", None, (i, i, i, p, p, i, i, i, p, p, i, i, i, p, p, p)),
+        ("dd_fold_runs", i, (i, p, i, p, p, p, i, p, p, p, p, p, p)),
+    ):
+        kernel = getattr(lib, name)
+        kernel.argtypes, kernel.restype = args, result
+    return lib
 
 
-_gth_leaf = _load_gth_leaf()
+# _gth_leaf runs the binary64 pass and _pair_kernels (the same library, or
+# None) the pair ones; either set to None runs the Python code instead.
+_pair_kernels = _load_gth_kernels()
+_gth_leaf = _pair_kernels and _pair_kernels.gth_eliminate
 
 
-def _eliminate(W, offset=0):
+def _unit_column_stride(a):
+    """Whether the binary64 array a has rows of contiguous, aligned entries
+    at a whole number of entries apart, as the compiled passes read them."""
+    return (a.dtype == np.float64 and a.strides[1] == 8 and a.strides[0] % 8 == 0
+            and a.flags.aligned and a.flags.writeable)
+
+
+def _compiled_pass(W, offset, solve):
+    """The compiled part of _eliminate: (d, start, solved), the pivots, the
+    first step left to the Python pass (n once the compiled pass has run to
+    the end) and whether the right-hand sides are solved too.
+
+    A binary64 W runs gth_eliminate, a pair W dd_gth_solve, which also
+    back-substitutes if solve, in the same call.  The pair pass hands a pivot column with a
+    part that is not finite, or whose sum overflows, to the Python pass, so
+    that math.fsum's NaN, inf and errors stand there.  Returns (zeros, 0,
+    False) where no compiled pass applies.
+    """
+    n = W.shape[0] - 1
+    start, solved = n, False
+    if type(W) is np.ndarray:
+        if _gth_leaf is None or W.shape[1] < n or not _unit_column_stride(W):
+            return _zeros(W, n), 0, False
+        d = np.empty(n)
+        k = _gth_leaf(W.ctypes.data, n, W.shape[1], W.strides[0] // 8, d.ctypes.data)
+    else:
+        hi, lo = W.hi, W.lo
+        if (_pair_kernels is None or W.shape[1] < n or hi.strides != lo.strides
+                or not (_unit_column_stride(hi) and _unit_column_stride(lo))):
+            return _zeros(W, n), 0, False
+        # the pivots' two parts, then room for the partials of a pivot sum
+        buf = np.empty(4 * n + 1)
+        at = buf.ctypes.data
+        d = type(W)(buf[:n], buf[n : 2 * n])
+        k = _pair_kernels.dd_gth_solve(hi.ctypes.data, lo.ctypes.data, n, W.shape[1],
+                                       hi.strides[0] // 8, at, at + 8 * n, at + 16 * n, solve)
+        if k < 0:  # step -k - 1 and on are the Python pass's
+            start, k = -k - 1, 0
+        else:
+            solved = solve
+    if k:
+        raise SingularPivotError(f"zero pivot at step {offset + k}")
+    return d, start, solved
+
+
+def _eliminate(W, offset=0, solve=False):
     """The GTH forward pass, in place, on the augmented column-oriented W.
 
     W has n + 1 rows: the leading n x n block holds the off-diagonal
@@ -281,22 +567,18 @@ def _eliminate(W, offset=0):
     raises SingularPivotError, before any division by it, if one vanishes,
     naming its step as offset + k + 1.  A NaN pivot does not raise.
 
-    A binary64 W with unit column stride runs the compiled _GTH_C, which
-    gives the same bits and, unlike numpy, no RuntimeWarning on NaN or inf.
-    The Python loop below is its specification, the pair-arithmetic kernel
-    and the fallback without a C compiler.
+    With solve, the right-hand-side columns are then overwritten with the
+    solution: in pairs by _back_substitute, in binary64 by one LAPACK
+    unit-upper solve (_unit_upper_solve).
+
+    A W with unit column stride runs compiled (_compiled_pass), with the
+    same bits and, unlike numpy, no RuntimeWarning on NaN or inf.  The
+    Python code below is its specification, and the fallback without a C
+    compiler and for pair pivot columns that are not finite.
     """
     n = W.shape[0] - 1
-    if (_gth_leaf is not None and type(W) is np.ndarray and W.dtype == np.float64
-            and W.shape[1] >= n and W.strides[1] == 8 and W.strides[0] % 8 == 0
-            and W.flags.aligned and W.flags.writeable):
-        d = np.empty(n)
-        k = _gth_leaf(W.ctypes.data, n, W.shape[1], W.strides[0] // 8, d.ctypes.data)
-        if k:
-            raise SingularPivotError(f"zero pivot at step {offset + k}")
-        return d
-    d = _zeros(W, n)
-    for k in range(n):
+    d, start, solved = _compiled_pass(W, offset, solve)
+    for k in range(start, n):
         dk = W[k + 1 :, k].sum()
         if float(dk) <= 0.0:
             raise SingularPivotError(f"zero pivot at step {offset + k + 1}")
@@ -304,6 +586,10 @@ def _eliminate(W, offset=0):
         if k < n - 1:  # the last step would update only the sums' right-hand sides
             rest = W[k + 1 :, k + 1 :]  # += on a view: no copy back into W
             rest += W[k + 1 :, k : k + 1] / dk * W[k : k + 1, k + 1 :]
+    if solve and not solved:
+        # one right-hand side stays a vector: cheaper steps, in pairs above all
+        y = W[:n, n] if W.shape[1] == n + 1 else W[:n, n:]
+        getattr(type(W), "gth_substitute", _unit_upper_solve)(W[:n, :n], d, y)
     return d
 
 
@@ -329,32 +615,18 @@ def _unit_upper_solve(V, d, y):
     y[...] = scipy.linalg.lapack.dtrtrs(V / -d[:, None], (y.T / d).T, unitdiag=1)[0]
 
 
-def _solve_unblocked(W, offset=0):
-    """Overwrite the right-hand-side columns of the augmented W with the
-    solution, by one elimination pass and a back-substitution: the
-    arithmetic's own (gth_substitute, the column sweep in pairs) if it has
-    one, else one binary64 unit-upper solve.  Returns the pivots, as
-    _eliminate."""
-    n = W.shape[0] - 1
-    d = _eliminate(W, offset)
-    # one right-hand side stays a vector: cheaper steps, in pairs above all
-    y = W[:n, n] if W.shape[1] == n + 1 else W[:n, n:]
-    getattr(type(W), "gth_substitute", _unit_upper_solve)(W[:n, :n], d, y)
-    return d
-
-
 def _solve_in_place(W, offset=0):
     """Overwrite the right-hand-side columns of the augmented W with the solution.
 
     W is as in _eliminate, n + 1 rows with the column sums last.  Up to
-    GTH_BLOCK unknowns, _solve_unblocked.  Above it the system splits in
-    half, M = [[M1, -N12], [-N21, M2]]: the leading block, whose column sums
-    are the sums of the rows below it, 1^T N21 + s1, is solved against
-    [N12 | R1] for [X | Y1]; then one product adds N21 X to N22, X^T s1 to
-    s2 (row n belongs to W[h:, :h]) and N21 Y1 to R2, the trailing block
-    recurses on that Schur complement, and Y1 += X Y2.  Every term is a sum
-    of products of nonnegative numbers.  A block's pivots are steps
-    offset + 1, offset + 2, ... of the whole system.
+    GTH_BLOCK unknowns, one _eliminate that also solves.  Above it the
+    system splits in half, M = [[M1, -N12], [-N21, M2]]: the leading block,
+    whose column sums are the sums of the rows below it, 1^T N21 + s1, is
+    solved against [N12 | R1] for [X | Y1]; then one product adds N21 X to
+    N22, X^T s1 to s2 (row n belongs to W[h:, :h]) and N21 Y1 to R2, the
+    trailing block recurses on that Schur complement, and Y1 += X Y2.  Every
+    term is a sum of products of nonnegative numbers.  A block's pivots are
+    steps offset + 1, offset + 2, ... of the whole system.
     """
     n = W.shape[0] - 1
     if n > GTH_BLOCK:
@@ -368,7 +640,7 @@ def _solve_in_place(W, offset=0):
         _solve_in_place(W[h:, h:], offset + h)
         W[:h, n:] += W[:h, h:n] @ W[h:n, n:]
         return
-    _solve_unblocked(W, offset)
+    _eliminate(W, offset, solve=True)
 
 
 def _augmented(offdiag, sums, rhs):
@@ -476,7 +748,7 @@ def gth_partial_inverse(offdiag, sums):
         return PartialInverse(z=1.0 / sums, S=_zeros(sums, (1, 1)))
     t, d1 = _null_profile(offdiag)
     W, inv_t = _augmented(offdiag.T, sums, _zeros(sums, (n, n)) + np.eye(n))
-    d = _solve_unblocked(W)
+    d = _eliminate(W, solve=True)
     scale = 1.0
     for k in range(n - 1):
         scale *= d1[k] / d[k]

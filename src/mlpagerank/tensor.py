@@ -73,6 +73,7 @@ BLAS build and thread count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -361,10 +362,17 @@ class PageRankTensor:
         return self.S.nnz + self.v.size + self.dS.size + self.F.size
 
     def unfolding(self):
-        """A new dense n x n^2 unfolding, entry by entry as the formula reads."""
+        """A new dense n x n^2 unfolding, entry by entry as the formula reads:
+        nu (S + v d_S^T) + (1 - nu) F kron 1^T, evaluated in place in one
+        array, row by row for v d_S^T and on the (i, k, j) view for F."""
         n = self.n
-        return (self.nu * (self.S.unfolding() + self.v[:, None] * self.dS.reshape(1, n * n))
-                + (1.0 - self.nu) * np.repeat(self.F, n, axis=1))
+        U = self.S.unfolding()
+        d = self.dS.ravel()
+        for i in range(n):
+            U[i] += self.v[i] * d
+        U *= self.nu
+        U.reshape(n, n, n)[...] += ((1.0 - self.nu) * self.F)[:, :, None]
+        return U
 
     def to_tensor3(self):
         if self._stored is None:
@@ -423,13 +431,36 @@ def check_stochastic(B, target, tol):
     )
 
 
+def check_dense_fits(n, where, power=2):
+    """Raise ValueError at `where` (FILE:LINE) if a dense float64 array of
+    n**power entries needs more bytes than the machine's physical memory.
+
+    A declared size is checked before anything of its size is allocated: a
+    solve makes n x n float64 arrays (power 2), and a tensor that stores all
+    n^3 entries is n^3 of them.  Where os.sysconf cannot tell the memory,
+    nothing is checked.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 8 * n ** power
+    if need > memory:
+        raise ValueError(f"{where}: n = {n} needs {need} bytes for a dense "
+                         f"{' x '.join(['n'] * power)} float64 array, more than the "
+                         f"{memory} bytes of physical memory")
+
+
 def read_tensor_text(path):
-    """Read the tensor text format: header ``n nnz`` then ``i j k value`` lines."""
+    """Read the tensor text format: header ``n nnz`` then ``i j k value`` lines.
+
+    n is checked against physical memory first (check_dense_fits)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             n, nnz = map(int, fh.readline().split())
         except ValueError:
             raise ValueError(f"{path}:1: expected header 'n nnz'") from None
+        check_dense_fits(n, f"{path}:1")
         entries = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()

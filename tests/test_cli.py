@@ -395,3 +395,54 @@ def test_out_csv_bytes_on_ex1(argv, expected, tmp_path, capsys):
     path = tmp_path / "out.csv"
     assert main([*argv, "--out-csv", str(path)]) == EXIT_OK
     assert path.read_bytes() == expected.encode()
+
+
+# Declared sizes are checked before anything of their size is allocated.
+# numpy refuses the 10^8 sizes below at once, so without the check each
+# would end in a MemoryError, not in a usage error.
+HUGE_TENSOR = "100000000 1\n1 1 1 1.0\n"
+HUGE_GRAPH = "%%MatrixMarket matrix coordinate pattern general\n% c\n100000000 100000000 1\n1 2\n"
+EMPTY_GRAPH = "%%MatrixMarket matrix coordinate pattern general\n0 0 0\n"
+
+
+@pytest.mark.parametrize("command,flag,text,where,array", [
+    ("solve", "--tensor", HUGE_TENSOR, 1, "n x n"),
+    ("solve", "--graph", HUGE_GRAPH, 3, "n x n"),
+    ("ingest", "--graph", HUGE_GRAPH, 3, "n x n x n"),
+], ids=["solve-tensor", "solve-graph", "ingest-graph"])
+def test_a_size_beyond_physical_memory_is_a_usage_error(command, flag, text, where, array,
+                                                       tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    argv = [command, flag, str(path)]
+    argv += ["--out-tensor", str(tmp_path / "out.txt")] if command == "ingest" else ["--alpha", "0.3"]
+    assert exit_code(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    need = 8 * 10 ** (8 * array.count("n"))
+    message = err.splitlines()[-1]
+    assert message.startswith(f"error: {path}:{where}: n = 100000000 needs {need} bytes for a "
+                              f"dense {array} float64 array, more than the ")
+    assert message.endswith(" bytes of physical memory")
+    assert out == "" and not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "0.3"],
+    ["ingest", "--out-tensor", "unused.txt"],
+], ids=["solve", "ingest"])
+def test_an_empty_graph_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "g.mtx"
+    path.write_text(EMPTY_GRAPH)
+    argv = [argv[0], "--graph", str(path), *argv[1:]]
+    if argv[0] == "ingest":
+        argv[-1] = str(tmp_path / argv[-1])
+    assert exit_code(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.endswith(f"error: {path}: the three-cycle tensor needs n >= 3, got n = 0\n")
+    assert out == ""
+
+
+def test_the_size_limit_is_in_the_help():
+    for command in ("solve", "perturb", "compare", "ingest"):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        assert "physical memory" in " ".join(sub.format_help().split())

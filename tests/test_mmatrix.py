@@ -28,15 +28,17 @@ from mlpagerank import (
     solve,
 )
 from mlpagerank import mmatrix, precision
+from mlpagerank.ingest import builtin
 from mlpagerank.mmatrix import (
     GTH_BLOCK,
     _augmented,
     _eliminate,
+    _null_profile,
     check_irreducible,
     gth_col_solve,
     gth_partial_inverse,
 )
-from mlpagerank.precision import DD, dd_sum
+from mlpagerank.precision import DD, _dd_segment_sums, dd_sum, reference_solution
 
 from conftest import random_pagerank_problem, seed_gth_factor, seed_gth_solve
 from test_tree_oracle import tree_oracle_rs, triplet_weights
@@ -507,7 +509,9 @@ class TestSharedKernel:
 @pytest.mark.parametrize("n", [1, 2, 5, 24, GTH_BLOCK])
 def test_pair_solve_divides_once_per_unknown(monkeypatch, rng, n):
     # n - 1 pivot columns divided in the pass and one vector of reciprocals
-    # for the substitution, with exactly rounded pivot sums and no folds
+    # for the substitution, with exactly rounded pivot sums and no folds: in
+    # the Python pass, which the compiled one transcribes
+    monkeypatch.setattr(mmatrix, "_pair_kernels", None)
     counts = {"_dd_div": 0, "dd_sum": 0}
     for name in counts:
         def counting(*args, _name=name, _real=getattr(precision, name)):
@@ -732,17 +736,255 @@ class TestCompiledLeaf:
             assert same_bits(got, want)
 
 
-def run_cli_solve(tmp_path, path):
-    """`python -m mlpagerank.cli solve --builtin ex1 --alpha 0.3` in a fresh
-    process, with an empty home and cache and the given PATH, from the
-    checkout; returns the completed process."""
+# The compiled pair kernels: dd_gth_solve runs _eliminate (and, asked to
+# solve, _back_substitute) on DD arrays, and dd_fold and dd_fold_runs the
+# folds of precision.dd_sum.  The Python code is their specification;
+# _pair_kernels = None runs it, as on a machine without a C compiler.
+
+needs_pair_kernels = pytest.mark.skipif(mmatrix._pair_kernels is None,
+                                        reason="no compiled pair kernels")
+
+
+def random_pairs(rng, shape):
+    """Pairs with hi 1e-8 .. 1e8 and zeros, lo up to half an ulp of hi."""
+    hi = rng.random(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    hi[rng.random(shape) < 0.2] = 0.0
+    return DD(hi, hi * 2.0 ** -54 * rng.uniform(-1.0, 1.0, shape))
+
+
+def random_pair_augmented(rng, n, extra, identity=False):
+    """An augmented pair W as random_augmented's, or, with identity, with
+    the n x n identity for right-hand sides, as gth_partial_inverse has."""
+    W = random_pairs(rng, (n + 1, n + (n if identity else extra)))
+    W.hi[n, :n] *= 10.0 ** rng.integers(-16, 1, n)
+    W.lo[n, :n] *= 2.0 ** -30
+    if identity:
+        W[:n, n:] = np.eye(n)
+    return W
+
+
+def same_values(a, b):
+    """Equal bits, except that any NaN equals any NaN: numpy may pick another
+    NaN operand's sign than C where two meet."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a) & np.isnan(b)
+    return a.shape == b.shape and bool(((a.view(np.int64) == b.view(np.int64)) | nan).all())
+
+
+def with_and_without_pair_kernels(monkeypatch, run):
+    """run() with the compiled pair kernels and with the Python code, each
+    with numpy's warnings off: its arrays, or the exception's type and
+    message."""
+    outcomes = []
+    for kernels in (mmatrix._pair_kernels, None):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            m.setattr(mmatrix, "_pair_kernels", kernels)
+            try:
+                outcomes.append(run())
+            except (ArithmeticError, ValueError) as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def assert_same_outcomes(outcomes):
+    compiled, python = outcomes
+    if isinstance(python, str):
+        assert compiled == python
+        return
+    assert len(compiled) == len(python)
+    for got, want in zip(compiled, python):
+        assert same_values(got, want)
+
+
+def pair_pass(W, offset=0, solve=False, view=lambda V: V):
+    """A run of _eliminate on view(V) for a copy V of W: the pivots and V."""
+    def run():
+        V = W.copy()
+        d = _eliminate(view(V), offset, solve)
+        return d.hi, d.lo, V.hi, V.lo
+    return run
+
+
+@needs_pair_kernels
+class TestCompiledPairKernels:
+    def test_leaf_same_bits_as_the_python_pass(self, monkeypatch, rng):
+        for n in range(1, 41):
+            # 0, 1 and more right-hand sides in turn, with and without the solve
+            extra = (0, 1, int(rng.integers(2, n + 2)))[n % 3]
+            W = random_pair_augmented(rng, n, extra)
+            assert_same_outcomes(with_and_without_pair_kernels(
+                monkeypatch, pair_pass(W, solve=n % 2 == 0)))
+            # the identity of gth_partial_inverse, solved in one pass
+            W = random_pair_augmented(rng, n, 0, identity=True)
+            assert_same_outcomes(with_and_without_pair_kernels(
+                monkeypatch, pair_pass(W, solve=True)))
+
+    def test_same_bits_on_the_views_the_blocked_solve_passes(self, monkeypatch, rng):
+        for n in (2 * GTH_BLOCK + 1, 139):
+            W = random_pair_augmented(rng, n, 3)
+            h = n // 2
+            for view in (lambda V: V[: h + 1], lambda V: V[h:, h:],
+                         lambda V: V[h:, h:][: (n - h) // 2 + 1]):
+                assert view(W).hi.strides[0] == W.hi.strides[0]
+                assert_same_outcomes(with_and_without_pair_kernels(
+                    monkeypatch, pair_pass(W, solve=True, view=view)))
+
+    def test_blocked_solve_gives_the_same_bits(self, monkeypatch, rng):
+        # the leaves, and the folds of the Schur products and column sums
+        for n in (2 * GTH_BLOCK + 1, 4 * GTH_BLOCK + 1):
+            N = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+            np.fill_diagonal(N, 0.0)
+            sums = rng.random(n) * 10.0 ** -rng.integers(0, 14, n)
+            for rhs in right_hand_sides(rng, n):
+                def run():
+                    y = gth_col_solve(DD(N), DD(sums), DD(rhs))
+                    return y.hi, y.lo
+                assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
+
+    def test_zero_pivot_raises_at_the_same_step(self, monkeypatch, rng):
+        for n, k in ((1, 0), (5, 0), (5, 2), (30, 29), (40, 17)):
+            for solve in (False, True):
+                W = random_pair_augmented(rng, n, 2)
+                W[:, k] = 0.0  # the updates before step k add W_jk = 0 below it
+                outcomes = with_and_without_pair_kernels(
+                    monkeypatch, pair_pass(W, offset=7, solve=solve))
+                assert outcomes[0] == outcomes[1] == (
+                    f"SingularPivotError: zero pivot at step {7 + k + 1}")
+        # a pivot of parts that cancel exactly is zero too
+        W = random_pair_augmented(rng, 3, 1)
+        W[1:, 0] = 0.0
+        W.hi[1, 0], W.lo[1, 0], W.hi[2, 0] = 1.0, 2.0 ** -60, -1.0 - 2.0 ** -52
+        W.lo[3, 0] = 2.0 ** -52 - 2.0 ** -60
+        outcomes = with_and_without_pair_kernels(monkeypatch, pair_pass(W))
+        assert outcomes[0] == outcomes[1] == "SingularPivotError: zero pivot at step 1"
+
+    @pytest.mark.parametrize("values,outcome", [
+        ((np.nan,), None),
+        ((np.inf,), None),
+        ((-np.inf,), None),
+        ((np.inf, -np.inf), "ValueError: -inf + inf in fsum"),
+        ((1.5e308, 1.5e308), "OverflowError: intermediate overflow in fsum"),
+    ], ids=["nan", "inf", "-inf", "inf-inf", "overflow"])
+    def test_non_finite_pivot_columns_take_the_python_pass(self, monkeypatch, rng,
+                                                           values, outcome):
+        # from that step on: math.fsum's NaN, inf and errors stand.  Values
+        # set right of column 0 are updated before their pivot sum, where a
+        # pair add of inf makes NaN.
+        for n, k, part in ((6, 0, "hi"), (6, 0, "lo"), (6, 3, "lo"), (12, 10, "hi")):
+            W = random_pair_augmented(rng, n, 2)
+            for i, value in enumerate(values):
+                getattr(W, part)[k + 1 + i, k] = value
+            outcomes = with_and_without_pair_kernels(monkeypatch, pair_pass(W, solve=True))
+            assert_same_outcomes(outcomes)
+            if k == 0 and outcome is not None:
+                assert outcomes[1] == outcome
+
+    def test_non_finite_right_hand_sides_give_the_same_values(self, monkeypatch, rng):
+        W = random_pair_augmented(rng, 9, 3)
+        W.hi[2, 9], W.hi[5, 10], W.lo[7, 11] = np.nan, np.inf, -np.inf
+        assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, pair_pass(W, solve=True)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, GTH_BLOCK, 2 * GTH_BLOCK + 1])
+    def test_null_profile_on_pairs(self, monkeypatch, rng, n):
+        N = random_pairs(rng, (n, n))
+        N[np.arange(n), np.arange(n)] = 0.0
+        N.hi[N.hi == 0.0] = 1e-3  # irreducible: every pivot positive
+
+        def run():
+            t, d = _null_profile(N)
+            return t.hi, t.lo, d.hi, d.lo
+        assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
+
+    def test_folds_of_every_length_to_70(self, monkeypatch, rng):
+        for m in range(71):
+            v, w = random_pairs(rng, (m, 2, 3)), random_pairs(rng, (m, 2, 3))
+            A, B, x = random_pairs(rng, (4, m)), random_pairs(rng, (m, 5)), random_pairs(rng, m)
+            cases = [
+                lambda: dd_sum(v[:, 0, 0]), lambda: dd_sum(v[:, 1]), lambda: dd_sum(v),
+                lambda: dd_sum(v, w), lambda: dd_sum(v, x[:, None, None]),
+                lambda: dd_sum(v[:, :1], w), lambda: dd_sum(v.transpose(0, 2, 1)),
+                lambda: A @ x, lambda: x @ B, lambda: A @ B, lambda: x @ x,
+            ]
+            for case in cases:
+                def run(case=case):
+                    out = case()
+                    return out.hi, out.lo
+                assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
+
+    def test_segment_folds_of_every_length_to_70(self, monkeypatch, rng):
+        lengths = rng.permutation(np.repeat(np.arange(71), 2))
+        keys = np.repeat(np.arange(len(lengths)), lengths)
+        weights = random_pairs(rng, len(keys))
+        vals, x = random_pairs(rng, 50), random_pairs(rng, 9)
+        gather = (rng.integers(0, 50, len(keys)), x, rng.integers(0, 9, len(keys)))
+        # negative indices count from the end, as numpy counts them
+        wrapped = (gather[0] - 50, x, gather[2] - 9)
+        for terms in (None, gather, wrapped):
+            def run(terms=terms):
+                out = _dd_segment_sums(weights if terms is None else vals, keys,
+                                       len(lengths) + 3, terms)
+                return out.hi, out.lo
+            assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
+        for kernels in (mmatrix._pair_kernels, None):
+            monkeypatch.setattr(mmatrix, "_pair_kernels", kernels)
+            with pytest.raises(IndexError):
+                _dd_segment_sums(vals, keys, len(lengths), (gather[0], x, gather[2] + 9))
+
+    @pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
+    def test_references_and_omega_give_the_same_bits(self, monkeypatch, name):
+        # the slab path (a tensor that stores every entry) and the terms path
+        rng = np.random.default_rng(5)
+        problems = [builtin(name, a, one_minus_two_alpha=1.0 - 2.0 * a) for a in (0.3, 0.5)]
+        problems.append(random_pagerank_problem(rng, 6, 0.49))
+
+        def run():
+            outs = []
+            for p in problems:
+                ref = reference_solution(p)
+                outs += [ref.x_pair.hi, ref.x_pair.lo, np.array([ref.iterations]),
+                         np.array([ref.residual_norm])]
+            p = builtin(name, 0.5 - 2.0 ** -40, one_minus_two_alpha=2.0 ** -39)
+            outs.append(np.array([omega(p, solve(p, SolverOptions()).x)]))
+            return outs
+        assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    out = subprocess.run(
+        [cc, *mmatrix._GTH_FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-",
+         "-o", str(tmp_path / "gth.so")],
+        input=mmatrix._GTH_C, text=True, capture_output=True, timeout=120,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+
+
+# Commands whose outputs go through the compiled kernels or their fallback:
+# binary64 GTH solves, and pair references near and at alpha = 1/2.
+CLI_CALLS = (
+    ["solve", "--builtin", "ex1", "--alpha", "0.3"],
+    ["compare", "--builtin", "ex1", "--alpha", "0.5", "--one-minus-two-alpha", "0.0",
+     "--methods", "newton-gth,newton"],
+    ["perturb", "--builtin", "ex1", "--alpha", "0.49999", "--one-minus-two-alpha", "2e-05",
+     "--epsilon", "1e-8", "--trials", "2", "--reference"],
+)
+
+
+def run_cli(tmp_path, path):
+    """cli.main on each of CLI_CALLS, printing its exit code after its output,
+    in one fresh process, with an empty home and cache and the given PATH,
+    from the checkout; returns the completed process."""
     src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
     home = tmp_path / "home"
     home.mkdir(exist_ok=True)
     env = dict(os.environ, HOME=str(home), XDG_CACHE_HOME=str(home / ".cache"), PATH=path,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import json, sys\nfrom mlpagerank import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n    print('exit', cli.main(argv))\n")
     return subprocess.run(
-        [sys.executable, "-m", "mlpagerank.cli", "solve", "--builtin", "ex1", "--alpha", "0.3"],
+        [sys.executable, "-c", script, json.dumps(CLI_CALLS)],
         capture_output=True, env=env, cwd=os.path.dirname(src), timeout=300,
     )
 
@@ -758,14 +1000,18 @@ def checkout_status(root):
 def test_cli_output_is_the_same_without_a_c_compiler(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.dirname(mlpagerank.__file__)))
     before = checkout_status(root)
-    built = run_cli_solve(tmp_path, os.environ.get("PATH", ""))
+    built = run_cli(tmp_path, os.environ.get("PATH", ""))
     empty = tmp_path / "no-compiler"
     empty.mkdir()
-    fallback = run_cli_solve(tmp_path, str(empty))
+    fallback = run_cli(tmp_path, str(empty))
     assert built.returncode == fallback.returncode == 0
-    # compiler output must not reach the JSON on stdout
+    # compiler output must not reach the JSON on stdout: one JSON line per
+    # solve and perturb, one per compared method
     assert built.stderr == b"" and fallback.stderr == b""
-    assert built.stdout.count(b"\n") == 1 and json.loads(built.stdout)
+    lines = built.stdout.decode().splitlines()
+    assert [line for line in lines if line.startswith("exit")] == ["exit 0"] * len(CLI_CALLS)
+    assert len(lines) == 2 * len(CLI_CALLS) + 1 and all(
+        json.loads(line) for line in lines if not line.startswith("exit"))
     assert fallback.stdout == built.stdout
     if shutil.which("cc") is not None:
         assert len(list((tmp_path / "home" / ".cache" / "mlpagerank").glob("gth-*.so"))) == 1

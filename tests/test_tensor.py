@@ -707,3 +707,22 @@ class TestPageRankTensor:
         got = three_cycle_tensor(Adjacency(matrix=A))
         for name in ("rows", "cols", "vals"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("n", [80, 150])
+    def test_unfolding_is_the_formula_in_one_array(self, n):
+        # the formula's own expression is the oracle; evaluated in place, the
+        # unfolding is the only n^3 array alive
+        A = random_graph(n, n=n, density=8.0 / n)
+        rng = np.random.default_rng(n)
+        v = rng.random(n) + 0.05
+        P = build_pagerank_tensor(Adjacency(matrix=A), v / v.sum(), 0.1)
+        want = (P.nu * (P.S.unfolding() + P.v[:, None] * P.dS.reshape(1, n * n))
+                + (1.0 - P.nu) * np.repeat(P.F, n, axis=1))
+        tracemalloc.start()
+        try:
+            got = P.unfolding()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 1.25 * n ** 3 * 8
