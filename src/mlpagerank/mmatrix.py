@@ -47,8 +47,9 @@ pass and, for a leaf solve, its back-substitution, in one call.  Its pivot
 is the exactly rounded sum that DD.sum takes with math.fsum: the column's
 hi parts, then its lo parts, go into Shewchuk's partials as fsum adds them,
 the partials are rounded as fsum rounds them, and lo is the same partials
-with -hi added, rounded again.  The same library folds pairs for precision
-(dd_fold and dd_fold_runs).  The Python code stays the specification.  It
+with -hi added, rounded again.  The same library folds pairs for
+precision.dd_sum and its segment sums (dd_fold and dd_fold_runs), on terms
+numpy has formed.  The Python code stays the specification.  It
 runs where there is no compiler, and in pairs from the first pivot column
 that has a part that is not finite or a sum that overflows, so that
 math.fsum's NaN, inf, ValueError and OverflowError stand.  Compiled, a NaN
@@ -381,60 +382,42 @@ static pair fold(double *th, double *tl, ptrdiff_t m)
     return (pair){th[0], tl[0]};
 }
 
-/* o[i, j] = the fold over r < m of the terms a[r, i, j], or of the products
-   a[r, i, j] b[r, i, j] if bh is not NULL; strides in doubles, 0 along a
-   broadcast axis; o p x q and contiguous.  t holds 2 m doubles. */
-void dd_fold(ptrdiff_t m, ptrdiff_t p, ptrdiff_t q,
-             const double *ah, const double *al, ptrdiff_t a0, ptrdiff_t a1, ptrdiff_t a2,
-             const double *bh, const double *bl, ptrdiff_t b0, ptrdiff_t b1, ptrdiff_t b2,
+/* o[c] = the fold over r < m of v[r q + c], for each c < q: precision.dd_sum
+   along the first axis of a C-contiguous m x q array.  t holds 2 m doubles. */
+void dd_fold(ptrdiff_t m, ptrdiff_t q, const double *vh, const double *vl,
              double *oh, double *ol, double *t)
 {
-    ptrdiff_t i, j, r;
-    for (i = 0; i < p; i++)
-        for (j = 0; j < q; j++) {
-            pair o;
-            for (r = 0; r < m; r++) {
-                ptrdiff_t a = r * a0 + i * a1 + j * a2, b = r * b0 + i * b1 + j * b2;
-                pair v = {ah[a], al[a]};
-                if (bh) v = dd_mul(v, (pair){bh[b], bl[b]});
-                t[r] = v.hi;
-                t[m + r] = v.lo;
-            }
-            o = fold(t, t + m, m);
-            oh[i * q + j] = o.hi;
-            ol[i * q + j] = o.lo;
+    ptrdiff_t c, r;
+    for (c = 0; c < q; c++) {
+        pair o;
+        for (r = 0; r < m; r++) {
+            t[r] = vh[r * q + c];
+            t[m + r] = vl[r * q + c];
         }
+        o = fold(t, t + m, m);
+        oh[c] = o.hi;
+        ol[c] = o.lo;
+    }
 }
 
-/* o[s] = the fold of the terms in [bounds[s], bounds[s + 1]), 0 for none: v[r],
-   or v[entry[r]] x[index[r]] if entry is not NULL.  t holds 2 terms per term
-   of the longest run.  Returns -1, having stopped, if an entry is not below
-   nv or an index not below nx, else 0. */
-ptrdiff_t dd_fold_runs(ptrdiff_t runs, const ptrdiff_t *bounds,
-                       ptrdiff_t nv, const double *vh, const double *vl, const ptrdiff_t *entry,
-                       ptrdiff_t nx, const double *xh, const double *xl, const ptrdiff_t *index,
-                       double *oh, double *ol, double *t)
+/* o[s] = the fold of v[bounds[s]] .. v[bounds[s + 1] - 1], 0 for none; every
+   bound lies in 0 .. v's length.  t holds 2 doubles per term of the longest
+   run. */
+void dd_fold_runs(ptrdiff_t runs, const ptrdiff_t *bounds, const double *vh,
+                  const double *vl, double *oh, double *ol, double *t)
 {
     ptrdiff_t s, r;
     for (s = 0; s < runs; s++) {
         ptrdiff_t m = bounds[s + 1] - bounds[s];
         pair o = {0.0, 0.0};
         for (r = 0; r < m; r++) {
-            ptrdiff_t e = bounds[s] + r;
-            pair v = {vh[e], vl[e]};
-            if (entry) {
-                ptrdiff_t a = entry[e], b = index[e];
-                if (a < 0 || a >= nv || b < 0 || b >= nx) return -1;
-                v = dd_mul((pair){vh[a], vl[a]}, (pair){xh[b], xl[b]});
-            }
-            t[r] = v.hi;
-            t[m + r] = v.lo;
+            t[r] = vh[bounds[s] + r];
+            t[m + r] = vl[bounds[s] + r];
         }
-        if (m) o = fold(t, t + m, m);
+        if (m > 0) o = fold(t, t + m, m);
         oh[s] = o.hi;
         ol[s] = o.lo;
     }
-    return 0;
 }
 """
 # No contraction into fused multiply-adds and no fast-math: IEEE rounding
@@ -494,8 +477,8 @@ def _load_gth_kernels():
     for name, result, args in (
         ("gth_eliminate", i, (p, i, i, i, p)),
         ("dd_gth_solve", i, (p, p, i, i, i, p, p, p, ctypes.c_int)),
-        ("dd_fold", None, (i, i, i, p, p, i, i, i, p, p, i, i, i, p, p, p)),
-        ("dd_fold_runs", i, (i, p, i, p, p, p, i, p, p, p, p, p, p)),
+        ("dd_fold", None, (i, i, p, p, p, p, p)),
+        ("dd_fold_runs", None, (i, p, p, p, p, p, p)),
     ):
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = args, result

@@ -32,11 +32,10 @@ columns, so a pair solve of n unknowns makes n pair divisions.
 
 Both sums and the leaf run compiled where mmatrix's C library loads, with
 the same bits: a leaf solve is one call of dd_gth_solve, whose pivots are
-math.fsum's exactly rounded sums, dd_sum's fold is dd_fold, which also
-forms the products of @ and of dd_contract_slab as it folds them, and the
-segment sums are dd_fold_runs, which forms dd_contract_sym's products.  The
-Python loops here and in mmatrix are their specification and the fallback
-without a compiler.
+math.fsum's exactly rounded sums, dd_sum's fold is dd_fold, and the segment
+sums are dd_fold_runs.  The products that @, dd_contract_slab and
+dd_contract_sym fold are formed by numpy, as before.  The Python loops here
+and in mmatrix are their specification and the fallback without a compiler.
 
 Each reference step makes one tensor product: the contraction of the step h
 on the Newton-GTH path, which updates C = Bx: + B:x and gives the next
@@ -259,7 +258,7 @@ class DD:
         lhs = self.T if len(self.shape) == 2 else self  # contracted axis first
         lhs_shape = lhs.shape + (1,) * (len(other.shape) - 1)
         rhs_shape = other.shape[:1] + (1,) * (len(lhs.shape) - 1) + other.shape[1:]
-        return dd_sum(lhs.reshape(lhs_shape), other.reshape(rhs_shape))
+        return dd_sum(lhs.reshape(lhs_shape) * other.reshape(rhs_shape))
 
     # the solve of solvers.newton in pairs, looked up when called
     lu_solve = staticmethod(lambda A, b: dd_lu_solve(A, b))
@@ -270,46 +269,32 @@ class DD:
         return f"DD(hi={self.hi!r}, lo={self.lo!r})"
 
 
-def _strides(a, shape):
-    """The strides in entries of the DD a over shape, to which a broadcasts
-    along its axes of length 1, padded to three axes."""
-    strides = [0 if have == 1 else s // 8 for have, s in zip(a.shape, a.hi.strides)]
-    return strides + [0] * (3 - len(strides))
+def _contiguous(a):
+    """The DD a with C-contiguous parts: a itself, or a copy."""
+    return DD(np.ascontiguousarray(a.hi), np.ascontiguousarray(a.lo))
 
 
-def dd_sum(v, w=None):
+def dd_sum(v):
     """Pairwise-fold sum of a DD array along its first axis (deterministic
-    order); with w, of the products v * w, where v and w have as many axes
-    and broadcast along their axes of length 1.
+    order).
 
-    Up to three axes, the fold runs compiled (dd_fold of
-    mmatrix._pair_kernels) with the same bits and forms no product array;
-    the loop below is its specification and the fallback.
+    The fold runs compiled (dd_fold of mmatrix._pair_kernels) with the same
+    bits; the loop below is its specification and the fallback.
     """
-    shape = v.shape
-    if w is not None:
-        w = DD._coerce(w)
-        if len(w.shape) != len(shape):
-            raise ValueError(f"dd_sum of products needs as many axes, got {shape} and {w.shape}")
-        shape = tuple(b if a == 1 else a for a, b in zip(shape, w.shape))
-    m = shape[0] if shape else 1
+    m = len(v.hi)
     if m == 0:
         return DD(0.0)
     kernels = mmatrix._pair_kernels
-    if (kernels is not None and 1 <= len(shape) <= 3 and v.hi.strides == v.lo.strides
-            and (w is None or w.hi.strides == w.lo.strides)):
-        rest = shape[1:]
+    if kernels is not None:
+        v = _contiguous(v)
+        rest = v.shape[1:]
         size = math.prod(rest)
         # the result's two parts, then room for one fold's terms
         buf = np.empty(2 * size + 2 * m)
         at = buf.ctypes.data
-        b = (None, None, 0, 0, 0) if w is None else (
-            w.hi.ctypes.data, w.lo.ctypes.data, *_strides(w, shape))
-        kernels.dd_fold(m, *(rest + (1, 1))[:2], v.hi.ctypes.data, v.lo.ctypes.data,
-                        *_strides(v, shape), *b, at, at + 8 * size, at + 16 * size)
+        kernels.dd_fold(m, size, v.hi.ctypes.data, v.lo.ctypes.data,
+                        at, at + 8 * size, at + 16 * size)
         return DD(buf[:size].reshape(rest), buf[size : 2 * size].reshape(rest))
-    if w is not None:
-        v = v * w
     hi, lo = v.hi.copy(), v.lo.copy()
     while m > 1:
         half = m // 2
@@ -406,46 +391,25 @@ def _dd_column_sums(P):
     return _dd_segment_sums(DD(P.vals[order]), P.cols[order], P.n * P.n)
 
 
-def _contiguous(a):
-    """The DD a with C-contiguous parts: a itself, or a copy."""
-    return DD(np.ascontiguousarray(a.hi), np.ascontiguousarray(a.lo))
-
-
-def _dd_segment_sums(weights, keys, n_keys, gather=None):
+def _dd_segment_sums(weights, keys, n_keys):
     """Sum DD weights into n_keys buckets; keys must be sorted ascending.
 
-    Each bucket's sum is dd_sum of its run, bit for bit.  With gather =
-    (entry, x, index) the terms are the products weights[entry] *
-    x[index].  The runs fold compiled (mmatrix._pair_kernels' dd_fold_runs),
-    which forms no product array; the Python path gathers the runs of one
-    length as the columns of a (length x buckets) matrix, which dd_sum folds
-    along its first axis for all of them at once.
+    Each bucket's sum is dd_sum of its run, bit for bit.  The runs fold
+    compiled (mmatrix._pair_kernels' dd_fold_runs); the Python path gathers
+    the runs of one length as the columns of a (length x buckets) matrix,
+    which dd_sum folds along its first axis for all of them at once.
     """
     bounds = np.searchsorted(keys, np.arange(n_keys + 1))
     kernels = mmatrix._pair_kernels
-    if kernels is not None:
+    # keys longer than weights are left to the Python path, which raises
+    if kernels is not None and len(keys) <= len(weights):
         v = _contiguous(weights)
-        if gather is None:
-            listed, products = len(v), (None, 0, None, None, None)
-        else:
-            entry, x, index = gather
-            entry, index = (np.ascontiguousarray(a, dtype=np.intp) for a in (entry, index))
-            x = _contiguous(x)
-            listed = min(len(entry), len(index))
-            products = (entry.ctypes.data, len(x), x.hi.ctypes.data, x.lo.ctypes.data,
-                        index.ctypes.data)
         # the sums' two parts, then room for the longest run's terms
         buf = np.empty(2 * n_keys + 2 * int(np.diff(bounds).max(initial=0)))
         at = buf.ctypes.data
-        # a run past the listed terms, or an entry or index outside its
-        # array, is left to the Python path, which indexes as numpy does
-        if bounds[-1] <= listed and not kernels.dd_fold_runs(
-                n_keys, bounds.ctypes.data, len(v), v.hi.ctypes.data, v.lo.ctypes.data,
-                *products, at, at + 8 * n_keys, at + 16 * n_keys):
-            return DD(buf[:n_keys], buf[n_keys : 2 * n_keys])
-    if gather is not None:
-        entry, x, index = gather
-        weights = weights[entry] * x[index]
+        kernels.dd_fold_runs(n_keys, bounds.ctypes.data, v.hi.ctypes.data, v.lo.ctypes.data,
+                             at, at + 8 * n_keys, at + 16 * n_keys)
+        return DD(buf[:n_keys], buf[n_keys : 2 * n_keys])
     starts, lengths = bounds[:-1], np.diff(bounds)
     out = DD.zeros(n_keys)
     for m in np.unique(lengths[lengths > 0]):
@@ -477,7 +441,7 @@ def dd_contract_sym(B, x, vals, terms):
     one dd_sum of its terms in the order of `terms`.
     """
     entry, index, key = terms
-    return _dd_segment_sums(vals, key, B.n * B.n, (entry, x, index)).reshape(B.n, B.n)
+    return _dd_segment_sums(vals[entry] * x[index], key, B.n * B.n).reshape(B.n, B.n)
 
 
 def dd_slab(vals, n):
@@ -490,7 +454,7 @@ def dd_slab(vals, n):
 def dd_contract_slab(K, x):
     """dd_contract_sym through the slab K = dd_slab(...): C_ij = sum_k K_kij x_k,
     one dd_sum over k, so n terms per entry where the sparse path sums 2n."""
-    return dd_sum(K, x[:, None, None])
+    return dd_sum(K * x[:, None, None])
 
 
 # ---------------------------------------------------------------------------

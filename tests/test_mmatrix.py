@@ -901,8 +901,8 @@ class TestCompiledPairKernels:
             A, B, x = random_pairs(rng, (4, m)), random_pairs(rng, (m, 5)), random_pairs(rng, m)
             cases = [
                 lambda: dd_sum(v[:, 0, 0]), lambda: dd_sum(v[:, 1]), lambda: dd_sum(v),
-                lambda: dd_sum(v, w), lambda: dd_sum(v, x[:, None, None]),
-                lambda: dd_sum(v[:, :1], w), lambda: dd_sum(v.transpose(0, 2, 1)),
+                lambda: dd_sum(v * w), lambda: dd_sum(v * x[:, None, None]),
+                lambda: dd_sum(v.transpose(0, 2, 1)), lambda: dd_sum(v.reshape(m, 1, 2, 3)),
                 lambda: A @ x, lambda: x @ B, lambda: A @ B, lambda: x @ x,
             ]
             for case in cases:
@@ -911,24 +911,29 @@ class TestCompiledPairKernels:
                     return out.hi, out.lo
                 assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
 
+    def test_mismatched_products_raise_either_way(self, monkeypatch, rng):
+        A, x = random_pairs(rng, (4, 5)), random_pairs(rng, 4)
+        for kernels in (mmatrix._pair_kernels, None):
+            monkeypatch.setattr(mmatrix, "_pair_kernels", kernels)
+            with pytest.raises(ValueError):
+                A @ x
+
     def test_segment_folds_of_every_length_to_70(self, monkeypatch, rng):
         lengths = rng.permutation(np.repeat(np.arange(71), 2))
         keys = np.repeat(np.arange(len(lengths)), lengths)
         weights = random_pairs(rng, len(keys))
+        # dd_contract_sym's form: many more terms than stored values
         vals, x = random_pairs(rng, 50), random_pairs(rng, 9)
-        gather = (rng.integers(0, 50, len(keys)), x, rng.integers(0, 9, len(keys)))
-        # negative indices count from the end, as numpy counts them
-        wrapped = (gather[0] - 50, x, gather[2] - 9)
-        for terms in (None, gather, wrapped):
+        products = vals[rng.integers(0, 50, len(keys))] * x[rng.integers(0, 9, len(keys))]
+        for terms in (weights, products, weights[::-1]):
             def run(terms=terms):
-                out = _dd_segment_sums(weights if terms is None else vals, keys,
-                                       len(lengths) + 3, terms)
+                out = _dd_segment_sums(terms, keys, len(lengths) + 3)
                 return out.hi, out.lo
             assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
         for kernels in (mmatrix._pair_kernels, None):
             monkeypatch.setattr(mmatrix, "_pair_kernels", kernels)
-            with pytest.raises(IndexError):
-                _dd_segment_sums(vals, keys, len(lengths), (gather[0], x, gather[2] + 9))
+            with pytest.raises(IndexError):  # more keys than terms
+                _dd_segment_sums(weights[:-1], keys, len(lengths))
 
     @pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
     def test_references_and_omega_give_the_same_bits(self, monkeypatch, name):
