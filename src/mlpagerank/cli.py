@@ -29,6 +29,8 @@ EXIT_USAGE = 64
 CSV_SCHEMA = "mlpagerank-csv-v1"
 SIZE_HELP = ("its n must leave a dense n x n float64 array (8 n^2 bytes) within "
              "the machine's physical memory")
+CUBE_HELP = ("all n^3 entries of P are formed, so its n must leave a dense n x n x n "
+             "float64 array (8 n^3 bytes) within the machine's physical memory")
 TOL_HELP = ("stop once the max-norm of the binary64 residual a + Bx^2 - x, as the "
             "iteration computes it, is at most TOL (default %(default)s)")
 
@@ -69,15 +71,17 @@ def _read_vector(path):
     return np.array(values)
 
 
-def _add_instance_args(p):
+def _add_instance_args(p, graph_size=SIZE_HELP, tensor_size=SIZE_HELP):
+    """The instance flags; graph_size and tensor_size state the size limit
+    of --graph and --tensor, as _load_problem checks it."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", choices=["intro", "ex1", "ex2"],
                      help="built-in instance")
     src.add_argument("--tensor", metavar="FILE",
-                     help="stochastic tensor in the text format; " + SIZE_HELP)
+                     help="stochastic tensor in the text format; " + tensor_size)
     src.add_argument("--graph", metavar="FILE",
                      help="MatrixMarket adjacency; tensor built via three-cycles; "
-                          + SIZE_HELP)
+                          + graph_size)
     p.add_argument("--v-file", metavar="FILE",
                    help="teleport vector, one value per line (with --tensor)")
     p.add_argument("--v-seed", type=int, default=0,
@@ -92,6 +96,13 @@ def _add_instance_args(p):
 
 
 def _load_problem(args, parser):
+    """The problem the flags name.  A --graph or --tensor n is checked first
+    for the largest dense array the command makes: n x n, or n x n x n where
+    it forms all n^3 entries of P, as compare, perturb and solve --reference
+    do for a graph (their reference stores them) and perturb for a tensor
+    file (its perturbation does)."""
+    graph_power = 2 if args.command == "solve" and not args.reference else 3
+    tensor_power = 3 if args.command == "perturb" else 2
     if not 0.0 < args.alpha < 1.0:
         parser.error(f"alpha must be in (0,1), got {args.alpha}")
     try:
@@ -99,11 +110,11 @@ def _load_problem(args, parser):
             return ingest.builtin(args.builtin, args.alpha, delta=args.delta,
                                   one_minus_two_alpha=args.one_minus_two_alpha)
         if args.tensor:
-            P = tz.read_tensor_text(args.tensor)
+            P = tz.read_tensor_text(args.tensor, tensor_power)
             v = _read_vector(args.v_file) if args.v_file else np.full(P.n, 1.0 / P.n)
             return Problem.from_pagerank(v, P, args.alpha,
                                          one_minus_two_alpha=args.one_minus_two_alpha)
-        _, v, P = _graph_tensor(args)
+        _, v, P = _graph_tensor(args, graph_power)
         return Problem.from_pagerank(v, P, args.alpha,
                                      one_minus_two_alpha=args.one_minus_two_alpha)
     except (ValueError, OSError) as exc:
@@ -184,7 +195,6 @@ def _report_dict(report, problem):
     if report.e_cw_history is not None:
         out["e_cw_final"] = float(report.e_cw_history[-1])
         out["e_norm_final"] = float(report.e_norm_history[-1])
-    if report.max_overshoot is not None:
         out["max_overshoot"] = report.max_overshoot
     if problem.is_pagerank:
         out["alpha"] = problem.alpha
@@ -195,8 +205,7 @@ def cmd_solve(args, parser):
     problem = _load_problem(args, parser)
     method = _parse_method(args.method, parser)
     opts = _options(args, parser, method=method,
-                    start=Start.V if args.start == "v" else Start.ZERO,
-                    record_history=True)
+                    start=Start.V if args.start == "v" else Start.ZERO)
     reference = None
     ref_info = None
     if args.reference:
@@ -337,8 +346,7 @@ def cmd_compare(args, parser):
                for name in args.methods.split(",")]
     stochastic = args.stochastic
     start = Start.V if stochastic else Start.ZERO
-    options = [_options(args, parser, method=m, start=start, record_history=True)
-               for m in methods]
+    options = [_options(args, parser, method=m, start=start) for m in methods]
     ref = _reference(problem, stochastic)
     rows = []
     worst = EXIT_OK
@@ -375,7 +383,8 @@ def _add_solver_args(p, several=False):
     p.add_argument("--tol", type=float, default=1e-15, help=TOL_HELP)
     p.add_argument("--maxit", type=int, default=500)
     p.add_argument("--block-sizes", default=None,
-                   help="comma-separated block sizes for Jacobi methods")
+                   help="comma-separated block sizes for block-jacobi; "
+                        "block-jacobi-gth-variant takes one block")
 
 
 @functools.cache
@@ -387,7 +396,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run one method on one instance")
-    _add_instance_args(p_solve)
+    _add_instance_args(p_solve, graph_size=f"{SIZE_HELP}; with --reference {CUBE_HELP}")
     _add_solver_args(p_solve)
     p_solve.add_argument("--start", choices=["zero", "v"], default="zero")
     p_solve.add_argument("--reference", action="store_true",
@@ -411,7 +420,7 @@ def build_parser():
                     "when done, 2 when a solve hits the iteration limit, 3 when "
                     "a solve fails otherwise, a reference does not converge or "
                     "R_m is singular, 64 on a usage error.")
-    _add_instance_args(p_pert)
+    _add_instance_args(p_pert, graph_size=CUBE_HELP, tensor_size=CUBE_HELP)
     p_pert.add_argument("--epsilon", type=float, required=True,
                         help="relative size of the perturbation, in [0, 0.25)")
     p_pert.add_argument("--trials", type=int, default=100)
@@ -424,10 +433,7 @@ def build_parser():
     p_pert.set_defaults(fn=cmd_perturb)
 
     p_ing = sub.add_parser("ingest", help="graph -> stochastic tensor pipeline")
-    p_ing.add_argument("--graph", required=True,
-                       help="MatrixMarket adjacency; the tensor stores all n^3 entries, "
-                            "so its n must leave a dense n^3 float64 array (8 n^3 bytes) "
-                            "within the machine's physical memory")
+    p_ing.add_argument("--graph", required=True, help="MatrixMarket adjacency; " + CUBE_HELP)
     p_ing.add_argument("--nu", type=float, default=0.1)
     p_ing.add_argument("--v-seed", type=int, default=0)
     p_ing.add_argument("--out-tensor", required=True)
@@ -436,7 +442,7 @@ def build_parser():
     p_ing.set_defaults(fn=cmd_ingest)
 
     p_cmp = sub.add_parser("compare", help="methods vs extended reference")
-    _add_instance_args(p_cmp)
+    _add_instance_args(p_cmp, graph_size=CUBE_HELP)
     _add_solver_args(p_cmp, several=True)
     p_cmp.add_argument("--stochastic", action="store_true",
                        help="start from v, reference the stochastic solution")

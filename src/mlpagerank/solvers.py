@@ -1,14 +1,13 @@
 """Iteration schemes for x = a + Bx^2 and multilinear PageRank.
 
-Five methods run as step functions of one iteration loop, which owns the
+Four methods run as step functions of one iteration loop, which owns the
 stopping test, the histories and the singular-pivot and divergence exits:
-plain fixed-point, Newton with a partial-pivoting solve, and three GTH
-methods run by one driver, _gth_block_jacobi, which differ only in the
-column-sum level of their triplet solves: the subtraction-free Newton-GTH
-(Newton's z), the GTH block Jacobi (the exact block level u; Newton-GTH is
-its one-block case), and the block Jacobi-GTH variant (Newton's z with a
-correction d = u - z beside it, for cheaper, faster, non-monotone steps;
-with one block it is Newton-GTH).
+plain fixed-point, Newton with a partial-pivoting solve, and two GTH methods
+run by one driver, _gth_block_jacobi, which differ only in the column-sum
+level of their triplet solves: the subtraction-free Newton-GTH (Newton's z)
+and the GTH block Jacobi (the exact block level u; Newton-GTH is its
+one-block case).  The block Jacobi-GTH variant is a fifth name for
+Newton-GTH: with one block, the only form it takes, it is Newton-GTH.
 
 Every GTH step solves its column triplets with mmatrix.gth_col_solve: one
 elimination pass over the matrix with its column sums as the last row and
@@ -19,12 +18,12 @@ runs compiled (mmatrix._GTH_C), with the bits of its Python statement.
 Every method makes one tensor product per step, Problem.contract, which
 gives the Jacobian part C = Bx: + B:x; Bx^2 = C x / 2 comes from the same C,
 the halving exact.  Fixed-point and Newton contract the new iterate and
-carry its C (or a + Bx^2) into the next step.  The three GTH methods never
+carry its C (or a + Bx^2) into the next step.  The GTH methods never
 contract the iterate: they carry C_k from C_0 = 0 at x_0 = 0 as
 C_{k+1} = C_k + G with G the contraction of the step h, and take the next
 residual's Bh^2 = G h / 2 from the same G.  The steps of Newton-GTH and
 block Jacobi are nonnegative, so these updates add nonnegative terms only
-and stay subtraction-free; the variant's need not be.
+and stay subtraction-free.
 
 The iterations run in the arithmetic of the problem's a.  On a Problem that
 is binary64 throughout, stopping tests and right-hand sides included, since
@@ -183,13 +182,21 @@ class Problem:
 
 @dataclass
 class SolverOptions:
+    """What solve() runs: the method, its stopping rule and its start.
+
+    A run stops once the max-norm of its binary64 residual is at most tol,
+    or after maxit steps.  block_sizes partitions the unknowns for
+    block_jacobi (None is one block); block_jacobi_gth_variant takes one
+    block only, and the other methods ignore it.  x0 is the start of
+    Start.CUSTOM.  Every run keeps all its iterates (SolveReport.iterate_history).
+    """
+
     method: Method = Method.NEWTON_GTH
     tol: float = 1e-15
     maxit: int = 500
     block_sizes: tuple[int, ...] | None = None
     start: Start = Start.ZERO
     x0: np.ndarray | None = None
-    record_history: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.tol < np.inf:
@@ -205,7 +212,7 @@ class SolveReport:
     iterations: int
     termination: Termination
     residual_history: np.ndarray
-    iterate_history: list[np.ndarray] | None = None
+    iterate_history: list[np.ndarray]
     z_history: np.ndarray | None = None
     e_cw_history: np.ndarray | None = None
     e_norm_history: np.ndarray | None = None
@@ -258,21 +265,17 @@ def _norm_inf(v):
     return float(abs(v).max()) if len(v) else 0.0
 
 
-def _too_large(x):
-    return _norm_inf(x) > DIVERGENCE_LIMIT
-
-
-def _iterate(method, opts, x, r, z, step, diverged=_too_large):
+def _iterate(method, opts, x, r, z, step):
     """The iteration loop of every method, with its stopping rules and records.
 
     step(x, r, z) maps an iterate, its residual and its column-sum level z
     (None for the methods without one) to the next three.  A step raises
     SingularPivotError where it cannot go on, and the run then ends at the
-    iterate that step was given.  After each step, diverged(x) decides
-    whether the run ends DIVERGED.
+    iterate that step was given.  A run ends DIVERGED once an iterate's
+    max-norm exceeds DIVERGENCE_LIMIT.  Every iterate is kept, x_0 included.
     """
     res_hist = [_norm_inf(r)]
-    iter_hist = [x.copy()] if opts.record_history else None
+    iter_hist = [x.copy()]
     z_hist = None if z is None else [float(z)]
     iterations = 0
     while res_hist[-1] > opts.tol and iterations < opts.maxit:
@@ -283,11 +286,10 @@ def _iterate(method, opts, x, r, z, step, diverged=_too_large):
             break
         iterations += 1
         res_hist.append(_norm_inf(r))
-        if iter_hist is not None:
-            iter_hist.append(x.copy())
+        iter_hist.append(x.copy())
         if z_hist is not None:
             z_hist.append(float(z))
-        if diverged(x):
+        if _norm_inf(x) > DIVERGENCE_LIMIT:
             termination = Termination.DIVERGED
             break
     else:
@@ -441,7 +443,7 @@ def block_jacobi(problem, opts):
 
 
 def _gth_block_jacobi(problem, opts, method, block_sizes):
-    """The driver of the three GTH methods, and of the pair reference.
+    """The driver of the GTH methods, and of the pair reference.
 
     From start ZERO it takes x_0 = 0, C_0 = 0, r_0 = a and u_0 = 1 with no
     product.  From another start, which only precision.reference_solution
@@ -449,17 +451,10 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
     Each step contracts once, G = alpha (Ph: + P:h).  Values follow the
     arithmetic of problem.a: binary64 ndarrays or precision.DD pairs.
 
-    The level of the triplet solve follows one of three rules: Newton's z
-    (one block, where N = 0), block Jacobi's u, or the variant's z with the
-    correction d = u - z beside it.  The variant solves T h = r + d x, takes
-    r <- Bh^2 + N h - d x_{k+1} and d <- theta d_C + (1 - theta) d_A, where
-    d_C follows u = 1 - 2 alpha 1^T x directly, d_A eliminates 1^T h through
-    the column sums of the solve, and theta = c / (c + z) with
-    c = 2 alpha 1^T N x_k.  With one block d stays 0: the variant is
-    Newton-GTH, and only it ends DIVERGED on an iterate with a negative entry.
+    The level of the triplet solve is block Jacobi's u, which with one
+    block, where N = 0, is Newton's z.
     """
     slices = _block_slices(problem.n, block_sizes)
-    variant = method is Method.BLOCK_JACOBI_GTH_VARIANT
     omt = problem.one_minus_two_alpha
     omt_sq = omt * omt
     alpha = problem.alpha
@@ -469,15 +464,12 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
     else:
         r, C = _residual_and_jacobian(problem, x)
         u = 1.0 - 2.0 * alpha * x.sum()
-    d = 0.0
 
     def step(x, r, z):
-        nonlocal C, d
+        nonlocal C
         # one block has N = 0, whose terms would add exact zeros: skip them
         N = _offblock(C, slices) if len(slices) > 1 else None
         col_n = _zeros(r, problem.n) if N is None else N.sum(axis=0)
-        if N is not None and variant:
-            r = r + d * x
         h = _gth_sweep(C, slices, z, col_n, r)
         top = z * z + omt_sq
         G = problem.contract(h)
@@ -485,47 +477,25 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
         r = 0.5 * (G @ h)
         if N is not None:
             r = r + N @ h
-            if variant:
-                r = r - d * (x + h)
-                c = 2.0 * alpha * (col_n @ x)
-                theta = c / (c + z)
-                d_c = d + (z * z - omt_sq) / (2.0 * z) - 2.0 * alpha * h.sum()
-                d_a = (4.0 * alpha * (col_n @ h) - d * (2.0 - (z + d) - z)) / (2.0 * z)
-                d = theta * d_c + (1.0 - theta) * d_a
-            else:
-                top = top + 4.0 * alpha * (col_n @ h)
+            top = top + 4.0 * alpha * (col_n @ h)
         return x + h, r, top / (2.0 * z)
 
-    def diverged(x):
-        # the variant's steps are not monotone and can leave the nonnegative
-        # cone, where the triplet representation exists
-        return _too_large(x) or (variant and (x < 0.0).any())
-
-    return _iterate(method, opts, x, r, u, step, diverged)
+    return _iterate(method, opts, x, r, u, step)
 
 
 def block_jacobi_gth_variant(problem, opts):
-    """Block Jacobi-GTH variant: Newton's z-recurrence in the block triplet.
+    """Block Jacobi-GTH variant with one block: Newton-GTH under its own name.
 
-    Each sweep solves T_k x_{k+1} = N x_k + (1-alpha) v - alpha P x_k^2,
-    where T_k has the block off-diagonals and column sums z + 1^T N, in the
-    incremental form of _gth_block_jacobi.  The smaller z (z <= u) lengthens
-    the steps towards the minimal solution, trading the monotonicity
-    guarantee for near-Newton convergence speed; overshoot is recorded by
-    solve() when a reference is available, never raised.  A run whose
-    iterate leaves the nonnegative cone ends DIVERGED.  With one block it is
-    Newton-GTH bit for bit.
-
-    Known to fail on common inputs with several blocks, where an iterate
-    often leaves the nonnegative cone: on ex2 with blocks (2,2) and (1,3)
-    and on intro with blocks (1,1) at every alpha of 0.3, 0.49999, 0.5 and
-    0.6, and on ex1 with (1,3) at 0.49999 and 0.5.  block_jacobi with blocks
-    (1,1) on intro and (2,2) on ex2 converges at all of these but ex2 at
-    0.5.  ex1 with (2,2) at 0.49999 ends TOL_REACHED at iteration 351.
+    With one block the variant's correction d = u - z to Newton's level is
+    0, so it runs _gth_block_jacobi as Newton-GTH, bit for bit, and reports
+    Method.BLOCK_JACOBI_GTH_VARIANT.  opts.block_sizes may be None or one
+    block; several blocks raise ValueError (block_jacobi takes them).
     """
     _require_pagerank_from_zero(problem, opts, "block_jacobi_gth_variant")
-    return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI_GTH_VARIANT,
-                             opts.block_sizes)
+    if len(_block_slices(problem.n, opts.block_sizes)) > 1:
+        raise ValueError("block_jacobi_gth_variant takes one block, got block sizes "
+                         f"{tuple(opts.block_sizes)}; block_jacobi takes several")
+    return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI_GTH_VARIANT, None)
 
 
 _DISPATCH = {
@@ -541,26 +511,20 @@ def solve(problem, opts, reference=None):
     """Dispatch on opts.method; attach error histories when a reference is given.
 
     `reference` is the solution vector the errors are measured against (for
-    instance from precision.reference_solution).  Per-iterate componentwise
-    and normwise errors need record_history=True; the overshoot of the
-    non-monotone variant is recorded as max over iterates of max(x_k - ref).
+    instance from precision.reference_solution).  Every iterate gets its
+    componentwise and normwise error, and max_overshoot is the max over
+    iterates of max(x_k - ref).
     """
-    fn = _DISPATCH[opts.method]
-    report = fn(problem, opts)
+    report = _DISPATCH[opts.method](problem, opts)
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64)
-        if report.iterate_history is not None:
-            e_cw = []
-            e_norm = []
-            nz = ref != 0.0
-            for xk in report.iterate_history:
-                e_cw.append(float(np.max(np.abs(xk - ref)[nz] / np.abs(ref)[nz])))
-                e_norm.append(float(np.linalg.norm(xk - ref) / np.linalg.norm(ref)))
-            report.e_cw_history = np.array(e_cw)
-            report.e_norm_history = np.array(e_norm)
-            report.max_overshoot = float(
-                max(np.max(xk - ref) for xk in report.iterate_history)
-            )
-        else:
-            report.max_overshoot = float(np.max(report.x - ref))
+        e_cw = []
+        e_norm = []
+        nz = ref != 0.0
+        for xk in report.iterate_history:
+            e_cw.append(float(np.max(np.abs(xk - ref)[nz] / np.abs(ref)[nz])))
+            e_norm.append(float(np.linalg.norm(xk - ref) / np.linalg.norm(ref)))
+        report.e_cw_history = np.array(e_cw)
+        report.e_norm_history = np.array(e_norm)
+        report.max_overshoot = float(max(np.max(xk - ref) for xk in report.iterate_history))
     return report

@@ -451,16 +451,17 @@ def check_dense_fits(n, where, power=2):
                          f"{memory} bytes of physical memory")
 
 
-def read_tensor_text(path):
+def read_tensor_text(path, power=2):
     """Read the tensor text format: header ``n nnz`` then ``i j k value`` lines.
 
-    n is checked against physical memory first (check_dense_fits)."""
+    n is checked first for a dense array of n**power entries, the largest
+    the caller makes of the tensor (check_dense_fits)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             n, nnz = map(int, fh.readline().split())
         except ValueError:
             raise ValueError(f"{path}:1: expected header 'n nnz'") from None
-        check_dense_fits(n, f"{path}:1")
+        check_dense_fits(n, f"{path}:1", power)
         entries = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()

@@ -1,14 +1,22 @@
 """Command-line exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlpagerank import (
     Method,
+    PageRankTensor,
     Tensor3,
+    Termination,
     build_pagerank_tensor,
     cli,
     precision,
@@ -77,6 +85,31 @@ def test_variant_with_one_block_solves_as_newton_gth(name, alpha, capsys):
     assert xs[0] == xs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", *EX1, "--method", "block-jacobi-gth-variant"],
+    ["compare", *EX1, "--methods", "newton-gth,block-jacobi-gth-variant"],
+    ["perturb", *EX1, "--epsilon", "1e-8", "--trials", "2",
+     "--method", "block-jacobi-gth-variant"],
+], ids=["solve", "compare", "perturb"])
+def test_the_variant_takes_one_block(argv, capsys):
+    assert exit_code([*argv, "--block-sizes", "4"]) == EXIT_OK
+    capsys.readouterr()
+    assert exit_code([*argv, "--block-sizes", "2,2"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "error: block_jacobi_gth_variant takes one block, got block sizes (2, 2); "
+        "block_jacobi takes several\n")
+
+
+def test_every_termination_has_its_exit_code():
+    # no CLI input reaches DIVERGED, so its exit code is checked here
+    assert {t: cli._termination_exit(t) for t in Termination} == {
+        Termination.TOL_REACHED: EXIT_OK,
+        Termination.MAXIT: EXIT_MAXIT,
+        Termination.SINGULAR_PIVOT: EXIT_NUMERICAL,
+        Termination.DIVERGED: EXIT_NUMERICAL,
+    }
+
+
 def test_the_parser_is_built_once_and_keeps_no_flags():
     parser = cli.build_parser()
     assert cli.build_parser() is parser
@@ -107,14 +140,14 @@ def perturb_args(name, alpha, *extra, epsilon="1e-8"):
     (perturb_args("ex2", "0.6", "--method", "newton", "--maxit", "1"), EXIT_MAXIT,
      "newton on the unperturbed problem ended maxit", None),
     (perturb_args("intro", "0.3", "--method", "block-jacobi-gth-variant",
-                  "--block-sizes", "1,1"), EXIT_NUMERICAL,
-     "block-jacobi-gth-variant on the unperturbed problem ended diverged", None),
+                  "--block-sizes", "1,1"), EXIT_USAGE,
+     "block_jacobi_gth_variant takes one block, got block sizes (1, 1)", None),
     (perturb_args("ex1", "0.3", "--reference"), EXIT_NUMERICAL,
      "extended-precision reference of the unperturbed problem did not converge", 0),
     (perturb_args("ex1", "0.5"), EXIT_NUMERICAL, "R_m is singular", None),
     (perturb_args("ex1", "0.5", "--reference"), EXIT_NUMERICAL, "R_m is singular", None),
 ], ids=["epsilon-large", "epsilon-negative", "epsilon-nan", "fixed-point-maxit",
-        "newton-maxit", "variant-diverged", "reference-unconverged", "singular-rm",
+        "newton-maxit", "variant-two-blocks", "reference-unconverged", "singular-rm",
         "singular-rm-reference"])
 def test_perturb_failures_exit_with_a_message(argv, code, message, reference_maxit,
                                               capsys, monkeypatch):
@@ -442,7 +475,92 @@ def test_an_empty_graph_is_a_usage_error(argv, tmp_path, capsys):
     assert out == ""
 
 
+def n_whose_cube_exceeds_memory():
+    """The least n whose dense n x n x n float64 array exceeds physical
+    memory; its n x n one fits.  None where os.sysconf cannot tell the memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    n = int((memory / 8) ** (1 / 3)) - 2
+    while 8 * n ** 3 <= memory:
+        n += 1
+    assert 8 * n * n <= memory
+    return n
+
+
+@pytest.mark.parametrize("command,flag,extra", [
+    ("compare", "--graph", ["--methods", "newton-gth"]),
+    ("solve", "--graph", ["--reference"]),
+    ("perturb", "--graph", ["--epsilon", "1e-8"]),
+    ("perturb", "--tensor", ["--epsilon", "1e-8"]),
+], ids=["compare-graph", "solve-reference-graph", "perturb-graph", "perturb-tensor"])
+def test_a_command_that_forms_p_checks_n_cubed_first(command, flag, extra, tmp_path,
+                                                     monkeypatch, capsys):
+    n = n_whose_cube_exceeds_memory()
+    if n is None:
+        pytest.skip("os.sysconf cannot tell the physical memory")
+
+    def forbidden(self):
+        raise AssertionError("the n^3 entries of P were formed")
+
+    # were the size line let through, these would fill the memory
+    monkeypatch.setattr(PageRankTensor, "unfolding", forbidden)
+    monkeypatch.setattr(Tensor3, "unfolding", forbidden)
+    path = tmp_path / "in.txt"
+    if flag == "--graph":
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n% c\n"
+                        f"{n} {n} 3\n1 2\n2 3\n3 1\n")
+        where = 3
+    else:
+        path.write_text(f"{n} 1\n1 1 1 1.0\n")
+        where = 1
+    tracemalloc.start()
+    try:
+        code = exit_code([command, flag, str(path), "--alpha", "0.3", *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1].startswith(
+        f"error: {path}:{where}: n = {n} needs {8 * n ** 3} bytes for a dense n x n x n "
+        "float64 array, more than the ")
+    assert out == ""
+    assert peak < n * n  # not one byte an entry of an n x n array
+
+
 def test_the_size_limit_is_in_the_help():
     for command in ("solve", "perturb", "compare", "ingest"):
         sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
-        assert "physical memory" in " ".join(sub.format_help().split())
+        text = " ".join(sub.format_help().split())
+        assert "physical memory" in text
+        assert "(8 n^3 bytes)" in text
+
+
+METHOD_NAMES = [m.value for m in Method] + ["gauss-seidel"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["solve", "compare"]),
+       name=st.sampled_from(["intro", "ex1", "ex2"]),
+       methods=st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=3),
+       blocks=st.sampled_from([None, "4", "2,2", "1,3", "1,1", "0,4", "a,b", ""]),
+       alpha=st.sampled_from(["0.3", "0.49999", "0.5", "0.6", "0", "1", "-1", "nan", "inf"]),
+       tol=st.sampled_from(["0", "1e-15", "-1", "nan"]),
+       maxit=st.sampled_from(["-1", "0", "1", "50", "500"]))
+def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, methods, blocks,
+                                                           alpha, tol, maxit):
+    argv = [command, "--builtin", name, f"--alpha={alpha}", f"--tol={tol}",
+            f"--maxit={maxit}"]
+    argv += ["--method", methods[0]] if command == "solve" else ["--methods", ",".join(methods)]
+    if blocks is not None:
+        argv.append(f"--block-sizes={blocks}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)  # any exception but SystemExit fails the test
+    assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
+    for line in out.getvalue().splitlines():
+        json.loads(line)
+    if code == EXIT_USAGE:
+        assert [line.startswith("error: ") for line in err.getvalue().splitlines()].count(True) == 1

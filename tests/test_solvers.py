@@ -87,7 +87,7 @@ def counted_solve(monkeypatch, p, o):
 
 def assert_one_contraction_per_iterate(monkeypatch, p, method):
     """One Problem.contract per iterate, of that iterate."""
-    rep, calls = counted_solve(monkeypatch, p, opts(method, record_history=True))
+    rep, calls = counted_solve(monkeypatch, p, opts(method))
     assert len(calls) == rep.iterations + 1
     for got, xk in zip(calls, rep.iterate_history, strict=True):
         assert got.tobytes() == xk.tobytes()
@@ -95,7 +95,7 @@ def assert_one_contraction_per_iterate(monkeypatch, p, method):
 
 def assert_one_contraction_per_step(monkeypatch, p, method, block_sizes=None):
     """One Problem.contract per step, of that step: x_k + g_k is x_{k+1}."""
-    o = opts(method, block_sizes=block_sizes, record_history=True)
+    o = opts(method, block_sizes=block_sizes)
     rep, calls = counted_solve(monkeypatch, p, o)
     assert len(calls) == rep.iterations
     hist = rep.iterate_history
@@ -107,8 +107,7 @@ def assert_one_contraction_per_step(monkeypatch, p, method, block_sizes=None):
     (Method.NEWTON_GTH, None),
     (Method.BLOCK_JACOBI, (2, 2)),
     (Method.BLOCK_JACOBI_GTH_VARIANT, None),
-    (Method.BLOCK_JACOBI_GTH_VARIANT, (2, 2)),
-], ids=["newton-gth", "block-jacobi", "variant-one-block", "variant"])
+], ids=["newton-gth", "block-jacobi", "variant-one-block"])
 def test_gth_methods_contract_each_step_once(monkeypatch, method, block_sizes):
     assert_one_contraction_per_step(monkeypatch, ex1(0.3), method, block_sizes)
 
@@ -178,7 +177,7 @@ class TestFixedPoint:
 
     def test_monotone_iterates(self, rng):
         p = random_pagerank_problem(rng, 5, 0.45)
-        rep = solve(p, opts(Method.FIXED_POINT, record_history=True, maxit=200))
+        rep = solve(p, opts(Method.FIXED_POINT, maxit=200))
         hist = rep.iterate_history
         for prev, cur in zip(hist, hist[1:]):
             assert np.min(cur - prev) >= -1e-15
@@ -250,7 +249,7 @@ class TestNewtonGTH:
 
     def test_z_tracks_iterate_sums_at_moderate_alpha(self):
         p = ex1(0.3)
-        rep = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        rep = solve(p, opts(Method.NEWTON_GTH))
         for xk, zk in zip(rep.iterate_history, rep.z_history):
             assert abs(zk - (1.0 - 2.0 * 0.3 * xk.sum())) <= 1e-12
 
@@ -302,7 +301,7 @@ class TestAccuracyContract:
     def test_generated_dense_above_the_block_size(self, alpha):
         # n = 2 GTH_BLOCK + 1: every step's solve takes the blocked path
         p = dense_problem(4, alpha, n=2 * GTH_BLOCK + 1)
-        rep = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        rep = solve(p, opts(Method.NEWTON_GTH))
         assert rep.termination is Termination.TOL_REACHED
         assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
         hist = rep.iterate_history
@@ -318,7 +317,7 @@ class TestAccuracyContract:
         v = random_teleport_vector(n, n)
         P = build_pagerank_tensor(Adjacency(matrix=upper | upper.T), v, 0.1)
         p = Problem.from_pagerank(v, P, float(alpha), one_minus_two_alpha=exact_omt(alpha))
-        rep = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        rep = solve(p, opts(Method.NEWTON_GTH))
         assert rep.termination is Termination.TOL_REACHED
         assert cw_err(rep.x, reference_solution(p, MINIMAL).x) <= 2 * p.n * U
         hist = rep.iterate_history
@@ -334,10 +333,10 @@ class TestBlockJacobi:
             p = dense_problem(7, alpha)
         else:
             p = builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha))
-        ng = solve(p, opts(Method.NEWTON_GTH, record_history=True))
+        ng = solve(p, opts(Method.NEWTON_GTH))
         assert ng.termination is Termination.TOL_REACHED
         for method in (Method.BLOCK_JACOBI, Method.BLOCK_JACOBI_GTH_VARIANT):
-            one = solve(p, opts(method, record_history=True))
+            one = solve(p, opts(method))
             assert one.termination is ng.termination
             assert one.iterations == ng.iterations
             assert one.x.tobytes() == ng.x.tobytes()
@@ -365,8 +364,8 @@ class TestBlockJacobi:
 
     def test_one_block_equals_newton(self):
         p = ex1(0.3)
-        bj = solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,), record_history=True))
-        nw = solve(p, opts(Method.NEWTON, record_history=True))
+        bj = solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(4,)))
+        nw = solve(p, opts(Method.NEWTON))
         for xb, xn in zip(bj.iterate_history, nw.iterate_history):
             assert np.max(np.abs(xb - xn)) <= 1e-14
 
@@ -382,8 +381,8 @@ class TestBlockJacobi:
     def test_iterates_below_newton(self):
         p = ex1(0.3)
         bj = solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(2, 2),
-                           record_history=True, maxit=60, tol=0.0))
-        nw = solve(p, opts(Method.NEWTON, record_history=True, maxit=60, tol=0.0))
+                           maxit=60, tol=0.0))
+        nw = solve(p, opts(Method.NEWTON, maxit=60, tol=0.0))
         shared = min(len(bj.iterate_history), len(nw.iterate_history))
         for k in range(shared):
             assert np.max(bj.iterate_history[k] - nw.iterate_history[k]) <= 1e-14
@@ -484,42 +483,10 @@ class TestBlockJacobiVariant:
     def test_one_block_matches_newton_gth_at_alpha_half(self):
         p = ex1(0.5)
         var = solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(4,),
-                            record_history=True, tol=0.0, maxit=30))
-        ng = solve(p, opts(Method.NEWTON_GTH, record_history=True, tol=0.0, maxit=30))
+                            tol=0.0, maxit=30))
+        ng = solve(p, opts(Method.NEWTON_GTH, tol=0.0, maxit=30))
         for xv, xn in zip(var.iterate_history, ng.iterate_history):
             assert np.max(np.abs(xv - xn)) <= 1e-14
-
-    def test_faster_than_plain_block_jacobi_near_half(self):
-        p = ex1(0.499999999999999)
-        var = solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(2, 2),
-                            maxit=2000))
-        bj = solve(p, opts(Method.BLOCK_JACOBI, block_sizes=(2, 2), maxit=2000))
-        assert var.termination is Termination.TOL_REACHED
-        assert var.final_residual <= 1e-15
-        assert var.iterations < bj.iterations
-
-    def test_agrees_with_newton_gth_stagnation(self):
-        # run both to stagnation; agreement is limited by the reference-level
-        # ambiguity of the near-singular instance (~1e-13)
-        p = ex1(0.499999999999999)
-        var = solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(2, 2),
-                            maxit=2000))
-        ng = solve(p, opts(Method.NEWTON_GTH, tol=0.0, maxit=500))
-        assert cw_err(var.x, ng.x) <= 1e-11
-
-    def test_leaves_the_cone_on_ex2_with_two_blocks(self):
-        rep = solve(ex2(0.3), opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(2, 2)))
-        assert rep.termination is Termination.DIVERGED
-        assert rep.iterations == 32
-        assert (rep.x < 0.0).any()
-
-    def test_overshoot_recorded_not_fatal(self):
-        p = ex1(0.499999999999999)
-        ref = reference_solution(p, MINIMAL)
-        rep = solve(p, opts(Method.BLOCK_JACOBI_GTH_VARIANT, block_sizes=(2, 2),
-                            maxit=2000, record_history=True), reference=ref.x)
-        assert rep.termination is Termination.TOL_REACHED
-        assert rep.max_overshoot is not None
 
 
 class TestSolveDispatch:
@@ -536,10 +503,11 @@ class TestSolveDispatch:
     def test_reference_errors_attached(self):
         p = ex1(0.3)
         ref = reference_solution(p, MINIMAL)
-        rep = solve(p, opts(Method.NEWTON_GTH, record_history=True), reference=ref.x)
+        rep = solve(p, opts(Method.NEWTON_GTH), reference=ref.x)
         assert rep.e_cw_history is not None
         assert rep.e_cw_history[-1] <= 1e-12
         assert rep.e_norm_history[-1] <= rep.e_cw_history[-1] + 1e-18
+        assert rep.max_overshoot is not None
 
     def test_cross_method_agreement(self):
         p = ex1(0.3)
@@ -549,7 +517,6 @@ class TestSolveDispatch:
             (Method.NEWTON, {}),
             (Method.NEWTON_GTH, {}),
             (Method.BLOCK_JACOBI, {"block_sizes": (2, 2), "maxit": 500}),
-            (Method.BLOCK_JACOBI_GTH_VARIANT, {"block_sizes": (2, 2), "maxit": 500}),
         ]:
             rep = solve(p, opts(method, **kw))
             assert cw_err(rep.x, ref.x) <= 1e-10, method
@@ -578,7 +545,7 @@ def test_nonnegative_residual_path(rng):
         (Method.NEWTON_GTH, {}),
         (Method.BLOCK_JACOBI, {"block_sizes": (3, 3), "maxit": 300}),
     ]:
-        rep = solve(p, opts(method, record_history=True, **kw))
+        rep = solve(p, opts(method, **kw))
         assert rep.termination is Termination.TOL_REACHED
         for xk in rep.iterate_history:
             assert np.min(residual(p, xk)) >= -1e-15
@@ -636,7 +603,7 @@ def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
 ], ids=["newton-gth", "block-jacobi-15-15", "newton"])
 @pytest.mark.parametrize("alpha", ["0.3", "0.49", "0.6"])
 def test_slab_and_csr_products_solve_bit_for_bit(monkeypatch, method, block_sizes, alpha):
-    o = opts(method, block_sizes=block_sizes, record_history=True)
+    o = opts(method, block_sizes=block_sizes)
     p = dense_problem(11, alpha)
     assert p.p_tensor.nnz == 30 ** 3
     slab = solve(p, o)

@@ -204,7 +204,7 @@ def full_tensor(rng, n):
 
 
 def mixed_x(rng, n):
-    """Mixed scales and signs: the variant's steps can be negative."""
+    """Mixed scales and signs: plain Newton's steps can be negative."""
     return rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n) * rng.choice([-1.0, 1.0], n)
 
 
