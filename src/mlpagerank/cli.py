@@ -19,7 +19,8 @@ import numpy as np
 from . import analysis, ingest, precision
 from . import tensor as tz
 from .mmatrix import SingularPivotError
-from .solvers import Method, Problem, SolverOptions, Start, Termination, solve
+from .solvers import (Method, Problem, SolverOptions, Start, Termination, check_options,
+                      solve)
 
 EXIT_OK = 0
 EXIT_MAXIT = 2
@@ -157,6 +158,15 @@ def _options(args, parser, **kwargs):
         parser.error(str(exc))
 
 
+def _check_options(problem, options, parser):
+    """Each run's usage errors, before a reference is computed or a line printed."""
+    for opts in options:
+        try:
+            check_options(problem, opts)
+        except ValueError as exc:
+            parser.error(str(exc))
+
+
 def _fail(code, message):
     sys.stderr.write(f"error: {message}\n")
     sys.exit(code)
@@ -206,6 +216,7 @@ def cmd_solve(args, parser):
     method = _parse_method(args.method, parser)
     opts = _options(args, parser, method=method,
                     start=Start.V if args.start == "v" else Start.ZERO)
+    _check_options(problem, [opts], parser)
     reference = None
     ref_info = None
     if args.reference:
@@ -216,10 +227,7 @@ def cmd_solve(args, parser):
             "reference_iterations": ref.iterations,
             "reference_decimal": ref.decimal_strings(),
         }
-    try:
-        report = solve(problem, opts, reference=reference)
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = solve(problem, opts, reference=reference)
     payload = _report_dict(report, problem)
     if ref_info:
         payload.update(ref_info)
@@ -347,14 +355,12 @@ def cmd_compare(args, parser):
     stochastic = args.stochastic
     start = Start.V if stochastic else Start.ZERO
     options = [_options(args, parser, method=m, start=start) for m in methods]
+    _check_options(problem, options, parser)
     ref = _reference(problem, stochastic)
     rows = []
     worst = EXIT_OK
     for method, opts in zip(methods, options):
-        try:
-            report = solve(problem, opts, reference=ref.x)
-        except ValueError as exc:
-            parser.error(str(exc))
+        report = solve(problem, opts, reference=ref.x)
         worst = max(worst, _termination_exit(report.termination))
         for k in range(len(report.residual_history)):
             rows.append((

@@ -347,11 +347,24 @@ def newton(problem, opts):
     return _iterate(Method.NEWTON, opts, x, r, None, step)
 
 
-def _require_pagerank_from_zero(problem, opts, name):
+def _check_gth(problem, opts, method):
+    """ValueError where a GTH method cannot run, named by its function.
+
+    Every GTH method needs a PageRank problem and start ZERO.  block_jacobi
+    needs block sizes that partition n, and the variant one block of them;
+    newton_gth ignores them.
+    """
+    name = method.name.lower()
     if not problem.is_pagerank:
         raise ValueError(f"{name} needs a PageRank problem")
     if opts.start is not Start.ZERO:
         raise ValueError(f"{name} targets the minimal solution; use start=ZERO")
+    if method is Method.NEWTON_GTH:
+        return
+    slices = _block_slices(problem.n, opts.block_sizes)
+    if method is Method.BLOCK_JACOBI_GTH_VARIANT and len(slices) > 1:
+        raise ValueError("block_jacobi_gth_variant takes one block, got block sizes "
+                         f"{tuple(opts.block_sizes)}; block_jacobi takes several")
 
 
 def _block_slices(n, block_sizes):
@@ -423,7 +436,7 @@ def newton_gth(problem, opts):
     This is block_jacobi with a single block, where N = 0 turns the
     u-recurrence into the z-recurrence; opts.block_sizes is ignored.
     """
-    _require_pagerank_from_zero(problem, opts, "newton_gth")
+    _check_gth(problem, opts, Method.NEWTON_GTH)
     return _gth_block_jacobi(problem, opts, Method.NEWTON_GTH, None)
 
 
@@ -438,7 +451,7 @@ def block_jacobi(problem, opts):
     C_{k+1} = C_k + G with G = alpha (Ph: + P:h) from one contract_sym, and
     Bh^2 = G h / 2; h >= 0 keeps both updates subtraction-free.
     """
-    _require_pagerank_from_zero(problem, opts, "block_jacobi")
+    _check_gth(problem, opts, Method.BLOCK_JACOBI)
     return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI, opts.block_sizes)
 
 
@@ -491,10 +504,7 @@ def block_jacobi_gth_variant(problem, opts):
     Method.BLOCK_JACOBI_GTH_VARIANT.  opts.block_sizes may be None or one
     block; several blocks raise ValueError (block_jacobi takes them).
     """
-    _require_pagerank_from_zero(problem, opts, "block_jacobi_gth_variant")
-    if len(_block_slices(problem.n, opts.block_sizes)) > 1:
-        raise ValueError("block_jacobi_gth_variant takes one block, got block sizes "
-                         f"{tuple(opts.block_sizes)}; block_jacobi takes several")
+    _check_gth(problem, opts, Method.BLOCK_JACOBI_GTH_VARIANT)
     return _gth_block_jacobi(problem, opts, Method.BLOCK_JACOBI_GTH_VARIANT, None)
 
 
@@ -507,24 +517,32 @@ _DISPATCH = {
 }
 
 
+def check_options(problem, opts):
+    """Raise the ValueError that solve(problem, opts) would raise before its
+    first step, from a GTH method's needs (_check_gth) or from the start."""
+    if opts.method in (Method.FIXED_POINT, Method.NEWTON):
+        _starting_vector(problem, opts)
+    else:
+        _check_gth(problem, opts, opts.method)
+
+
 def solve(problem, opts, reference=None):
     """Dispatch on opts.method; attach error histories when a reference is given.
 
     `reference` is the solution vector the errors are measured against (for
     instance from precision.reference_solution).  Every iterate gets its
     componentwise and normwise error, and max_overshoot is the max over
-    iterates of max(x_k - ref).
+    iterates of max(x_k - ref).  The iterates are stacked once and the
+    errors taken over the stack; each normwise error is sqrt(d . d) / ||ref||,
+    what np.linalg.norm computes for the one vector d = x_k - ref.
     """
     report = _DISPATCH[opts.method](problem, opts)
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64)
-        e_cw = []
-        e_norm = []
+        D = np.array(report.iterate_history) - ref
         nz = ref != 0.0
-        for xk in report.iterate_history:
-            e_cw.append(float(np.max(np.abs(xk - ref)[nz] / np.abs(ref)[nz])))
-            e_norm.append(float(np.linalg.norm(xk - ref) / np.linalg.norm(ref)))
-        report.e_cw_history = np.array(e_cw)
-        report.e_norm_history = np.array(e_norm)
-        report.max_overshoot = float(max(np.max(xk - ref) for xk in report.iterate_history))
+        report.e_cw_history = (np.abs(D)[:, nz] / np.abs(ref)[nz]).max(axis=1)
+        ref_norm = math.sqrt(ref.dot(ref))
+        report.e_norm_history = np.array([math.sqrt(d.dot(d)) / ref_norm for d in D])
+        report.max_overshoot = float(D.max())
     return report

@@ -29,31 +29,38 @@ vec(B:x) = D x~ and vec(Bx:) = D^T x~, so
     vec(Bx: + B:x) = S x~,   S = D + D^T,
 
 one scipy CSR product with S, whose blocks B_i + B_i^T are symmetric.  This
-is the sparse path.  S is built on the first product and kept per tensor.
-Where D^T has S's pattern, as for a pattern symmetric in (j, k), S shares
-D^T's index arrays: its column indices are D's row indices (4 bytes an entry
-while 32-bit indices fit).  So a solve holds such a tensor at 36 bytes an
-entry: its rows, cols and vals (24), and S's values (8) and column indices
-(4).
+is the sparse path, taken by a tensor that stores fewer than all its n^3
+entries and has n^3 > SLAB_MAX_ENTRIES = 16^3.  S is built on the first
+product and kept per tensor.  Where D^T has S's pattern, as for a pattern
+symmetric in (j, k), S shares D^T's index arrays: its column indices are D's
+row indices (4 bytes an entry while 32-bit indices fit).  So a solve holds
+such a tensor at 36 bytes an entry: its rows, cols and vals (24), and S's
+values (8) and column indices (4).
 
 A tensor that stores every one of its n^3 entries (some may be explicit
-zeros) takes the slab path instead.  Its values in storage order are the
-array A[i, k, j] = b_{ijk}, and the k-major slab K[k, i, j] = b_{ijk} +
-b_{ikj} is one copy of A's (k, i, j) transpose plus, in place, its (j, i, k)
-transpose.  The product is np.einsum("kij,k->ij", K, x).  K is built on the
-first product and kept per tensor; S, D's index arrays and the x~ gather are
-never built.  So a solve holds a full tensor at 16 bytes an entry: its vals
-(8) and K (8).
+zeros), and any tensor with n^3 <= SLAB_MAX_ENTRIES, takes the slab path
+instead.  With A[i, k, j] = b_{ijk} (a full tensor's values in storage order,
+or the dense unfolding of a sparse one), the k-major slab
+K[k, i, j] = b_{ijk} + b_{ikj} is the sum of A's (k, i, j) and (j, i, k)
+transposes, formed in one pass.  The product is np.einsum("kij,k->ij", K, x).
+K is built on the first product and kept per tensor; S, D's index arrays and
+the x~ gather are never built.  So a solve holds a full tensor at 16 bytes an
+entry: its vals (8) and K (8).  A small sparse tensor holds its rows, cols
+and vals (24 bytes a stored entry) and K, 8 n^3 bytes, at most 32 KB.
 
 Summation-order contract, on both paths: entry (i, j) of contract_sym adds
 the terms fl(b_{ijk} + b_{ikj}) x_k one at a time, starting from 0.0, k
 ascending (the terms of row i*n + j of S, in the order S stores them, or
 every k of the slab).  einsum without optimize makes one pass over k with
 the (i, j) plane innermost, so it adds the same terms in the same order as
-the CSR product; a BLAS product (tensordot, matmul) would not.  Results are
-therefore bit-for-bit reproducible, equal on the two paths, and equal to a
-sequential ``np.bincount`` over the same terms, however the work is
-dispatched.
+the CSR product; a BLAS product (tensordot, matmul) would not.  The slab of
+a sparse tensor also holds the terms S does not store: fl(0 + 0) x_k = 0 for
+finite x_k, and adding an exact zero to a sum started from 0.0 leaves it
+unchanged, sign included.  Results are therefore bit-for-bit reproducible,
+equal on the two paths for finite x, and equal to a sequential
+``np.bincount`` over the same terms, however the work is dispatched.  (Where
+x_k is infinite or NaN, a slab entry 0 gives 0 x_k = NaN, while S skips the
+entry.)
 
 PageRankTensor holds P_(1) = nu (S + v d_S^T) + (1 - nu) F kron 1^T as
 its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative terms
@@ -79,6 +86,13 @@ from itertools import product
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
+
+# Up to this many entries in n^3 a tensor contracts through its dense slab
+# (8 n^3 bytes, 32 KB here) whatever it stores.  On a 2-vCPU VM, best of 5,
+# einsum over the slab matched or beat the CSR product up to n = 24 at
+# densities 0.05 and 0.3, and lost at n = 32 at 0.05.  Up to n = 16 the
+# slab is also built in a fifth or less of the time S takes.
+SLAB_MAX_ENTRIES = 16 ** 3
 
 
 def _entry(n, row, col):
@@ -193,6 +207,8 @@ class Tensor3:
         if U.min() > 0.0:  # no zeros, and no NaN, which makes the minimum NaN
             rows = cols = None
             vals = U.flatten()
+            if not vals.max() < np.inf:  # the minimum ruled out all but inf
+                _check_values(n, vals)
         else:
             # np.nonzero and the boolean gather list each entry once, in
             # row-major order, whatever the memory layout of U: sorted by
@@ -200,7 +216,7 @@ class Tensor3:
             nonzero = U != 0.0
             rows, cols = (np.ascontiguousarray(a) for a in np.nonzero(nonzero))
             vals = U[nonzero]
-        _check_values(n, vals, rows, cols)
+            _check_values(n, vals, rows, cols)
         out = cls.__new__(cls)
         out._keep(n, rows, cols, vals)
         return out
@@ -298,13 +314,13 @@ class Tensor3:
     def slab(self):
         """K[k, i, j] = b_{ijk} + b_{ikj}, the slab path's structure, built once per tensor.
 
-        Only a tensor that stores all n^3 entries has one: its values in
-        storage order are A[i, k, j] = b_{ijk}.
+        A tensor that stores all n^3 entries reads A[i, k, j] = b_{ijk} from
+        its values in storage order; any other from its dense unfolding.  K
+        is formed in one pass, C-ordered, so k is its outermost axis.
         """
         if self._slab is None:
-            A = self.vals.reshape((self.n,) * 3)
-            self._slab = A.transpose(1, 0, 2).copy()
-            self._slab += A.transpose(2, 0, 1)
+            A = (self.vals if self._cols is None else self.unfolding()).reshape((self.n,) * 3)
+            self._slab = np.add(A.transpose(1, 0, 2), A.transpose(2, 0, 1), order="C")
         return self._slab
 
     def to_tensor3(self):
@@ -312,7 +328,7 @@ class Tensor3:
 
     def _symmetric(self, x):
         n = self.n
-        if self.nnz == n ** 3:
+        if self.nnz == n ** 3 or n ** 3 <= SLAB_MAX_ENTRIES:
             # not optimize=True, which may hand the sum to BLAS in another order
             return np.einsum("kij,k->ij", self.slab(), x)
         return (self.sym_matrix() @ x.take(self._tile)).reshape(n, n)
@@ -392,10 +408,10 @@ class PageRankTensor:
 def contract_sym(B, x):
     """C = Bx: + B:x in one pass: C_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
 
-    A Tensor3 that stores all n^3 entries takes one einsum over its slab;
-    any other takes one product with its symmetric slice matrix, both
-    summing in the order the module docstring states.  C is the Jacobian
-    part of R_x = I - C, and Bx^2 = C x / 2.
+    A Tensor3 that stores all n^3 entries, or has n^3 <= SLAB_MAX_ENTRIES,
+    takes one einsum over its slab; any other takes one product with its
+    symmetric slice matrix, both summing in the order the module docstring
+    states.  C is the Jacobian part of R_x = I - C, and Bx^2 = C x / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):

@@ -100,6 +100,26 @@ def test_the_variant_takes_one_block(argv, capsys):
         "block_jacobi takes several\n")
 
 
+@pytest.mark.parametrize("methods,extra,message", [
+    ("newton-gth,block-jacobi", ["--block-sizes", "2,3"],
+     "block sizes (2, 3) are not a partition of 4"),
+    ("newton-gth,block-jacobi-gth-variant", ["--block-sizes", "2,2"],
+     "block_jacobi_gth_variant takes one block, got block sizes (2, 2)"),
+    ("fixed-point,newton-gth", ["--stochastic"],
+     "newton_gth targets the minimal solution; use start=ZERO"),
+], ids=["partition", "variant-one-block", "stochastic-gth"])
+def test_compare_checks_every_method_before_any_runs(methods, extra, message, capsys,
+                                                     monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference ran before the options were checked")
+
+    monkeypatch.setattr(precision, "reference_solution", no_reference)
+    assert exit_code(["compare", *EX1, "--methods", methods, *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_every_termination_has_its_exit_code():
     # no CLI input reaches DIVERGED, so its exit code is checked here
     assert {t: cli._termination_exit(t) for t in Termination} == {

@@ -31,7 +31,13 @@ from mlpagerank import (
 )
 from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
 from mlpagerank.precision import DD
-from mlpagerank.solvers import _block_slices, _gth_sweep, _off_diagonal_empty, _offblock
+from mlpagerank.solvers import (
+    _block_slices,
+    _gth_sweep,
+    _off_diagonal_empty,
+    _offblock,
+    check_options,
+)
 
 from conftest import (
     csr_symmetric,
@@ -598,6 +604,20 @@ def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
     assert P._sym is None and not hasattr(P, "_tile")
 
 
+def assert_same_reports(got, want):
+    """Equal outputs, every array compared by its bytes."""
+    assert got.termination is want.termination
+    assert got.iterations == want.iterations
+    assert got.x.tobytes() == want.x.tobytes()
+    for name in ("residual_history", "z_history", "e_cw_history", "e_norm_history"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) is (b is None), name
+        assert a is None or a.tobytes() == b.tobytes(), name
+    assert got.max_overshoot == want.max_overshoot
+    for xg, xw in zip(got.iterate_history, want.iterate_history, strict=True):
+        assert xg.tobytes() == xw.tobytes()
+
+
 @pytest.mark.parametrize("method,block_sizes", [
     (Method.NEWTON_GTH, None), (Method.BLOCK_JACOBI, (15, 15)), (Method.NEWTON, None),
 ], ids=["newton-gth", "block-jacobi-15-15", "newton"])
@@ -609,16 +629,108 @@ def test_slab_and_csr_products_solve_bit_for_bit(monkeypatch, method, block_size
     slab = solve(p, o)
     assert p.p_tensor._sym is None
     monkeypatch.setattr(Tensor3, "_symmetric", csr_symmetric)
-    csr = solve(p, o)
-    assert slab.termination is csr.termination
-    assert slab.iterations == csr.iterations > 1
-    assert slab.x.tobytes() == csr.x.tobytes()
-    assert slab.residual_history.tobytes() == csr.residual_history.tobytes()
+    assert slab.iterations > 1
     assert (slab.z_history is None) is (method is Method.NEWTON)
-    if slab.z_history is not None:
-        assert slab.z_history.tobytes() == csr.z_history.tobytes()
-    for xs, xc in zip(slab.iterate_history, csr.iterate_history, strict=True):
-        assert xs.tobytes() == xc.tobytes()
+    assert_same_reports(slab, solve(p, o))
+
+
+@pytest.mark.parametrize("method,kw,general", [
+    (Method.BLOCK_JACOBI, {"block_sizes": (2, 3)}, False),
+    (Method.BLOCK_JACOBI, {"block_sizes": (2, 0, 2)}, False),
+    (Method.BLOCK_JACOBI_GTH_VARIANT, {"block_sizes": (2, 2)}, False),
+    (Method.BLOCK_JACOBI_GTH_VARIANT, {"block_sizes": (1, 2)}, False),
+    (Method.NEWTON_GTH, {"start": Start.V}, False),
+    (Method.BLOCK_JACOBI, {}, True),
+    (Method.FIXED_POINT, {"start": Start.CUSTOM}, False),
+    (Method.NEWTON, {"start": Start.CUSTOM, "x0": np.zeros(3)}, False),
+    (Method.NEWTON, {"start": Start.V}, True),
+    (Method.NEWTON_GTH, {"block_sizes": (2, 3)}, False),
+    (Method.BLOCK_JACOBI, {"block_sizes": (1, 3)}, False),
+    (Method.BLOCK_JACOBI_GTH_VARIANT, {"block_sizes": (4,)}, False),
+    (Method.FIXED_POINT, {"start": Start.V}, False),
+])
+def test_check_options_raises_what_solve_raises(method, kw, general):
+    p = ex1(0.3)
+    if general:
+        p = Problem.from_general(p.a, scaled(p.p_tensor, 0.3))
+    o = opts(method, **kw)
+    try:
+        solve(p, o)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as checked:
+            check_options(p, o)
+        assert str(checked.value) == str(exc)
+    else:
+        assert check_options(p, o) is None
+
+
+BUILTIN_BLOCKS = {"intro": (1, 1), "ex1": (2, 2), "ex2": (1, 3)}
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "0.49999", "0.5", "0.6"])
+@pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
+def test_builtins_solve_on_their_slab_with_the_csr_bits(monkeypatch, name, alpha):
+    # the built-ins are sparse with n^3 <= SLAB_MAX_ENTRIES: every method
+    # contracts through the slab, and gets the bits of S's product
+    p = builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha))
+    assert p.p_tensor.nnz < p.n ** 3
+    ref = reference_solution(p).x
+    runs = [opts(m, block_sizes=BUILTIN_BLOCKS[name] if m is Method.BLOCK_JACOBI else None)
+            for m in Method]
+    slab = [solve(p, o, reference=ref) for o in runs]
+    assert p.p_tensor._slab is not None and p.p_tensor._sym is None
+    monkeypatch.setattr(Tensor3, "_symmetric", csr_symmetric)
+    for o, got in zip(runs, slab, strict=True):
+        assert_same_reports(got, solve(p, o, reference=ref))
+
+
+def loop_error_histories(report, reference):
+    """The per-iterate loop that solve() once ran for its error histories."""
+    ref = np.asarray(reference, dtype=np.float64)
+    e_cw, e_norm = [], []
+    nz = ref != 0.0
+    for xk in report.iterate_history:
+        e_cw.append(float(np.max(np.abs(xk - ref)[nz] / np.abs(ref)[nz])))
+        e_norm.append(float(np.linalg.norm(xk - ref) / np.linalg.norm(ref)))
+    overshoot = float(max(np.max(xk - ref) for xk in report.iterate_history))
+    return np.array(e_cw), np.array(e_norm), overshoot
+
+
+def assert_histories_are_the_loops(p, o, ref):
+    rep = solve(p, o, reference=ref)
+    e_cw, e_norm, overshoot = loop_error_histories(rep, ref)
+    assert rep.e_cw_history.tobytes() == e_cw.tobytes()
+    assert rep.e_norm_history.tobytes() == e_norm.tobytes()
+    assert rep.max_overshoot == overshoot
+    return rep
+
+
+class TestErrorHistories:
+    def test_fixed_point_near_one_half_over_501_iterates(self):
+        p = ex1(0.49999)
+        rep = assert_histories_are_the_loops(p, opts(Method.FIXED_POINT), reference_solution(p).x)
+        assert len(rep.iterate_history) == 501
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_reference_with_a_zero_entry(self, method):
+        p = ex2(0.3)
+        ref = reference_solution(p).x.copy()
+        ref[1] = 0.0
+        rep = assert_histories_are_the_loops(p, opts(method), ref)
+        assert np.isfinite(rep.e_cw_history).all()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_problems_and_references(self, seed):
+        # references at, off and across decades from the solution: the last
+        # bits of every normwise error show the order of its sums
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        p = random_pagerank_problem(rng, n, float(rng.choice([0.3, 0.49, 0.6])), density=0.5)
+        x = solve(p, opts(Method.NEWTON_GTH)).x
+        for ref in (x, x * (1.0 + rng.standard_normal(n) * 1e-3),
+                    rng.random(n) * 10.0 ** rng.integers(-8, 8, size=n)):
+            for method in (Method.NEWTON, Method.FIXED_POINT):
+                assert_histories_are_the_loops(p, opts(method, maxit=60), ref)
 
 
 @pytest.mark.slow

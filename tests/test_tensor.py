@@ -26,6 +26,7 @@ from mlpagerank import (
     three_cycle_tensor,
     write_tensor_text,
 )
+from mlpagerank.tensor import SLAB_MAX_ENTRIES
 
 from conftest import (
     count_product_builds,
@@ -175,13 +176,17 @@ class TestContractSym:
         assert held_bytes(S.data) == S.data.nbytes
         assert held_bytes(S.indices) == S.indices.nbytes
 
-    @pytest.mark.parametrize("density,structure", [(1.0, "slab"), (0.5, "sym_matrix")])
+    @pytest.mark.parametrize("density,structure", [
+        (1.0, "slab"), (0.5, "slab"), (0.5, "sym_matrix")])
     def test_every_alpha_problem_of_one_p_shares_it(self, rng, monkeypatch, density, structure):
-        # a full P builds its slab and never S; any other P builds S
+        # a full P, or any P with n^3 <= SLAB_MAX_ENTRIES, builds its slab and
+        # never S; a sparse P above that bound builds S and never a slab
+        n = 6 if structure == "slab" else 17
         builds = count_product_builds(monkeypatch)
-        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 6, density))
-        assert (P.nnz == 6 ** 3) is (structure == "slab")
-        v = np.full(6, 1.0 / 6.0)
+        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, n, density))
+        assert (P.nnz == n ** 3) is (density == 1.0)
+        assert (n ** 3 <= SLAB_MAX_ENTRIES) is (structure == "slab")
+        v = np.full(n, 1.0 / n)
         for alpha in (0.3, 0.49, 0.4999, 0.6):
             rep = solve(Problem.from_pagerank(v, P, alpha), SolverOptions())
             assert rep.iterations > 1
@@ -246,6 +251,66 @@ class TestSlabPath:
         U = B.unfolding()
         for i, j, k in np.ndindex(n, n, n):
             assert K[k, i, j] == U[i, j + k * n] + U[i, k + j * n]
+
+
+SMALL_SPARSE_CASES = [  # (n, density, empty rows), every one with n^3 <= SLAB_MAX_ENTRIES
+    (1, 0.0, ()),
+    (2, 0.5, (1,)),
+    (3, 0.05, ()),
+    (4, 0.3, (0,)),
+    (7, 0.3, (2, 6)),
+    (12, 0.05, (0,)),
+    (16, 0.05, ()),
+    (16, 0.3, (15,)),
+    (16, 0.9, (3,)),
+]
+
+
+class TestSlabSizeRule:
+    """A sparse tensor with n^3 <= SLAB_MAX_ENTRIES contracts through its slab."""
+
+    @pytest.mark.parametrize("n,density,empty_rows", SMALL_SPARSE_CASES)
+    def test_small_sparse_tensors_take_the_slab_with_the_csr_bits(self, n, density, empty_rows):
+        rng = np.random.default_rng(4000 + n)
+        B = random_sparse_tensor(rng, n, density, empty_rows)
+        assert n ** 3 <= SLAB_MAX_ENTRIES and B.nnz < n ** 3
+        assert_slab_product_is_the_csr_product(B, [mixed_x(rng, n) for _ in range(4)])
+        A = B.unfolding().reshape(n, n, n)
+        assert B.slab().flags.c_contiguous
+        assert B.slab().tobytes() == (A.transpose(1, 0, 2) + A.transpose(2, 0, 1)).tobytes()
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.9])
+    def test_just_above_the_bound_builds_s_and_no_slab(self, rng, monkeypatch, density):
+        n = 17
+        assert (n - 1) ** 3 <= SLAB_MAX_ENTRIES < n ** 3
+        builds = count_product_builds(monkeypatch)
+        B = random_sparse_tensor(rng, n, density, (4,))
+        for _ in range(3):
+            x = mixed_x(rng, n)
+            assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
+        assert builds == [("sym_matrix", B)]
+        assert B._slab is None
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_a_non_finite_x_meets_the_slab_zeros_and_not_s(self, rng, bad):
+        # 0 x_k is NaN for x_k = inf or NaN: the slab multiplies every k, while
+        # S multiplies only the terms it stores, the nonzero ones
+        n, k = 4, 2
+        B = random_sparse_tensor(rng, n, 0.3, (1,))
+        x = rng.random(n)
+        x[k] = bad
+        slab, csr = contract_sym(B, x), csr_symmetric(B, x)
+        stored = B.slab()[k] != 0.0
+        assert stored.any() and not stored.all()
+        finite = x.copy()
+        finite[k] = 0.0  # what S's sum is where it stores no term of x_k
+        without_k = csr_symmetric(B, finite)
+        assert np.isnan(slab[~stored]).all()
+        assert csr[~stored].tobytes() == without_k[~stored].tobytes()
+        if bad == np.inf:
+            assert np.isposinf(slab[stored]).all() and np.isposinf(csr[stored]).all()
+        else:
+            assert np.isnan(slab).all() and np.isnan(csr[stored]).all()
 
 
 class TestConstruction:
@@ -412,7 +477,7 @@ class TestFullTensors:
             Tensor3.from_unfolding(np.asarray(U, order=order))
 
     def test_one_zero_takes_the_stored_index_path(self, rng):
-        n = 6
+        n = 17  # above SLAB_MAX_ENTRIES, so its products take S, not a slab
         U = exact_stochastic_unfolding(rng, n)
         U[2, 17] = 0.0
         B = Tensor3.from_unfolding(U)
