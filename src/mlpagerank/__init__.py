@@ -8,17 +8,7 @@ from .tensor import (
     read_tensor_text,
     write_tensor_text,
 )
-from .mmatrix import (
-    COL,
-    ROW,
-    PartialInverse,
-    ReducibleMatrixError,
-    SingularPivotError,
-    TripletMMatrix,
-    null_vector,
-    partial_inverse,
-    plain_lu_solve,
-)
+from .mmatrix import SingularPivotError, plain_lu_solve
 from .solvers import (
     Method,
     Problem,
@@ -42,7 +32,6 @@ from .analysis import (
     componentwise_zero_sum_perturb,
     compute_y,
     cw_distance,
-    inverse_cw_bound_check,
     kappa,
     omega,
 )

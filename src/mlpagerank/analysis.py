@@ -4,10 +4,9 @@ Implements the componentwise distance d(x~, x) = max |x~_i - x_i| / |x_i|
 (with 0/0 = 0 and b/0 = inf, so it is infinite whenever the zero patterns
 disagree), the two condition quantities kappa = max y_i/m_i and
 omega = max (S^T m)_i/m_i, the perturbation bounds 2 eps (2 kappa - 1) gamma
-and 2 omega gamma eps they enter, componentwise_zero_sum_perturb, the one
-perturbation generator, which probes those bounds inside their componentwise
-model, and the check of a perturbed M-matrix inverse against its
-componentwise bound (2n - 1) eps.
+and 2 omega gamma eps they enter, and componentwise_zero_sum_perturb, the
+one perturbation generator, which probes those bounds inside their
+componentwise model.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .mmatrix import (
-    COL,
-    TripletMMatrix,
-    check_irreducible,
-    gth_col_solve,
-    gth_partial_inverse,
-)
+from .mmatrix import gth_col_solve, gth_partial_inverse
 from .precision import DD
 from .solvers import Problem
 
@@ -92,10 +85,13 @@ def cw_distance(x_tilde, x):
 
 
 def _rm_col_triplet(problem, m):
-    """The column triplet of R_m = I - C, C = Bm: + B:m from one contraction.
+    """(C, sums), the column triplet of R_m = I - C, C = Bm, as plain arrays:
+    C from one contraction, with its diagonal zeroed.
 
     Its column sums are 1 - 1^T C, and subtraction-free for the PageRank
-    view: |1 - 2 alpha|.
+    view: |1 - 2 alpha|.  Raises ValueError unless R_m is an M-matrix with
+    finite entries, as the compiled GTH pass carries a NaN or inf through
+    quietly.
     """
     C = problem.contract(m)
     if problem.is_pagerank:
@@ -106,7 +102,11 @@ def _rm_col_triplet(problem, m):
     np.fill_diagonal(C, 0.0)
     if (sums < 0.0).any():
         raise ValueError("R_m is not an M-matrix (negative column sums)")
-    return TripletMMatrix(C, sums, COL)
+    if not (np.isfinite(C).all() and np.isfinite(sums).all()):
+        raise ValueError("R_m has entries that are not finite")
+    if (C < 0.0).any():
+        raise ValueError("R_m is not an M-matrix (positive off-diagonal entries)")
+    return C, sums
 
 
 def compute_y(problem, m):
@@ -116,8 +116,8 @@ def compute_y(problem, m):
     m's zero pattern.
     """
     m = np.asarray(m, dtype=np.float64)
-    T = _rm_col_triplet(problem, m)
-    y = gth_col_solve(T.offdiag, T.sums, problem.a)
+    C, sums = _rm_col_triplet(problem, m)
+    y = gth_col_solve(C, sums, problem.a)
     if (y < m - 1e-14).any():
         raise ValueError("computed y violates y >= m; is m the minimal solution?")
     zero_m = m == 0.0
@@ -143,20 +143,20 @@ def kappa(m, y):
 def omega(problem, m):
     """omega = max (S^T m)_i / m_i for (R_m^T)^{-1} = 1 z^T + S.
 
-    Away from the singular limit this uses the binary64 partial inverse of
-    the ROW triplet of R_m^T; once the column sums drop to
+    _rm_col_triplet gives R_m's column triplet as plain arrays (C, sums),
+    so C^T and sums are the ROW triplet of R_m^T.  Away from the singular
+    limit this uses its binary64 partial inverse; once the column sums drop to
     OMEGA_DD_THRESHOLD, below which binary64 would leave S a relative error
     above OMEGA_TARGET, the subtraction defining S is carried out in pair
     precision instead (the partial inverse itself stays bounded there).
     """
     m = np.asarray(m, dtype=np.float64)
-    T = _rm_col_triplet(problem, m)  # validates sums >= 0
-    offdiag_t = T.offdiag.T.copy()
-    sums = T.sums
+    C, sums = _rm_col_triplet(problem, m)
+    offdiag_t = C.T.copy()
     if float(sums.min()) > OMEGA_DD_THRESHOLD:
-        S = gth_partial_inverse(offdiag_t, sums).S
+        S = gth_partial_inverse(offdiag_t, sums)[1]
     else:
-        S = gth_partial_inverse(DD(offdiag_t), DD(sums)).S.to_float()
+        S = gth_partial_inverse(DD(offdiag_t), DD(sums))[1].to_float()
     z_vec = S.T @ m
     nz = m != 0.0
     val = float(np.max(z_vec[nz] / m[nz]))
@@ -165,50 +165,6 @@ def omega(problem, m):
     if val < 0.0:
         raise ArithmeticError(f"omega came out negative ({val}); S inaccurate?")
     return val
-
-
-@dataclass(frozen=True)
-class InverseStabilityReport:
-    epsilon: float
-    d_offdiag: float
-    d_sums: float
-    d_inverse: float
-    bound: float
-    within_bound: bool
-    pattern_mismatch: bool
-
-
-def _col_inverse(T):
-    check_irreducible(T.offdiag)
-    offdiag = T.offdiag if T.orientation == COL else T.offdiag.T
-    return gth_col_solve(offdiag, T.sums, np.eye(T.n))
-
-
-def inverse_cw_bound_check(T, T_tilde, epsilon):
-    """Compare d(M~^-1, M^-1) with the componentwise bound (2n-1) epsilon.
-
-    Each inverse is the fused GTH solve of the triplet's COL form against
-    the identity; a ROW triplet's COL form is M^T, whose inverse has the
-    same componentwise distance.  Raises ReducibleMatrixError on a
-    reducible pattern.
-    """
-    if T.orientation != T_tilde.orientation or T.n != T_tilde.n:
-        raise ValueError("triplets must share shape and orientation")
-    d_off = cw_distance(T_tilde.offdiag, T.offdiag).value
-    d_sums = cw_distance(T_tilde.sums, T.sums).value
-    n = T.n
-    minv, minv_t = (_col_inverse(t) for t in (T, T_tilde))
-    d_inv = cw_distance(minv_t, minv).value
-    bound = (2 * n - 1) * float(epsilon)
-    return InverseStabilityReport(
-        epsilon=float(epsilon),
-        d_offdiag=d_off,
-        d_sums=d_sums,
-        d_inverse=d_inv,
-        bound=bound,
-        within_bound=bool(d_inv <= bound * (1.0 + 1e-8) or np.isinf(bound)),
-        pattern_mismatch=bool(np.isinf(d_off) or np.isinf(d_sums)),
-    )
 
 
 @dataclass(frozen=True)

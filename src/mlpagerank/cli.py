@@ -248,6 +248,9 @@ def cmd_perturb(args, parser):
     problem = _load_problem(args, parser)
     method = _parse_method(args.method, parser)
     opts = _options(args, parser, method=method)
+    # checked even with --reference, which never runs the method; a
+    # perturbation keeps n and v, so every solve below passes this check too
+    _check_options(problem, [opts], parser)
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     if not 0.0 <= args.epsilon < 0.25:
@@ -256,10 +259,7 @@ def cmd_perturb(args, parser):
     def minimal_solution(p, what):
         if args.reference:
             return _reference(p, what=what).x
-        try:
-            report = solve(p, opts)
-        except ValueError as exc:
-            parser.error(str(exc))
+        report = solve(p, opts)
         if report.termination is not Termination.TOL_REACHED:
             _fail(_termination_exit(report.termination),
                   f"{method.value} on {what} ended {report.termination.value} "

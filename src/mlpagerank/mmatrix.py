@@ -28,14 +28,14 @@ or U:
   unknowns it splits the system in half and recurses on the Schur
   complement, whose off-diagonal part, column sums and right-hand sides are
   again sums of products of nonnegative numbers.
-- null_vector reads the GTH multipliers off the eliminated W.
-- gth_partial_inverse solves against the identity in one unblocked pass,
-  which also gives the pivots of its determinant ratio.
+- gth_partial_inverse reads the GTH multipliers of its null profile off one
+  eliminated W (_null_profile), and solves against the identity in one
+  unblocked pass, which also gives the pivots of its determinant ratio.
 
-The binary64 routines that take a TripletMMatrix validate it and call the
-kernel; the solvers' block sweeps call gth_col_solve directly on their own
-binary64 blocks, and the pair-precision reference, compute_y and omega call
-the kernel on their own data.
+Every routine takes the triplet as plain arrays and validates none of it:
+the solvers' block sweeps call gth_col_solve on their own binary64 blocks,
+and the pair-precision reference, compute_y and omega call the kernel on
+their own data.
 
 The pass runs compiled in both arithmetics.  _GTH_C, a C transcription
 with the same bits, is built on first import by the system C compiler ("cc"
@@ -53,8 +53,9 @@ numpy has formed.  The Python code stays the specification.  It
 runs where there is no compiler, and in pairs from the first pivot column
 that has a part that is not finite or a sum that overflows, so that
 math.fsum's NaN, inf, ValueError and OverflowError stand.  Compiled, a NaN
-or inf passes without numpy's RuntimeWarnings; TripletMMatrix rejects
-non-finite entries before they get there.
+or inf passes without numpy's RuntimeWarnings.  The callers keep them out:
+solvers.Problem rejects an a or v that is not finite, and compute_y and
+omega reject an R_m that is not (analysis._rm_col_triplet).
 """
 
 from __future__ import annotations
@@ -67,16 +68,10 @@ import shutil
 import subprocess
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
-
-ROW = "row"
-COL = "col"
 
 # gth_col_solve splits a system with more unknowns than this in half.  The
 # split trades rank-1 updates in the compiled pass for matrix products.
@@ -89,78 +84,8 @@ COL = "col"
 GTH_BLOCK = 40
 
 
-class ReducibleMatrixError(ValueError):
-    """Off-diagonal sparsity pattern is not strongly connected."""
-
-
 class SingularPivotError(ArithmeticError):
     """A pivot vanished during elimination."""
-
-
-@dataclass(frozen=True)
-class TripletMMatrix:
-    """(offdiag, sums, orientation) encoding of an M-matrix.
-
-    offdiag is the nonnegative matrix of negated off-diagonal entries with a
-    zero diagonal; sums holds row sums (orientation=ROW) or column sums
-    (orientation=COL).  The diagonal M_ii = sums_i + sum of the other entries
-    in row/column i is never materialized by subtraction.
-    """
-
-    offdiag: np.ndarray
-    sums: np.ndarray
-    orientation: str = ROW
-
-    def __post_init__(self):
-        off = np.asarray(self.offdiag, dtype=np.float64)
-        sums = np.asarray(self.sums, dtype=np.float64)
-        n = off.shape[0]
-        if off.shape != (n, n):
-            raise ValueError("offdiag must be square")
-        if sums.shape != (n,):
-            raise ValueError("sums length must match offdiag")
-        for name, values in (("offdiag", off), ("sums", sums)):
-            bad = np.argwhere(~np.isfinite(values))
-            if len(bad):
-                at = tuple(int(i) + 1 for i in bad[0])
-                raise ValueError(f"{name} must be finite; entry "
-                                 f"{at if len(at) > 1 else at[0]} is {values[tuple(bad[0])]}")
-        if (np.diag(off) != 0.0).any():
-            raise ValueError("offdiag must have a zero diagonal")
-        if (off < 0.0).any() or (sums < 0.0).any():
-            raise ValueError("offdiag and sums must be nonnegative")
-        if self.orientation not in (ROW, COL):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        object.__setattr__(self, "offdiag", off)
-        object.__setattr__(self, "sums", sums)
-
-    @property
-    def n(self):
-        return self.offdiag.shape[0]
-
-    def materialize(self):
-        """Dense M with the implied diagonal (for tests and diagnostics)."""
-        if self.orientation == ROW:
-            diag = self.sums + self.offdiag.sum(axis=1)
-        else:
-            diag = self.sums + self.offdiag.sum(axis=0)
-        return np.diag(diag) - self.offdiag
-
-
-def check_irreducible(offdiag):
-    """Raise ReducibleMatrixError naming an unreachable index set."""
-    n = offdiag.shape[0]
-    if n == 1:
-        return
-    pattern = scipy.sparse.csr_matrix(offdiag != 0.0)
-    ncomp, labels = scipy.sparse.csgraph.connected_components(
-        pattern, directed=True, connection="strong"
-    )
-    if ncomp > 1:
-        stranded = [int(i) + 1 for i in np.nonzero(labels == labels[0])[0]]
-        raise ReducibleMatrixError(
-            f"matrix is reducible; indices {stranded} form a closed component"
-        )
 
 
 def _zeros(like, shape):
@@ -681,44 +606,12 @@ def _null_profile(offdiag):
     return t, d
 
 
-def null_vector(T):
-    """Positive t with t^T L1 = 0 for a zero-row-sum triplet (ROW, sums = 0).
-
-    GTH elimination followed by the subtraction-free back-recursion
-    t_n = 1, t_k = sum_{i>k} t_i m_ik; normalized so t[n-1] = 1.  Raises
-    ReducibleMatrixError on a reducible pattern.
-    """
-    if T.orientation != ROW:
-        raise ValueError("null_vector expects a ROW-oriented triplet")
-    if (T.sums != 0.0).any():
-        raise ValueError("null_vector expects sums identically zero")
-    check_irreducible(T.offdiag)
-    return _null_profile(T.offdiag)[0]
-
-
-@dataclass(frozen=True)
-class PartialInverse:
-    """Decomposition M^{-1} = 1 z^T + S.
-
-    The rank-1 part carries the blow-up as M approaches singularity; S stays
-    bounded and acts like M^{-1} on zero-sum row vectors.
-    """
-
-    z: np.ndarray
-    S: np.ndarray
-
-    @property
-    def rank_one_part(self):
-        return np.ones((len(self.z), 1)) @ self.z[None, :]
-
-    def inverse(self):
-        return self.rank_one_part + self.S
-
-
 def gth_partial_inverse(offdiag, sums):
-    """Tree-split partial inverse of the ROW triplet (offdiag, sums), w = sums.
+    """(z, S) with M^{-1} = 1 z^T + S for the ROW triplet (offdiag, sums), w = sums.
 
-    Runs unchanged on float64 ndarrays and on precision.DD pair arrays.  z is
+    The rank-1 part 1 z^T carries the blow-up as M approaches singularity;
+    S stays bounded and acts like M^{-1} on zero-sum row vectors.  Runs
+    unchanged on float64 ndarrays and on precision.DD pair arrays.  z is
     assembled subtraction-free: the null profile t of L1 = M - diag(w)
     scaled by det(L1 leading minor) / det(M), both read off GTH pivots.  One
     unblocked pass on M^T, the COL triplet (offdiag^T, w), with the identity
@@ -728,7 +621,7 @@ def gth_partial_inverse(offdiag, sums):
     """
     n = offdiag.shape[0]
     if n == 1:
-        return PartialInverse(z=1.0 / sums, S=_zeros(sums, (1, 1)))
+        return 1.0 / sums, _zeros(sums, (1, 1))
     t, d1 = _null_profile(offdiag)
     W, inv_t = _augmented(offdiag.T, sums, _zeros(sums, (n, n)) + np.eye(n))
     d = _eliminate(W, solve=True)
@@ -737,21 +630,7 @@ def gth_partial_inverse(offdiag, sums):
         scale *= d1[k] / d[k]
     scale /= d[n - 1]
     z = t * scale
-    return PartialInverse(z=z, S=inv_t.T - z[None, :])
-
-
-def partial_inverse(T):
-    """Tree-split partial inverse of a ROW triplet with sums w >= 0, w != 0.
-
-    See gth_partial_inverse; S only feeds diagnostics.  Raises
-    ReducibleMatrixError on a reducible pattern.
-    """
-    if T.orientation != ROW:
-        raise ValueError("partial_inverse expects a ROW-oriented triplet")
-    if (T.sums == 0.0).all():
-        raise ValueError("sums identically zero: M is singular")
-    check_irreducible(T.offdiag)
-    return gth_partial_inverse(T.offdiag, T.sums)
+    return z, inv_t.T - z[None, :]
 
 
 def plain_lu_solve(A, b):

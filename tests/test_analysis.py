@@ -9,6 +9,7 @@ from mlpagerank import (
     Tensor3,
     builtin,
     componentwise_zero_sum_perturb,
+    compute_y,
     cw_distance,
     ex1,
     omega,
@@ -129,3 +130,15 @@ def test_omega_keeps_its_digits_just_above_the_pair_threshold():
         assert problem.one_minus_two_alpha == 2.0 ** -e
         values.append(omega(problem, reference_solution(problem).x))
     assert abs(values[0] - values[1]) <= 1e-9 * values[1]
+
+
+@pytest.mark.parametrize("m,message", [
+    ([0.25, np.nan, 0.25, 0.25], "R_m has entries that are not finite"),
+    ([-0.25] * 4, r"R_m is not an M-matrix \(positive off-diagonal entries\)"),
+], ids=["nan", "negative"])
+@pytest.mark.parametrize("quantity", [compute_y, omega], ids=["compute_y", "omega"])
+def test_kappa_and_omega_reject_an_m_whose_r_m_is_not_an_m_matrix(quantity, m, message):
+    # the GTH kernel validates nothing, and compiled it carries a NaN through
+    # quietly; perturb turns this ValueError into exit 3
+    with pytest.raises(ValueError, match=message):
+        quantity(ex1(0.3), np.array(m))

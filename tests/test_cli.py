@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlpagerank import (
@@ -119,6 +119,26 @@ def test_compare_checks_every_method_before_any_runs(methods, extra, message, ca
     assert captured.out == ""
     assert message in captured.err
 
+
+
+@pytest.mark.parametrize("method,blocks,message", [
+    ("block-jacobi", "2,3", "block sizes (2, 3) are not a partition of 4"),
+    ("block-jacobi-gth-variant", "2,2",
+     "block_jacobi_gth_variant takes one block, got block sizes (2, 2)"),
+], ids=["partition", "variant-one-block"])
+def test_perturb_reference_checks_the_method_flags_before_anything_runs(
+        method, blocks, message, capsys, monkeypatch):
+    # --reference never runs the method; its flags are usage errors all the same
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference ran before the options were checked")
+
+    monkeypatch.setattr(precision, "reference_solution", no_reference)
+    argv = ["perturb", *EX1, "--epsilon", "1e-8", "--trials", "2", "--reference",
+            "--method", method, "--block-sizes", blocks]
+    assert exit_code(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 def test_every_termination_has_its_exit_code():
     # no CLI input reaches DIVERGED, so its exit code is checked here
@@ -561,26 +581,39 @@ def test_the_size_limit_is_in_the_help():
 METHOD_NAMES = [m.value for m in Method] + ["gauss-seidel"]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(command=st.sampled_from(["solve", "compare"]),
+@settings(max_examples=90, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["solve", "compare", "perturb"]),
        name=st.sampled_from(["intro", "ex1", "ex2"]),
        methods=st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=3),
        blocks=st.sampled_from([None, "4", "2,2", "1,3", "1,1", "0,4", "a,b", ""]),
        alpha=st.sampled_from(["0.3", "0.49999", "0.5", "0.6", "0", "1", "-1", "nan", "inf"]),
        tol=st.sampled_from(["0", "1e-15", "-1", "nan"]),
-       maxit=st.sampled_from(["-1", "0", "1", "50", "500"]))
+       maxit=st.sampled_from(["-1", "0", "1", "50", "500"]),
+       reference=st.booleans())
+@example(command="perturb", name="ex1", methods=["block-jacobi"], blocks="1,1", alpha="0.3",
+         tol="1e-15", maxit="50", reference=True)
 def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, methods, blocks,
-                                                           alpha, tol, maxit):
-    argv = [command, "--builtin", name, f"--alpha={alpha}", f"--tol={tol}",
-            f"--maxit={maxit}"]
-    argv += ["--method", methods[0]] if command == "solve" else ["--methods", ",".join(methods)]
+                                                           alpha, tol, maxit, reference):
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = exit_code(argv)  # any exception but SystemExit fails the test
+        return code, out.getvalue(), err.getvalue()
+
+    shared = ["--builtin", name, f"--alpha={alpha}", f"--tol={tol}", f"--maxit={maxit}"]
     if blocks is not None:
-        argv.append(f"--block-sizes={blocks}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = exit_code(argv)  # any exception but SystemExit fails the test
+        shared.append(f"--block-sizes={blocks}")
+    method = ["--methods", ",".join(methods)] if command == "compare" else ["--method", methods[0]]
+    extra = []
+    if command == "perturb":
+        extra = ["--epsilon=1e-8", "--trials=2", *(["--reference"] if reference else [])]
+    code, out, err = run([command, *shared, *method, *extra])
     assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
-    for line in out.getvalue().splitlines():
+    for line in out.splitlines():
         json.loads(line)
     if code == EXIT_USAGE:
-        assert [line.startswith("error: ") for line in err.getvalue().splitlines()].count(True) == 1
+        assert [line.startswith("error: ") for line in err.splitlines()].count(True) == 1
+    if command == "perturb":
+        # perturb takes solve's method flags and rejects what solve rejects,
+        # also with --reference, which never runs the method
+        assert (code == EXIT_USAGE) == (run(["solve", *shared, *method])[0] == EXIT_USAGE)

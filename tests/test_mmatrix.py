@@ -12,21 +12,7 @@ import numpy as np
 import pytest
 
 import mlpagerank
-from mlpagerank import (
-    COL,
-    ROW,
-    Method,
-    ReducibleMatrixError,
-    SingularPivotError,
-    SolverOptions,
-    TripletMMatrix,
-    inverse_cw_bound_check,
-    null_vector,
-    omega,
-    partial_inverse,
-    plain_lu_solve,
-    solve,
-)
+from mlpagerank import Method, SingularPivotError, SolverOptions, omega, plain_lu_solve, solve
 from mlpagerank import mmatrix, precision
 from mlpagerank.ingest import builtin
 from mlpagerank.mmatrix import (
@@ -34,7 +20,6 @@ from mlpagerank.mmatrix import (
     _augmented,
     _eliminate,
     _null_profile,
-    check_irreducible,
     gth_col_solve,
     gth_partial_inverse,
 )
@@ -42,6 +27,16 @@ from mlpagerank.precision import DD, _dd_segment_sums, dd_sum, reference_solutio
 
 from conftest import random_pagerank_problem, seed_gth_factor, seed_gth_solve
 from test_tree_oracle import tree_oracle_rs, triplet_weights
+from triplets import (
+    COL,
+    ROW,
+    ReducibleMatrixError,
+    TripletMMatrix,
+    check_irreducible,
+    inverse_cw_bound_check,
+    null_vector,
+    partial_inverse,
+)
 
 U_FLOAT = np.finfo(float).eps / 2
 
@@ -286,7 +281,7 @@ class TestPartialInverse:
         u = np.finfo(float).eps / 2
         for k in range(0, 13):
             sums = sums0 * 10.0 ** -k
-            S_dd = gth_partial_inverse(DD(N), DD(sums)).S.to_float()
+            S_dd = gth_partial_inverse(DD(N), DD(sums))[1].to_float()
             dd_s.append(S_dd)
             pi = partial_inverse(TripletMMatrix(N, sums, ROW))
             inv_norm = np.abs(pi.inverse()).sum(axis=1).max()
@@ -1036,3 +1031,17 @@ def test_unwritable_cache_builds_in_a_private_directory_and_removes_it(tmp_path)
     )
     assert (out.stdout, out.stderr) == ("True\n", "")
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_the_package_imports_neither_the_triplet_api_nor_csgraph():
+    # the validated triplet wrappers, and with them scipy.sparse.csgraph,
+    # live in the tests' triplets module
+    src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys, mlpagerank\n"
+              "print('scipy.sparse.csgraph' in sys.modules)\n"
+              "print([name for name in ('TripletMMatrix', 'null_vector', 'partial_inverse',\n"
+              "                         'inverse_cw_bound_check') if hasattr(mlpagerank, name)])\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert (out.stdout, out.stderr) == ("False\n[]\n", "")

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from mlpagerank import (
-    COL,
     MINIMAL,
     Adjacency,
     Method,
@@ -18,7 +17,6 @@ from mlpagerank import (
     Start,
     Tensor3,
     Termination,
-    TripletMMatrix,
     build_pagerank_tensor,
     builtin,
     ex1,
@@ -49,6 +47,7 @@ from conftest import (
     seed_gth_solve,
     stored_b_entries,
 )
+from triplets import COL, TripletMMatrix
 
 U = 2.0 ** -53
 

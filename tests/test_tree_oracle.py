@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
-from mlpagerank import ROW, PartialInverse, TripletMMatrix
+from triplets import ROW, PartialInverse, TripletMMatrix
 
 TREE_ORACLE_LIMIT = 6
 
