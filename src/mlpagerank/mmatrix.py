@@ -49,7 +49,9 @@ hi parts, then its lo parts, go into Shewchuk's partials as fsum adds them,
 the partials are rounded as fsum rounds them, and lo is the same partials
 with -hi added, rounded again.  The same library folds pairs for
 precision.dd_sum and its segment sums (dd_fold and dd_fold_runs), on terms
-numpy has formed.  The Python code stays the specification.  It
+numpy has formed, and on x86-64 with AVX-512F holds tensor's half-slab
+product (half_slab_build and half_slab_contract, bound as _half_slab).  The
+Python code, and for the product numpy's einsum, stays the specification.  It
 runs where there is no compiler, and in pairs from the first pivot column
 that has a part that is not finite or a sum that overflows, so that
 math.fsum's NaN, inf, ValueError and OverflowError stand.  Compiled, a NaN
@@ -102,7 +104,17 @@ def _zeros(like, shape):
 # _two_sum to _dd_div, fsum_add and fsum_round as CPython's math.fsum
 # (Shewchuk's partials, then the sum rounded half to even across them),
 # dd_gth_solve as _eliminate and _back_substitute on DD arrays, and fold as
-# precision.dd_sum's pairwise fold.
+# precision.dd_sum's pairwise fold.  The last section is tensor's half-slab
+# product: half_slab_build lays out a fully stored tensor's half slab, and
+# half_slab_contract adds einsum's terms over it in einsum's order, 8 lanes
+# a vector, compiled for AVX-512F by the target attribute alone.  Only an
+# x86-64 compiler with that attribute, vector_size and <cpuid.h> builds the
+# section, and the product is taken only where half_slab_cpu says the CPU
+# and its operating system run AVX-512F (_half_slab_kernels); elsewhere the
+# library has the other kernels alone.  half_slab_cpu reads CPUID itself:
+# __builtin_cpu_supports links 4.5 KB of libgcc's CPU detection in ahead of
+# this code, which moved gth_eliminate's loops to another alignment and made
+# gth_col_solve at n = 80 about 7% slower.
 _GTH_C = r"""
 #include <math.h>
 #include <stddef.h>
@@ -344,9 +356,102 @@ void dd_fold_runs(ptrdiff_t runs, const ptrdiff_t *bounds, const double *vh,
         ol[s] = o.lo;
     }
 }
+
+#if defined(__x86_64__) && defined(__has_attribute) && defined(__has_include)
+#if __has_attribute(target) && __has_attribute(vector_size) && __has_include(<cpuid.h>)
+#include <cpuid.h>
+
+/* The half slab of a fully stored tensor, the n^3 values a[i n^2 + k n + j]
+   = b_ijk: slices i in groups of 8, group g at h + 8 g t, t = n (n + 1) / 2;
+   in it, K[k, i, j] = b_ijk + b_ikj for k <= j at 8 (j (j + 1) / 2 + k) +
+   i - 8 g, 0.0 for the i >= n that pad the last group. */
+void half_slab_build(const double *a, ptrdiff_t n, double *h)
+{
+    ptrdiff_t g, i, j, k, t = n * (n + 1) / 2;
+    for (g = 0; g < (n + 7) / 8; g++)
+        for (j = 0; j < n; j++)
+            for (k = 0; k <= j; k++) {
+                double *e = h + 8 * (g * t + j * (j + 1) / 2 + k);
+                for (i = 0; i < 8; i++) {
+                    ptrdiff_t s = (8 * g + i) * n * n;
+                    e[i] = 8 * g + i < n ? a[s + k * n + j] + a[s + j * n + k] : 0.0;
+                }
+            }
+}
+
+typedef double v8d __attribute__((vector_size(64)));
+
+/* K[k, i, j] of the group at q as 8 lanes, i = 8 g .. 8 g + 7. */
+#define HALF(q, j, k) (q)[(k) <= (j) ? (j) * ((j) + 1) / 2 + (k) : (k) * ((k) + 1) / 2 + (j)]
+
+/* c[i n + j] = the sum over k = 0, 1, ..., n - 1 of K[k, i, j] x[k], each
+   term rounded, then added to a sum started from 0.0: einsum's terms in
+   einsum's order, 8 slices a vector and 4 columns j at a time.  h is 64-byte
+   aligned. */
+__attribute__((target("avx512f")))
+void half_slab_contract(const double *h, ptrdiff_t n, const double *x, double *c)
+{
+    ptrdiff_t g, i, j, k, t = n * (n + 1) / 2;
+    for (g = 0; g < (n + 7) / 8; g++) {
+        const v8d *q = (const v8d *)(h + 8 * g * t);
+        ptrdiff_t lanes = n - 8 * g < 8 ? n - 8 * g : 8;
+        for (j = 0; j + 4 <= n; j += 4) {
+            const v8d *c0 = q + j * (j + 1) / 2, *c1 = c0 + j + 1, *c2 = c1 + j + 2,
+                      *c3 = c2 + j + 3;
+            v8d s0 = {0.0}, s1 = {0.0}, s2 = {0.0}, s3 = {0.0};
+            for (k = 0; k < j; k++) {  /* k <= j for all four: down the columns */
+                s0 += c0[k] * x[k];
+                s1 += c1[k] * x[k];
+                s2 += c2[k] * x[k];
+                s3 += c3[k] * x[k];
+            }
+            for (; k < j + 4; k++) {
+                s0 += HALF(q, j, k) * x[k];
+                s1 += HALF(q, j + 1, k) * x[k];
+                s2 += HALF(q, j + 2, k) * x[k];
+                s3 += HALF(q, j + 3, k) * x[k];
+            }
+            for (; k < n; k++) {  /* k > j: along the rows, K[k, i, j] = K[j, i, k] */
+                const v8d *r = q + k * (k + 1) / 2 + j;
+                s0 += r[0] * x[k];
+                s1 += r[1] * x[k];
+                s2 += r[2] * x[k];
+                s3 += r[3] * x[k];
+            }
+            for (i = 0; i < lanes; i++) {
+                double *o = c + (8 * g + i) * n + j;
+                o[0] = s0[i];
+                o[1] = s1[i];
+                o[2] = s2[i];
+                o[3] = s3[i];
+            }
+        }
+        for (; j < n; j++) {
+            v8d s = {0.0};
+            for (k = 0; k < n; k++) s += HALF(q, j, k) * x[k];
+            for (i = 0; i < lanes; i++) c[(8 * g + i) * n + j] = s[i];
+        }
+    }
+}
+
+/* Whether this CPU has AVX-512F and its operating system saves the ZMM
+   registers (XCR0 bits 1, 2 and 5 to 7), so that it runs half_slab_contract. */
+int half_slab_cpu(void)
+{
+    unsigned a, b, c, d, xcr0, high;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d) || !(b & bit_AVX512F)) return 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_OSXSAVE)) return 0;
+    __asm__("xgetbv" : "=a"(xcr0), "=d"(high) : "c"(0));
+    return (xcr0 & 0xe6) == 0xe6;
+}
+
+#endif
+#endif
 """
 # No contraction into fused multiply-adds and no fast-math: IEEE rounding
-# of every operation, as numpy's.
+# of every operation, as numpy's.  No -march=native either: the cache key
+# names only platform.machine(), so only half_slab_contract is built for
+# more than the machine's baseline, and it is chosen at run time.
 _GTH_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -398,22 +503,48 @@ def _load_gth_kernels():
     finally:
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
-    p, i = ctypes.c_void_p, ctypes.c_ssize_t
-    for name, result, args in (
-        ("gth_eliminate", i, (p, i, i, i, p)),
-        ("dd_gth_solve", i, (p, p, i, i, i, p, p, p, ctypes.c_int)),
-        ("dd_fold", None, (i, i, p, p, p, p, p)),
-        ("dd_fold_runs", None, (i, p, p, p, p, p, p)),
-    ):
-        kernel = getattr(lib, name)
-        kernel.argtypes, kernel.restype = args, result
+    return _bind(lib)
+
+
+_P, _I = ctypes.c_void_p, ctypes.c_ssize_t
+# every library has the GTH and pair kernels; only an x86-64 build by a
+# compiler with the target attribute has the half-slab product's
+_KERNELS = (
+    ("gth_eliminate", _I, (_P, _I, _I, _I, _P)),
+    ("dd_gth_solve", _I, (_P, _P, _I, _I, _I, _P, _P, _P, ctypes.c_int)),
+    ("dd_fold", None, (_I, _I, _P, _P, _P, _P, _P)),
+    ("dd_fold_runs", None, (_I, _P, _P, _P, _P, _P, _P)),
+)
+_PRODUCT_KERNELS = (
+    ("half_slab_build", None, (_P, _I, _P)),
+    ("half_slab_contract", None, (_P, _I, _P, _P)),
+    ("half_slab_cpu", ctypes.c_int, ()),
+)
+
+
+def _bind(lib):
+    """Give lib's kernels their ctypes signatures, skipping the ones it lacks; returns lib."""
+    for name, result, args in _KERNELS + _PRODUCT_KERNELS:
+        kernel = getattr(lib, name, None)
+        if kernel is not None:
+            kernel.argtypes, kernel.restype = args, result
     return lib
 
 
-# _gth_leaf runs the binary64 pass and _pair_kernels (the same library, or
-# None) the pair ones; either set to None runs the Python code instead.
+def _half_slab_kernels(lib):
+    """lib if it has the half-slab product and this CPU runs it, else None."""
+    if lib is None or any(getattr(lib, name, None) is None for name, _, _ in _PRODUCT_KERNELS):
+        return None
+    return lib if lib.half_slab_cpu() else None
+
+
+# _gth_leaf runs the binary64 pass, _pair_kernels (the same library, or
+# None) the pair ones and _half_slab (it again, or None) tensor's half-slab
+# product; any of them set to None runs the Python code (the slab's einsum)
+# instead.
 _pair_kernels = _load_gth_kernels()
 _gth_leaf = _pair_kernels and _pair_kernels.gth_eliminate
+_half_slab = _half_slab_kernels(_pair_kernels)
 
 
 def _unit_column_stride(a):

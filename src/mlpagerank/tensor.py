@@ -44,23 +44,45 @@ or the dense unfolding of a sparse one), the k-major slab
 K[k, i, j] = b_{ijk} + b_{ikj} is the sum of A's (k, i, j) and (j, i, k)
 transposes, formed in one pass.  The product is np.einsum("kij,k->ij", K, x).
 K is built on the first product and kept per tensor; S, D's index arrays and
-the x~ gather are never built.  So a solve holds a full tensor at 16 bytes an
-entry: its vals (8) and K (8).  A small sparse tensor holds its rows, cols
-and vals (24 bytes a stored entry) and K, 8 n^3 bytes, at most 32 KB.
+the x~ gather are never built.  So a solve holds a full tensor with n <
+HALF_SLAB_MIN_N (or one whose products cannot run compiled, below) at 16
+bytes an entry: its vals (8) and K (8).  A small sparse tensor holds its
+rows, cols and vals (24 bytes a stored entry) and K, 8 n^3 bytes, at most
+32 KB.
 
-Summation-order contract, on both paths: entry (i, j) of contract_sym adds
+A tensor that stores every entry and has n >= HALF_SLAB_MIN_N takes the
+half-slab path where the compiled product runs: mmatrix._half_slab, an
+x86-64 build of mmatrix._GTH_C by a compiler with the target attribute, on a
+CPU with AVX-512F.  Each slice K[:, i, :] is symmetric bit for bit, since
+K[k, i, j] and K[j, i, k] add the same two values, so the half slab keeps
+its k <= j triangle alone.  The slices go in groups of 8, the last padded
+with zero slices, and a group holds entry (k, j) of its 8 slices side by
+side at position j (j + 1) / 2 + k (Tensor3.half_slab).  It is built in C
+from vals on the first product and kept per tensor; K is never built.  The
+product adds a group's 8 slices in one vector: for column j the terms of
+k <= j down column j, then those of k > j along row j, where entry (j, k)
+is K[k, i, j].  So a solve holds a full tensor at 8 bytes an entry plus
+32 ceil(n/8) (n + 1) / n^2 (12.0 in all at n = 120).  The product streams
+half of K's bytes, and a product at n = 120 is memory bound, so it takes
+about half the time.  Below HALF_SLAB_MIN_N a ctypes call costs more than
+the bytes saved; there, on other CPUs and without a compiler, the slab and
+einsum stay, as the half slab's specification.
+
+Summation-order contract, on every path: entry (i, j) of contract_sym adds
 the terms fl(b_{ijk} + b_{ikj}) x_k one at a time, starting from 0.0, k
 ascending (the terms of row i*n + j of S, in the order S stores them, or
-every k of the slab).  einsum without optimize makes one pass over k with
-the (i, j) plane innermost, so it adds the same terms in the same order as
-the CSR product; a BLAS product (tensordot, matmul) would not.  The slab of
-a sparse tensor also holds the terms S does not store: fl(0 + 0) x_k = 0 for
-finite x_k, and adding an exact zero to a sum started from 0.0 leaves it
-unchanged, sign included.  Results are therefore bit-for-bit reproducible,
-equal on the two paths for finite x, and equal to a sequential
-``np.bincount`` over the same terms, however the work is dispatched.  (Where
-x_k is infinite or NaN, a slab entry 0 gives 0 x_k = NaN, while S skips the
-entry.)
+every k of the slab or half slab).  einsum without optimize makes one pass
+over k with the (i, j) plane innermost, so it adds the same terms in the
+same order as the CSR product; a BLAS product (tensordot, matmul) would not.
+The compiled half-slab product rounds every product and sum as einsum does,
+with no fused multiply-add, so its bits are einsum's, non-finite x
+included.  The slab of a sparse tensor also holds the terms S does not
+store: fl(0 + 0) x_k = 0 for finite x_k, and adding an exact zero to a sum
+started from 0.0 leaves it unchanged, sign included.  Results are therefore
+bit-for-bit reproducible, equal on every path for finite x, and equal to a
+sequential ``np.bincount`` over the same terms, however the work is
+dispatched.  (Where x_k is infinite or NaN, a slab entry 0 gives
+0 x_k = NaN, while S skips the entry.)
 
 PageRankTensor holds P_(1) = nu (S + v d_S^T) + (1 - nu) F kron 1^T as
 its factors.  Its products cost O(nnz(S) + n^2) and add nonnegative terms
@@ -87,12 +109,22 @@ from itertools import product
 import numpy as np
 from scipy.sparse import csc_array, csr_array
 
+from . import mmatrix
+
 # Up to this many entries in n^3 a tensor contracts through its dense slab
 # (8 n^3 bytes, 32 KB here) whatever it stores.  On a 2-vCPU VM, best of 5,
 # einsum over the slab matched or beat the CSR product up to n = 24 at
 # densities 0.05 and 0.3, and lost at n = 32 at 0.05.  Up to n = 16 the
 # slab is also built in a fifth or less of the time S takes.
 SLAB_MAX_ENTRIES = 16 ** 3
+
+# From this n up a tensor that stores all n^3 entries contracts through its
+# half slab, where the compiled product runs (mmatrix._half_slab).  On a
+# 2-vCPU AVX-512 VM (best of 7 x 100 calls, 3 rounds, contract_sym on a
+# built structure) its time over einsum's was 1.38 at n = 17, 1.02-1.06 at
+# 24-26, 0.95 at 27, 0.93 at 28, 0.80-0.91 at 29-32, 0.60 at 40 and 0.53 at
+# 120: a ctypes call costs more than einsum's few microseconds below.
+HALF_SLAB_MIN_N = 28
 
 
 def _entry(n, row, col):
@@ -129,7 +161,8 @@ class Tensor3:
     and kept.
     """
 
-    __slots__ = ("n", "vals", "row_ptr", "_rows", "_cols", "_colsum", "_sym", "_tile", "_slab")
+    __slots__ = ("n", "vals", "row_ptr", "_rows", "_cols", "_colsum", "_sym", "_tile", "_slab",
+                 "_half")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -188,7 +221,7 @@ class Tensor3:
         else:
             self._rows, self._cols = rows, cols
             self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
-        self._sym = self._slab = self._colsum = None
+        self._sym = self._slab = self._half = self._colsum = None
 
     @classmethod
     def from_unfolding(cls, unfolding):
@@ -316,18 +349,48 @@ class Tensor3:
 
         A tensor that stores all n^3 entries reads A[i, k, j] = b_{ijk} from
         its values in storage order; any other from its dense unfolding.  K
-        is formed in one pass, C-ordered, so k is its outermost axis.
+        is formed in one pass, C-ordered, so k is its outermost axis.  A
+        product on the half-slab path never builds it.
         """
         if self._slab is None:
             A = (self.vals if self._cols is None else self.unfolding()).reshape((self.n,) * 3)
             self._slab = np.add(A.transpose(1, 0, 2), A.transpose(2, 0, 1), order="C")
         return self._slab
 
+    def half_slab(self):
+        """The half-slab path's structure, built once per tensor that stores all n^3 entries.
+
+        Slices i go in groups of 8, the last padded with zeros; a group keeps
+        K[k, i, j] for k <= j, its 8 slices' values side by side at position
+        j (j + 1) / 2 + k.  The slices are symmetric bit for bit, so this is
+        all of K in 32 ceil(n/8) n (n + 1) bytes.  Built in C from the values
+        in storage order (mmatrix._half_slab's half_slab_build), at a 64-byte
+        boundary.
+        """
+        if self._half is None:
+            n = self.n
+            if self._cols is not None:  # the C build reads all n^3 values
+                raise ValueError("only a tensor that stores all n^3 entries has a half slab")
+            size = -(-n // 8) * 8 * (n * (n + 1) // 2)
+            buf = np.empty(size + 8)
+            start = -buf.ctypes.data % 64 // 8
+            H = buf[start : start + size]
+            mmatrix._half_slab.half_slab_build(np.ascontiguousarray(self.vals).ctypes.data, n,
+                                               H.ctypes.data)
+            self._half = H
+        return self._half
+
     def to_tensor3(self):
         return self
 
     def _symmetric(self, x):
         n = self.n
+        if n >= HALF_SLAB_MIN_N and self._cols is None and mmatrix._half_slab is not None:
+            C = np.empty((n, n))
+            mmatrix._half_slab.half_slab_contract(self.half_slab().ctypes.data, n,
+                                                  np.ascontiguousarray(x).ctypes.data,
+                                                  C.ctypes.data)
+            return C
         if self.nnz == n ** 3 or n ** 3 <= SLAB_MAX_ENTRIES:
             # not optimize=True, which may hand the sum to BLAS in another order
             return np.einsum("kij,k->ij", self.slab(), x)
@@ -408,10 +471,13 @@ class PageRankTensor:
 def contract_sym(B, x):
     """C = Bx: + B:x in one pass: C_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
 
-    A Tensor3 that stores all n^3 entries, or has n^3 <= SLAB_MAX_ENTRIES,
-    takes one einsum over its slab; any other takes one product with its
-    symmetric slice matrix, both summing in the order the module docstring
-    states.  C is the Jacobian part of R_x = I - C, and Bx^2 = C x / 2.
+    A Tensor3 that stores all n^3 entries with n >= HALF_SLAB_MIN_N takes
+    the compiled product over its half slab where mmatrix._half_slab runs
+    it.  Any other full one, and any with n^3 <= SLAB_MAX_ENTRIES, takes one
+    einsum over its slab; the rest take one product with their symmetric
+    slice matrix.  All three sum in the order the module docstring states,
+    with the same bits.  C is the Jacobian part of R_x = I - C, and
+    Bx^2 = C x / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):

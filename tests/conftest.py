@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlpagerank import Problem, Tensor3, force_sum_one
+from mlpagerank import Problem, Tensor3, force_sum_one, mmatrix, tensor
 
 
 def exact_stochastic_unfolding(rng, n, density=1.0):
@@ -49,7 +49,7 @@ def held_bytes(a):
 
 def count_product_builds(monkeypatch):
     """A list that gets (structure, tensor) at each build of a Tensor3's
-    product structure: its "slab" or its slice matrix, "sym_matrix"."""
+    product structure: its "slab", "half_slab" or slice matrix, "sym_matrix"."""
     builds = []
 
     def counted(name, slot):
@@ -63,8 +63,16 @@ def count_product_builds(monkeypatch):
         monkeypatch.setattr(Tensor3, name, counting)
 
     counted("slab", "_slab")
+    counted("half_slab", "_half")
     counted("sym_matrix", "_sym")
     return builds
+
+
+def full_structure(n):
+    """The product structure a Tensor3 that stores all n^3 entries builds."""
+    if n >= tensor.HALF_SLAB_MIN_N and mmatrix._half_slab is not None:
+        return "half_slab"
+    return "slab"
 
 
 def csr_symmetric(B, x):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 import tracemalloc
 from decimal import Decimal
 
@@ -27,7 +28,7 @@ from mlpagerank import (
 )
 from mlpagerank.cli import EXIT_MAXIT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
-from conftest import count_product_builds, exact_stochastic_unfolding
+from conftest import count_product_builds, exact_stochastic_unfolding, full_structure
 
 EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
 
@@ -340,8 +341,9 @@ def test_checking_an_output_path_leaves_what_was_there(tmp_path, capsys):
 
 
 def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, capsys):
-    # all five methods reach the tensor through P's one slab, built once: a
-    # full P never builds S, and none of them forms B = alpha P
+    # all five methods reach the tensor through P's one slab or half slab,
+    # as its n selects, built once: a full P never builds S, and none of
+    # them forms B = alpha P
     path = tmp_path / "p.txt"
     write_tensor_text(Tensor3.from_unfolding(
         exact_stochastic_unfolding(np.random.default_rng(30), 30)), path)
@@ -360,7 +362,7 @@ def test_compare_contracts_one_stored_p_for_every_method(tmp_path, monkeypatch, 
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["method"] for row in rows] == methods
     [problem] = loaded
-    assert builds == [("slab", problem.p_tensor)]
+    assert builds == [(full_structure(30), problem.p_tensor)]
     assert problem.tensor is None
 
 
@@ -581,6 +583,15 @@ def test_the_size_limit_is_in_the_help():
 METHOD_NAMES = [m.value for m in Method] + ["gauss-seidel"]
 
 
+def captured_run(argv):
+    """main(argv)'s exit code, stdout and stderr; any exception but
+    SystemExit fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=90, derandomize=True, deadline=None)
 @given(command=st.sampled_from(["solve", "compare", "perturb"]),
        name=st.sampled_from(["intro", "ex1", "ex2"]),
@@ -594,12 +605,6 @@ METHOD_NAMES = [m.value for m in Method] + ["gauss-seidel"]
          tol="1e-15", maxit="50", reference=True)
 def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, methods, blocks,
                                                            alpha, tol, maxit, reference):
-    def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = exit_code(argv)  # any exception but SystemExit fails the test
-        return code, out.getvalue(), err.getvalue()
-
     shared = ["--builtin", name, f"--alpha={alpha}", f"--tol={tol}", f"--maxit={maxit}"]
     if blocks is not None:
         shared.append(f"--block-sizes={blocks}")
@@ -607,7 +612,7 @@ def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, method
     extra = []
     if command == "perturb":
         extra = ["--epsilon=1e-8", "--trials=2", *(["--reference"] if reference else [])]
-    code, out, err = run([command, *shared, *method, *extra])
+    code, out, err = captured_run([command, *shared, *method, *extra])
     assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
     for line in out.splitlines():
         json.loads(line)
@@ -616,4 +621,78 @@ def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, method
     if command == "perturb":
         # perturb takes solve's method flags and rejects what solve rejects,
         # also with --reference, which never runs the method
-        assert (code == EXIT_USAGE) == (run(["solve", *shared, *method])[0] == EXIT_USAGE)
+        solve_code = captured_run(["solve", *shared, *method])[0]
+        assert (code == EXIT_USAGE) == (solve_code == EXIT_USAGE)
+
+
+TENSOR_MUTATIONS = ["garbled-header", "negative-header", "miscounted-header", "index-0",
+                    "index-above-n", "non-numeric", "negative", "nan", "1e400", "duplicate",
+                    "blank-lines"]
+
+
+@st.composite
+def tensor_files(draw):
+    """A stochastic tensor file with n = 2-4, and at most one mutation."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    U = exact_stochastic_unfolding(rng, n, draw(st.sampled_from([1.0, 0.5])))
+    lines = [[str(i), str(j), str(k), repr(v)]
+             for i, j, k, v in Tensor3.from_unfolding(U).entries()]
+    header = [str(n), str(len(lines))]
+    mutation = draw(st.none() | st.sampled_from(TENSOR_MUTATIONS))  # about half valid
+    e = draw(st.integers(0, len(lines) - 1))
+    if mutation == "garbled-header":
+        header = draw(st.sampled_from([[str(n), "x"], ["n", "nnz"], [str(n)], []]))
+    elif mutation == "negative-header":
+        field = draw(st.integers(0, 1))
+        header[field] = f"-{header[field]}"
+    elif mutation == "miscounted-header":
+        header[1] = str(len(lines) + draw(st.sampled_from([-1, 1])))
+    elif mutation in ("index-0", "index-above-n"):
+        lines[e][draw(st.integers(0, 2))] = "0" if mutation == "index-0" else str(n + 1)
+    elif mutation in ("non-numeric", "negative", "nan", "1e400"):
+        lines[e][3] = {"non-numeric": "half", "negative": "-0.5"}.get(mutation, mutation)
+    elif mutation == "duplicate":
+        lines.append(list(lines[e]))
+        header[1] = str(len(lines))
+    text = [" ".join(header)] + [" ".join(line) for line in lines]
+    if mutation == "blank-lines":
+        for at in sorted(draw(st.lists(st.integers(1, len(text)), min_size=1, max_size=3)),
+                         reverse=True):
+            text.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+    return n, "\n".join(text) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["solve", "compare", "perturb"]),
+       tensor=tensor_files(),
+       v_file=st.sampled_from([None, "stochastic"]) | st.sampled_from(
+           ["short", "nan", "not-stochastic"]),
+       alpha=st.sampled_from(["0.3", "0.49"]))
+def test_tensor_files_exit_with_a_code_and_one_line(command, tensor, v_file, alpha):
+    n, text = tensor
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, "--tensor", path, f"--alpha={alpha}"]
+        if v_file is not None:
+            quarters = np.r_[np.full(n - 1, 0.25), 1.0 - 0.25 * (n - 1)]  # sums to 1 exactly
+            v = {"stochastic": quarters, "short": quarters[1:],
+                 "nan": np.r_[np.nan, quarters[1:]], "not-stochastic": np.full(n, 0.5)}[v_file]
+            with open(os.path.join(tmp, "v.txt"), "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{t!r}\n" for t in v))
+            argv += ["--v-file", os.path.join(tmp, "v.txt")]
+        argv += {"solve": ["--method", "newton-gth"], "compare": ["--methods", "newton-gth"],
+                 "perturb": ["--epsilon=1e-8", "--trials=2"]}[command]
+        code, out, err = captured_run(argv)
+    assert "Traceback" not in err
+    assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
+    if code in (EXIT_OK, EXIT_MAXIT):
+        [line] = out.splitlines()
+        json.loads(line)
+    else:
+        # a usage error prints the usage, then its one-line message
+        [message] = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert err.endswith(message + "\n")
+        assert code == EXIT_USAGE or err == message + "\n"

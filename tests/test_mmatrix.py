@@ -1,7 +1,10 @@
 """GTH elimination, triplet solves, null vectors, and partial inverses."""
 
+import ctypes
 import json
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +15,16 @@ import numpy as np
 import pytest
 
 import mlpagerank
-from mlpagerank import Method, SingularPivotError, SolverOptions, omega, plain_lu_solve, solve
+from mlpagerank import (
+    Method,
+    SingularPivotError,
+    SolverOptions,
+    Tensor3,
+    contract_sym,
+    omega,
+    plain_lu_solve,
+    solve,
+)
 from mlpagerank import mmatrix, precision
 from mlpagerank.ingest import builtin
 from mlpagerank.mmatrix import (
@@ -959,6 +971,63 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         input=mmatrix._GTH_C, text=True, capture_output=True, timeout=120,
     )
     assert (out.returncode, out.stderr) == (0, "")
+
+
+def cpu_has_avx512f():
+    """Whether /proc/cpuinfo lists AVX-512F; None where there is no such file."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            info = fh.read()
+    except OSError:
+        return None
+    return re.search(r"^flags\s*:.*\bavx512f\b", info, re.MULTILINE) is not None
+
+
+def test_the_library_exports_the_half_slab_product_where_the_cpu_runs_it():
+    # a silent fall-back to einsum would pass every bit test
+    if shutil.which("cc") is None or platform.machine() != "x86_64" or not cpu_has_avx512f():
+        pytest.skip("no C compiler, or not an x86-64 CPU with AVX-512F")
+    assert mmatrix._half_slab is not None and mmatrix._half_slab is mmatrix._pair_kernels
+    for name in ("half_slab_build", "half_slab_contract"):
+        assert getattr(mmatrix._half_slab, name).argtypes is not None
+
+
+def kernel_outputs():
+    """The bytes of a blocked binary64 GTH solve, a pair GTH solve, a pair
+    fold and a full tensor's product with n = 40."""
+    rng = np.random.default_rng(40)
+    N = rng.random((60, 60))
+    sums, rhs = rng.random(60), rng.random(60)
+    pairs = DD(N[:6, :6], N[:6, :6] * 2.0 ** -60)
+    y = gth_col_solve(pairs, DD(sums[:6], sums[:6] * 2.0 ** -60), DD(rhs[:6], 0.0 * rhs[:6]))
+    fold = dd_sum(DD(N, N * 2.0 ** -60))
+    B = Tensor3.from_unfolding(rng.random((40, 1600)))
+    return [gth_col_solve(N, sums, rhs).tobytes(), y.hi.tobytes(), y.lo.tobytes(),
+            fold.hi.tobytes(), fold.lo.tobytes(), contract_sym(B, rhs[:40]).tobytes(),
+            np.einsum("kij,k->ij", B.slab(), rhs[:40]).tobytes()]
+
+
+def test_a_library_without_the_product_keeps_the_gth_and_pair_kernels(tmp_path, monkeypatch):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    # what a compiler that is not for x86-64, or lacks the target attribute,
+    # builds: the source up to the product's guard
+    source, guard, _ = mmatrix._GTH_C.partition("#if defined(__x86_64__)")
+    assert guard
+    path = tmp_path / "gth.so"
+    subprocess.run([cc, *mmatrix._GTH_FLAGS, "-x", "c", "-", "-o", str(path)], input=source,
+                   text=True, capture_output=True, check=True, timeout=120)
+    lib = mmatrix._bind(ctypes.CDLL(str(path)))
+    assert getattr(lib, "half_slab_contract", None) is None
+    assert mmatrix._half_slab_kernels(lib) is None
+    want = kernel_outputs()
+    monkeypatch.setattr(mmatrix, "_pair_kernels", lib)
+    monkeypatch.setattr(mmatrix, "_gth_leaf", lib.gth_eliminate)
+    monkeypatch.setattr(mmatrix, "_half_slab", mmatrix._half_slab_kernels(lib))
+    got = kernel_outputs()
+    assert got == want
+    assert got[-2] == got[-1]  # the product is einsum's
 
 
 # Commands whose outputs go through the compiled kernels or their fallback:

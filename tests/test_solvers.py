@@ -21,7 +21,9 @@ from mlpagerank import (
     builtin,
     ex1,
     ex2,
+    force_sum_one,
     intro,
+    mmatrix,
     random_teleport_vector,
     reference_solution,
     residual,
@@ -40,6 +42,7 @@ from mlpagerank.solvers import (
 from conftest import (
     csr_symmetric,
     exact_stochastic_unfolding,
+    full_structure,
     held_bytes,
     random_pagerank_problem,
     scaled,
@@ -599,7 +602,14 @@ def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
     # its values alone: rows and cols follow from storage order
     assert P._rows is None and P._cols is None
     assert held_bytes(P.vals) == 8 * P.nnz
-    assert held_bytes(P._slab) == 8 * P.nnz
+    n = P.n
+    if full_structure(n) == "half_slab":
+        # K's k <= j triangle in groups of 8 slices, and 64 bytes to align it
+        assert held_bytes(P._half) == 32 * -(-n // 8) * n * (n + 1) + 64
+        assert P._slab is None
+    else:
+        assert held_bytes(P._slab) == 8 * P.nnz
+        assert P._half is None
     assert P._sym is None and not hasattr(P, "_tile")
 
 
@@ -631,6 +641,27 @@ def test_slab_and_csr_products_solve_bit_for_bit(monkeypatch, method, block_size
     assert slab.iterations > 1
     assert (slab.z_history is None) is (method is Method.NEWTON)
     assert_same_reports(slab, solve(p, o))
+
+
+@pytest.mark.skipif(mmatrix._half_slab is None, reason="no compiled half-slab product")
+def test_newton_gth_reports_are_the_same_with_the_half_slab_kernel_on_and_off(monkeypatch):
+    n = 120
+    rng = np.random.default_rng(120)
+    U = exact_stochastic_unfolding(rng, n)
+    v = rng.random(n) + 0.05
+    v = force_sum_one(v / v.sum())
+    reports = {}
+    for kernel in (mmatrix._half_slab, None):
+        monkeypatch.setattr(mmatrix, "_half_slab", kernel)
+        P = Tensor3.from_unfolding(U)
+        problems = [Problem.from_pagerank(v, P, float(alpha), exact_omt(alpha))
+                    for alpha in ("0.3", "0.49", "0.4999", "0.6")]
+        reports[kernel] = [solve(p, opts(Method.NEWTON_GTH)) for p in problems]
+        assert (P._half is None) is (kernel is None) and (P._slab is None) is (kernel is not None)
+    on, off = reports.values()
+    for got, want in zip(on, off, strict=True):
+        assert got.iterations > 1
+        assert_same_reports(got, want)
 
 
 @pytest.mark.parametrize("method,kw,general", [

@@ -19,6 +19,7 @@ from mlpagerank import (
     componentwise_zero_sum_perturb,
     contract_sym,
     cw_distance,
+    mmatrix,
     read_tensor_text,
     reference_solution,
     residual,
@@ -26,12 +27,13 @@ from mlpagerank import (
     three_cycle_tensor,
     write_tensor_text,
 )
-from mlpagerank.tensor import SLAB_MAX_ENTRIES
+from mlpagerank.tensor import HALF_SLAB_MIN_N, SLAB_MAX_ENTRIES
 
 from conftest import (
     count_product_builds,
     csr_symmetric,
     exact_stochastic_unfolding,
+    full_structure,
     held_bytes,
     scaled,
 )
@@ -214,10 +216,12 @@ def mixed_x(rng, n):
 
 
 def assert_slab_product_is_the_csr_product(B, xs):
-    """contract_sym takes the slab path, and its bits are those of S x~ and
-    of the sequential bincount over S's terms."""
+    """contract_sym takes the slab path, or the half-slab path where a full
+    tensor's n selects it, and its bits are those of S x~ and of the
+    sequential bincount over S's terms."""
     got = [contract_sym(B, x) for x in xs]
-    assert B._slab is not None and B._sym is None
+    half = B._cols is None and full_structure(B.n) == "half_slab"
+    assert (B._half is not None) is half and (B._slab is None) is half and B._sym is None
     for x, C in zip(xs, got, strict=True):
         assert C.tobytes() == csr_symmetric(B, x).tobytes()
         assert C.tobytes() == bincount_contract_sym(B, x).tobytes()
@@ -251,6 +255,72 @@ class TestSlabPath:
         U = B.unfolding()
         for i, j, k in np.ndindex(n, n, n):
             assert K[k, i, j] == U[i, j + k * n] + U[i, k + j * n]
+
+
+needs_half_slab = pytest.mark.skipif(mmatrix._half_slab is None,
+                                     reason="no compiled half-slab product")
+
+
+def non_finite_xs(rng, n):
+    """mixed_x with one entry inf, -inf or NaN."""
+    xs = []
+    for bad in (np.inf, -np.inf, np.nan):
+        x = mixed_x(rng, n)
+        x[rng.integers(n)] = bad
+        xs.append(x)
+    return xs
+
+
+class TestHalfSlabPath:
+    """A full tensor with n >= HALF_SLAB_MIN_N contracts through its half slab
+    where the compiled product runs, with the bits of einsum over its slab."""
+
+    @pytest.mark.parametrize("n", [HALF_SLAB_MIN_N - 1, HALF_SLAB_MIN_N, 40, 121, 123])
+    def test_bit_identical_to_the_csr_product_and_to_einsum(self, n):
+        rng = np.random.default_rng(5000 + n)
+        B = full_tensor(rng, n)
+        with_zeros = mixed_x(rng, n)
+        with_zeros[rng.random(n) < 0.3] = 0.0
+        assert_slab_product_is_the_csr_product(
+            B, [mixed_x(rng, n), with_zeros, np.zeros(n), -np.zeros(n)])
+        for x in non_finite_xs(rng, n):
+            got = contract_sym(B, x)
+            assert got.tobytes() == np.einsum("kij,k->ij", B.slab(), x).tobytes()
+
+    @needs_half_slab
+    @pytest.mark.parametrize("n", [HALF_SLAB_MIN_N, 121])
+    def test_the_same_bytes_with_the_kernel_switched_off(self, monkeypatch, n):
+        rng = np.random.default_rng(6000 + n)
+        B = full_tensor(rng, n)
+        xs = [mixed_x(rng, n), np.zeros(n), *non_finite_xs(rng, n)]
+        on = [contract_sym(B, x).tobytes() for x in xs]
+        assert B._half is not None and B._slab is None
+        monkeypatch.setattr(mmatrix, "_half_slab", None)
+        off = [contract_sym(B, x).tobytes() for x in xs]
+        assert B._slab is not None
+        assert on == off
+
+    @needs_half_slab
+    @pytest.mark.parametrize("n", [1, 9, 16])
+    def test_holds_the_k_le_j_triangle_of_each_slice_in_groups_of_8(self, rng, n):
+        B = full_tensor(rng, n)
+        H = B.half_slab()
+        assert B.half_slab() is H and H.ctypes.data % 64 == 0
+        K, groups, t = B.slab(), -(-n // 8), n * (n + 1) // 2
+        want = np.zeros((groups, t, 8))
+        for j in range(n):
+            for k in range(j + 1):
+                lanes = np.zeros(8 * groups)  # the slices past n are zero
+                lanes[:n] = K[k, :, j]
+                want[:, j * (j + 1) // 2 + k] = lanes.reshape(groups, 8)
+        assert H.tobytes() == want.tobytes()
+        assert (K == K.transpose(2, 1, 0)).all()  # every slice symmetric
+
+    def test_only_a_full_tensor_has_one(self, rng):
+        B = random_sparse_tensor(rng, HALF_SLAB_MIN_N, 0.5)
+        with pytest.raises(ValueError, match=r"stores all n\^3 entries"):
+            B.half_slab()
+        assert B._half is None
 
 
 SMALL_SPARSE_CASES = [  # (n, density, empty rows), every one with n^3 <= SLAB_MAX_ENTRIES
@@ -506,6 +576,36 @@ class TestFullTensors:
         assert C.shape == (n, n)
         assert built <= 8 * B.nnz + 32 * n * n
         assert contracted <= 16 * B.nnz + 32 * n * n
+
+    @pytest.mark.parametrize("kernel", ["on", "off"])
+    def test_holds_8_bytes_an_entry_then_its_product_structure_at_n_120(
+            self, rng, monkeypatch, kernel):
+        # the half slab: 8 bytes an entry plus 32 ceil(n/8) (n + 1) / n^2,
+        # about 12.03 in all; the slab (kernel off) 16
+        n = 120
+        if kernel == "off":
+            monkeypatch.setattr(mmatrix, "_half_slab", None)
+        U = rng.random((n, n * n))
+        x = rng.random(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            B = Tensor3.from_unfolding(U)
+            built = tracemalloc.get_traced_memory()[0] - base
+            C = contract_sym(B, x)
+            contracted = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert C.shape == (n, n)
+        assert built <= 8 * B.nnz + 32 * n * n
+        if full_structure(n) == "half_slab":
+            held = held_bytes(B._half)
+            assert held == 32 * -(-n // 8) * n * (n + 1) + 64
+            assert held <= 4.1 * B.nnz
+        else:
+            held = held_bytes(B._slab)
+            assert held == 8 * B.nnz
+        assert contracted - built <= held + 32 * n * n
 
     def test_column_sums_computed_once_for_every_problem(self, rng, monkeypatch):
         n = 8
