@@ -108,8 +108,9 @@ def _zeros(like, shape):
 # product: half_slab_build lays out a fully stored tensor's half slab, and
 # half_slab_contract adds einsum's terms over it in einsum's order, 8 lanes
 # a vector, compiled for AVX-512F by the target attribute alone.  Only an
-# x86-64 compiler with that attribute, vector_size and <cpuid.h> builds the
-# section, and the product is taken only where half_slab_cpu says the CPU
+# x86-64 compiler with that attribute, vector_size and a <cpuid.h> that
+# defines __cpuid_count, bit_AVX512F and bit_OSXSAVE builds the section
+# (GCC 5 and 6 have the attribute but not __get_cpuid_count), and the product is taken only where half_slab_cpu says the CPU
 # and its operating system run AVX-512F (_half_slab_kernels); elsewhere the
 # library has the other kernels alone.  half_slab_cpu reads CPUID itself:
 # __builtin_cpu_supports links 4.5 KB of libgcc's CPU detection in ahead of
@@ -360,6 +361,7 @@ void dd_fold_runs(ptrdiff_t runs, const ptrdiff_t *bounds, const double *vh,
 #if defined(__x86_64__) && defined(__has_attribute) && defined(__has_include)
 #if __has_attribute(target) && __has_attribute(vector_size) && __has_include(<cpuid.h>)
 #include <cpuid.h>
+#if defined(__cpuid_count) && defined(bit_AVX512F) && defined(bit_OSXSAVE)
 
 /* The half slab of a fully stored tensor, the n^3 values a[i n^2 + k n + j]
    = b_ijk: slices i in groups of 8, group g at h + 8 g t, t = n (n + 1) / 2;
@@ -439,12 +441,15 @@ void half_slab_contract(const double *h, ptrdiff_t n, const double *x, double *c
 int half_slab_cpu(void)
 {
     unsigned a, b, c, d, xcr0, high;
-    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d) || !(b & bit_AVX512F)) return 0;
+    if (__get_cpuid_max(0, 0) < 7) return 0;
+    __cpuid_count(7, 0, a, b, c, d);
+    if (!(b & bit_AVX512F)) return 0;
     if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_OSXSAVE)) return 0;
     __asm__("xgetbv" : "=a"(xcr0), "=d"(high) : "c"(0));
     return (xcr0 & 0xe6) == 0xe6;
 }
 
+#endif
 #endif
 #endif
 """

@@ -75,10 +75,14 @@ every k of the slab or half slab).  einsum without optimize makes one pass
 over k with the (i, j) plane innermost, so it adds the same terms in the
 same order as the CSR product; a BLAS product (tensordot, matmul) would not.
 The compiled half-slab product rounds every product and sum as einsum does,
-with no fused multiply-add, so its bits are einsum's, non-finite x
-included.  The slab of a sparse tensor also holds the terms S does not
-store: fl(0 + 0) x_k = 0 for finite x_k, and adding an exact zero to a sum
-started from 0.0 leaves it unchanged, sign included.  Results are therefore
+with no fused multiply-add, so its bits are einsum's for finite x and for
+x with one entry that is not finite.  Where two NaNs meet in one sum (two
+NaN entries of x, or a NaN after inf - inf), both give NaN in the same
+entries, but not always the same NaN: x86 keeps the first operand's sign
+and payload, and einsum adds term + sum where the kernel adds sum + term.
+The slab of a sparse tensor also holds the terms S does not store:
+fl(0 + 0) x_k = 0 for finite x_k, and adding an exact zero to a sum started
+from 0.0 leaves it unchanged, sign included.  Results are therefore
 bit-for-bit reproducible, equal on every path for finite x, and equal to a
 sequential ``np.bincount`` over the same terms, however the work is
 dispatched.  (Where x_k is infinite or NaN, a slab entry 0 gives
@@ -375,8 +379,8 @@ class Tensor3:
             buf = np.empty(size + 8)
             start = -buf.ctypes.data % 64 // 8
             H = buf[start : start + size]
-            mmatrix._half_slab.half_slab_build(np.ascontiguousarray(self.vals).ctypes.data, n,
-                                               H.ctypes.data)
+            vals = np.ascontiguousarray(self.vals)  # held: the C build reads it
+            mmatrix._half_slab.half_slab_build(vals.ctypes.data, n, H.ctypes.data)
             self._half = H
         return self._half
 
@@ -387,8 +391,8 @@ class Tensor3:
         n = self.n
         if n >= HALF_SLAB_MIN_N and self._cols is None and mmatrix._half_slab is not None:
             C = np.empty((n, n))
-            mmatrix._half_slab.half_slab_contract(self.half_slab().ctypes.data, n,
-                                                  np.ascontiguousarray(x).ctypes.data,
+            x = np.ascontiguousarray(x)  # held: the C product reads it
+            mmatrix._half_slab.half_slab_contract(self.half_slab().ctypes.data, n, x.ctypes.data,
                                                   C.ctypes.data)
             return C
         if self.nnz == n ** 3 or n ** 3 <= SLAB_MAX_ENTRIES:

@@ -1007,14 +1007,27 @@ def kernel_outputs():
             np.einsum("kij,k->ij", B.slab(), rhs[:40]).tobytes()]
 
 
-def test_a_library_without_the_product_keeps_the_gth_and_pair_kernels(tmp_path, monkeypatch):
+def without_the_product_source(missing):
+    """_GTH_C as a compiler builds it that is not for x86-64 or lacks the
+    target attribute (missing None: the source up to the product's guard),
+    or whose <cpuid.h> does not define the name missing."""
+    if missing is None:
+        source, guard, _ = mmatrix._GTH_C.partition("#if defined(__x86_64__)")
+        assert guard
+        return source
+    include = "#include <cpuid.h>\n"
+    assert mmatrix._GTH_C.count(include) == 1
+    return mmatrix._GTH_C.replace(include, f"{include}#undef {missing}\n")
+
+
+@pytest.mark.parametrize("missing", [None, "__cpuid_count", "bit_AVX512F", "bit_OSXSAVE"],
+                         ids=["guard", "__cpuid_count", "bit_AVX512F", "bit_OSXSAVE"])
+def test_a_library_without_the_product_keeps_the_gth_and_pair_kernels(tmp_path, monkeypatch,
+                                                                     missing):
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    # what a compiler that is not for x86-64, or lacks the target attribute,
-    # builds: the source up to the product's guard
-    source, guard, _ = mmatrix._GTH_C.partition("#if defined(__x86_64__)")
-    assert guard
+    source = without_the_product_source(missing)
     path = tmp_path / "gth.so"
     subprocess.run([cc, *mmatrix._GTH_FLAGS, "-x", "c", "-", "-o", str(path)], input=source,
                    text=True, capture_output=True, check=True, timeout=120)

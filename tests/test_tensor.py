@@ -1,6 +1,9 @@
 """Tensor storage and contraction products."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlpagerank
 from mlpagerank import (
     Adjacency,
     Problem,
@@ -271,6 +275,25 @@ def non_finite_xs(rng, n):
     return xs
 
 
+# A full tensor at n = 130 with its values and x strided views, so that
+# the copies the C code reads are past numpy's cache of small buffers, and
+# its product against einsum over its slab.
+STRIDED_RUN = """
+import numpy as np
+from mlpagerank import Tensor3, contract_sym
+n = 130
+rng = np.random.default_rng(n)
+vals = np.stack([rng.random(n ** 3), np.zeros(n ** 3)], axis=1)[:, 0]
+B = Tensor3.from_coordinates(n, np.repeat(np.arange(n), n * n), np.tile(np.arange(n * n), n),
+                             vals)
+x = np.stack([rng.random(n) - 0.5, np.zeros(n)], axis=1)[:, 0]
+assert B._cols is None and not B.vals.flags.c_contiguous and not x.flags.c_contiguous
+got = contract_sym(B, x)
+print(f"half slab {B._half is not None}, same bytes",
+      got.tobytes() == np.einsum("kij,k->ij", B.slab(), x).tobytes())
+"""
+
+
 class TestHalfSlabPath:
     """A full tensor with n >= HALF_SLAB_MIN_N contracts through its half slab
     where the compiled product runs, with the bits of einsum over its slab."""
@@ -299,6 +322,29 @@ class TestHalfSlabPath:
         off = [contract_sym(B, x).tobytes() for x in xs]
         assert B._slab is not None
         assert on == off
+
+    @needs_half_slab
+    def test_a_strided_x_and_strided_values_give_einsums_bytes(self):
+        # the C build and product read contiguous copies of both, which must
+        # outlive the call; glibc fills freed memory with MALLOC_PERTURB_'s
+        # byte, so a copy read after its free gives other bytes
+        src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
+        env = dict(os.environ, MALLOC_PERTURB_="165",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", STRIDED_RUN], capture_output=True, text=True,
+                             timeout=300, env=env)
+        assert (out.stdout, out.stderr) == ("half slab True, same bytes True\n", "")
+
+    @pytest.mark.parametrize("n", [HALF_SLAB_MIN_N, 121])
+    def test_two_nans_in_x_give_nan_everywhere(self, rng, n):
+        # which of two NaNs a sum keeps is not pinned: x86 keeps the first
+        # operand's, and einsum and the kernel add in opposite order
+        B = full_tensor(rng, n)
+        for first, second in ((np.nan, -np.nan), (-np.nan, np.nan)):
+            x = mixed_x(rng, n)
+            x[3], x[n - 2] = first, second
+            assert np.isnan(contract_sym(B, x)).all()
+            assert np.isnan(np.einsum("kij,k->ij", B.slab(), x)).all()
 
     @needs_half_slab
     @pytest.mark.parametrize("n", [1, 9, 16])
