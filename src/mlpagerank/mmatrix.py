@@ -110,9 +110,10 @@ def _zeros(like, shape):
 # a vector, compiled for AVX-512F by the target attribute alone.  Only an
 # x86-64 compiler with that attribute, vector_size and a <cpuid.h> that
 # defines __cpuid_count, bit_AVX512F and bit_OSXSAVE builds the section
-# (GCC 5 and 6 have the attribute but not __get_cpuid_count), and the product is taken only where half_slab_cpu says the CPU
-# and its operating system run AVX-512F (_half_slab_kernels); elsewhere the
-# library has the other kernels alone.  half_slab_cpu reads CPUID itself:
+# (GCC 5 and 6 have the attribute but not __get_cpuid_count), and the
+# product is taken only where half_slab_cpu says the CPU and its operating
+# system run AVX-512F (_half_slab_kernels); elsewhere the library has the
+# other kernels alone.  half_slab_cpu reads CPUID itself:
 # __builtin_cpu_supports links 4.5 KB of libgcc's CPU detection in ahead of
 # this code, which moved gth_eliminate's loops to another alignment and made
 # gth_col_solve at n = 80 about 7% slower.

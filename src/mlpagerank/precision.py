@@ -44,10 +44,14 @@ Newton, whose C gives both R_x = I - C and the residual's Bx^2 = C x / 2.
 There are two product paths, chosen as Tensor3 chooses its own.  A tensor
 that stores all n^3 entries contracts through the pair slab
 K[k, i, j] = b_ijk + b_ikj, built once (dd_slab): one dd_sum over k, n terms
-per entry (dd_contract_slab).  Any other contracts by dd_contract_sym over
-its 2 nnz terms, listed once (dd_sym_terms).  A PageRank problem is
-renormalized first by one pair reciprocal alpha / colsum per unfolding
-column, which multiplies every entry of that column.
+per entry (dd_contract_slab).  Any other contracts through the slice matrix
+S of Tensor3's sparse path in pairs, built once from S's pattern
+(dd_sym_matrix): one dd_sum per row of S, its terms S_{i*n+j, k} x_k with k
+ascending (dd_contract_sym).  On a tensor that stores all n^3 entries the
+two give the same bits: S then holds every K[k, i, j], and each entry folds
+the same n terms.  A PageRank problem is renormalized first by one pair
+reciprocal alpha / colsum per unfolding column, which multiplies every entry
+of that column.
 """
 
 from __future__ import annotations
@@ -388,60 +392,58 @@ def dd_residual(problem, x):
 def _dd_column_sums(P):
     """Pair-precision sums of the unfolding columns of a Tensor3."""
     order = np.argsort(P.cols, kind="stable")
-    return _dd_segment_sums(DD(P.vals[order]), P.cols[order], P.n * P.n)
+    bounds = np.searchsorted(P.cols[order], np.arange(P.n * P.n + 1))
+    return _dd_segment_sums(DD(P.vals[order]), bounds)
 
 
-def _dd_segment_sums(weights, keys, n_keys):
-    """Sum DD weights into n_keys buckets; keys must be sorted ascending.
+def _dd_segment_sums(weights, bounds):
+    """Sum DD weights in runs: run s is weights[bounds[s]:bounds[s + 1]].
 
-    Each bucket's sum is dd_sum of its run, bit for bit.  The runs fold
-    compiled (mmatrix._pair_kernels' dd_fold_runs); the Python path gathers
-    the runs of one length as the columns of a (length x buckets) matrix,
-    which dd_sum folds along its first axis for all of them at once.
+    bounds ascend from 0.  Each run's sum is dd_sum of it, bit for bit, 0
+    for an empty run.  The runs fold compiled (mmatrix._pair_kernels'
+    dd_fold_runs); the Python path gathers the runs of one length as the
+    columns of a (length x runs) matrix, which dd_sum folds along its first
+    axis for all of them at once.
     """
-    bounds = np.searchsorted(keys, np.arange(n_keys + 1))
+    bounds = np.ascontiguousarray(bounds, dtype=np.int64)  # held: the C fold reads it
+    runs = len(bounds) - 1
     kernels = mmatrix._pair_kernels
-    # keys longer than weights are left to the Python path, which raises
-    if kernels is not None and len(keys) <= len(weights):
+    # a bound past the weights is left to the Python path, which raises
+    if kernels is not None and bounds.min() >= 0 and bounds.max() <= len(weights):
         v = _contiguous(weights)
         # the sums' two parts, then room for the longest run's terms
-        buf = np.empty(2 * n_keys + 2 * int(np.diff(bounds).max(initial=0)))
+        buf = np.empty(2 * runs + 2 * int(np.diff(bounds).max(initial=0)))
         at = buf.ctypes.data
-        kernels.dd_fold_runs(n_keys, bounds.ctypes.data, v.hi.ctypes.data, v.lo.ctypes.data,
-                             at, at + 8 * n_keys, at + 16 * n_keys)
-        return DD(buf[:n_keys], buf[n_keys : 2 * n_keys])
+        kernels.dd_fold_runs(runs, bounds.ctypes.data, v.hi.ctypes.data, v.lo.ctypes.data,
+                             at, at + 8 * runs, at + 16 * runs)
+        return DD(buf[:runs], buf[runs : 2 * runs])
     starts, lengths = bounds[:-1], np.diff(bounds)
-    out = DD.zeros(n_keys)
+    out = DD.zeros(runs)
     for m in np.unique(lengths[lengths > 0]):
         buckets = np.flatnonzero(lengths == m)
         out[buckets] = dd_sum(weights[np.arange(m)[:, None] + starts[buckets]])
     return out
 
 
-def dd_sym_terms(B):
-    """The 2 nnz terms of dd_contract_sym, in the order it sums them.
+def dd_sym_matrix(B, vals):
+    """S = Tensor3.sym_matrix() in pairs, as (data, indices, row_ptr).
 
-    Returns (entry, index, key): term t is vals[entry[t]] x[index[t]], and
-    adds into entry key[t] = i*n + l of the flattened n x n result.  Each
-    stored b_ijk gives b_ijk x_j at (i, k) and b_ijk x_k at (i, j); the terms
-    are stably sorted by key.  This depends on B's pattern only, so a solve
-    builds it once.
+    vals are B's values as pairs, in storage order.  An entry of S is the
+    pair sum of its one or two stored values (B._sym_pattern), the same in
+    either order.  A reference builds it once, from its renormalized values.
     """
-    n = B.n
-    k, j = np.divmod(B.cols, n)
-    key = np.concatenate((B.rows * n + k, B.rows * n + j))
-    order = np.argsort(key, kind="stable")
-    return order % B.nnz, np.concatenate((j, k))[order], key[order]
+    source, bounds, indices, row_ptr = B._sym_pattern()
+    return _dd_segment_sums(vals[source], bounds), indices, row_ptr
 
 
-def dd_contract_sym(B, x, vals, terms):
-    """C = Bx: + B:x in pair arithmetic, C_{il} = sum_j (b_{ijl} + b_{ilj}) x_j.
+def dd_contract_sym(S, x):
+    """C = Bx: + B:x in pair arithmetic, C_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
 
-    vals are B's values as pairs and terms = dd_sym_terms(B).  Each entry is
-    one dd_sum of its terms in the order of `terms`.
+    S = dd_sym_matrix(B, vals).  Entry (i, j) is one dd_sum of the terms of
+    row i*n + j of S, S_{i*n+j, k} x_k with k ascending.
     """
-    entry, index, key = terms
-    return _dd_segment_sums(vals[entry] * x[index], key, B.n * B.n).reshape(B.n, B.n)
+    data, indices, row_ptr = S
+    return _dd_segment_sums(data * x[indices], row_ptr).reshape(len(x), -1)
 
 
 def dd_slab(vals, n):
@@ -468,8 +470,8 @@ class _PairProblem:
     It has a, v, alpha, n, one_minus_two_alpha and contract(x), the pair
     C = Bx: + B:x.  A tensor that stores all n^3 entries, by Tensor3's rule
     for its slab path, contracts through a pair slab built once
-    (dd_contract_slab); any other through dd_contract_sym over terms built
-    once.  A PageRank problem is renormalized in pairs (see
+    (dd_contract_slab); any other through S in pairs, built once
+    (dd_contract_sym).  A PageRank problem is renormalized in pairs (see
     reference_solution): each entry times its column's alpha / colsum, one
     pair reciprocal per unfolding column, the sums of a full tensor one fold
     over i.  Its 1 - 2 alpha, exact in pairs for a binary64 alpha, comes
@@ -499,8 +501,8 @@ class _PairProblem:
             K = dd_slab(vals, B.n)
             self.contract = lambda x: dd_contract_slab(K, x)
         else:
-            terms = dd_sym_terms(B)
-            self.contract = lambda x: dd_contract_sym(B, x, vals, terms)
+            S = dd_sym_matrix(B, vals)
+            self.contract = lambda x: dd_contract_sym(S, x)
 
 
 @dataclass
@@ -547,9 +549,9 @@ def reference_solution(problem, mode=MINIMAL):
     the mathematical one, or lose its solution entirely.
 
     A tensor that stores all n^3 entries contracts through a pair slab, any
-    other through its listed terms (see _PairProblem).  The GTH solves take
-    exactly rounded pivots and substitute by the pivots' reciprocals
-    (mmatrix._back_substitute).
+    other through its slice matrix S in pairs (see _PairProblem).  The GTH
+    solves take exactly rounded pivots and substitute by the pivots'
+    reciprocals (mmatrix._back_substitute).
     """
     if mode not in (MINIMAL, STOCHASTIC):
         raise ValueError(f"unknown mode {mode!r}")

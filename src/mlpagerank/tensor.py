@@ -12,30 +12,30 @@ factored form.
 
 An n x n x n tensor B is stored through its first-mode unfolding: entry
 b_{ijk} lives in row i, column c = j + (k-1)*n of an n x n^2 matrix.  The
-entries are kept in coordinate arrays (rows, cols, vals), zero-based and
-sorted by (row, column) with a CSR row pointer, so within a row they run by
-k, then j.  A tensor that stores all n^3 entries keeps vals alone, the
-unfolding in row-major order: the position of an entry gives its row and
-column, so rows and cols are derived from it when read, and never kept.
-All stored values are nonnegative; the solvers rely on this to keep their
-nonnegative code paths free of cancellation.
+entries are kept in CSR form: their columns (cols) and values (vals),
+zero-based and sorted by (row, column), with a row pointer (row_ptr), so
+within a row they run by k, then j.  The row of each entry is derived from
+row_ptr when read, never kept.  A tensor that stores all n^3 entries keeps
+vals alone, the unfolding in row-major order: the position of an entry gives
+its column too.  All stored values are nonnegative; the solvers rely on this
+to keep their nonnegative code paths free of cancellation.
 
-Read in that order, the storage is also the compressed-column (CSC) form of
-the n^2 x n^2 block-diagonal slice matrix D = diag(B_1, ..., B_n), with
-(B_i)_{jk} = b_{ijk}: column i*n + k of D holds the entries b_{ijk} of one
-(i, k) in storage order, at rows i*n + j.  With x~ = (x, ..., x) (n copies),
-vec(B:x) = D x~ and vec(Bx:) = D^T x~, so
+The sparse path contracts through one structure, the n^2 x n slice matrix
+S whose row i*n + j holds b_{ijk} + b_{ikj} at column k (the slab K below,
+stored sparse), so that
 
-    vec(Bx: + B:x) = S x~,   S = D + D^T,
+    (Bx: + B:x)_{ij} = (S x)_{i*n + j},
 
-one scipy CSR product with S, whose blocks B_i + B_i^T are symmetric.  This
-is the sparse path, taken by a tensor that stores fewer than all its n^3
-entries and has n^3 > SLAB_MAX_ENTRIES = 16^3.  S is built on the first
-product and kept per tensor.  Where D^T has S's pattern, as for a pattern
-symmetric in (j, k), S shares D^T's index arrays: its column indices are D's
-row indices (4 bytes an entry while 32-bit indices fit).  So a solve holds
-such a tensor at 36 bytes an entry: its rows, cols and vals (24), and S's
-values (8) and column indices (4).
+one scipy CSR product.  S is built straight from the stored entries: each
+b_{ijk} goes to row i*n + j at column k and to row i*n + k at column j, so an
+entry of S adds one or two stored values.  This path is taken by a tensor
+that stores fewer than all its n^3 entries and has
+n^3 > SLAB_MAX_ENTRIES = 16^3.  S is built on the first product and kept per
+tensor.  A solve holds such a tensor at 16 bytes an entry, its cols and vals,
+plus S at 12 bytes an entry of S (its values and 32-bit column indices, while
+they fit) and 4 (n^2 + 1) bytes of row pointer.  S has as many entries as
+the tensor where the pattern is symmetric in (j, k), and at most twice as
+many.
 
 A tensor that stores every one of its n^3 entries (some may be explicit
 zeros), and any tensor with n^3 <= SLAB_MAX_ENTRIES, takes the slab path
@@ -43,12 +43,11 @@ instead.  With A[i, k, j] = b_{ijk} (a full tensor's values in storage order,
 or the dense unfolding of a sparse one), the k-major slab
 K[k, i, j] = b_{ijk} + b_{ikj} is the sum of A's (k, i, j) and (j, i, k)
 transposes, formed in one pass.  The product is np.einsum("kij,k->ij", K, x).
-K is built on the first product and kept per tensor; S, D's index arrays and
-the x~ gather are never built.  So a solve holds a full tensor with n <
-HALF_SLAB_MIN_N (or one whose products cannot run compiled, below) at 16
-bytes an entry: its vals (8) and K (8).  A small sparse tensor holds its
-rows, cols and vals (24 bytes a stored entry) and K, 8 n^3 bytes, at most
-32 KB.
+K is built on the first product and kept per tensor; S is never built.  So
+a solve holds a full tensor with n < HALF_SLAB_MIN_N (or one whose products
+cannot run compiled, below) at 16 bytes an entry: its vals (8) and K (8).  A
+small sparse tensor holds its cols and vals (16 bytes a stored entry) and K,
+8 n^3 bytes, at most 32 KB.
 
 A tensor that stores every entry and has n >= HALF_SLAB_MIN_N takes the
 half-slab path where the compiled product runs: mmatrix._half_slab, an
@@ -111,7 +110,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
 
 from . import mmatrix
 
@@ -155,26 +154,26 @@ def _check_values(n, vals, rows=None, cols=None):
 
 
 class Tensor3:
-    """Immutable nonnegative order-3 tensor in coordinate form.
+    """Immutable nonnegative order-3 tensor in CSR form.
 
-    Entries are kept sorted by (row, unfolding column) with a CSR-style row
-    pointer, so one pass over the arrays streams the tensor in a fixed,
-    reproducible order.  Whatever builds it, a tensor with all n^3 entries
-    stored keeps only vals and row_ptr; its rows and cols are derived from
-    storage order when read.  The unfolding's column sums are computed once
-    and kept.
+    Entries are kept sorted by (row, unfolding column) with a row pointer,
+    so one pass over the arrays streams the tensor in a fixed, reproducible
+    order.  Every tensor derives the row of each entry from row_ptr when
+    read; whatever builds it, one with all n^3 entries stored keeps only
+    vals and row_ptr, its cols derived from storage order too.  The
+    unfolding's column sums are computed once and kept.
     """
 
-    __slots__ = ("n", "vals", "row_ptr", "_rows", "_cols", "_colsum", "_sym", "_tile", "_slab",
-                 "_half")
+    __slots__ = ("n", "vals", "row_ptr", "_cols", "_colsum", "_sym", "_slab", "_half")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
 
-        Raises ValueError on indices out of range, negative or non-finite
-        values, or duplicate (i, j, k) triples (duplicates are rejected, not
-        summed, so file round-trips are bit-exact).  Entries may come in any
-        order; they are sorted only when they are not sorted already.
+        Raises ValueError on indices out of range or not integers, negative
+        or non-finite values, or duplicate (i, j, k) triples (duplicates are
+        rejected, not summed, so file round-trips are bit-exact).  Entries
+        may come in any order; they are sorted only when they are not sorted
+        already.
         """
         n = int(n)
         if n <= 0:
@@ -183,25 +182,32 @@ class Tensor3:
         if any(len(e) != 4 for e in entries):
             raise ValueError("entries must be (i, j, k, value) tuples")
         columns = list(zip(*entries)) or [(), (), (), ()]
-        i, j, k = (np.asarray(c, dtype=np.int64) for c in columns[:3])
-        vals = np.asarray(columns[3], dtype=np.float64)
-        outside = (np.minimum(np.minimum(i, j), k) < 1) | (np.maximum(np.maximum(i, j), k) > n)
-        bad = outside | _invalid(vals)
-        if bad.any():
-            e = int(np.argmax(bad))
-            what = (f"out of range for n={n}" if outside[e]
-                    else f"has invalid value {float(vals[e])!r}")
-            raise ValueError(f"entry ({i[e]},{j[e]},{k[e]}) {what}")
-        self._store(n, i - 1, (j - 1) + (k - 1) * n, vals)
+        self._store(n, [np.asarray(c, dtype=np.float64) - 1 for c in columns[:3]],
+                    np.asarray(columns[3], dtype=np.float64), lambda e: entries[e][:3])
 
-    def _store(self, n, rows, cols, vals):
-        """Validate values, sort if needed, reject duplicates, and keep the arrays.
+    def _store(self, n, ijk, vals, given):
+        """Check, sort if needed and keep entries at zero-based indices ijk = (i, j, k).
 
-        rows and cols are zero-based int64 arrays already known to be in range.
+        Raises ValueError naming the first entry, in input order, with an
+        index out of range or not an integer, or a value that is negative or
+        not finite (given(e) is its (i, j, k) as given), then the first
+        duplicate.
         """
-        _check_values(n, vals, rows, cols)
-        flat = rows * (n * n)
-        flat += cols
+        # reductions clear valid entries (a NaN fails them); only a bad one is
+        # looked for entry by entry
+        if len(vals) and not (all(a.min() >= 0 and a.max() < n and
+                                  (a.dtype.kind in "biu" or (a == np.floor(a)).all()) for a in ijk)
+                              and vals.min() >= 0.0 and vals.max() < np.inf):
+            outside = np.any([(a < 0) | (a >= n) for a in ijk], axis=0)
+            fractional = np.any([a != np.floor(a) for a in ijk], axis=0)
+            e = int(np.argmax(outside | fractional | _invalid(vals)))
+            what = (f"out of range for n={n}" if outside[e]
+                    else "has an index that is not an integer" if fractional[e]
+                    else f"has invalid value {float(vals[e])!r}")
+            raise ValueError("entry ({},{},{}) {}".format(*given(e), what))
+        rows, j, k = (a.astype(np.int64, copy=False) for a in ijk)
+        cols = j + k * n
+        flat = rows * (n * n) + cols
         if len(flat) > 1 and not (np.diff(flat) > 0).all():
             order = np.argsort(flat, kind="stable")
             rows, cols, vals, flat = rows[order], cols[order], vals[order], flat[order]
@@ -213,18 +219,14 @@ class Tensor3:
     def _keep(self, n, rows, cols, vals):
         """Keep arrays sorted by (row, column) with unique, in-range coordinates.
 
-        With all n^3 entries stored, their positions row * n^2 + col are
-        0, 1, ..., n^3 - 1, so a full tensor keeps its values alone (rows and
-        cols may then be None).
+        rows only give the row pointer.  With all n^3 entries stored, their
+        positions row * n^2 + col are 0, 1, ..., n^3 - 1, so a full tensor
+        keeps its values alone (rows and cols may then be None).
         """
-        self.n = n
-        self.vals = vals
-        if len(vals) == n ** 3:
-            self._rows = self._cols = None
-            self.row_ptr = np.arange(n + 1) * (n * n)
-        else:
-            self._rows, self._cols = rows, cols
-            self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
+        self.n, self.vals = n, vals
+        self._cols = None if len(vals) == n ** 3 else cols
+        self.row_ptr = (np.arange(n + 1) * (n * n) if rows is None
+                        else np.searchsorted(rows, np.arange(n + 1)))
         self._sym = self._slab = self._half = self._colsum = None
 
     @classmethod
@@ -260,13 +262,20 @@ class Tensor3:
 
     @classmethod
     def from_coordinates(cls, n, rows, cols, vals):
-        """Build from zero-based rows and unfolding columns c = j + k*n, with values."""
-        rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
-        if len(rows) and (min(rows.min(), cols.min()) < 0
-                          or rows.max() >= n or cols.max() >= n * n):
-            raise ValueError(f"coordinates out of range for n={n}")
+        """Build from zero-based rows and unfolding columns c = j + k*n, with values.
+
+        Raises ValueError where rows, cols and vals differ in length, and as
+        Tensor3(n, entries) does, naming an entry by its 1-based (i, j, k).
+        """
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=np.float64)
+        if not len(rows) == len(cols) == len(vals):
+            lengths = f"{len(rows)}, {len(cols)}, {len(vals)}"
+            raise ValueError(f"rows, cols and vals differ in length: {lengths}")
+        with np.errstate(invalid="ignore"):  # an infinite column gives NaN
+            k = cols // n
+            ijk = rows, cols - k * n, k
         out = cls.__new__(cls)
-        out._store(int(n), rows, cols, np.asarray(vals, dtype=np.float64))
+        out._store(int(n), ijk, vals, lambda e: (f"{a[e] + 1:g}" for a in ijk))
         return out
 
     @classmethod
@@ -279,11 +288,9 @@ class Tensor3:
 
     @property
     def rows(self):
-        """Zero-based unfolding row of each stored entry; a full tensor's is
-        derived from storage order on each read."""
-        if self._rows is None:
-            return np.repeat(np.arange(self.n), self.n * self.n)
-        return self._rows
+        """Zero-based unfolding row of each stored entry, derived from row_ptr
+        on each read."""
+        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
 
     @property
     def cols(self):
@@ -297,7 +304,7 @@ class Tensor3:
         """Row-major position row * n^2 + col of each stored entry in the unfolding."""
         if self._cols is None:
             return np.arange(self.nnz)
-        return self._rows * (self.n * self.n) + self._cols
+        return self.rows * (self.n * self.n) + self._cols
 
     def entries(self):
         """Iterate (i, j, k, value) with 1-based indices in storage order."""
@@ -305,7 +312,7 @@ class Tensor3:
             r = range(1, self.n + 1)
             return ((i, j, k, v) for (i, k, j), v in zip(product(r, r, r), self.vals.tolist()))
         k, j = np.divmod(self._cols, self.n)
-        return zip((self._rows + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
+        return zip((self.rows + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
                    self.vals.tolist())
 
     def unfolding(self):
@@ -313,39 +320,52 @@ class Tensor3:
         if self._cols is None:
             return self.vals.reshape(self.n, -1).copy()
         U = np.zeros((self.n, self.n * self.n))
-        U[self._rows, self._cols] = self.vals
+        U[self.rows, self._cols] = self.vals
         return U
 
-    def sym_matrix(self):
-        """S = D + D^T in CSR form, the sparse path's structure, built once per tensor.
+    def _sym_pattern(self):
+        """S's pattern, from the stored entries: (source, bounds, indices, row_ptr).
 
-        D (CSC) and D^T (CSR) wrap this tensor's values and D's slice rows and
-        column pointer, built here.  S shares D^T's index arrays where D has
-        their pattern; otherwise it is copied at its exact size out of scipy's
-        nnz(D) + nnz(D^T) buffers.  The gather index of x~ is built with it.
+        Each stored b_ijk goes to row i*n + j of S at column k and to row
+        i*n + k at column j.  Sorted by (row, column), these 2 nnz placements
+        fall into runs of one or two, one run an entry of S: run r adds the
+        values vals[source[bounds[r]:bounds[r + 1]]], in no set order, and
+        lies at column indices[r] of S, whose CSR row pointer is row_ptr.
+        The pair product (precision.dd_sym_matrix) shares it.
+        """
+        n, nnz = self.n, self.nnz
+        cols, start = self.cols, self.rows * (n * n)
+        k = cols // n
+        # the placement at (row, column) has the key row * n + column
+        keys = np.concatenate((start + cols, start + (cols - k * n) * n + k))
+        if n ** 3 <= 2 ** 31:
+            # a key below 2^31 and a source below 2^32 pack into one int64:
+            # sorting those is faster than an argsort of the keys
+            keys = np.sort((keys << 32) + np.concatenate([np.arange(nnz)] * 2))
+            keys, source = keys >> 32, keys & 0xFFFFFFFF
+        else:
+            source = np.argsort(keys)
+            keys = keys[source]
+            source %= nnz
+        bounds = np.flatnonzero(np.diff(keys, prepend=-1, append=n ** 3))
+        keys = keys[bounds[:-1]]
+        row = keys // n
+        return source, bounds, keys - row * n, np.searchsorted(row, np.arange(n * n + 1))
+
+    def sym_matrix(self):
+        """S, the sparse path's n^2 x n slice matrix in CSR form, built once per tensor.
+
+        Row i*n + j holds fl(b_ijk + b_ikj) at column k, columns ascending:
+        each entry adds its one or two stored values (_sym_pattern), and a
+        sum of two rounds the same in either order.
         """
         if self._sym is None:
-            n, nn = self.n, self.n * self.n
+            source, bounds, indices, row_ptr = self._sym_pattern()
+            data = np.add.reduceat(self.vals[source], bounds[:-1])
             # 32-bit indices where they fit make the product cheaper and smaller
-            index = np.int32 if max(nn, self.nnz) < 2**31 else np.int64
-            base, cols = self.rows * n, self.cols
-            # storage runs by (i, k, j), so the columns i*n + k of D are sorted
-            col_ptr = np.searchsorted(base + cols // n, np.arange(nn + 1)).astype(index)
-            base += cols % n
-            slice_rows = base.astype(index)
-            del base  # 8 bytes an entry that would otherwise outlive the S build
-            D = csc_array((self.vals, slice_rows, col_ptr), shape=(nn, nn))
-            DT = D.T
-            S = D.tocsr()
-            if np.array_equal(S.indptr, DT.indptr) and np.array_equal(S.indices, DT.indices):
-                S.data += DT.data
-                S = csr_array((S.data, DT.indices, DT.indptr), shape=S.shape)
-            else:
-                S = S + DT
-                S = csr_array((S.data[:S.nnz].copy(), S.indices[:S.nnz].copy(), S.indptr),
-                              shape=S.shape)
-            self._sym = S
-            self._tile = np.tile(np.arange(n), n)  # x.take(tile) is x~
+            index = np.int32 if max(self.n ** 2, len(data)) < 2**31 else np.int64
+            self._sym = csr_array((data, indices.astype(index), row_ptr.astype(index)),
+                                  shape=(self.n ** 2, self.n))
         return self._sym
 
     def slab(self):
@@ -398,7 +418,7 @@ class Tensor3:
         if self.nnz == n ** 3 or n ** 3 <= SLAB_MAX_ENTRIES:
             # not optimize=True, which may hand the sum to BLAS in another order
             return np.einsum("kij,k->ij", self.slab(), x)
-        return (self.sym_matrix() @ x.take(self._tile)).reshape(n, n)
+        return (self.sym_matrix() @ x).reshape(n, n)
 
     def _column_sums(self):
         """The unfolding's column sums, read-only, computed once per tensor.
@@ -478,10 +498,10 @@ def contract_sym(B, x):
     A Tensor3 that stores all n^3 entries with n >= HALF_SLAB_MIN_N takes
     the compiled product over its half slab where mmatrix._half_slab runs
     it.  Any other full one, and any with n^3 <= SLAB_MAX_ENTRIES, takes one
-    einsum over its slab; the rest take one product with their symmetric
-    slice matrix.  All three sum in the order the module docstring states,
-    with the same bits.  C is the Jacobian part of R_x = I - C, and
-    Bx^2 = C x / 2.
+    einsum over its slab; the rest take one CSR product S x with their
+    n^2 x n slice matrix (Tensor3.sym_matrix).  All three sum in the order
+    the module docstring states, with the same bits.  C is the Jacobian
+    part of R_x = I - C, and Bx^2 = C x / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from mlpagerank import Problem, Tensor3, force_sum_one, mmatrix, tensor
+from mlpagerank import (
+    Adjacency,
+    Problem,
+    Tensor3,
+    force_sum_one,
+    mmatrix,
+    tensor,
+    three_cycle_tensor,
+)
 
 
 def exact_stochastic_unfolding(rng, n, density=1.0):
@@ -76,8 +84,42 @@ def full_structure(n):
 
 
 def csr_symmetric(B, x):
-    """The sparse path's product S x~ on any Tensor3, a full one included."""
-    return (B.sym_matrix() @ np.tile(x, B.n)).reshape(B.n, B.n)
+    """The sparse path's product S x on any Tensor3, a full one included."""
+    return (B.sym_matrix() @ x).reshape(B.n, B.n)
+
+
+def cycle_graph(n):
+    """The n-cycle, undirected: for n >= 4 it has no triangles."""
+    A = np.zeros((n, n), dtype=bool)
+    ring = np.arange(n)
+    A[ring, (ring + 1) % n] = A[(ring + 1) % n, ring] = True
+    return Adjacency(matrix=A)
+
+
+CSR_EDGE_CASES = ["no entries", "rows without entries", "j = k only", "triangle-free graph"]
+
+
+def csr_edge_tensor(name):
+    """A sparse tensor at n = 20, past the slab rule, at an edge of S's build.
+
+    Values spread over 12 decades, so summation order shows in the bits.
+    """
+    n = 20
+    rng = np.random.default_rng(20)
+    if name == "no entries":
+        return Tensor3.zeros(n)
+    if name == "rows without entries":
+        U = rng.random((n, n * n)) * 10.0 ** rng.integers(-6, 6, size=(n, n * n))
+        U[rng.random((n, n * n)) >= 0.1] = 0.0
+        U[[0, 7, 8, 19]] = 0.0
+        return Tensor3.from_unfolding(U)
+    if name == "j = k only":
+        return Tensor3(n, [(i, j, j, rng.random() * 10.0 ** rng.integers(-6, 6))
+                           for i in range(1, n + 1, 2) for j in range(1, n + 1)
+                           if rng.random() < 0.6])
+    if name == "triangle-free graph":
+        return three_cycle_tensor(cycle_graph(n))
+    raise ValueError(name)
 
 
 def random_pagerank_problem(rng, n, alpha, density=1.0, one_minus_two_alpha=None):

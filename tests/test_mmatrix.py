@@ -928,19 +928,20 @@ class TestCompiledPairKernels:
     def test_segment_folds_of_every_length_to_70(self, monkeypatch, rng):
         lengths = rng.permutation(np.repeat(np.arange(71), 2))
         keys = np.repeat(np.arange(len(lengths)), lengths)
+        bounds = np.searchsorted(keys, np.arange(len(lengths) + 4))  # 3 empty runs last
         weights = random_pairs(rng, len(keys))
         # dd_contract_sym's form: many more terms than stored values
         vals, x = random_pairs(rng, 50), random_pairs(rng, 9)
         products = vals[rng.integers(0, 50, len(keys))] * x[rng.integers(0, 9, len(keys))]
         for terms in (weights, products, weights[::-1]):
             def run(terms=terms):
-                out = _dd_segment_sums(terms, keys, len(lengths) + 3)
+                out = _dd_segment_sums(terms, bounds)
                 return out.hi, out.lo
             assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
         for kernels in (mmatrix._pair_kernels, None):
             monkeypatch.setattr(mmatrix, "_pair_kernels", kernels)
-            with pytest.raises(IndexError):  # more keys than terms
-                _dd_segment_sums(weights[:-1], keys, len(lengths))
+            with pytest.raises(IndexError):  # a bound past the terms
+                _dd_segment_sums(weights[:-1], bounds)
 
     @pytest.mark.parametrize("name", ["intro", "ex1", "ex2"])
     def test_references_and_omega_give_the_same_bits(self, monkeypatch, name):

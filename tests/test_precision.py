@@ -30,11 +30,11 @@ from mlpagerank.precision import (
     dd_lu_solve,
     dd_slab,
     dd_sum,
-    dd_sym_terms,
+    dd_sym_matrix,
 )
 from mlpagerank.solvers import Method, SolverOptions, Start, Termination, solve
 
-from conftest import random_pagerank_problem, scaled
+from conftest import CSR_EDGE_CASES, csr_edge_tensor, random_pagerank_problem, scaled
 
 finite_floats = st.floats(
     min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False
@@ -175,11 +175,32 @@ class TestDDVectors:
         for b in range(len(lengths)):
             if bounds[b + 1] > bounds[b]:
                 want[b] = dd_sum(weights[bounds[b]:bounds[b + 1]])
-        self.assert_same_bits(_dd_segment_sums(weights, keys, len(lengths)), want)
+        self.assert_same_bits(_dd_segment_sums(weights, bounds), want)
+
+    @staticmethod
+    def assert_within_2_n_ulps(B, vals, x, products):
+        """Every product's C_il = sum_j (b_ijl + b_ilj) x_j within 2n pair ulps
+        of the exact rational value."""
+        n = B.n
+        b = {}
+        for t, (i, j, k, _) in enumerate(B.entries()):
+            b[i - 1, j - 1, k - 1] = as_fraction(vals[t])
+        xs = [as_fraction(x[j]) for j in range(n)]
+        for i in range(n):
+            for l in range(n):
+                want = sum((b.get((i, j, l), 0) + b.get((i, l, j), 0)) * xs[j]
+                           for j in range(n))
+                for got in products:
+                    assert abs(as_fraction(got[i, l]) - want) <= 2 * n * want / 2**104
+
+    @staticmethod
+    def pair_values(rng, B):
+        """B's values as pairs with nonzero low parts."""
+        return DD(B.vals, B.vals * 2.0 ** -53 * rng.uniform(-1.0, 1.0, B.nnz))
 
     def test_contract_sym_within_2_n_ulps_of_exact_rationals(self, rng):
-        # values and x with nonzero low parts; C_il = sum_j (b_ijl + b_ilj) x_j;
-        # every other tensor stores all n^3 entries and goes through the slab too
+        # values and x with nonzero low parts; every other tensor stores all
+        # n^3 entries and goes through the slab too
         for case in range(80):
             n = int(rng.integers(1, 9))
             U = rng.random((n, n * n)) * 10.0 ** rng.integers(-3, 3, size=(n, n * n))
@@ -188,21 +209,24 @@ class TestDDVectors:
                 U[rng.random((n, n * n)) < rng.random()] = 0.0
             B = Tensor3.from_unfolding(U)
             assert (B.nnz == n ** 3) or not full
-            vals = DD(B.vals, B.vals * 2.0 ** -53 * rng.uniform(-1.0, 1.0, B.nnz))
+            vals = self.pair_values(rng, B)
             x = self.random_dd(rng, n).abs()
-            products = [dd_contract_sym(B, x, vals, dd_sym_terms(B))]
+            products = [dd_contract_sym(dd_sym_matrix(B, vals), x)]
             if full:
+                # S then holds every entry of the slab: the same folds, bit for bit
                 products.append(dd_contract_slab(dd_slab(vals, n), x))
-            b = {}
-            for t, (i, j, k, _) in enumerate(B.entries()):
-                b[i - 1, j - 1, k - 1] = as_fraction(vals[t])
-            xs = [as_fraction(x[j]) for j in range(n)]
-            for i in range(n):
-                for l in range(n):
-                    want = sum((b.get((i, j, l), 0) + b.get((i, l, j), 0)) * xs[j]
-                               for j in range(n))
-                    for got in products:
-                        assert abs(as_fraction(got[i, l]) - want) <= 2 * n * want / 2**104
+                self.assert_same_bits(*products)
+            self.assert_within_2_n_ulps(B, vals, x, products)
+
+    @pytest.mark.parametrize("name", CSR_EDGE_CASES)
+    def test_csr_edge_cases_within_2_n_ulps_of_exact_rationals(self, rng, name):
+        B = csr_edge_tensor(name)
+        vals = self.pair_values(rng, B)
+        x = self.random_dd(rng, B.n).abs()
+        C = dd_contract_sym(dd_sym_matrix(B, vals), x)
+        self.assert_within_2_n_ulps(B, vals, x, [C])
+        if B.nnz == 0:
+            assert not C.hi.any() and not C.lo.any()
 
     @staticmethod
     def lu_solve_row_by_row(A, b):
@@ -282,6 +306,14 @@ class TestReferenceSolution:
         assert np.array_equal(ref.x, a)
         assert ref.iterations <= 1
 
+    def test_a_triangle_free_graph_tensor_returns_a(self):
+        # the pair S of an empty three-cycle tensor stores nothing: C = 0
+        a = np.random.default_rng(4).random(20) * 0.04
+        p = Problem.from_general(a, csr_edge_tensor("triangle-free graph"))
+        ref = reference_solution(p, MINIMAL)
+        assert ref.converged and np.array_equal(ref.x, a)
+        assert ref.x_pair.lo.tobytes() == np.zeros(20).tobytes()
+
     def test_rounded_reference_is_a_binary64_fixed_point(self):
         # rerunning one binary64 Newton step from the rounded reference moves
         # it by at most ~1e-14 componentwise
@@ -293,16 +325,16 @@ class TestReferenceSolution:
         assert np.max(np.abs(rep.x - ref.x) / np.abs(ref.x)) <= 1e-14
 
     @pytest.mark.parametrize("build,mode,path", [
-        (lambda: ex1(0.3), MINIMAL, "terms"),  # seeded from binary64 Newton-GTH
-        (lambda: ex2(0.9951), STOCHASTIC, "terms"),
+        (lambda: ex1(0.3), MINIMAL, "sparse"),  # seeded from binary64 Newton-GTH
+        (lambda: ex2(0.9951), STOCHASTIC, "sparse"),
         (lambda: Problem.from_general(ex1(0.3).a, scaled(ex1(0.3).p_tensor, 0.3)), MINIMAL,
-         "terms"),
+         "sparse"),
         # all n^3 entries stored: the pair slab, built once
         (lambda: random_pagerank_problem(np.random.default_rng(1), 6, 0.3), MINIMAL, "slab"),
     ], ids=["seeded", "stochastic", "general", "full"])
     def test_one_contraction_per_step(self, monkeypatch, build, mode, path):
-        builders = {"terms": "dd_sym_terms", "slab": "dd_slab"}
-        products = {"terms": "dd_contract_sym", "slab": "dd_contract_slab"}
+        builders = {"sparse": "dd_sym_matrix", "slab": "dd_slab"}
+        products = {"sparse": "dd_contract_sym", "slab": "dd_contract_slab"}
         counts = dict.fromkeys([*builders.values(), *products.values()], 0)
         for name in counts:
             def counting(*args, _name=name, _real=getattr(precision, name)):
@@ -510,7 +542,7 @@ def direct_pair_residual(problem, x):
     alpha = DD(problem.alpha)
     v = DD(problem.v) / dd_sum(DD(problem.v))
     vals = DD(B.vals) * alpha / precision._dd_column_sums(B)[B.cols]
-    C = dd_contract_sym(B, x, vals, dd_sym_terms(B))
+    C = dd_contract_sym(dd_sym_matrix(B, vals), x)
     return float(abs((DD(1.0) - alpha) * v + 0.5 * (C @ x) - x).max())
 
 

@@ -30,6 +30,7 @@ from mlpagerank import (
     solve,
 )
 from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
+from mlpagerank.tensor import SLAB_MAX_ENTRIES
 from mlpagerank.precision import DD
 from mlpagerank.solvers import (
     _block_slices,
@@ -41,6 +42,7 @@ from mlpagerank.solvers import (
 
 from conftest import (
     csr_symmetric,
+    cycle_graph,
     exact_stochastic_unfolding,
     full_structure,
     held_bytes,
@@ -599,8 +601,8 @@ def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
     for alpha in ALPHAS:
         rep = solve(Problem.from_pagerank(v, P, alpha), SolverOptions())
         assert rep.termination is Termination.TOL_REACHED
-    # its values alone: rows and cols follow from storage order
-    assert P._rows is None and P._cols is None
+    # its values alone: cols follow from storage order, rows from row_ptr
+    assert P._cols is None
     assert held_bytes(P.vals) == 8 * P.nnz
     n = P.n
     if full_structure(n) == "half_slab":
@@ -610,7 +612,7 @@ def test_a_full_p_holds_its_entries_and_its_slab(dense_unfolding_60):
     else:
         assert held_bytes(P._slab) == 8 * P.nnz
         assert P._half is None
-    assert P._sym is None and not hasattr(P, "_tile")
+    assert P._sym is None
 
 
 def assert_same_reports(got, want):
@@ -625,6 +627,23 @@ def assert_same_reports(got, want):
     assert got.max_overshoot == want.max_overshoot
     for xg, xw in zip(got.iterate_history, want.iterate_history, strict=True):
         assert xg.tobytes() == xw.tobytes()
+
+
+@pytest.mark.parametrize("method", [Method.NEWTON_GTH, Method.NEWTON])
+def test_a_triangle_free_graph_solves_on_s_with_the_slab_bits(monkeypatch, method):
+    # no three-cycles: the sparse S of P stores nothing and d_S is all ones
+    n = 20
+    v = random_teleport_vector(n, 3)
+    P = build_pagerank_tensor(cycle_graph(n), v, 0.1)
+    assert P.S.nnz == 0 and n ** 3 > SLAB_MAX_ENTRIES and (P.dS == 1.0).all()
+    problems = [Problem.from_pagerank(v, P, float(alpha), exact_omt(alpha))
+                for alpha in ("0.3", "0.49", "0.6")]
+    on_s = [solve(p, opts(method)) for p in problems]
+    assert P.S._sym is not None and P.S._slab is None
+    monkeypatch.setattr(Tensor3, "_symmetric", lambda B, x: np.einsum("kij,k->ij", B.slab(), x))
+    for p, got in zip(problems, on_s, strict=True):
+        assert got.termination is Termination.TOL_REACHED and got.iterations > 1
+        assert_same_reports(got, solve(p, opts(method)))
 
 
 @pytest.mark.parametrize("method,block_sizes", [

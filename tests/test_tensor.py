@@ -34,7 +34,9 @@ from mlpagerank import (
 from mlpagerank.tensor import HALF_SLAB_MIN_N, SLAB_MAX_ENTRIES
 
 from conftest import (
+    CSR_EDGE_CASES,
     count_product_builds,
+    csr_edge_tensor,
     csr_symmetric,
     exact_stochastic_unfolding,
     full_structure,
@@ -131,11 +133,12 @@ class TestKernelsMatchBincountFormulas:
 
 
 def bincount_contract_sym(B, x):
-    """Row i*n + j of S = D + D^T adds fl(b_ijk + b_ikj) x_k one term at a time,
-    in the order S stores its columns i*n + k."""
+    """Row i*n + j of S adds fl(b_ijk + b_ikj) x_k one term at a time, in the
+    order S stores its columns k."""
     n, U, S = B.n, B.unfolding(), B.sym_matrix()
+    assert S.shape == (n * n, n)
     rows = np.repeat(np.arange(n * n), np.diff(S.indptr))
-    i, j, k = rows // n, rows % n, S.indices % n
+    i, j, k = rows // n, rows % n, S.indices
     terms = U[i, j + k * n] + U[i, k + j * n]
     assert S.data.tobytes() == terms.tobytes()
     return np.bincount(rows, weights=terms * x[k], minlength=n * n).reshape(n, n)
@@ -201,10 +204,26 @@ class TestContractSym:
     def test_memory_is_that_of_its_entries(self, rng):
         P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 60))
         S = P.sym_matrix()
-        # an upper bound: a dense P's S shares the index arrays of D^T
+        # a dense P's S has one entry per stored entry
         added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
         assert S.nnz == P.nnz
         assert added <= 1.1 * (8 + 4) * P.nnz
+
+    def test_memory_of_an_asymmetric_graph_pattern(self, rng):
+        # a directed graph's three-cycles: b_ijk stored, b_ikj mostly not
+        n = 60
+        A = rng.random((n, n)) < 0.2
+        np.fill_diagonal(A, False)
+        C = three_cycle_tensor(Adjacency(matrix=A))
+        B = Tensor3.from_coordinates(n, C.rows, C.cols, rng.random(C.nnz))
+        # its columns and values, 16 bytes an entry; rows come from row_ptr
+        assert held_bytes(B.vals) + held_bytes(B.cols) == 16 * B.nnz
+        S = B.sym_matrix()
+        assert 1.5 * B.nnz < S.nnz <= 2 * B.nnz
+        added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
+        assert added <= 12 * S.nnz + 4 * (n * n + 1)
+        x = mixed_x(rng, n)
+        assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
 
 
 def full_tensor(rng, n):
@@ -429,6 +448,54 @@ class TestSlabSizeRule:
             assert np.isnan(slab).all() and np.isnan(csr[stored]).all()
 
 
+class TestCsrEdgeCases:
+    """S's build at its edges: no entries, rows without entries, only j = k."""
+
+    @pytest.mark.parametrize("name", CSR_EDGE_CASES)
+    def test_the_bytes_of_einsum_over_the_slab(self, name):
+        rng = np.random.default_rng(21)
+        B = csr_edge_tensor(name)
+        n = B.n
+        assert n ** 3 > SLAB_MAX_ENTRIES and B.nnz < n ** 3
+        for _ in range(3):
+            x = mixed_x(rng, n)
+            got = contract_sym(B, x)
+            assert got.tobytes() == np.einsum("kij,k->ij", B.slab(), x).tobytes()
+            assert got.tobytes() == bincount_contract_sym(B, x).tobytes()
+        S = B.sym_matrix()
+        assert S.shape == (n * n, n) and S.indptr[0] == 0 and S.indptr[-1] == S.nnz
+        if name == "j = k only":  # b_ijj goes twice to row i*n + j, column j
+            assert S.nnz == B.nnz and S.data.tobytes() == (2.0 * B.vals).tobytes()
+        else:
+            assert B.nnz <= S.nnz <= 2 * B.nnz
+        if B.nnz == 0:
+            assert S.nnz == 0 and not S.indptr.any()
+
+    def test_a_pattern_past_packed_keys_builds_the_same_s(self, rng):
+        # at n^3 > 2^31 the placements are ordered by an argsort of their keys;
+        # at n = 1291 S's row pointer alone is 6.7 MB, so the entries are few
+        n = 1291
+        assert n ** 3 > 2 ** 31
+        i, j, k = (rng.integers(0, n, 300) for _ in range(3))
+        j[:40] = k[:40]
+        # some entries and their (j, k) transposes both stored
+        i[40:80], j[40:80], k[40:80] = i[80:120], k[80:120], j[80:120]
+        flat = np.unique(i * n * n + j + k * n)
+        rows, cols = np.divmod(flat, n * n)
+        vals = rng.random(len(flat)) * 10.0 ** rng.integers(-6, 6, size=len(flat))
+        B = Tensor3.from_coordinates(n, rows, cols, vals)
+        S = B.sym_matrix()
+        assert S.indices.dtype == S.indptr.dtype == np.int32
+        want = {}
+        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            kk, jj = divmod(c, n)
+            for at in ((r * n + jj, kk), (r * n + kk, jj)):
+                want[at] = want.get(at, 0.0) + v
+        row_of = np.repeat(np.arange(n * n), np.diff(S.indptr))
+        assert list(zip(row_of.tolist(), S.indices.tolist())) == sorted(want)
+        assert S.data.tolist() == [want[at] for at in sorted(want)]
+
+
 class TestConstruction:
     @pytest.mark.parametrize("entries,message", [
         ([(1, 1, 1, float("nan"))], r"^entry \(1,1,1\) has invalid value nan$"),
@@ -475,6 +542,58 @@ class TestConstruction:
     def test_rejects_malformed_entries(self):
         with pytest.raises(ValueError, match="must be"):
             Tensor3(2, [(1, 1, 0.5)])
+
+    @pytest.mark.parametrize("entries,message", [
+        ([(1.7, 1, 1, 0.5)], r"^entry \(1.7,1,1\) has an index that is not an integer$"),
+        ([(1, 1, 1, 0.5), (2, 1, 1.5, 0.5)],
+         r"^entry \(2,1,1.5\) has an index that is not an integer$"),
+        ([(1, float("nan"), 1, 0.5)], r"^entry \(1,nan,1\) has an index that is not an integer$"),
+        ([(Fraction(3, 2), 1, 1, 0.5)],
+         r"^entry \(3/2,1,1\) has an index that is not an integer$"),
+        ([(2 ** 70, 1, 1, 0.5)], rf"^entry \({2 ** 70},1,1\) out of range for n=2$"),
+    ], ids=["float", "second-entry", "nan", "fraction", "huge"])
+    def test_rejects_indices_that_are_not_integers(self, entries, message):
+        # they were once truncated: (1.7, 1, 1) stored entry (1, 1, 1)
+        with pytest.raises(ValueError, match=message):
+            Tensor3(2, entries)
+
+    def test_integral_float_indices_are_their_integers(self):
+        B = Tensor3(2, [(2.0, 1.0, np.float32(2.0), 0.5), (np.int8(1), 2, 1, 0.25)])
+        assert list(B.entries()) == [(1, 2, 1, 0.25), (2, 1, 2, 0.5)]
+
+    @pytest.mark.parametrize("rows,cols,vals", [
+        ([0, 0], [0, 1], [1.0]),
+        ([0], [0, 1], [1.0, 2.0]),
+        ([0, 1], [1], [1.0, 2.0]),
+    ])
+    def test_from_coordinates_rejects_lengths_that_differ(self, rows, cols, vals):
+        # once it built nnz 1 with row_ptr counting 2, and an unfolding that
+        # spread the one value over both positions
+        message = rf"^rows, cols and vals differ in length: {len(rows)}, {len(cols)}, {len(vals)}$"
+        with pytest.raises(ValueError, match=message):
+            Tensor3.from_coordinates(2, rows, cols, vals)
+
+    @pytest.mark.parametrize("rows,cols,message", [
+        ([0, 0.5], [0, 1], r"^entry \(1.5,2,1\) has an index that is not an integer$"),
+        ([0], [0.5], r"^entry \(1,1.5,1\) has an index that is not an integer$"),
+        ([0], [np.nan], r"^entry \(1,nan,nan\) has an index that is not an integer$"),
+        ([0], [np.inf], r"^entry \(1,nan,nan\) has an index that is not an integer$"),
+        ([0, 0], [1, 4], r"^entry \(1,1,3\) out of range for n=2$"),
+        ([-1], [0], r"^entry \(0,1,1\) out of range for n=2$"),
+    ], ids=["row", "column", "nan-column", "inf-column", "column-past-n^2", "negative-row"])
+    def test_from_coordinates_names_a_bad_index_by_its_ijk(self, rows, cols, message):
+        # an index that is not an integer was once truncated
+        with pytest.raises(ValueError, match=message):
+            Tensor3.from_coordinates(2, rows, cols, np.full(len(rows), 0.5))
+
+    def test_from_coordinates_names_a_bad_value_by_its_ijk(self):
+        with pytest.raises(ValueError, match=r"^entry \(2,1,2\) has invalid value -0.5$"):
+            Tensor3.from_coordinates(2, [0, 1], [0, 2], [0.5, -0.5])
+
+    def test_from_coordinates_takes_integral_floats(self):
+        B = Tensor3.from_coordinates(2, np.array([1.0, 0.0]), [3, 1], [0.5, 0.25])
+        assert B.rows.dtype == B.cols.dtype == np.int64
+        assert list(B.entries()) == [(1, 2, 1, 0.25), (2, 2, 2, 0.5)]
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -539,7 +658,7 @@ class TestFullTensors:
         built = full_constructions(U, tmp_path, rng)
         first = built["from_unfolding C"]
         for name, T in built.items():
-            assert T._rows is None and T._cols is None, name
+            assert T._cols is None, name
             assert T.vals.tobytes() == U.tobytes(), name
             assert T.row_ptr.tobytes() == np.searchsorted(want_rows, np.arange(n + 1)).tobytes()
             for got, want in ((T.rows, want_rows), (T.cols, want_cols)):
@@ -599,7 +718,7 @@ class TestFullTensors:
         B = Tensor3.from_unfolding(U)
         assert B.nnz == n ** 3 - 1
         rows, cols = np.nonzero(U)
-        assert B._rows is not None and np.array_equal(B.rows, rows)
+        assert np.array_equal(B.rows, rows)
         assert B._cols is not None and np.array_equal(B.cols, cols)
         assert B.unfolding().tobytes() == U.tobytes()
         x = mixed_x(rng, n)
