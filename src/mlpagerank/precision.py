@@ -412,7 +412,7 @@ def _dd_segment_sums(weights, bounds):
     if kernels is not None and bounds.min() >= 0 and bounds.max() <= len(weights):
         v = _contiguous(weights)
         # the sums' two parts, then room for the longest run's terms
-        buf = np.empty(2 * runs + 2 * int(np.diff(bounds).max(initial=0)))
+        buf = np.empty(2 * runs + 2 * int((bounds[1:] - bounds[:-1]).max(initial=0)))
         at = buf.ctypes.data
         kernels.dd_fold_runs(runs, bounds.ctypes.data, v.hi.ctypes.data, v.lo.ctypes.data,
                              at, at + 8 * runs, at + 16 * runs)

@@ -290,7 +290,7 @@ class Tensor3:
     def rows(self):
         """Zero-based unfolding row of each stored entry, derived from row_ptr
         on each read."""
-        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+        return np.arange(self.n).repeat(self.row_ptr[1:] - self.row_ptr[:-1])
 
     @property
     def cols(self):
@@ -347,7 +347,9 @@ class Tensor3:
             source = np.argsort(keys)
             keys = keys[source]
             source %= nnz
-        bounds = np.flatnonzero(np.diff(keys, prepend=-1, append=n ** 3))
+        # a run starts at the first placement, if any, and wherever the key
+        # changes; the last bound closes the last run
+        bounds = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1], [True])))
         keys = keys[bounds[:-1]]
         row = keys // n
         return source, bounds, keys - row * n, np.searchsorted(row, np.arange(n * n + 1))
