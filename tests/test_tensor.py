@@ -201,29 +201,31 @@ class TestContractSym:
             assert rep.iterations > 1
         assert builds == [(structure, P)]
 
-    def test_memory_is_that_of_its_entries(self, rng):
-        P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, 60))
-        S = P.sym_matrix()
-        # a dense P's S has one entry per stored entry
-        added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
-        assert S.nnz == P.nnz
-        assert added <= 1.1 * (8 + 4) * P.nnz
-
-    def test_memory_of_an_asymmetric_graph_pattern(self, rng):
-        # a directed graph's three-cycles: b_ijk stored, b_ikj mostly not
+    @pytest.mark.parametrize("pattern", ["dense", "directed graph"])
+    def test_memory_is_that_of_its_entries(self, rng, pattern):
         n = 60
-        A = rng.random((n, n)) < 0.2
-        np.fill_diagonal(A, False)
-        C = three_cycle_tensor(Adjacency(matrix=A))
-        B = Tensor3.from_coordinates(n, C.rows, C.cols, rng.random(C.nnz))
-        # its columns and values, 16 bytes an entry; rows come from row_ptr
-        assert held_bytes(B.vals) + held_bytes(B.cols) == 16 * B.nnz
-        S = B.sym_matrix()
-        assert 1.5 * B.nnz < S.nnz <= 2 * B.nnz
+        if pattern == "dense":
+            P = Tensor3.from_unfolding(exact_stochastic_unfolding(rng, n))
+        else:  # a directed graph's three-cycles: b_ijk stored, b_ikj mostly not
+            A = rng.random((n, n)) < 0.2
+            np.fill_diagonal(A, False)
+            C = three_cycle_tensor(Adjacency(matrix=A))
+            P = Tensor3.from_coordinates(n, C.rows, C.cols, rng.random(C.nnz))
+        # its values, and its columns unless it stores all n^3 entries; rows
+        # come from row_ptr
+        stored = held_bytes(P.vals) + (0 if P._cols is None else held_bytes(P._cols))
+        assert stored == (8 if P.nnz == n ** 3 else 16) * P.nnz
+        S = P.sym_matrix()
+        # one entry of S per stored entry where the pattern is symmetric in
+        # (j, k), as a dense one is; at most two
+        if pattern == "dense":
+            assert S.nnz == P.nnz
+        else:
+            assert 1.5 * P.nnz < S.nnz <= 2 * P.nnz
         added = sum(held_bytes(a) for a in (S.data, S.indices, S.indptr))
         assert added <= 12 * S.nnz + 4 * (n * n + 1)
         x = mixed_x(rng, n)
-        assert contract_sym(B, x).tobytes() == bincount_contract_sym(B, x).tobytes()
+        assert contract_sym(P, x).tobytes() == bincount_contract_sym(P, x).tobytes()
 
 
 def full_tensor(rng, n):
