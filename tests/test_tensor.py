@@ -242,7 +242,7 @@ def mixed_x(rng, n):
 
 def assert_slab_product_is_the_csr_product(B, xs):
     """contract_sym takes the slab path, or the half-slab path where a full
-    tensor's n selects it, and its bits are those of S x~ and of the
+    tensor's n selects it, and its bits are those of S x and of the
     sequential bincount over S's terms."""
     got = [contract_sym(B, x) for x in xs]
     half = B._cols is None and full_structure(B.n) == "half_slab"
