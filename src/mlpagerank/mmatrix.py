@@ -18,10 +18,10 @@ rank-1 update per pivot, rounded as (a / d) b, updates the entries, the sums
 and the right-hand sides alike.  A ROW triplet is the COL triplet of its
 transpose.  Only two steps differ by arithmetic.  A pair pivot is the
 exactly rounded sum of its column (precision.DD.sum).  The leaf's
-back-substitution is one LAPACK unit-upper solve in binary64, and in pairs
-a sweep by columns that multiplies by the pivots' reciprocals
-(_back_substitute).  Every routine runs on that one pass, and none forms L
-or U:
+back-substitution is a sweep by columns in both: in binary64 it divides by
+the pivots, in LAPACK's form (_unit_upper_solve), and in pairs it multiplies
+by their reciprocals (_back_substitute).  Every routine runs on that one
+pass, and none forms L or U:
 
 - gth_col_solve, the solve of the iterations, eliminates the right-hand
   sides along with the matrix and back-substitutes.  Above GTH_BLOCK
@@ -42,12 +42,15 @@ with the same bits, is built on first import by the system C compiler ("cc"
 on PATH) and loaded through ctypes.  The library is cached per user in
 $XDG_CACHE_HOME/mlpagerank (~/.cache/mlpagerank by default), named by a
 hash of the source, the flags and the machine; no build step is asked of
-the user.  gth_eliminate is the binary64 pass.  dd_gth_solve is the pair
-pass and, for a leaf solve, its back-substitution, in one call.  Its pivot
-is the exactly rounded sum that DD.sum takes with math.fsum: the column's
-hi parts, then its lo parts, go into Shewchuk's partials as fsum adds them,
-the partials are rounded as fsum rounds them, and lo is the same partials
-with -hi added, rounded again.  The same library folds pairs for
+the user.  gth_eliminate is the binary64 pass and dd_gth_solve the pair
+pass, each, for a leaf solve, with its back-substitution in the same call;
+no LAPACK routine takes part.  On x86-64 with AVX-512F the binary64 pass
+runs through a second entry point, the same C body with wider lanes, chosen
+once at import (_leaf).  dd_gth_solve's pivot is the exactly rounded sum
+that DD.sum takes with math.fsum: the column's hi parts, then its lo parts,
+go into Shewchuk's partials as fsum adds them, the partials are rounded as
+fsum rounds them, and lo is the same partials with -hi added, rounded
+again.  The same library folds pairs for
 precision.dd_sum and its segment sums (dd_fold and dd_fold_runs), on terms
 numpy has formed, and on x86-64 with AVX-512F holds tensor's half-slab
 product (half_slab_build and half_slab_contract, bound as _half_slab).  The
@@ -76,14 +79,21 @@ import numpy as np
 import scipy.linalg
 
 # gth_col_solve splits a system with more unknowns than this in half.  The
-# split trades rank-1 updates in the compiled pass for matrix products.
-# Against 40, on a 20%-dense triplet with one BLAS thread (best of 7): at
-# n = 120 and 200, blocks of 32 to 80 took within 5% of its time, 16 and 24
-# 1.2 to 1.4 times, and 120 1.6 times; at n = 80, 24 and 32 took 1.4 times,
-# 16 took 2.3, and 64 or more 0.7 to 0.8 times.  No split took 0.76, 1.5
-# and 2.6 times at n = 80, 120 and 200.  Another block size would change
-# the output bits, since the Schur products would round otherwise.
-GTH_BLOCK = 40
+# split trades rank-1 updates in the compiled leaf for matrix products.  Its
+# time in us on a 70%-dense triplet with one right-hand side, one BLAS
+# thread, AVX-512 x86-64 (the blocks interleaved, median of 15 best-of-30):
+#
+#   block \ n  24  40  60  80  100  120  160  200  240  300   400
+#   40         11  11  28  38   72   88  143  266  351  593  1216
+#   64         11  11  18  37   51   72  133  247  361  592  1255
+#   80         11  11  17  31   54   71  156  234  361  676  1254
+#
+# 80 is the fastest up to n = 120 but for 7% at n = 100.  Above, a leaf of
+# 75 to 80 unknowns with 150 or more right-hand-side columns costs more than
+# one more split: 1.17 times 64's time at n = 160 and 1.14 times at 300.
+# Another block size changes the output bits, since the Schur products
+# round otherwise.
+GTH_BLOCK = 80
 
 
 class SingularPivotError(ArithmeticError):
@@ -96,43 +106,45 @@ def _zeros(like, shape):
 
 
 # The compiled kernels, one C source for both arithmetics.  gth_eliminate is
-# _eliminate's pass for binary64 arrays with unit column stride.  Its pivot
-# is numpy's own pairwise sum of the strided column (8 accumulators, blocks of
-# 128, halving above), and its update rounds as numpy's does,
-# w_ij + (w_ik / d_k) w_kj, so the two give the same bits.  The pair kernels
+# _eliminate's pass for binary64 arrays with unit column stride and, asked to
+# solve, _unit_upper_solve's back-substitution, in one call.  Its pivot is
+# numpy's own pairwise sum of the strided column (8 accumulators, blocks of
+# 128, halving above), and its update and sweep round as numpy's do,
+# w_ij + (w_ik / d_k) w_kj and y_ij + (w_ik / d_i) y_kj, so the two give the
+# same bits.  It runs across each row in vector_size lanes of 8, 4 and 2
+# doubles; each lane rounds as a scalar would.  The pair kernels
 # transcribe precision's operation for operation: two_sum to dd_div as
 # _two_sum to _dd_div, fsum_add and fsum_round as CPython's math.fsum
 # (Shewchuk's partials, then the sum rounded half to even across them),
 # dd_gth_solve as _eliminate and _back_substitute on DD arrays, and fold as
-# precision.dd_sum's pairwise fold.  The last section is tensor's half-slab
-# product: half_slab_build lays out a fully stored tensor's half slab, and
+# precision.dd_sum's pairwise fold.  The last section is compiled for
+# AVX-512F by the target attribute alone: tensor's half-slab product
+# (half_slab_build lays out a fully stored tensor's half slab, and
 # half_slab_contract adds einsum's terms over it in einsum's order, 8 lanes
-# a vector, compiled for AVX-512F by the target attribute alone.  Only an
+# a vector) and gth_eliminate_avx512f, the binary64 pass's second entry
+# point, the same body (gth_pass) with its lanes in ZMM registers.  Only an
 # x86-64 compiler with that attribute, vector_size and a <cpuid.h> that
 # defines __cpuid_count, bit_AVX512F and bit_OSXSAVE builds the section
-# (GCC 5 and 6 have the attribute but not __get_cpuid_count), and the
-# product is taken only where half_slab_cpu says the CPU and its operating
-# system run AVX-512F (_half_slab_kernels); elsewhere the library has the
-# other kernels alone.  half_slab_cpu reads CPUID itself:
-# __builtin_cpu_supports links 4.5 KB of libgcc's CPU detection in ahead of
-# this code, which moved gth_eliminate's loops to another alignment and made
-# gth_col_solve at n = 80 about 7% slower.
+# (GCC 5 and 6 have the attribute but not __get_cpuid_count).  It is taken,
+# once at import, only where avx512f_cpu says the CPU and its operating
+# system run AVX-512F (_avx512f_kernels, _leaf); elsewhere the product is
+# einsum's and the pass gth_eliminate, the baseline build.  avx512f_cpu
+# reads CPUID itself: __builtin_cpu_supports links 4.5 KB of libgcc's CPU
+# detection in ahead of this code, which moved the pass's loops to another
+# alignment and made gth_col_solve at n = 80 about 7% slower.
 _GTH_C = r"""
 #include <math.h>
 #include <stddef.h>
 
-static double pairwise_sum(const double *a, ptrdiff_t n, ptrdiff_t s)
+/* numpy's pairwise sum of the n <= 128 entries a[i s]: 8 accumulators */
+static inline __attribute__((always_inline)) double
+pairwise_block(const double *a, ptrdiff_t n, ptrdiff_t s)
 {
-    ptrdiff_t i, j, h;
+    ptrdiff_t i, j;
     double r[8], res = -0.0;
     if (n < 8) {
         for (i = 0; i < n; i++) res += a[i * s];
         return res;
-    }
-    if (n > 128) {
-        h = n / 2;
-        h -= h % 8;
-        return pairwise_sum(a, h, s) + pairwise_sum(a + h * s, n - h, s);
     }
     for (j = 0; j < 8; j++) r[j] = a[j * s];
     for (i = 8; i < n - n % 8; i += 8)
@@ -142,22 +154,74 @@ static double pairwise_sum(const double *a, ptrdiff_t n, ptrdiff_t s)
     return res;
 }
 
-/* w: n + 1 rows of m entries, ld apart; the pivots go to d.  Returns 0, or
-   k + 1 if pivot k is not positive (a NaN pivot passes). */
-ptrdiff_t gth_eliminate(double *w, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld, double *d)
+/* numpy's pairwise sum of the n entries a[i s], halving above 128 */
+static double pairwise_sum(const double *a, ptrdiff_t n, ptrdiff_t s)
+{
+    ptrdiff_t h = n / 2;
+    if (n <= 128) return pairwise_block(a, n, s);
+    h -= h % 8;
+    return pairwise_sum(a, h, s) + pairwise_sum(a + h * s, n - h, s);
+}
+
+/* 8, 4 and 2 doubles at any 8-byte boundary, as a row's entries lie */
+typedef double lanes __attribute__((vector_size(64), aligned(8), may_alias));
+typedef double lanes4 __attribute__((vector_size(32), aligned(8), may_alias));
+typedef double lanes2 __attribute__((vector_size(16), aligned(8), may_alias));
+
+/* y_j += c x_j for j < m, each product and sum rounded, 8 lanes at a time
+   and the rest in 4, 2 and 1 */
+static inline __attribute__((always_inline)) void
+add_scaled(double *y, const double *x, double c, ptrdiff_t m)
+{
+    ptrdiff_t j = 0;
+    for (; j + 8 <= m; j += 8) *(lanes *)(y + j) += c * *(const lanes *)(x + j);
+    if (j + 4 <= m) {
+        *(lanes4 *)(y + j) += c * *(const lanes4 *)(x + j);
+        j += 4;
+    }
+    if (j + 2 <= m) {
+        *(lanes2 *)(y + j) += c * *(const lanes2 *)(x + j);
+        j += 2;
+    }
+    if (j < m) y[j] += c * x[j];
+}
+
+/* w: n + 1 rows of m entries, ld apart; the pivots go to d.  Then, if solve,
+   the back-substitution of the columns past n in LAPACK's form: every row
+   y_i of them divided by d_i, then for k = n - 1, ..., 1, y_i += (w_ik /
+   d_i) y_k for every i < k.  Returns 0, or k + 1 if pivot k is not positive
+   (a NaN pivot passes).  Inlined into each entry point, so that all of it
+   runs in that entry's instruction set: a call from AVX-512 code into SSE
+   code would pay for the switch, so only a pivot column of more than 128
+   entries calls out, to pairwise_sum. */
+static inline __attribute__((always_inline)) ptrdiff_t
+gth_pass(double *w, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld, double *d, int solve)
 {
     ptrdiff_t i, j, k;
     for (k = 0; k < n; k++) {
-        double dk = pairwise_sum(w + (k + 1) * ld + k, n - k, ld);
+        const double *col = w + (k + 1) * ld + k;  /* column k below its pivot */
+        double dk = n - k > 128 ? pairwise_sum(col, n - k, ld) : pairwise_block(col, n - k, ld);
         if (dk <= 0.0) return k + 1;
         d[k] = dk;
         if (k == n - 1) break;  /* it would update only the sums' right-hand sides */
-        for (i = k + 1; i <= n; i++) {
-            double *wi = w + i * ld, c = wi[k] / dk;
-            for (j = k + 1; j < m; j++) wi[j] += c * w[k * ld + j];
-        }
+        for (i = k + 1; i <= n; i++)
+            add_scaled(w + i * ld + k + 1, w + k * ld + k + 1, w[i * ld + k] / dk, m - k - 1);
     }
+    if (!solve) return 0;
+    for (i = 0; i < n; i++) {
+        double *y = w + i * ld + n;
+        for (j = 0; j + 8 <= m - n; j += 8) *(lanes *)(y + j) /= d[i];
+        for (; j < m - n; j++) y[j] /= d[i];
+    }
+    for (k = n - 1; k > 0; k--)
+        for (i = 0; i < k; i++)
+            add_scaled(w + i * ld + n, w + k * ld + n, w[i * ld + k] / d[i], m - n);
     return 0;
+}
+
+ptrdiff_t gth_eliminate(double *w, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld, double *d, int solve)
+{
+    return gth_pass(w, n, m, ld, d, solve);
 }
 
 typedef struct { double hi, lo; } pair;
@@ -437,9 +501,18 @@ void half_slab_contract(const double *h, ptrdiff_t n, const double *x, double *c
     }
 }
 
+/* gth_eliminate, its lanes in ZMM registers */
+__attribute__((target("avx512f")))
+ptrdiff_t gth_eliminate_avx512f(double *w, ptrdiff_t n, ptrdiff_t m, ptrdiff_t ld, double *d,
+                                int solve)
+{
+    return gth_pass(w, n, m, ld, d, solve);
+}
+
 /* Whether this CPU has AVX-512F and its operating system saves the ZMM
-   registers (XCR0 bits 1, 2 and 5 to 7), so that it runs half_slab_contract. */
-int half_slab_cpu(void)
+   registers (XCR0 bits 1, 2 and 5 to 7), so that it runs half_slab_contract
+   and gth_eliminate_avx512f. */
+int avx512f_cpu(void)
 {
     unsigned a, b, c, d, xcr0, high;
     if (__get_cpuid_max(0, 0) < 7) return 0;
@@ -456,8 +529,10 @@ int half_slab_cpu(void)
 """
 # No contraction into fused multiply-adds and no fast-math: IEEE rounding
 # of every operation, as numpy's.  No -march=native either: the cache key
-# names only platform.machine(), so only half_slab_contract is built for
-# more than the machine's baseline, and it is chosen at run time.
+# names only platform.machine(), so only the AVX-512F section is built for
+# more than the machine's baseline, and it is chosen at run time.  Loops
+# keep the compiler's alignment: -falign-loops=32 won 6 and 7 of 10
+# alternating runs of gth_col_solve at n = 80 and 120.
 _GTH_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -514,43 +589,52 @@ def _load_gth_kernels():
 
 _P, _I = ctypes.c_void_p, ctypes.c_ssize_t
 # every library has the GTH and pair kernels; only an x86-64 build by a
-# compiler with the target attribute has the half-slab product's
+# compiler with the target attribute has the AVX-512F section's
 _KERNELS = (
-    ("gth_eliminate", _I, (_P, _I, _I, _I, _P)),
+    ("gth_eliminate", _I, (_P, _I, _I, _I, _P, ctypes.c_int)),
     ("dd_gth_solve", _I, (_P, _P, _I, _I, _I, _P, _P, _P, ctypes.c_int)),
     ("dd_fold", None, (_I, _I, _P, _P, _P, _P, _P)),
     ("dd_fold_runs", None, (_I, _P, _P, _P, _P, _P, _P)),
 )
-_PRODUCT_KERNELS = (
+_AVX512F_KERNELS = (
     ("half_slab_build", None, (_P, _I, _P)),
     ("half_slab_contract", None, (_P, _I, _P, _P)),
-    ("half_slab_cpu", ctypes.c_int, ()),
+    ("gth_eliminate_avx512f", _I, (_P, _I, _I, _I, _P, ctypes.c_int)),
+    ("avx512f_cpu", ctypes.c_int, ()),
 )
 
 
 def _bind(lib):
     """Give lib's kernels their ctypes signatures, skipping the ones it lacks; returns lib."""
-    for name, result, args in _KERNELS + _PRODUCT_KERNELS:
+    for name, result, args in _KERNELS + _AVX512F_KERNELS:
         kernel = getattr(lib, name, None)
         if kernel is not None:
             kernel.argtypes, kernel.restype = args, result
     return lib
 
 
-def _half_slab_kernels(lib):
-    """lib if it has the half-slab product and this CPU runs it, else None."""
-    if lib is None or any(getattr(lib, name, None) is None for name, _, _ in _PRODUCT_KERNELS):
+def _avx512f_kernels(lib):
+    """lib if it has the AVX-512F section and this CPU runs it, else None."""
+    if lib is None or any(getattr(lib, name, None) is None for name, _, _ in _AVX512F_KERNELS):
         return None
-    return lib if lib.half_slab_cpu() else None
+    return lib if lib.avx512f_cpu() else None
 
 
-# _gth_leaf runs the binary64 pass, _pair_kernels (the same library, or
-# None) the pair ones and _half_slab (it again, or None) tensor's half-slab
-# product; any of them set to None runs the Python code (the slab's einsum)
-# instead.
+def _leaf(lib):
+    """lib's binary64 pass: its AVX-512F entry where that runs, else its
+    baseline one; None without a library."""
+    if lib is None:
+        return None
+    fast = _avx512f_kernels(lib)
+    return fast.gth_eliminate_avx512f if fast else lib.gth_eliminate
+
+
+# _gth_leaf runs the binary64 pass, _pair_kernels (the library, or None) the
+# pair ones and _half_slab (it again, or None) tensor's half-slab product;
+# any of them set to None runs the Python code (the slab's einsum) instead.
 _pair_kernels = _load_gth_kernels()
-_gth_leaf = _pair_kernels and _pair_kernels.gth_eliminate
-_half_slab = _half_slab_kernels(_pair_kernels)
+_gth_leaf = _leaf(_pair_kernels)
+_half_slab = _avx512f_kernels(_pair_kernels)
 
 
 def _unit_column_stride(a):
@@ -565,11 +649,11 @@ def _compiled_pass(W, offset, solve):
     first step left to the Python pass (n once the compiled pass has run to
     the end) and whether the right-hand sides are solved too.
 
-    A binary64 W runs gth_eliminate, a pair W dd_gth_solve, which also
-    back-substitutes if solve, in the same call.  The pair pass hands a pivot column with a
-    part that is not finite, or whose sum overflows, to the Python pass, so
-    that math.fsum's NaN, inf and errors stand there.  Returns (zeros, 0,
-    False) where no compiled pass applies.
+    A binary64 W runs _gth_leaf, a pair W dd_gth_solve; either also
+    back-substitutes if solve, in the same call.  The pair pass hands a pivot
+    column with a part that is not finite, or whose sum overflows, to the
+    Python pass, so that math.fsum's NaN, inf and errors stand there.
+    Returns (zeros, 0, False) where no compiled pass applies.
     """
     n = W.shape[0] - 1
     start, solved = n, False
@@ -577,7 +661,8 @@ def _compiled_pass(W, offset, solve):
         if _gth_leaf is None or W.shape[1] < n or not _unit_column_stride(W):
             return _zeros(W, n), 0, False
         d = np.empty(n)
-        k = _gth_leaf(W.ctypes.data, n, W.shape[1], W.strides[0] // 8, d.ctypes.data)
+        k = _gth_leaf(W.ctypes.data, n, W.shape[1], W.strides[0] // 8, d.ctypes.data, solve)
+        solved = solve
     else:
         hi, lo = W.hi, W.lo
         if (_pair_kernels is None or W.shape[1] < n or hi.strides != lo.strides
@@ -613,8 +698,8 @@ def _eliminate(W, offset=0, solve=False):
     naming its step as offset + k + 1.  A NaN pivot does not raise.
 
     With solve, the right-hand-side columns are then overwritten with the
-    solution: in pairs by _back_substitute, in binary64 by one LAPACK
-    unit-upper solve (_unit_upper_solve).
+    solution: in pairs by _back_substitute, in binary64 by
+    _unit_upper_solve.
 
     A W with unit column stride runs compiled (_compiled_pass), with the
     same bits and, unlike numpy, no RuntimeWarning on NaN or inf.  The
@@ -654,10 +739,15 @@ def _back_substitute(V, d, y):
 
 
 def _unit_upper_solve(V, d, y):
-    """_back_substitute in binary64: one LAPACK solve for x of the unit upper
-    system x_k + sum_{j>k} (-V_kj / d_k) x_j = y_k / d_k, stored in y.  It
-    too reads only the strict upper triangle of V."""
-    y[...] = scipy.linalg.lapack.dtrtrs(V / -d[:, None], (y.T / d).T, unitdiag=1)[0]
+    """_back_substitute in binary64, in LAPACK's form for the unit upper
+    system x_k - sum_{j>k} (V_kj / d_k) x_j = y_k / d_k: y_k <- y_k / d_k for
+    every k, then for k = n, ..., 2, y_i += (V_ik / d_i) y_k for every i < k.
+    The specification of the compiled leaf's back-substitution.  It too
+    reads only the strict upper triangle of V."""
+    Y = y if len(y.shape) == 2 else y[:, None]  # a view: writes reach y
+    Y /= d[:, None]
+    for k in range(len(d) - 1, 0, -1):
+        Y[:k] += (V[:k, k] / d[:k])[:, None] * Y[k]
 
 
 def _solve_in_place(W, offset=0):
@@ -715,8 +805,7 @@ def gth_col_solve(offdiag, sums, rhs):
     never read.  Raises SingularPivotError if a pivot vanishes.
     """
     W, y = _augmented(offdiag, sums, rhs)
-    if len(y):  # LAPACK's dtrtrs rejects an empty system, and prints that it does
-        _solve_in_place(W)
+    _solve_in_place(W)
     return y
 
 

@@ -12,8 +12,9 @@ Newton-GTH: with one block, the only form it takes, it is Newton-GTH.
 Every GTH step solves its column triplets with mmatrix.gth_col_solve: one
 elimination pass over the matrix with its column sums as the last row and
 the right-hand side as a further column, split in blocks above
-mmatrix.GTH_BLOCK unknowns, with no L or U formed.  In binary64 the pass
-runs compiled (mmatrix._GTH_C), with the bits of its Python statement.
+mmatrix.GTH_BLOCK unknowns, with no L or U formed.  In binary64 each leaf
+block's elimination and back-substitution run as one compiled call
+(mmatrix._GTH_C), with the bits of their Python statement.
 
 Every method makes one tensor product per step, Problem.contract, which
 gives the Jacobian part C = Bx: + B:x; Bx^2 = C x / 2 comes from the same C,

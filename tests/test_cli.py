@@ -437,9 +437,9 @@ k,residual_inf,e_cw,e_norm
 PERTURB_CSV = """\
 # mlpagerank-csv-v1 perturb
 trial,epsilon_realized,d_cw_observed,bound_omega,bound_kappa,applicable_omega,applicable_kappa
-0,6.4292411394717419e-09,8.3203897934105154e-10,5.7164370351690257e-08,9.238013866547192e-08,1,1
-1,7.8133688408144053e-09,1.3507070045612838e-10,6.9471078273302849e-08,1.1226832036535863e-07,1,1
-2,4.8809107866532031e-09,2.5677565399641381e-10,4.3397686100895833e-08,7.0132570954537573e-08,1,1
+0,6.4292411394717419e-09,8.3203897934105154e-10,5.7164370351690257e-08,9.2380138665471893e-08,1,1
+1,7.8133688408144053e-09,1.3507055538572502e-10,6.9471078273302849e-08,1.122683203653586e-07,1,1
+2,4.8809107866532031e-09,2.5677565399641381e-10,4.3397686100895833e-08,7.0132570954537547e-08,1,1
 """
 COMPARE_CSV = """\
 # mlpagerank-csv-v1 compare

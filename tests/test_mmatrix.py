@@ -335,11 +335,14 @@ class TestInverseBoundCheck:
         assert np.isinf(rep.d_offdiag)
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
 @pytest.mark.parametrize("rhs", [np.zeros(0), np.zeros((0, 3))], ids=["vector", "matrix"])
-def test_col_solve_of_an_empty_system_is_empty_and_quiet(rhs, capfd):
+def test_col_solve_of_an_empty_system_is_empty_and_quiet(rhs, compiled, monkeypatch, capfd):
+    if not compiled:
+        monkeypatch.setattr(mmatrix, "_gth_leaf", None)
     y = gth_col_solve(np.zeros((0, 0)), np.zeros(0), rhs)
     assert y.shape == rhs.shape
-    # LAPACK's complaint about an empty system would go to file descriptor 1
+    # nothing may reach file descriptors 1 or 2, as a native library's complaint would
     assert capfd.readouterr() == ("", "")
 
 
@@ -571,8 +574,9 @@ class TestFusedSolveAboveTheBlock:
     # Every entry the blocked solve computes is a sum of products of
     # nonnegative numbers, as in the unblocked pass, so the binary64 result
     # keeps the componentwise accuracy of a subtraction-free solve.  The
-    # leaf sizes ride along: there the binary64 back-substitution is one
-    # LAPACK unit-upper solve and the pair one a loop.
+    # leaf sizes ride along: there the binary64 back-substitution divides by
+    # the pivots (_unit_upper_solve) and the pair one multiplies by their
+    # reciprocals (_back_substitute).
 
     def test_pair_and_float_agree_componentwise(self, rng):
         for T in col_triplets_above_the_block(rng):
@@ -635,9 +639,11 @@ class TestFusedSolveAboveTheBlock:
             assert same_bits(got.lo.ravel(), np.array([float(e.lo) for e in loop]))
 
 
-# The compiled leaf: _eliminate runs mmatrix._GTH_C on binary64 arrays, and
-# the Python pass is its specification.  Switching the leaf off (_gth_leaf =
-# None) runs the Python pass, as on a machine without a C compiler.
+# The compiled leaf: _eliminate runs mmatrix._GTH_C on binary64 arrays, asked
+# to solve its back-substitution too, and the Python pass (with
+# _unit_upper_solve) is its specification.  Switching the leaf off
+# (_gth_leaf = None) runs the Python pass, as on a machine without a C
+# compiler.
 
 needs_leaf = pytest.mark.skipif(mmatrix._gth_leaf is None, reason="no compiled GTH leaf")
 
@@ -648,17 +654,17 @@ def test_leaf_is_compiled_when_a_c_compiler_is_on_path():
     assert mmatrix._gth_leaf is not None
 
 
-def both_passes(monkeypatch, W, offset=0, view=lambda V: V):
-    """_eliminate on view(V) of copies V of W by the leaf and by the Python
-    pass: for each, the pivots' bytes or the SingularPivotError's message,
-    and V's bytes after."""
+def both_passes(monkeypatch, W, offset=0, view=lambda V: V, solve=False, leaves=None):
+    """_eliminate(view(V), offset, solve) on copies V of W by each of leaves,
+    by default the leaf and the Python pass (None): for each, the pivots'
+    bytes or the SingularPivotError's message, and V's bytes after."""
     results = []
-    for leaf in (mmatrix._gth_leaf, None):
+    for leaf in leaves or (mmatrix._gth_leaf, None):
         V = W.copy()
         with monkeypatch.context() as m:
             m.setattr(mmatrix, "_gth_leaf", leaf)
             try:
-                outcome = _eliminate(view(V), offset).tobytes()
+                outcome = _eliminate(view(V), offset, solve).tobytes()
             except SingularPivotError as exc:
                 outcome = str(exc)
         results.append((outcome, V.tobytes()))
@@ -682,7 +688,18 @@ class TestCompiledLeaf:
             leaf, python = both_passes(monkeypatch, W)
             assert leaf == python, n
 
-    def test_same_bits_on_the_views_the_blocked_solve_passes(self, monkeypatch, rng):
+    def test_solve_same_bits_as_the_python_pass(self, monkeypatch, rng):
+        # elimination and back-substitution in one call, against the
+        # elimination and _unit_upper_solve in numpy: every leaf size, then
+        # sizes up to 2 GTH_BLOCK + 1, with 0, 1, 3 and n right-hand sides
+        for n in [*range(1, GTH_BLOCK + 1), *rng.integers(GTH_BLOCK + 1, 2 * GTH_BLOCK + 2, 6)]:
+            for extra in sorted({0, 1, 3, int(n)}):
+                W = random_augmented(rng, n, extra)
+                leaf, python = both_passes(monkeypatch, W, solve=True)
+                assert leaf == python, (n, extra)
+
+    @pytest.mark.parametrize("solve", [False, True], ids=["eliminate", "solve"])
+    def test_same_bits_on_the_views_the_blocked_solve_passes(self, monkeypatch, rng, solve):
         # _solve_in_place hands the pass row-strided views of one array:
         # the leading block W[: h + 1] and the trailing block W[h:, h:]
         for n in (2 * GTH_BLOCK + 1, 139):
@@ -691,7 +708,7 @@ class TestCompiledLeaf:
             for view in (lambda V: V[: h + 1], lambda V: V[h:, h:],
                          lambda V: V[h:, h:][: (n - h) // 2 + 1]):
                 assert view(W).strides[0] == W.strides[0]
-                leaf, python = both_passes(monkeypatch, W, view=view)
+                leaf, python = both_passes(monkeypatch, W, view=view, solve=solve)
                 assert leaf == python, (n, view(W).shape)
 
     def test_same_bits_on_columns_the_pairwise_sum_halves(self, monkeypatch, rng):
@@ -701,23 +718,39 @@ class TestCompiledLeaf:
             leaf, python = both_passes(monkeypatch, random_augmented(rng, n, 1))
             assert leaf == python, n
 
-    def test_zero_pivot_raises_at_the_same_step(self, monkeypatch, rng):
+    @pytest.mark.parametrize("solve", [False, True], ids=["eliminate", "solve"])
+    def test_zero_pivot_raises_at_the_same_step(self, monkeypatch, rng, solve):
         for n, k in ((1, 0), (5, 0), (5, 2), (30, 29), (60, 17)):
             W = random_augmented(rng, n, 2)
             W[:, k] = 0.0  # the updates before step k add W_jk = 0 below it
-            leaf, python = both_passes(monkeypatch, W, offset=7)
+            leaf, python = both_passes(monkeypatch, W, offset=7, solve=solve)
             assert leaf == python
             assert leaf[0] == f"zero pivot at step {7 + k + 1}"
 
-    def test_nan_passes_through_quietly(self, monkeypatch, rng):
+    @pytest.mark.parametrize("solve", [False, True], ids=["eliminate", "solve"])
+    def test_nan_passes_through_quietly(self, monkeypatch, rng, solve):
         W = random_augmented(rng, 12, 2)
         W[4, 2] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = _eliminate(W.copy())
+            V = W.copy()
+            d = _eliminate(V, solve=solve)
         assert np.isnan(d[2:]).all() and not np.isnan(d[:2]).any()
-        leaf, python = both_passes(monkeypatch, W)
+        assert np.isnan(V[:12, 12:]).all() == solve
+        leaf, python = both_passes(monkeypatch, W, solve=solve)
         assert leaf == python
+
+    def test_the_avx512f_entry_gives_the_baseline_entrys_bytes(self, monkeypatch, rng):
+        lib = mmatrix._avx512f_kernels(mmatrix._pair_kernels)
+        if lib is None:
+            pytest.skip("this CPU or library does not run the AVX-512F entry")
+        entries = (lib.gth_eliminate_avx512f, lib.gth_eliminate)
+        assert mmatrix._gth_leaf is entries[0]
+        for n in [*range(1, 20), *rng.integers(20, 2 * GTH_BLOCK + 2, 30)]:
+            W = random_augmented(rng, n, int(rng.integers(0, 2 * n + 1)))
+            for solve in (False, True):
+                fast, baseline = both_passes(monkeypatch, W, solve=solve, leaves=entries)
+                assert fast == baseline, (n, solve)
 
     @pytest.mark.parametrize("n", [1, 4, 2 * GTH_BLOCK + 1])
     def test_solvers_and_diagnostics_give_the_same_bytes_without_it(self, monkeypatch, n):
@@ -991,20 +1024,24 @@ def test_the_library_exports_the_half_slab_product_where_the_cpu_runs_it():
     assert mmatrix._half_slab is not None and mmatrix._half_slab is mmatrix._pair_kernels
     for name in ("half_slab_build", "half_slab_contract"):
         assert getattr(mmatrix._half_slab, name).argtypes is not None
+    assert mmatrix._gth_leaf is mmatrix._half_slab.gth_eliminate_avx512f
 
 
 def kernel_outputs():
-    """The bytes of a blocked binary64 GTH solve, a pair GTH solve, a pair
-    fold and a full tensor's product with n = 40."""
+    """The bytes of a blocked and a leaf binary64 GTH solve, a pair GTH
+    solve, a pair fold and a full tensor's product with n = 40."""
     rng = np.random.default_rng(40)
-    N = rng.random((60, 60))
-    sums, rhs = rng.random(60), rng.random(60)
+    n = GTH_BLOCK + 20
+    N = rng.random((n, n))
+    sums, rhs = rng.random(n), rng.random(n)
     pairs = DD(N[:6, :6], N[:6, :6] * 2.0 ** -60)
     y = gth_col_solve(pairs, DD(sums[:6], sums[:6] * 2.0 ** -60), DD(rhs[:6], 0.0 * rhs[:6]))
-    fold = dd_sum(DD(N, N * 2.0 ** -60))
+    fold = dd_sum(DD(N[:60, :60], N[:60, :60] * 2.0 ** -60))
     B = Tensor3.from_unfolding(rng.random((40, 1600)))
-    return [gth_col_solve(N, sums, rhs).tobytes(), y.hi.tobytes(), y.lo.tobytes(),
-            fold.hi.tobytes(), fold.lo.tobytes(), contract_sym(B, rhs[:40]).tobytes(),
+    return [gth_col_solve(N, sums, rhs).tobytes(),
+            gth_col_solve(N[:60, :60], sums[:60], rhs[:60, None] * [1.0, 0.5, 2.0]).tobytes(),
+            y.hi.tobytes(), y.lo.tobytes(), fold.hi.tobytes(), fold.lo.tobytes(),
+            contract_sym(B, rhs[:40]).tobytes(),
             np.einsum("kij,k->ij", B.slab(), rhs[:40]).tobytes()]
 
 
@@ -1034,14 +1071,18 @@ def test_a_library_without_the_product_keeps_the_gth_and_pair_kernels(tmp_path, 
                    text=True, capture_output=True, check=True, timeout=120)
     lib = mmatrix._bind(ctypes.CDLL(str(path)))
     assert getattr(lib, "half_slab_contract", None) is None
-    assert mmatrix._half_slab_kernels(lib) is None
+    assert mmatrix._avx512f_kernels(lib) is None
+    # the binary64 solves through the baseline leaf
+    assert mmatrix._leaf(lib) is lib.gth_eliminate
     want = kernel_outputs()
     monkeypatch.setattr(mmatrix, "_pair_kernels", lib)
-    monkeypatch.setattr(mmatrix, "_gth_leaf", lib.gth_eliminate)
-    monkeypatch.setattr(mmatrix, "_half_slab", mmatrix._half_slab_kernels(lib))
+    monkeypatch.setattr(mmatrix, "_gth_leaf", mmatrix._leaf(lib))
+    monkeypatch.setattr(mmatrix, "_half_slab", mmatrix._avx512f_kernels(lib))
     got = kernel_outputs()
     assert got == want
     assert got[-2] == got[-1]  # the product is einsum's
+    monkeypatch.setattr(mmatrix, "_gth_leaf", None)
+    assert kernel_outputs()[:2] == got[:2]  # the specification's bytes
 
 
 # Commands whose outputs go through the compiled kernels or their fallback:
