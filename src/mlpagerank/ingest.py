@@ -9,6 +9,11 @@ tensor by normalizing directed three-cycles and mixing in a first-order
 chain with dangling-node correction.  It keeps that tensor in factored form
 (tensor.PageRankTensor) in O(nnz + n^2) memory, and never forms its n^3
 entries unless code that reads entries asks for them.
+
+read_matrix_market parses a file's entry lines in one numpy pass.  A
+per-line reader, _read_entries, is both its specification and its error
+reporter: it takes over wherever the numpy pass cannot vouch for the lines,
+and words every error about them.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ def read_matrix_market(path, power=2):
     does a size whose dense float64 array of n**power entries, the largest
     the caller makes of the graph, would not fit in physical memory
     (tensor.check_dense_fits).
+
+    The entry lines are parsed in one numpy pass (_parse_entries).  Where
+    that pass cannot take them or finds anything wrong, _read_entries reads
+    them line by line: that loop is the reader's specification and the only
+    code that words an error, naming the first bad line in file order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -63,9 +73,7 @@ def read_matrix_market(path, power=2):
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"{path}:1: unsupported symmetry {symmetry!r}")
     idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    while idx < len(lines) and not lines[idx].strip():
+    while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("%")):
         idx += 1
     if idx >= len(lines):
         raise ValueError(f"{path}:{len(lines)}: missing size line")
@@ -77,32 +85,80 @@ def read_matrix_market(path, power=2):
         raise ValueError(f"{path}:{idx + 1}: adjacency must be square")
     check_dense_fits(nrows, f"{path}:{idx + 1}", power)
     A = np.zeros((nrows, nrows), dtype=bool)
+    pattern = field == "pattern"
+    ij = _parse_entries(lines[idx + 1 :], pattern, nrows, nnz)
+    if ij is None:
+        ij = _read_entries(path, lines, idx + 1, pattern, nrows, nnz)
+    i, j = ij
+    A[i, j] = True
+    if symmetry == "symmetric":
+        A[j, i] = True
+    return Adjacency(matrix=A)
+
+
+def _parse_entries(body, pattern, n, nnz):
+    """The zero-based (i, j) of the nonzero entries in the lines body, in one
+    numpy pass; None where _read_entries must read them instead.
+
+    np.loadtxt takes every line at once: a structured dtype of two int64
+    indices and, unless pattern, a float64 weight makes it check the field
+    count of each line, and no '#' is a comment.  The body is left to
+    _read_entries if it holds a '%' (a comment line) or nothing but blanks
+    (on which loadtxt would warn), if numpy raises, and if a weight is not
+    finite, an index is out of range or the count differs from nnz.
+    """
+    text = "".join(body)
+    if "%" in text or not text.strip():
+        return None
+    fields = [("i", np.int64), ("j", np.int64)] + ([] if pattern else [("w", np.float64)])
+    try:
+        i, j, *w = np.loadtxt(body, dtype=fields, comments=None, ndmin=1, unpack=True)
+    except ValueError:
+        return None
+    if not (len(i) == nnz and min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n):
+        return None
+    if w:
+        if not np.isfinite(w[0]).all():
+            return None
+        nonzero = w[0] != 0.0
+        i, j = i[nonzero], j[nonzero]
+    return i - 1, j - 1
+
+
+def _read_entries(path, lines, start, pattern, n, nnz):
+    """The zero-based (i, j) of the nonzero entries in lines[start:], read
+    line by line; blank lines and lines that start with '%' are skipped.
+
+    Raises ValueError naming the first bad line in file order: a wrong field
+    count, an index or weight that is not a number (a weight that is not
+    finite included), an index out of range; then a count that differs from
+    nnz.
+    """
+    want = 2 if pattern else 3
+    rows, cols = [], []
     count = 0
-    for lineno in range(idx + 1, len(lines)):
+    for lineno in range(start, len(lines)):
         parts = lines[lineno].split()
         if not parts or parts[0].startswith("%"):
             continue
-        want = 2 if field == "pattern" else 3
         if len(parts) != want:
             raise ValueError(f"{path}:{lineno + 1}: expected {want} fields")
         try:
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            value = 1.0 if field == "pattern" else float(parts[2])
+            value = 1.0 if pattern else float(parts[2])
         except ValueError:
             value = math.nan
         if not math.isfinite(value):  # a NaN weight would pass for a nonzero
             raise ValueError(f"{path}:{lineno + 1}: malformed entry {' '.join(parts)!r}")
-        if not (0 <= i < nrows and 0 <= j < nrows):
+        if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{path}:{lineno + 1}: index out of range")
         count += 1
-        if value == 0.0:
-            continue
-        A[i, j] = True
-        if symmetry == "symmetric":
-            A[j, i] = True
+        if value != 0.0:
+            rows.append(i)
+            cols.append(j)
     if count != nnz:
         raise ValueError(f"{path}: header says {nnz} entries, found {count}")
-    return Adjacency(matrix=A)
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
 def three_cycle_tensor(adj):
@@ -155,7 +211,7 @@ def build_pagerank_tensor(adj, v, nu):
         raise ValueError("v must be stochastic")
     C = three_cycle_tensor(adj)
     cycles = np.bincount(C.cols, minlength=n * n)  # per unfolding column j + k*n
-    S = Tensor3.from_coordinates(n, C.rows, C.cols, 1.0 / cycles[C.cols])
+    S = C.with_values(1.0 / cycles[C.cols])
     dS = (cycles == 0).astype(np.float64).reshape(n, n)
     A = adj.matrix.astype(np.float64)
     deg = A.sum(axis=1)
@@ -178,14 +234,17 @@ def random_teleport_vector(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.random(n) * np.exp(9.0 * rng.standard_normal(n))
     v = v / v.sum()
-    excess = math.fsum([*v.tolist(), -1.0])  # 1^T v - 1, exact or nonzero
-    for i in np.argsort(-v, kind="stable"):
+    # on Python floats: the same IEEE operations, without numpy's per-scalar cost
+    entries = v.tolist()
+    excess = math.fsum([*entries, -1.0])  # 1^T v - 1, exact or nonzero
+    for i in np.argsort(-v, kind="stable").tolist():
         if excess == 0.0:
             break
-        kept = v[i] - excess
-        if kept != v[i]:
-            v[i] = kept
-            excess = math.fsum([*v.tolist(), -1.0])
+        kept = entries[i] - excess
+        if kept != entries[i]:
+            entries[i] = kept
+            excess = math.fsum([*entries, -1.0])
+    v = np.array(entries)
     if excess != 0.0 or (v < 0.0).any():
         raise ArithmeticError("could not normalize v to an exact unit sum")
     return v

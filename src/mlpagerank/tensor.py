@@ -278,6 +278,22 @@ class Tensor3:
         out._store(int(n), ijk, vals, lambda e: (f"{a[e] + 1:g}" for a in ijk))
         return out
 
+    def with_values(self, vals):
+        """A tensor with this one's coordinates and new values, one a stored
+        entry in storage order.
+
+        The coordinates, checked and sorted already, are not checked or
+        sorted again; the values are checked as from_coordinates checks them.
+        """
+        vals = np.asarray(vals, dtype=np.float64)
+        if vals.shape != self.vals.shape:
+            raise ValueError(f"expected {self.nnz} values, got shape {vals.shape}")
+        rows = None if self._cols is None else self.rows
+        _check_values(self.n, vals, rows, self._cols)
+        out = Tensor3.__new__(Tensor3)
+        out._keep(self.n, rows, self._cols, vals)
+        return out
+
     @classmethod
     def zeros(cls, n):
         return cls(n, [])
@@ -450,16 +466,17 @@ class PageRankTensor:
     is dense n x n, its entry (i, k) the first-order part of p_{ijk} for
     every j; nu is the mixing weight in [0, 1].  Products follow the order
     and bound in the module docstring; to_tensor3() stores the entries, once
-    per object.
+    per object.  The unfolding's column sums are computed once and kept,
+    read-only, as a Tensor3 keeps its own.
     """
 
-    __slots__ = ("n", "S", "v", "dS", "F", "nu", "_stored")
+    __slots__ = ("n", "S", "v", "dS", "F", "nu", "_stored", "_colsum")
 
     def __init__(self, S, v, dS, F, nu):
         self.n = S.n
         self.S, self.v, self.dS, self.F = S, v, dS, F
         self.nu = float(nu)
-        self._stored = None
+        self._stored = self._colsum = None
 
     @property
     def nnz(self):
@@ -490,8 +507,14 @@ class PageRankTensor:
                 + (1.0 - self.nu) * ((self.F @ x)[:, None] + self.F * x.sum()))
 
     def _column_sums(self):
-        return (self.nu * (self.S._column_sums() + self.dS.ravel() * self.v.sum())
-                + (1.0 - self.nu) * np.repeat(self.F.sum(axis=0), self.n))
+        """nu (S's column sums + d_S 1^T v) + (1 - nu) F's column sums, each
+        repeated n times; read-only, computed once per tensor."""
+        if self._colsum is None:
+            sums = (self.nu * (self.S._column_sums() + self.dS.ravel() * self.v.sum())
+                    + (1.0 - self.nu) * np.repeat(self.F.sum(axis=0), self.n))
+            sums.flags.writeable = False
+            self._colsum = sums
+        return self._colsum
 
 
 def contract_sym(B, x):

@@ -7,6 +7,7 @@ import os
 import tempfile
 import tracemalloc
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mlpagerank import (
     Termination,
     build_pagerank_tensor,
     cli,
+    ingest,
     precision,
     random_teleport_vector,
     read_matrix_market,
@@ -696,3 +698,120 @@ def test_tensor_files_exit_with_a_code_and_one_line(command, tensor, v_file, alp
         [message] = [line for line in err.splitlines() if line.startswith("error: ")]
         assert err.endswith(message + "\n")
         assert code == EXIT_USAGE or err == message + "\n"
+
+
+GRAPH_MUTATIONS = ["field-count", "index", "weight", "header-count", "hash-or-percent",
+                   "no-break-space", "empty-body"]
+BAD_INDICES = ["0", "{n1}", "1.0", "+1", "1_0", "\uff11", "99999999999999999999"]
+
+
+@st.composite
+def graph_files(draw):
+    """A Matrix Market graph with n = 3-6, blank and '%' lines, and at most
+    one mutation."""
+    n = draw(st.integers(3, 6))
+    field = draw(st.sampled_from(["pattern", "real", "integer"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    edges = np.argwhere(rng.random((n, n)) < 0.6)
+    if symmetry == "symmetric":
+        edges = edges[edges[:, 0] >= edges[:, 1]]  # the lower triangle, as the format stores it
+    lines = [[str(i + 1), str(j + 1)] for i, j in edges]
+    for line in lines:
+        if field == "real":
+            line.append(repr(float(rng.choice([0.0, 0.25, 1.0, 3.5e-300]))))
+        elif field == "integer":
+            line.append(str(rng.integers(-2, 9)))
+    size = [str(n), str(n), str(len(lines))]
+    choices = [m for m in GRAPH_MUTATIONS if field != "pattern" or m != "weight"]
+    mutation = draw(st.none() | st.sampled_from(choices))  # about half valid
+    e = draw(st.integers(0, max(len(lines) - 1, 0)))
+    separator = [" "] * len(lines)
+    if mutation == "field-count" and lines:
+        lines[e] = lines[e][:-1] if draw(st.booleans()) else [*lines[e], "1"]
+    elif mutation == "index" and lines:
+        bad = draw(st.sampled_from(BAD_INDICES)).format(n1=n + 1)
+        lines[e][draw(st.integers(0, 1))] = bad
+    elif mutation == "weight" and lines:
+        lines[e][2] = draw(st.sampled_from(["nan", "inf", "1e400", "0", "-1"]))
+    elif mutation == "header-count":
+        size[2] = str(len(lines) + draw(st.sampled_from([-1, 1])))
+    elif mutation == "hash-or-percent" and lines:
+        mark = draw(st.sampled_from(["#", "%", "% c", "#c"]))
+        at = draw(st.integers(0, len(lines[e])))
+        if draw(st.booleans()):
+            lines[e].insert(at, mark)
+        else:
+            lines[e][min(at, len(lines[e]) - 1)] += mark
+    elif mutation == "no-break-space" and lines:
+        separator[e] = "\xa0"
+    elif mutation == "empty-body":
+        lines, separator = [], []
+        if draw(st.booleans()):
+            size[2] = "0"
+    text = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", " ".join(size)]
+    text += [sep.join(line) for sep, line in zip(separator, lines)]
+    filler = st.sampled_from(["", "  ", "\t", "% c", "%", "  % indented"])
+    for at in sorted(draw(st.lists(st.integers(1, len(text)), max_size=3)), reverse=True):
+        text.insert(at, draw(filler))
+    return "\n".join(text) + "\n"
+
+
+def read_outcome(path):
+    """read_matrix_market's matrix bytes and shape, or its error message."""
+    try:
+        A = read_matrix_market(path).matrix
+    except ValueError as exc:
+        return str(exc)
+    return A.shape, A.tobytes()
+
+
+def check_graph_file(text):
+    """read_matrix_market gives what the per-line reader gives, and solve and
+    ingest exit with a code and one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.mtx")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        got = read_outcome(path)
+        with mock.patch.object(ingest, "_parse_entries", lambda *args: None):
+            want = read_outcome(path)
+        assert got == want
+        for argv in (["solve", "--alpha=0.3"], ["ingest", "--out-tensor", os.path.join(tmp, "t")]):
+            code, out, err = captured_run([argv[0], "--graph", path, *argv[1:]])
+            assert "Traceback" not in err
+            assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
+            if isinstance(want, str):
+                assert code == EXIT_USAGE and err.endswith(f"error: {want}\n")
+            if code in (EXIT_OK, EXIT_MAXIT):
+                [line] = out.splitlines()
+                json.loads(line)
+            else:
+                [message] = [line for line in err.splitlines() if line.startswith("error: ")]
+                assert err.endswith(message + "\n")
+                assert code == EXIT_USAGE or err == message + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=graph_files())
+def test_graph_files_read_as_line_by_line_and_exit_with_a_code_and_one_line(text):
+    check_graph_file(text)
+
+
+PATTERN_HEADER = "%%MatrixMarket matrix coordinate pattern general\n"
+REAL_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("text", [
+    *(PATTERN_HEADER + f"3 3 3\n1 2\n2 {bad.format(n1=4)}\n3 1\n" for bad in BAD_INDICES),
+    *(REAL_HEADER + f"3 3 3\n2 1 1\n3 2 {w}\n3 1 1\n" for w in ["nan", "inf", "1e400", "0", "-1"]),
+    *(PATTERN_HEADER + f"3 3 3\n1 2\n{line}\n3 1\n"
+      for line in ["2 3 #", "2 3#", "2 % 3", "%2 3", "2\xa03", "2 3 4", "2"]),
+    PATTERN_HEADER + "3 3 0\n",
+    PATTERN_HEADER + "3 3 3\n \n\t\n",
+], ids=[*(f"index-{b}" for b in ["0", "n+1", "1.0", "+1", "1_0", "fullwidth-1", "beyond-int64"]),
+        "weight-nan", "weight-inf", "weight-1e400", "weight-0",
+        "weight-negative", "hash", "glued-hash", "percent", "comment-line", "no-break-space",
+        "extra-field", "missing-field", "empty-body", "blank-body"])
+def test_hand_written_graph_files_read_as_line_by_line(text):
+    check_graph_file(text)

@@ -19,7 +19,9 @@ from mlpagerank import (
     build_pagerank_tensor,
     check_stochastic,
     force_sum_one,
+    ingest,
     random_teleport_vector,
+    read_matrix_market,
     solve,
 )
 
@@ -110,6 +112,54 @@ def test_teleport_vector_sums_to_one_exactly():
         assert (v >= 0.0).all()
 
 
+def numpy_scalar_teleport_vector(n, seed):
+    """random_teleport_vector's exact-sum loop as it ran on numpy scalars:
+    the oracle of its bits."""
+    rng = np.random.default_rng(seed)
+    v = rng.random(n) * np.exp(9.0 * rng.standard_normal(n))
+    v = v / v.sum()
+    excess = math.fsum([*v.tolist(), -1.0])
+    for i in np.argsort(-v, kind="stable"):
+        if excess == 0.0:
+            break
+        kept = v[i] - excess
+        if kept != v[i]:
+            v[i] = kept
+            excess = math.fsum([*v.tolist(), -1.0])
+    return v
+
+
+def test_teleport_vector_bits_are_those_of_the_numpy_scalar_loop():
+    for n in (3, 10, 80, 300):
+        for seed in range(200):
+            want = numpy_scalar_teleport_vector(n, seed)
+            assert random_teleport_vector(n, seed).tobytes() == want.tobytes(), (n, seed)
+
+
+TRIANGLE = "3 3 3\n1 2\n2 3\n3 1\n"
+
+
+@pytest.mark.parametrize("preamble", ["\n% c\n", "% c\n\n", "\n% c\n  \n%d\n\t\n"],
+                         ids=["blank-then-comment", "comment-then-blank", "interleaved"])
+def test_blank_and_comment_lines_before_the_size_line_in_any_order(preamble, tmp_path):
+    path = tmp_path / "g.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n" + preamble + TRIANGLE)
+    A = read_matrix_market(path).matrix
+    assert A.tolist() == [[False, True, False], [False, False, True], [True, False, False]]
+
+
+def test_a_clean_file_is_read_in_the_numpy_pass_alone(tmp_path, monkeypatch):
+    def line_by_line(*args):
+        raise AssertionError("the per-line reader ran")
+
+    monkeypatch.setattr(ingest, "_read_entries", line_by_line)
+    path = tmp_path / "g.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n% c\n"
+                    "4 4 4\n2 1 0.5\n3 2 1e-300\n4 3 0\n4 1 -2\n")
+    A = read_matrix_market(path).matrix
+    assert np.argwhere(A).tolist() == [[0, 1], [0, 3], [1, 0], [1, 2], [2, 1], [3, 0]]
+
+
 def test_n_300_solves_without_forming_the_dense_tensor():
     adj = random_symmetric_graph(300, n=300)
     tracemalloc.start()
@@ -125,17 +175,21 @@ def test_n_300_solves_without_forming_the_dense_tensor():
 
 
 N_2000_RUN = textwrap.dedent("""
-    import resource, time
+    import resource, sys, time
     import numpy as np
-    from mlpagerank import (Adjacency, Problem, SolverOptions, build_pagerank_tensor,
-                            random_teleport_vector, solve)
+    from mlpagerank import (Problem, SolverOptions, build_pagerank_tensor,
+                            random_teleport_vector, read_matrix_market, solve)
 
-    n = 2000
+    n, path = 2000, sys.argv[1]
     rng = np.random.default_rng(n)
-    upper = np.triu(rng.random((n, n)) < 8 / (n - 1), k=1)
-    adj = Adjacency(matrix=upper | upper.T)
-    del upper
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 8 / (n - 1), k=1))
+    with open(path, "w", encoding="utf-8") as fh:  # the lower triangle, as the format stores it
+        fh.write("%%MatrixMarket matrix coordinate pattern symmetric\\n")
+        fh.write(f"{n} {n} {len(rows)}\\n")
+        fh.writelines(f"{j + 1} {i + 1}\\n" for i, j in zip(rows.tolist(), cols.tolist()))
     t0 = time.perf_counter()
+    adj = read_matrix_market(path)
+    assert adj.edge_count == 2 * len(rows)
     v = random_teleport_vector(n, n)
     P = build_pagerank_tensor(adj, v, 0.1)
     rep = solve(Problem.from_pagerank(v, P, 0.49), SolverOptions())
@@ -145,12 +199,13 @@ N_2000_RUN = textwrap.dedent("""
 
 
 @pytest.mark.slow
-def test_n_2000_at_alpha_0_49_in_ten_seconds_and_one_gigabyte():
+def test_n_2000_at_alpha_0_49_in_ten_seconds_and_one_gigabyte(tmp_path):
     # a fresh process, so the peak RSS is this run's alone
     src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", N_2000_RUN], capture_output=True, text=True,
-                         check=True, timeout=600, env=env).stdout.split()
+    out = subprocess.run([sys.executable, "-c", N_2000_RUN, str(tmp_path / "graph.mtx")],
+                         capture_output=True, text=True, check=True, timeout=600,
+                         env=env).stdout.split()
     termination, seconds, rss_mb = out[0], float(out[1]), float(out[2])
     assert termination == "tol_reached"
     assert seconds <= 10.0

@@ -1040,6 +1040,36 @@ class TestPageRankTensor:
         for name in ("rows", "cols", "vals"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_s_is_from_coordinates_on_the_cycle_list(self, graph):
+        # S takes the cycle tensor's coordinates as they are; from_coordinates
+        # checks and sorts the cycle list, from the dense formula, anew
+        A = GRAPHS[graph]()
+        n = len(A)
+        Af = A.astype(np.float64)
+        C = (Af[:, :, None] * Af[None, :, :] * Af.T[:, None, :]).transpose(0, 2, 1)
+        U = C.reshape(n, n * n)
+        rows, cols = np.nonzero(U)
+        want = Tensor3.from_coordinates(n, rows, cols, 1.0 / U.sum(axis=0)[cols])
+        S = build_pagerank_tensor(Adjacency(matrix=A), np.full(n, 1.0 / n), 0.1).S
+        for name in ("vals", "cols", "row_ptr"):
+            assert getattr(S, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_column_sums_are_kept_read_only_with_the_formula_bytes(self, graph):
+        A = GRAPHS[graph]()
+        n = len(A)
+        v = np.random.default_rng(n).random(n) + 0.1
+        P = build_pagerank_tensor(Adjacency(matrix=A), v / v.sum(), 0.1)
+        sums = P._column_sums()
+        assert P._column_sums() is sums
+        with pytest.raises(ValueError, match="read-only"):
+            sums[0] = 0.0
+        S_sums = np.bincount(P.S.cols, weights=P.S.vals, minlength=n * n)
+        want = (P.nu * (S_sums + P.dS.ravel() * P.v.sum())
+                + (1.0 - P.nu) * np.repeat(P.F.sum(axis=0), n))
+        assert sums.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [80, 150])
     def test_unfolding_is_the_formula_in_one_array(self, n):
         # the formula's own expression is the oracle; evaluated in place, the
