@@ -167,20 +167,23 @@ def three_cycle_tensor(adj):
     For an undirected (symmetrized) graph every triangle therefore
     contributes all index triples whose directed three-cycle exists.  The
     cycles are listed from the edge list, as the paths j -> k -> i closed by
-    an edge i -> j, in O(n + sum_k indeg(k) outdeg(k)) time.
+    an edge i -> j, in O(n + sum_k indeg(k) outdeg(k)) time.  The edges
+    k -> i are taken by i, then by k, and each is paired with the edges
+    j -> k into k by j: the list runs in (i, k, j) order, the tensor's
+    storage order, so that Tensor3.from_coordinates need not sort it.
     """
     A = adj.matrix
     n = adj.n
     if n < 3:
         raise ValueError("three_cycle_tensor needs n >= 3")
-    src, dst = np.nonzero(A)  # edges sorted by source
-    ptr = np.searchsorted(src, np.arange(n + 1))
-    # pair each edge (j, k) with every edge (k, i) out of k
-    fan = np.diff(ptr)[dst]
+    dst, src = np.nonzero(A.T)  # the edges src -> dst, sorted by dst, then src
+    ptr = np.searchsorted(dst, np.arange(n + 1))
+    # pair each edge (k, i) with every edge (j, k) into k
+    fan = np.diff(ptr)[src]
     first = np.repeat(np.arange(len(src)), fan)
-    second = np.repeat(ptr[dst] - np.cumsum(fan) + fan, fan) + np.arange(len(first))
-    i, j, k = dst[second], src[first], dst[first]
-    closed = A[i, j]
+    second = np.repeat(ptr[src] - np.cumsum(fan) + fan, fan) + np.arange(len(first))
+    i, k, j = dst[first], src[first], src[second]
+    closed = A.ravel()[i * n + j]
     i, j, k = i[closed], j[closed], k[closed]
     return Tensor3.from_coordinates(n, i, j + k * n, np.ones(len(i)))
 

@@ -52,9 +52,11 @@ go into Shewchuk's partials as fsum adds them, the partials are rounded as
 fsum rounds them, and lo is the same partials with -hi added, rounded
 again.  The same library folds pairs for
 precision.dd_sum and its segment sums (dd_fold and dd_fold_runs), on terms
-numpy has formed, and on x86-64 with AVX-512F holds tensor's half-slab
-product (half_slab_build and half_slab_contract, bound as _half_slab).  The
-Python code, and for the product numpy's einsum, stays the specification.  It
+numpy has formed, holds the product of a graph's PageRank tensor
+(graph_product, bound as _graph_product), and on x86-64 with AVX-512F holds
+tensor's half-slab product (half_slab_build and half_slab_contract, bound as
+_half_slab).  The Python code, and for the products numpy's einsum and the
+factored product's numpy expression, stays the specification.  It
 runs where there is no compiler, and in pairs from the first pivot column
 that has a part that is not finite or a sum that overflows, so that
 math.fsum's NaN, inf, ValueError and OverflowError stand.  Compiled, a NaN
@@ -102,6 +104,8 @@ class SingularPivotError(ArithmeticError):
 
 def _zeros(like, shape):
     """Zeros in the arithmetic of `like`: a float64 ndarray or a precision.DD."""
+    if type(like) is np.ndarray:  # a missed getattr costs more than np.zeros
+        return np.zeros(shape)
     return getattr(type(like), "zeros", np.zeros)(shape)
 
 
@@ -131,7 +135,11 @@ def _zeros(like, shape):
 # einsum's and the pass gth_eliminate, the baseline build.  avx512f_cpu
 # reads CPUID itself: __builtin_cpu_supports links 4.5 KB of libgcc's CPU
 # detection in ahead of this code, which moved the pass's loops to another
-# alignment and made gth_col_solve at n = 80 about 7% slower.
+# alignment and made gth_col_solve at n = 80 about 7% slower.  For the same
+# reason graph_product comes last, past that section, so that no symbol
+# before it moves: tensor.PageRankTensor's product in one pass over its n^2
+# entries, S's CSR sum in scipy's order and the numpy expression's other
+# operations in the expression's order.
 _GTH_C = r"""
 #include <math.h>
 #include <stddef.h>
@@ -526,6 +534,35 @@ int avx512f_cpu(void)
 #endif
 #endif
 #endif
+
+/* tensor.PageRankTensor's product: for r = i n + j, c[r] = nu (s + v_i d_j)
+   + omn (f_i + F[r] sigma), the numpy expression's operations in its order,
+   where s adds val[p] x[col[p]] over the entries ptr[r] <= p < ptr[r + 1] of
+   row r of S, in storage order from +0.0, as scipy's csr_matvec does.  Row i
+   of c is formed in lanes of 8, then 1, with s = +0.0, what an empty row of
+   S sums to; then its entries at the rows of S that have entries, the m
+   listed in rows in ascending order, are formed again with their sums. */
+void graph_product(ptrdiff_t n, const int *rows, ptrdiff_t m, const int *ptr, const int *col,
+                   const double *val, const double *v, const double *F, double nu, double omn,
+                   const double *x, const double *d, const double *f, double sigma, double *c)
+{
+    ptrdiff_t i, j, p, q = 0;
+    for (i = 0; i < n; i++) {
+        double *o = c + i * n, vi = v[i], fi = f[i];
+        const double *Fi = F + i * n;
+        const lanes zero = {0.0};
+        for (j = 0; j + 8 <= n; j += 8)
+            *(lanes *)(o + j) = nu * (zero + vi * *(const lanes *)(d + j))
+                                + omn * (fi + *(const lanes *)(Fi + j) * sigma);
+        for (; j < n; j++) o[j] = nu * (0.0 + vi * d[j]) + omn * (fi + Fi[j] * sigma);
+        for (; q < m && rows[q] < (i + 1) * n; q++) {
+            double s = 0.0;
+            for (p = ptr[rows[q]]; p < ptr[rows[q] + 1]; p++) s += val[p] * x[col[p]];
+            j = rows[q] - i * n;
+            o[j] = nu * (s + vi * d[j]) + omn * (fi + Fi[j] * sigma);
+        }
+    }
+}
 """
 # No contraction into fused multiply-adds and no fast-math: IEEE rounding
 # of every operation, as numpy's.  No -march=native either: the cache key
@@ -587,7 +624,7 @@ def _load_gth_kernels():
     return _bind(lib)
 
 
-_P, _I = ctypes.c_void_p, ctypes.c_ssize_t
+_P, _I, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 # every library has the GTH and pair kernels; only an x86-64 build by a
 # compiler with the target attribute has the AVX-512F section's
 _KERNELS = (
@@ -595,6 +632,7 @@ _KERNELS = (
     ("dd_gth_solve", _I, (_P, _P, _I, _I, _I, _P, _P, _P, ctypes.c_int)),
     ("dd_fold", None, (_I, _I, _P, _P, _P, _P, _P)),
     ("dd_fold_runs", None, (_I, _P, _P, _P, _P, _P, _P)),
+    ("graph_product", None, (_I, _P, _I, _P, _P, _P, _P, _P, _D, _D, _P, _P, _P, _D, _P)),
 )
 _AVX512F_KERNELS = (
     ("half_slab_build", None, (_P, _I, _P)),
@@ -630,11 +668,28 @@ def _leaf(lib):
 
 
 # _gth_leaf runs the binary64 pass, _pair_kernels (the library, or None) the
-# pair ones and _half_slab (it again, or None) tensor's half-slab product;
-# any of them set to None runs the Python code (the slab's einsum) instead.
+# pair ones, _half_slab (it again, or None) tensor's half-slab product and
+# _graph_product the product of a graph's PageRank tensor; any of them set to
+# None runs the Python code (the slab's einsum, the factored product's numpy
+# expression) instead.
 _pair_kernels = _load_gth_kernels()
 _gth_leaf = _leaf(_pair_kernels)
 _half_slab = _avx512f_kernels(_pair_kernels)
+_graph_product = None if _pair_kernels is None else _pair_kernels.graph_product
+
+
+_from_buffer, _addressof = ctypes.c_char.from_buffer, ctypes.addressof
+
+
+def _address(a):
+    """The address of a's first entry, as a.ctypes.data gives it.  A
+    writable, C-contiguous, nonempty a is read through a ctypes view of its
+    buffer, at about a third of the cost (0.4 against 1.4 us); any other
+    through a.ctypes."""
+    try:
+        return _addressof(_from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
 
 
 def _unit_column_stride(a):
@@ -661,7 +716,7 @@ def _compiled_pass(W, offset, solve):
         if _gth_leaf is None or W.shape[1] < n or not _unit_column_stride(W):
             return _zeros(W, n), 0, False
         d = np.empty(n)
-        k = _gth_leaf(W.ctypes.data, n, W.shape[1], W.strides[0] // 8, d.ctypes.data, solve)
+        k = _gth_leaf(_address(W), n, W.shape[1], W.strides[0] // 8, _address(d), solve)
         solved = solve
     else:
         hi, lo = W.hi, W.lo

@@ -400,7 +400,7 @@ def _off_diagonal_empty(block):
     return all(np.count_nonzero(a) == np.count_nonzero(a.diagonal()) for a in parts)
 
 
-def _gth_sweep(C, slices, level, col_n, rhs):
+def _gth_sweep(C, slices, level, col_n, rhs, filled=None):
     """Solve M y = rhs block by block, each diagonal block of M a column triplet.
 
     Block s has the off-diagonal entries of C[s, s] and the column sums
@@ -409,17 +409,26 @@ def _gth_sweep(C, slices, level, col_n, rhs):
     a first step from C = 0 is, is diagonal and solves by one division,
     which for rhs >= 0 is what the elimination gives bit for bit.  A
     level <= 0 gives no M-matrix and is reported as a singular pivot.
+
+    A block of one unknown has no off-diagonal entries and is never
+    counted.  filled, where given, marks the blocks known to have an
+    off-diagonal entry, one flag a block: a marked block is solved without
+    a count, and a block whose count finds an entry is marked.  Without it
+    every larger block is counted on every step.
     """
     if float(level) <= 0.0:
         raise SingularPivotError(f"column-sum level {float(level)!r} is not positive")
     y = _zeros(rhs, len(rhs))
-    for s in slices:
+    for b, s in enumerate(slices):
         # neither path reads the diagonal of C[s, s]
         block, sums = C[s, s], level + col_n[s]
-        if _off_diagonal_empty(block):
-            y[s] = rhs[s] / sums
-        else:
-            y[s] = gth_col_solve(block, sums, rhs[s])
+        if not (filled and filled[b]):
+            if s.stop - s.start == 1 or _off_diagonal_empty(block):
+                y[s] = rhs[s] / sums
+                continue
+            if filled is not None:
+                filled[b] = True
+        y[s] = gth_col_solve(block, sums, rhs[s])
     return y
 
 
@@ -478,13 +487,19 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
     else:
         r, C = _residual_and_jacobian(problem, x)
         u = 1.0 - 2.0 * alpha * x.sum()
+    # In binary64 from C_0 = 0, C only adds G >= 0: an off-diagonal entry,
+    # once there, stays, and a block that has one needs no count again.  The
+    # pair reference's steps may take either sign, so its blocks are counted
+    # on every step.
+    filled = ([False] * len(slices) if opts.start is Start.ZERO and type(C) is np.ndarray
+              else None)
 
     def step(x, r, z):
         nonlocal C
         # one block has N = 0, whose terms would add exact zeros: skip them
         N = _offblock(C, slices) if len(slices) > 1 else None
         col_n = _zeros(r, problem.n) if N is None else N.sum(axis=0)
-        h = _gth_sweep(C, slices, z, col_n, r)
+        h = _gth_sweep(C, slices, z, col_n, r, filled)
         top = z * z + omt_sq
         G = problem.contract(h)
         C += G

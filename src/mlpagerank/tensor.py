@@ -96,6 +96,15 @@ with F, and 1^T x).  With D_{jk} = d_S(j, k),
     (Px: + P:x)_{ij} = nu [(Sx: + S:x)_{ij} + v_i ((D + D^T) x)_j]
                      + (1 - nu) [(Fx)_i + F_{ij} 1^T x].
 
+Where S takes its CSR path with 32-bit indices and the library is loaded,
+the product runs compiled (mmatrix._graph_product): d = (D + D^T) x, F x
+and 1^T x stay numpy calls, and one C pass over the n^2 entries adds each
+row of S x in scipy's CSR order and combines the terms with the numpy
+expression's operations in the expression's order, so its bytes are the
+expression's.  Everywhere else, on S's slab below the bound above all, the
+numpy expression runs: it is the compiled pass's specification and its
+fallback.
+
 Let m be the largest of n and the stored entries of S in one row.  Each
 entry of a product is then within gamma_{m+6} = (m+6)u / (1 - (m+6)u) of the
 exact product of the stored factors, relative to that entry.  BLAS fixes its
@@ -433,10 +442,15 @@ class Tensor3:
             mmatrix._half_slab.half_slab_contract(self.half_slab().ctypes.data, n, x.ctypes.data,
                                                   C.ctypes.data)
             return C
-        if self.nnz == n ** 3 or n ** 3 <= SLAB_MAX_ENTRIES:
+        if not self._takes_csr():
             # not optimize=True, which may hand the sum to BLAS in another order
             return np.einsum("kij,k->ij", self.slab(), x)
         return (self.sym_matrix() @ x).reshape(n, n)
+
+    def _takes_csr(self):
+        """Whether products take the sparse path, S x: fewer than all n^3
+        entries stored, and n^3 > SLAB_MAX_ENTRIES."""
+        return self.nnz < self.n ** 3 and self.n ** 3 > SLAB_MAX_ENTRIES
 
     def _column_sums(self):
         """The unfolding's column sums, read-only, computed once per tensor.
@@ -465,18 +479,20 @@ class PageRankTensor:
     exactly where unfolding column j + k*n of S is empty and 0 elsewhere; F
     is dense n x n, its entry (i, k) the first-order part of p_{ijk} for
     every j; nu is the mixing weight in [0, 1].  Products follow the order
-    and bound in the module docstring; to_tensor3() stores the entries, once
-    per object.  The unfolding's column sums are computed once and kept,
-    read-only, as a Tensor3 keeps its own.
+    and bound in the module docstring: past SLAB_MAX_ENTRIES, with S on its
+    CSR path, in one compiled pass, elsewhere as the numpy expression, with
+    the same bytes.  to_tensor3() stores the entries, once per object.  The
+    unfolding's column sums are computed once and kept, read-only, as a
+    Tensor3 keeps its own, and so are the compiled pass's arguments.
     """
 
-    __slots__ = ("n", "S", "v", "dS", "F", "nu", "_stored", "_colsum")
+    __slots__ = ("n", "S", "v", "dS", "F", "nu", "_stored", "_colsum", "_factors")
 
     def __init__(self, S, v, dS, F, nu):
         self.n = S.n
         self.S, self.v, self.dS, self.F = S, v, dS, F
         self.nu = float(nu)
-        self._stored = self._colsum = None
+        self._stored = self._colsum = self._factors = None
 
     @property
     def nnz(self):
@@ -485,26 +501,65 @@ class PageRankTensor:
 
     def unfolding(self):
         """A new dense n x n^2 unfolding, entry by entry as the formula reads:
-        nu (S + v d_S^T) + (1 - nu) F kron 1^T, evaluated in place in one
-        array, row by row for v d_S^T and on the (i, k, j) view for F."""
-        n = self.n
-        U = self.S.unfolding()
-        d = self.dS.ravel()
-        for i in range(n):
-            U[i] += self.v[i] * d
-        U *= self.nu
-        U.reshape(n, n, n)[...] += ((1.0 - self.nu) * self.F)[:, :, None]
-        return U
+        nu (S + v d_S^T) + (1 - nu) F kron 1^T, each entry
+        fl(fl(fl(s + fl(v_i d)) nu) + fl((1 - nu) F_ik)).
+
+        It is formed in one array, on its (i, k, j) view, in two passes and
+        a third over S's stored entries.  Where S stores nothing, s = 0 and
+        d is 0 or 1, so fl(fl(0 + v_i d) nu) = fl(v_i nu) d for a finite
+        v >= 0, as build_pagerank_tensor checks it: the first pass writes
+        that, the second adds the F term, and S's entries are then formed
+        whole.
+        """
+        n, S = self.n, self.S
+        U = np.empty((n, n, n))
+        np.multiply((self.v * self.nu)[:, None, None], self.dS, out=U)
+        U += ((1.0 - self.nu) * self.F)[:, :, None]
+        rows, cols = S.rows, S.cols
+        U.reshape(n, -1)[rows, cols] = ((S.vals + self.v[rows] * self.dS.ravel()[cols]) * self.nu
+                                        + (1.0 - self.nu) * self.F[rows, cols // n])
+        return U.reshape(n, n * n)
 
     def to_tensor3(self):
         if self._stored is None:
             self._stored = Tensor3.from_unfolding(self.unfolding())
         return self._stored
 
+    def _compiled_factors(self):
+        """The arguments of mmatrix._graph_product fixed per tensor: S's rows
+        that have entries and their count, S's CSR arrays (row pointer,
+        columns, values), v, F, nu and 1 - nu, the arrays by address; () where
+        S does not take its CSR path with 32-bit indices.  Built once per
+        tensor, with the arrays kept, so that every address outlives every
+        call.
+        """
+        if self._factors is None:
+            self._factors = ((), ())
+            if self.S._takes_csr():
+                S = self.S.sym_matrix()
+                if S.indptr.dtype == S.indices.dtype == np.int32:
+                    rows = np.flatnonzero(S.indptr[1:] != S.indptr[:-1]).astype(np.int32)
+                    held = (rows, S.indptr, S.indices, S.data,
+                            np.ascontiguousarray(self.v, dtype=np.float64),
+                            np.ascontiguousarray(self.F, dtype=np.float64))
+                    rows, ptr, col, val, v, F = (a.ctypes.data for a in held)
+                    self._factors = (rows, len(held[0]), ptr, col, val, v, F, self.nu,
+                                     1.0 - self.nu), held
+        return self._factors[0]
+
     def _symmetric(self, x):
         d = self.dS @ x + x @ self.dS
+        f, sigma = self.F @ x, x.sum()
+        product = mmatrix._graph_product
+        factors = () if product is None else self._compiled_factors()
+        if factors:
+            address = mmatrix._address
+            C = np.empty((self.n, self.n))
+            x = np.ascontiguousarray(x)  # held: the C product reads it
+            product(self.n, *factors, address(x), address(d), address(f), sigma, address(C))
+            return C
         return (self.nu * (self.S._symmetric(x) + np.outer(self.v, d))
-                + (1.0 - self.nu) * ((self.F @ x)[:, None] + self.F * x.sum()))
+                + (1.0 - self.nu) * (f[:, None] + self.F * sigma))
 
     def _column_sums(self):
         """nu (S's column sums + d_S 1^T v) + (1 - nu) F's column sums, each
@@ -525,8 +580,10 @@ def contract_sym(B, x):
     it.  Any other full one, and any with n^3 <= SLAB_MAX_ENTRIES, takes one
     einsum over its slab; the rest take one CSR product S x with their
     n^2 x n slice matrix (Tensor3.sym_matrix).  All three sum in the order
-    the module docstring states, with the same bits.  C is the Jacobian
-    part of R_x = I - C, and Bx^2 = C x / 2.
+    the module docstring states, with the same bits.  A PageRankTensor
+    takes its factored product, compiled past SLAB_MAX_ENTRIES where S's
+    product is a CSR product.  C is the Jacobian part of R_x = I - C, and
+    Bx^2 = C x / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):

@@ -16,10 +16,12 @@ import pytest
 
 import mlpagerank
 from mlpagerank import (
+    Adjacency,
     Method,
     SingularPivotError,
     SolverOptions,
     Tensor3,
+    build_pagerank_tensor,
     contract_sym,
     omega,
     plain_lu_solve,
@@ -652,6 +654,27 @@ def test_leaf_is_compiled_when_a_c_compiler_is_on_path():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert mmatrix._gth_leaf is not None
+
+
+def test_graph_product_is_compiled_when_a_c_compiler_is_on_path(monkeypatch):
+    # a build without the kernel would pass every bit test on the numpy
+    # expression; a graph past the slab bound must run it
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    kernel = mmatrix._graph_product
+    assert kernel is not None and kernel.argtypes is not None
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mmatrix, "_graph_product", counted)
+    n = 17
+    A = ~np.eye(n, dtype=bool)  # no loops: S stores fewer than n^3 entries
+    P = build_pagerank_tensor(Adjacency(matrix=A), np.full(n, 1.0 / n), 0.1)
+    contract_sym(P, np.full(n, 0.5))
+    assert len(calls) == 1
 
 
 def both_passes(monkeypatch, W, offset=0, view=lambda V: V, solve=False, leaves=None):

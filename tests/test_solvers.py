@@ -24,10 +24,12 @@ from mlpagerank import (
     force_sum_one,
     intro,
     mmatrix,
+    precision,
     random_teleport_vector,
     reference_solution,
     residual,
     solve,
+    solvers,
 )
 from mlpagerank.mmatrix import GTH_BLOCK, gth_col_solve
 from mlpagerank.tensor import SLAB_MAX_ENTRIES
@@ -640,6 +642,8 @@ def test_a_triangle_free_graph_solves_on_s_with_the_slab_bits(monkeypatch, metho
                 for alpha in ("0.3", "0.49", "0.6")]
     on_s = [solve(p, opts(method)) for p in problems]
     assert P.S._sym is not None and P.S._slab is None
+    # the factored product's numpy expression, with S's product over its slab
+    monkeypatch.setattr(mmatrix, "_graph_product", None)
     monkeypatch.setattr(Tensor3, "_symmetric", lambda B, x: np.einsum("kij,k->ij", B.slab(), x))
     for p, got in zip(problems, on_s, strict=True):
         assert got.termination is Termination.TOL_REACHED and got.iterations > 1
@@ -681,6 +685,96 @@ def test_newton_gth_reports_are_the_same_with_the_half_slab_kernel_on_and_off(mo
     for got, want in zip(on, off, strict=True):
         assert got.iterations > 1
         assert_same_reports(got, want)
+
+
+@pytest.mark.skipif(mmatrix._graph_product is None, reason="no compiled graph product")
+@pytest.mark.parametrize("method,block_sizes", [
+    (Method.NEWTON_GTH, None), (Method.BLOCK_JACOBI, (40, 40)), (Method.NEWTON, None),
+], ids=["newton-gth", "block-jacobi-40-40", "newton"])
+def test_graph_reports_are_the_same_with_the_graph_product_kernel_on_and_off(
+        monkeypatch, method, block_sizes):
+    n = 80
+    rng = np.random.default_rng(n)
+    A = rng.random((n, n)) < 8.0 / n
+    A = np.triu(A, k=1)
+    v = random_teleport_vector(n, 5)
+    reports = []
+    for kernel in (mmatrix._graph_product, None):
+        monkeypatch.setattr(mmatrix, "_graph_product", kernel)
+        P = build_pagerank_tensor(Adjacency(matrix=A | A.T), v, 0.1)
+        problems = [Problem.from_pagerank(v, P, float(alpha), exact_omt(alpha))
+                    for alpha in ("0.3", "0.49", "0.6")]
+        reports.append([solve(p, opts(method, block_sizes=block_sizes)) for p in problems])
+        assert (P._factors is None) is (kernel is None)
+    on, off = reports
+    for got, want in zip(on, off, strict=True):
+        assert got.iterations > 1
+        assert_same_reports(got, want)
+
+
+def sweep_counting_every_block(C, slices, level, col_n, rhs, filled=None):
+    """The sweep as it ran before blocks were marked: every block, one
+    unknown or more, counted on every step; filled is ignored."""
+    if float(level) <= 0.0:
+        raise mmatrix.SingularPivotError(f"column-sum level {float(level)!r} is not positive")
+    y = mmatrix._zeros(rhs, len(rhs))
+    for s in slices:
+        block, sums = C[s, s], level + col_n[s]
+        if _off_diagonal_empty(block):
+            y[s] = rhs[s] / sums
+        else:
+            y[s] = gth_col_solve(block, sums, rhs[s])
+    return y
+
+
+def counted_blocks(monkeypatch):
+    """The blocks _off_diagonal_empty is asked about, by size, as a list."""
+    asked = []
+
+    def count(block):
+        asked.append(len(block))
+        return _off_diagonal_empty(block)
+
+    monkeypatch.setattr(solvers, "_off_diagonal_empty", count)
+    return asked
+
+
+@pytest.mark.parametrize("name,sizes", [
+    ("ex1", (1, 1, 1, 1)), ("ex1", (1, 2, 1)), ("ex2", (1, 2, 1)), ("ex2", (1, 1, 1, 1)),
+    ("n=30", (1, 28, 1)), ("n=30", (1,) * 30), ("n=30", None),
+])
+@pytest.mark.parametrize("alpha", ["0.3", "0.49"])
+def test_block_jacobi_counts_a_block_until_it_fills_with_the_same_bytes(
+        monkeypatch, name, sizes, alpha):
+    # a binary64 run from C = 0 only adds G >= 0 to C: a block that has an
+    # off-diagonal entry keeps it, and a block of one unknown never has one
+    p = (dense_problem(30, alpha, n=30) if name == "n=30"
+         else builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha)))
+    o = opts(Method.BLOCK_JACOBI, block_sizes=sizes)
+    asked = counted_blocks(monkeypatch)
+    got = solve(p, o)
+    assert got.iterations > 2
+    wide = [b for b in (sizes or (p.n,)) if b > 1]
+    # one count a wide block on the first step, from C = 0, and one on the
+    # second, which finds its entries; none after
+    assert sorted(asked) == sorted(wide * 2)
+    monkeypatch.setattr(solvers, "_gth_sweep", sweep_counting_every_block)
+    assert_same_reports(got, solve(p, o))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_the_pair_driver_counts_its_block_on_every_step(monkeypatch, name):
+    p = builtin(name, 0.49, one_minus_two_alpha=exact_omt("0.49"))
+    asked = counted_blocks(monkeypatch)
+    pairs = precision._PairProblem(p)
+    o = opts(Method.NEWTON_GTH, tol=precision.REFERENCE_TOL, maxit=precision.REFERENCE_MAXIT)
+    rep = solvers._gth_block_jacobi(pairs, o, Method.NEWTON_GTH, None)
+    assert rep.iterations > 2 and asked == [p.n] * rep.iterations
+    # the reference: its binary64 seed run counts on its first two steps,
+    # its pair run from the seed on every step
+    asked.clear()
+    ref = reference_solution(p)
+    assert ref.iterations >= 1 and asked == [p.n] * (2 + ref.iterations)
 
 
 @pytest.mark.parametrize("method,kw,general", [

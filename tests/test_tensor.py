@@ -1070,14 +1070,16 @@ class TestPageRankTensor:
                 + (1.0 - P.nu) * np.repeat(P.F.sum(axis=0), n))
         assert sums.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [80, 150])
-    def test_unfolding_is_the_formula_in_one_array(self, n):
+    @pytest.mark.parametrize("n,directed", [(80, False), (150, False), (60, True)])
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0])
+    def test_unfolding_is_the_formula_in_one_array(self, n, directed, nu):
         # the formula's own expression is the oracle; evaluated in place, the
         # unfolding is the only n^3 array alive
-        A = random_graph(n, n=n, density=8.0 / n)
+        A = random_graph(n, n=n, density=8.0 / n, isolated=(n // 2,), directed=directed)
         rng = np.random.default_rng(n)
         v = rng.random(n) + 0.05
-        P = build_pagerank_tensor(Adjacency(matrix=A), v / v.sum(), 0.1)
+        v[n // 3] = 0.0
+        P = build_pagerank_tensor(Adjacency(matrix=A), v / v.sum(), nu)
         want = (P.nu * (P.S.unfolding() + P.v[:, None] * P.dS.reshape(1, n * n))
                 + (1.0 - P.nu) * np.repeat(P.F, n, axis=1))
         tracemalloc.start()
@@ -1088,3 +1090,144 @@ class TestPageRankTensor:
             tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
         assert peak <= 1.25 * n ** 3 * 8
+
+
+# ---------------------------------------------------------------------------
+# The compiled product of the factored tensor against its numpy expression
+# ---------------------------------------------------------------------------
+
+needs_graph_product = pytest.mark.skipif(mmatrix._graph_product is None,
+                                         reason="no compiled graph product")
+
+
+def bipartite_graph(n):
+    """The complete bipartite graph on n vertices: no odd cycles, so no three-cycles."""
+    A = np.zeros((n, n), dtype=bool)
+    A[: n // 2, n // 2 :] = A[n // 2 :, : n // 2] = True
+    return A
+
+
+# every GRAPHS fixture has n^3 <= SLAB_MAX_ENTRIES and keeps the numpy
+# expression; the rest are past the bound, where the compiled product runs
+PRODUCT_GRAPHS = {
+    **GRAPHS,
+    "n=17": lambda: random_graph(17, n=17, density=0.3, isolated=(5,)),
+    "n=80": lambda: random_graph(80, n=80, density=0.1, isolated=(0, 41)),
+    "n=150-directed": lambda: random_graph(150, n=150, density=0.05, isolated=(149,),
+                                           directed=True),
+    "no-three-cycles": lambda: bipartite_graph(40),
+}
+
+
+def graph_tensor(A, nu):
+    n = len(A)
+    v = np.random.default_rng(n).random(n) + 0.05
+    return build_pagerank_tensor(Adjacency(matrix=A), v / v.sum(), nu)
+
+
+def products_on_and_off(monkeypatch, P, xs):
+    """The bytes of contract_sym(P, x) for each x with the compiled product,
+    then with its binding set to None, which runs the numpy expression."""
+    on = [contract_sym(P, x).tobytes() for x in xs]
+    with monkeypatch.context() as m:
+        m.setattr(mmatrix, "_graph_product", None)
+        off = [contract_sym(P, x).tobytes() for x in xs]
+    return on, off
+
+
+@needs_graph_product
+class TestCompiledGraphProduct:
+    """Past the slab bound, with S on its CSR path and 32-bit indices, a
+    PageRankTensor's product runs compiled with the numpy expression's bytes."""
+
+    @pytest.mark.parametrize("graph", sorted(PRODUCT_GRAPHS))
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0])
+    def test_the_bytes_of_the_numpy_expression(self, monkeypatch, graph, nu):
+        A = PRODUCT_GRAPHS[graph]()
+        n = len(A)
+        P = graph_tensor(A, nu)
+        assert bool(P._compiled_factors()) is (n ** 3 > SLAB_MAX_ENTRIES)
+        assert P.S.nnz > 0 or graph in ("no-three-cycles", "path-1-2-3")
+        rng = np.random.default_rng(n)
+        xs = [scale * rng.random(n) for scale in (1e-8, 1e-4, 1.0)]
+        xs += [mixed_x(rng, n), np.zeros(n), -np.zeros(n)]
+        on, off = products_on_and_off(monkeypatch, P, xs)
+        assert on == off
+
+    @pytest.mark.parametrize("graph", ["n=17", "n=80", "n=150-directed"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -np.nan],
+                             ids=["inf", "-inf", "nan", "-nan"])
+    def test_one_entry_of_x_that_is_not_finite_gives_the_same_bytes(self, monkeypatch, graph,
+                                                                     bad):
+        # every NaN either path makes comes from that one entry or from an
+        # invalid operation, so the two meet no two different NaNs
+        A = PRODUCT_GRAPHS[graph]()
+        n = len(A)
+        P = graph_tensor(A, 0.1)
+        rng = np.random.default_rng(n)
+        xs = []
+        for k in (0, n - 1, int(rng.integers(n))):
+            x = rng.random(n)
+            x[k] = bad
+            xs.append(x)
+        with np.errstate(invalid="ignore"):
+            on, off = products_on_and_off(monkeypatch, P, xs)
+        assert on == off
+        assert all(np.isnan(np.frombuffer(b)).any() for b in on)
+
+    def test_the_factors_are_read_once_per_tensor(self, monkeypatch):
+        P = graph_tensor(PRODUCT_GRAPHS["n=80"](), 0.1)
+        x = np.random.default_rng(1).random(80)
+        first = contract_sym(P, x)
+        factors = P._factors
+        builds = count_product_builds(monkeypatch)
+        again = contract_sym(P, x)
+        assert P._factors is factors and builds == []
+        assert again.tobytes() == first.tobytes()
+
+    def test_no_compiled_product_on_64_bit_indices_or_at_the_slab_bound(self, monkeypatch):
+        P = graph_tensor(PRODUCT_GRAPHS["n=17"](), 0.1)
+        S = P.S.sym_matrix()
+        wide = S.copy()
+        wide.indices, wide.indptr = S.indices.astype(np.int64), S.indptr.astype(np.int64)
+        monkeypatch.setattr(P.S, "_sym", wide)
+        assert P._compiled_factors() == ()
+        x = np.random.default_rng(2).random(17)
+        on, off = products_on_and_off(monkeypatch, P, [x])
+        assert on == off
+        small = graph_tensor(GRAPHS["random"](), 0.1)
+        assert small._compiled_factors() == () and small.S._sym is None
+
+    def test_a_strided_x_and_strided_factors_give_the_numpy_bytes(self):
+        # the C product reads contiguous copies of x, v and F, which must
+        # outlive the calls; glibc fills freed memory with MALLOC_PERTURB_'s
+        # byte, so a copy read after its free gives other bytes
+        src = os.path.dirname(os.path.dirname(mlpagerank.__file__))
+        env = dict(os.environ, MALLOC_PERTURB_="165",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", STRIDED_GRAPH_RUN], capture_output=True,
+                             text=True, timeout=300, env=env)
+        assert (out.stdout, out.stderr) == ("compiled True, same bytes True\n", "")
+
+
+# A graph's tensor at n = 130 rebuilt with v, F and x strided views, so that
+# the copies the C product reads are past numpy's cache of small buffers, and
+# its products against the numpy expression's.
+STRIDED_GRAPH_RUN = """
+import numpy as np
+from mlpagerank import Adjacency, build_pagerank_tensor, contract_sym, mmatrix
+from mlpagerank.tensor import PageRankTensor
+n = 130
+rng = np.random.default_rng(n)
+A = rng.random((n, n)) < 0.08
+v = rng.random(n) + 0.05
+G = build_pagerank_tensor(Adjacency(matrix=A | A.T), v / v.sum(), 0.1)
+v, F = (np.stack([a, np.zeros_like(a)], axis=-1)[..., 0] for a in (G.v, G.F))
+P = PageRankTensor(G.S, v, G.dS, F, G.nu)
+xs = [np.stack([rng.random(n), np.zeros(n)], axis=1)[:, 0] for _ in range(3)]
+assert not (P.v.flags.c_contiguous or P.F.flags.c_contiguous or xs[0].flags.c_contiguous)
+got = [contract_sym(P, x).tobytes() for x in xs]
+compiled = bool(P._compiled_factors())
+mmatrix._graph_product = None
+print(f"compiled {compiled}, same bytes", got == [contract_sym(P, x).tobytes() for x in xs])
+"""
