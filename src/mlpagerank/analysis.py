@@ -91,8 +91,11 @@ def _rm_col_triplet(problem, m):
     Its column sums are 1 - 1^T C, and subtraction-free for the PageRank
     view: |1 - 2 alpha|.  Raises ValueError unless R_m is an M-matrix with
     finite entries, as the compiled GTH pass carries a NaN or inf through
-    quietly.
+    quietly, and where m is not a vector of length n, which the product
+    does not check.
     """
+    if m.shape != (problem.n,):
+        raise ValueError(f"m has shape {m.shape}, expected ({problem.n},)")
     C = problem.contract(m)
     if problem.is_pagerank:
         omt = problem.one_minus_two_alpha

@@ -255,6 +255,8 @@ def cmd_perturb(args, parser):
         parser.error(f"--trials must be at least 1, got {args.trials}")
     if not 0.0 <= args.epsilon < 0.25:
         parser.error(f"--epsilon must be in [0, 0.25), got {args.epsilon}")
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
 
     def minimal_solution(p, what):
         if args.reference:
@@ -430,7 +432,8 @@ def build_parser():
     p_pert.add_argument("--epsilon", type=float, required=True,
                         help="relative size of the perturbation, in [0, 0.25)")
     p_pert.add_argument("--trials", type=int, default=100)
-    p_pert.add_argument("--seed", type=int, default=0)
+    p_pert.add_argument("--seed", type=int, default=0,
+                        help="nonnegative; trial t draws its noise from seed + t")
     _add_solver_args(p_pert)
     p_pert.add_argument("--reference", action="store_true",
                         help="solve perturbed instances in extended precision")

@@ -74,11 +74,10 @@ import platform
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 # gth_col_solve splits a system with more unknowns than this in half.  The
 # split trades rank-1 updates in the compiled leaf for matrix products.  Its
@@ -915,14 +914,29 @@ def gth_partial_inverse(offdiag, sums):
 
 
 def plain_lu_solve(A, b):
-    """Partial-pivoting dense solve used by the non-GTH Newton baseline."""
+    """Partial-pivoting dense solve used by the non-GTH Newton baseline.
+
+    It calls LAPACK's getrf and then getrs through scipy.linalg.lapack, the
+    routines scipy.linalg.lu_factor and lu_solve run, on the same arrays, so
+    the bits are theirs.  Their outcomes are kept: SingularPivotError for an
+    A that is not a finite square matrix or has an exactly zero pivot, with
+    scipy's text, and ValueError for a b that is not finite or whose length
+    is not A's order.  Pair arrays raise TypeError, as they do on converting
+    to an ndarray.
+    """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    try:
-        # scipy warns of an exactly zero diagonal of U; that is a singular pivot
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(A)
-    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError) as exc:
-        raise SingularPivotError(str(exc)) from exc
-    return scipy.linalg.lu_solve((lu, piv), b)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise SingularPivotError(f"A must be a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise SingularPivotError("array must not contain infs or NaNs")
+    n = len(A)
+    if n:  # getrf reports an empty A as an illegal argument
+        lu, piv, info = dgetrf(A)
+        if info > 0:
+            raise SingularPivotError(f"Diagonal number {info} is exactly zero. Singular matrix.")
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if b.shape[0] != n:
+        raise ValueError(f"Shapes of lu {A.shape} and b {b.shape} are incompatible")
+    return dgetrs(lu, piv, b)[0] if n else np.empty(b.shape)

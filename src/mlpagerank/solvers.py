@@ -163,14 +163,16 @@ class Problem:
         return cls(a=a, tensor=tensor)
 
     def contract(self, x):
-        """C = Bx: + B:x, on a PageRank problem from contract_sym(P, alpha x).
+        """C = Bx: + B:x, on a PageRank problem the product of P with alpha x.
 
         Every alpha problem of one stored P then shares P's one product
-        structure, its slab or its slice matrix.
+        structure, its slab or its slice matrix.  x is a binary64 vector of
+        length n, as the drivers' iterates and steps are, and goes to the
+        tensor's product unchecked: tensor.contract_sym is the checked entry.
         """
         if self.p_tensor is not None:
-            return tz.contract_sym(self.p_tensor, self.alpha * x)
-        return tz.contract_sym(self.tensor, x)
+            return self.p_tensor._symmetric(self.alpha * x)
+        return self.tensor._symmetric(x)
 
     @property
     def n(self):
@@ -189,7 +191,9 @@ class SolverOptions:
     or after maxit steps.  block_sizes partitions the unknowns for
     block_jacobi (None is one block); block_jacobi_gth_variant takes one
     block only, and the other methods ignore it.  x0 is the start of
-    Start.CUSTOM.  Every run keeps all its iterates (SolveReport.iterate_history).
+    Start.CUSTOM.  Every run keeps all its iterates (SolveReport.iterate_history):
+    a copy of x_0, then each iterate as its step made it, never written
+    again.
     """
 
     method: Method = Method.NEWTON_GTH
@@ -263,7 +267,29 @@ def _starting_vector(problem, opts):
 
 
 def _norm_inf(v):
-    return float(abs(v).max()) if len(v) else 0.0
+    """max |v_i| as a float, NaN where an entry is NaN, 0.0 for an empty v.
+
+    In binary64 the entry at argmax, which is the first NaN where there is
+    one: a ufunc reduction costs twice as much at the drivers' sizes.
+    """
+    if not len(v):
+        return 0.0
+    if type(v) is not np.ndarray:  # pairs
+        return float(abs(v).max())
+    w = np.abs(v)
+    return w.item(w.argmax())
+
+
+def _diverged(x):
+    """Whether max |x_i| > DIVERGENCE_LIMIT.
+
+    In binary64 x . x >= DIVERGENCE_LIMIT^2 is asked first, at half the
+    cost of the norm: the squares and their sums round monotonically, so it
+    holds wherever an entry is past the limit (a NaN fails both tests).
+    """
+    if type(x) is np.ndarray and not x.dot(x) >= DIVERGENCE_LIMIT * DIVERGENCE_LIMIT:
+        return False
+    return _norm_inf(x) > DIVERGENCE_LIMIT
 
 
 def _iterate(method, opts, x, r, z, step):
@@ -273,29 +299,33 @@ def _iterate(method, opts, x, r, z, step):
     (None for the methods without one) to the next three.  A step raises
     SingularPivotError where it cannot go on, and the run then ends at the
     iterate that step was given.  A run ends DIVERGED once an iterate's
-    max-norm exceeds DIVERGENCE_LIMIT.  Every iterate is kept, x_0 included.
+    max-norm exceeds DIVERGENCE_LIMIT.  Every iterate is kept, x_0 as a
+    copy and the others as the steps return them: a step makes its iterate
+    as a new array and writes into no iterate it was given.
     """
-    res_hist = [_norm_inf(r)]
+    tol, maxit = opts.tol, opts.maxit
+    res = _norm_inf(r)
+    res_hist = [res]
     iter_hist = [x.copy()]
     z_hist = None if z is None else [float(z)]
     iterations = 0
-    while res_hist[-1] > opts.tol and iterations < opts.maxit:
+    while res > tol and iterations < maxit:
         try:
             x, r, z = step(x, r, z)
         except SingularPivotError:
             termination = Termination.SINGULAR_PIVOT
             break
         iterations += 1
-        res_hist.append(_norm_inf(r))
-        iter_hist.append(x.copy())
+        res = _norm_inf(r)
+        res_hist.append(res)
+        iter_hist.append(x)
         if z_hist is not None:
             z_hist.append(float(z))
-        if _norm_inf(x) > DIVERGENCE_LIMIT:
+        if _diverged(x):
             termination = Termination.DIVERGED
             break
     else:
-        termination = (Termination.TOL_REACHED if res_hist[-1] <= opts.tol
-                       else Termination.MAXIT)
+        termination = Termination.TOL_REACHED if res <= tol else Termination.MAXIT
     return SolveReport(
         method=method,
         x=x,
@@ -311,21 +341,20 @@ def fixed_point(problem, opts):
     """x_{k+1} = a + B x_k^2; monotone to the minimal solution from zero.
 
     The residual a + Bx_k^2 - x_k already holds a + Bx_k^2, so each step
-    takes the next iterate from it: one product per iteration.
+    takes the next iterate from it: one product per iteration.  q is
+    a + Bx^2 of the iterate the loop holds.
     """
-    q = None
-
-    def residual_of(x):
-        nonlocal q
-        q = problem.a + 0.5 * (problem.contract(x) @ x)
-        return q - x
+    a, contract = problem.a, problem.contract
+    x = _starting_vector(problem, opts)
+    q = a + 0.5 * contract(x).dot(x)
 
     def step(x, r, z):
+        nonlocal q
         x = q
-        return x, residual_of(x), z
+        q = a + 0.5 * contract(x).dot(x)
+        return x, q - x, z
 
-    x = _starting_vector(problem, opts)
-    return _iterate(Method.FIXED_POINT, opts, x, residual_of(x), None, step)
+    return _iterate(Method.FIXED_POINT, opts, x, q - x, None, step)
 
 
 def newton(problem, opts):
@@ -338,10 +367,11 @@ def newton(problem, opts):
     x = _starting_vector(problem, opts)
     r, C = _residual_and_jacobian(problem, x)
     lu_solve = getattr(type(C), "lu_solve", plain_lu_solve)
+    eye = np.eye(problem.n)
 
     def step(x, r, z):
         nonlocal C
-        x = x + lu_solve(np.eye(problem.n) - C, r)
+        x = x + lu_solve(eye - C, r)
         r, C = _residual_and_jacobian(problem, x)
         return x, r, z
 
@@ -405,31 +435,44 @@ def _gth_sweep(C, slices, level, col_n, rhs, filled=None):
 
     Block s has the off-diagonal entries of C[s, s] and the column sums
     level + col_n[s], where col_n = 1^T N; each block is one fused
-    gth_col_solve.  A block with no off-diagonal entries, as every block of
-    a first step from C = 0 is, is diagonal and solves by one division,
-    which for rhs >= 0 is what the elimination gives bit for bit.  A
-    level <= 0 gives no M-matrix and is reported as a singular pivot.
+    gth_col_solve (_gth_block).  A level <= 0 gives no M-matrix and is
+    reported as a singular pivot.
 
-    A block of one unknown has no off-diagonal entries and is never
-    counted.  filled, where given, marks the blocks known to have an
-    off-diagonal entry, one flag a block: a marked block is solved without
-    a count, and a block whose count finds an entry is marked.  Without it
-    every larger block is counted on every step.
+    col_n None is the one block of N = 0, as Newton-GTH has: C is the block
+    and the level its every column sum, taken as they are, with no slice,
+    no sums vector and no y to gather into.  Its y is copied once, since a
+    solve returns a strided view of its augmented array, and a BLAS product
+    with a strided vector rounds differently.  Several blocks are solved in
+    turn into y.
     """
     if float(level) <= 0.0:
         raise SingularPivotError(f"column-sum level {float(level)!r} is not positive")
+    if col_n is None:
+        return _gth_block(C, level, rhs, filled, 0).copy()
     y = _zeros(rhs, len(rhs))
     for b, s in enumerate(slices):
-        # neither path reads the diagonal of C[s, s]
-        block, sums = C[s, s], level + col_n[s]
-        if not (filled and filled[b]):
-            if s.stop - s.start == 1 or _off_diagonal_empty(block):
-                y[s] = rhs[s] / sums
-                continue
-            if filled is not None:
-                filled[b] = True
-        y[s] = gth_col_solve(block, sums, rhs[s])
+        y[s] = _gth_block(C[s, s], level + col_n[s], rhs[s], filled, b)
     return y
+
+
+def _gth_block(block, sums, rhs, filled, b):
+    """Solve block b of a sweep, the column triplet (off-diagonal of block, sums).
+
+    The diagonal of the block is never read.  A block with no off-diagonal
+    entries, as every block of a first step from C = 0 is, is diagonal and
+    solves by one division, which for rhs >= 0 is what the elimination
+    gives bit for bit.  A block of one unknown has no off-diagonal entries
+    and is never counted.  filled, where given, marks the blocks known to
+    have an off-diagonal entry, one flag a block: a marked block is solved
+    without a count, and a block whose count finds an entry is marked.
+    Without it every larger block is counted on every step.
+    """
+    if not (filled and filled[b]):
+        if len(rhs) == 1 or _off_diagonal_empty(block):
+            return rhs / sums
+        if filled is not None:
+            filled[b] = True
+    return gth_col_solve(block, sums, rhs)
 
 
 def newton_gth(problem, opts):
@@ -494,14 +537,19 @@ def _gth_block_jacobi(problem, opts, method, block_sizes):
     filled = ([False] * len(slices) if opts.start is Start.ZERO and type(C) is np.ndarray
               else None)
 
+    contract = problem.contract
+    several = len(slices) > 1
+
     def step(x, r, z):
         nonlocal C
         # one block has N = 0, whose terms would add exact zeros: skip them
-        N = _offblock(C, slices) if len(slices) > 1 else None
-        col_n = _zeros(r, problem.n) if N is None else N.sum(axis=0)
+        N = col_n = None
+        if several:
+            N = _offblock(C, slices)
+            col_n = N.sum(axis=0)
         h = _gth_sweep(C, slices, z, col_n, r, filled)
         top = z * z + omt_sq
-        G = problem.contract(h)
+        G = contract(h)
         C += G
         r = 0.5 * (G @ h)
         if N is not None:

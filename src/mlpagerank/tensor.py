@@ -173,7 +173,7 @@ class Tensor3:
     unfolding's column sums are computed once and kept.
     """
 
-    __slots__ = ("n", "vals", "row_ptr", "_cols", "_colsum", "_sym", "_slab", "_half")
+    __slots__ = ("n", "vals", "row_ptr", "_cols", "_csr", "_colsum", "_sym", "_slab", "_half")
 
     def __init__(self, n, entries):
         """Build from an iterable of (i, j, k, value) with 1-based indices.
@@ -230,10 +230,13 @@ class Tensor3:
 
         rows only give the row pointer.  With all n^3 entries stored, their
         positions row * n^2 + col are 0, 1, ..., n^3 - 1, so a full tensor
-        keeps its values alone (rows and cols may then be None).
+        keeps its values alone (rows and cols may then be None).  _csr is
+        whether products take the sparse path, S x: fewer than all n^3
+        entries stored, and n^3 > SLAB_MAX_ENTRIES.
         """
         self.n, self.vals = n, vals
         self._cols = None if len(vals) == n ** 3 else cols
+        self._csr = self._cols is not None and n ** 3 > SLAB_MAX_ENTRIES
         self.row_ptr = (np.arange(n + 1) * (n * n) if rows is None
                         else np.searchsorted(rows, np.arange(n + 1)))
         self._sym = self._slab = self._half = self._colsum = None
@@ -436,21 +439,16 @@ class Tensor3:
 
     def _symmetric(self, x):
         n = self.n
+        if self._csr:
+            return (self.sym_matrix() @ x).reshape(n, n)
         if n >= HALF_SLAB_MIN_N and self._cols is None and mmatrix._half_slab is not None:
             C = np.empty((n, n))
             x = np.ascontiguousarray(x)  # held: the C product reads it
             mmatrix._half_slab.half_slab_contract(self.half_slab().ctypes.data, n, x.ctypes.data,
                                                   C.ctypes.data)
             return C
-        if not self._takes_csr():
-            # not optimize=True, which may hand the sum to BLAS in another order
-            return np.einsum("kij,k->ij", self.slab(), x)
-        return (self.sym_matrix() @ x).reshape(n, n)
-
-    def _takes_csr(self):
-        """Whether products take the sparse path, S x: fewer than all n^3
-        entries stored, and n^3 > SLAB_MAX_ENTRIES."""
-        return self.nnz < self.n ** 3 and self.n ** 3 > SLAB_MAX_ENTRIES
+        # not optimize=True, which may hand the sum to BLAS in another order
+        return np.einsum("kij,k->ij", self.slab(), x)
 
     def _column_sums(self):
         """The unfolding's column sums, read-only, computed once per tensor.
@@ -535,7 +533,7 @@ class PageRankTensor:
         """
         if self._factors is None:
             self._factors = ((), ())
-            if self.S._takes_csr():
+            if self.S._csr:
                 S = self.S.sym_matrix()
                 if S.indptr.dtype == S.indices.dtype == np.int32:
                     rows = np.flatnonzero(S.indptr[1:] != S.indptr[:-1]).astype(np.int32)

@@ -50,6 +50,8 @@ EX1 = ["--builtin", "ex1", "--alpha", "0.3"]
     (["solve", "--builtin", "intro", "--alpha", "0.3", "--delta", "nan"],
      "delta must be in (0, 1)"),
     (["perturb", *EX1, "--epsilon", "nan"], "--epsilon must be in"),
+    (["perturb", *EX1, "--epsilon", "1e-8", "--seed", "-1"], "--seed must be nonnegative"),
+    (["perturb", *EX1, "--epsilon", "1e-8", "--seed", "-5"], "--seed must be nonnegative"),
 ])
 def test_bad_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -602,18 +604,26 @@ def captured_run(argv):
        alpha=st.sampled_from(["0.3", "0.49999", "0.5", "0.6", "0", "1", "-1", "nan", "inf"]),
        tol=st.sampled_from(["0", "1e-15", "-1", "nan"]),
        maxit=st.sampled_from(["-1", "0", "1", "50", "500"]),
-       reference=st.booleans())
+       reference=st.booleans(),
+       seed=st.sampled_from(["-1", "-5", "0", "7", str(2**64 + 3)]),
+       trials=st.sampled_from(["-1", "0", "1", "2"]))
 @example(command="perturb", name="ex1", methods=["block-jacobi"], blocks="1,1", alpha="0.3",
-         tol="1e-15", maxit="50", reference=True)
+         tol="1e-15", maxit="50", reference=True, seed="0", trials="2")
+@example(command="perturb", name="ex2", methods=["newton-gth"], blocks=None, alpha="0.3",
+         tol="1e-15", maxit="50", reference=False, seed=str(2**64 + 3), trials="2")
+@example(command="perturb", name="ex1", methods=["newton"], blocks=None, alpha="0.49999",
+         tol="1e-15", maxit="50", reference=False, seed="-1", trials="1")
 def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, methods, blocks,
-                                                           alpha, tol, maxit, reference):
+                                                           alpha, tol, maxit, reference,
+                                                           seed, trials):
     shared = ["--builtin", name, f"--alpha={alpha}", f"--tol={tol}", f"--maxit={maxit}"]
     if blocks is not None:
         shared.append(f"--block-sizes={blocks}")
     method = ["--methods", ",".join(methods)] if command == "compare" else ["--method", methods[0]]
     extra = []
     if command == "perturb":
-        extra = ["--epsilon=1e-8", "--trials=2", *(["--reference"] if reference else [])]
+        extra = ["--epsilon=1e-8", f"--trials={trials}", f"--seed={seed}",
+                 *(["--reference"] if reference else [])]
     code, out, err = captured_run([command, *shared, *method, *extra])
     assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
     for line in out.splitlines():
@@ -622,9 +632,11 @@ def test_solve_and_compare_exit_with_a_code_and_json_lines(command, name, method
         assert [line.startswith("error: ") for line in err.splitlines()].count(True) == 1
     if command == "perturb":
         # perturb takes solve's method flags and rejects what solve rejects,
-        # also with --reference, which never runs the method
+        # also with --reference, which never runs the method; it rejects a
+        # trial count below 1 and a negative seed besides
         solve_code = captured_run(["solve", *shared, *method])[0]
-        assert (code == EXIT_USAGE) == (solve_code == EXIT_USAGE)
+        own_flags_bad = int(trials) < 1 or int(seed) < 0
+        assert (code == EXIT_USAGE) == (own_flags_bad or solve_code == EXIT_USAGE)
 
 
 TENSOR_MUTATIONS = ["garbled-header", "negative-header", "miscounted-header", "index-0",

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mlpagerank
 from mlpagerank import (
@@ -357,6 +358,86 @@ def test_plain_lu_solve_matches_numpy(rng):
 def test_plain_lu_solve_singular():
     with pytest.raises(SingularPivotError):
         plain_lu_solve(np.zeros((2, 2)), np.ones(2))
+
+
+def scipy_lu_solve(A, b):
+    """The oracle: scipy's lu_factor and lu_solve, which wrap the same
+    getrf and getrs; a zero pivot's warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+
+
+def test_plain_lu_solve_has_the_bytes_of_scipys_lu_solve():
+    rng = np.random.default_rng(41)
+    for n in range(1, 41):
+        A = rng.standard_normal((n, n)) + n * np.eye(n)  # well conditioned
+        B = rng.standard_normal((n, 3))
+        for a in (A, np.asfortranarray(A)):
+            for b in (B[:, 0], B[:, 1:], np.asfortranarray(B), B[::-1, 2]):
+                got = plain_lu_solve(a, b)
+                want = scipy_lu_solve(a, b)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+@pytest.mark.parametrize("alpha", [0.3, 0.49999, 0.6])
+def test_plain_lu_solve_has_scipys_bytes_on_newton_jacobians(monkeypatch, name, alpha):
+    solves = []
+
+    def recording(A, b):
+        solves.append((A.copy(), b.copy()))
+        return plain_lu_solve(A, b)
+
+    monkeypatch.setattr(mlpagerank.solvers, "plain_lu_solve", recording)
+    p = builtin(name, alpha)
+    got = solve(p, SolverOptions(method=Method.NEWTON))
+    assert len(solves) == got.iterations > 2
+    for A, b in solves:
+        assert plain_lu_solve(A, b).tobytes() == scipy_lu_solve(A, b).tobytes()
+    monkeypatch.setattr(mlpagerank.solvers, "plain_lu_solve", scipy_lu_solve)
+    want = solve(p, SolverOptions(method=Method.NEWTON))
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.residual_history.tobytes() == want.residual_history.tobytes()
+
+
+@pytest.mark.parametrize("A", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                               np.array([[0.0, 1.0], [0.0, 1.0]])])
+def test_plain_lu_solve_names_the_zero_pivot_as_scipy_does(A):
+    with pytest.raises(scipy.linalg.LinAlgWarning) as want:
+        scipy_lu_solve(A, np.ones(2))
+    with pytest.raises(SingularPivotError) as got:
+        plain_lu_solve(A, np.ones(2))
+    assert str(got.value) == str(want.value)
+    assert re.fullmatch(r"Diagonal number \d is exactly zero\. Singular matrix\.", str(got.value))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_plain_lu_solve_rejects_an_entry_that_is_not_finite(bad):
+    A, b = np.eye(3), np.ones(3)
+    A[1, 2] = bad
+    with pytest.raises(SingularPivotError, match="array must not contain infs or NaNs"):
+        plain_lu_solve(A, b)
+    b[2] = bad
+    A[1, 2] = 0.0
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs") as exc:
+        plain_lu_solve(A, b)
+    assert not isinstance(exc.value, SingularPivotError)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (2, 2, 2)])
+def test_plain_lu_solve_takes_a_square_matrix_only(shape):
+    A = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)  # full rank, no zero pivot
+    with pytest.raises(SingularPivotError, match=re.escape(f"got shape {shape}")):
+        plain_lu_solve(A, np.ones(shape[0]))
+
+
+def test_plain_lu_solve_checks_the_length_of_b_and_solves_an_empty_system(capfd):
+    with pytest.raises(ValueError, match=re.escape("Shapes of lu (2, 2) and b (3,)")):
+        plain_lu_solve(np.eye(2), np.ones(3))
+    assert plain_lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+    # nothing may reach file descriptors 1 or 2, as LAPACK's complaint would
+    assert capfd.readouterr() == ("", "")
 
 
 def seed_null_elimination(N):

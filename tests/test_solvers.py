@@ -442,10 +442,13 @@ def test_gth_sweep_ignores_the_diagonal_bit_for_bit(sizes):
         col_n = _offblock(C, slices).sum(axis=0)
         rhs = rng.random(n)
         y = _gth_sweep(C, slices, level, col_n, rhs)
+        # one block's N = 0 goes as col_n None, the same solve without the zeros
+        one = [col_n, None] if len(sizes) == 1 else [col_n]
         for diagonal in (np.zeros(n), rng.random(n) * 1e3, np.full(n, np.nan)):
             other = C.copy()
             np.fill_diagonal(other, diagonal)
-            assert y.tobytes() == _gth_sweep(other, slices, level, col_n, rhs).tobytes()
+            for c in one:
+                assert y.tobytes() == _gth_sweep(other, slices, level, c, rhs).tobytes()
         want = gth_sweep_by_triplets(C, slices, level, col_n, rhs)
         for s in slices:
             bound = 4 * (s.stop - s.start) * U * np.abs(want[s])
@@ -463,6 +466,8 @@ def test_gth_sweep_solves_a_diagonal_block_as_the_elimination_does(n):
             rhs = rng.random(n) * (rng.random(n) < 0.8)
             want = gth_col_solve(np.zeros((n, n)), level + col_n, rhs)
             assert _gth_sweep(C, [slice(0, n)], level, col_n, rhs).tobytes() == want.tobytes()
+            want = gth_col_solve(np.zeros((n, n)), np.full(n, level), rhs)
+            assert _gth_sweep(C, [slice(0, n)], level, None, rhs).tobytes() == want.tobytes()
 
 
 def test_off_diagonal_empty_reads_no_diagonal_and_allocates_no_block():
@@ -714,9 +719,13 @@ def test_graph_reports_are_the_same_with_the_graph_product_kernel_on_and_off(
 
 def sweep_counting_every_block(C, slices, level, col_n, rhs, filled=None):
     """The sweep as it ran before blocks were marked: every block, one
-    unknown or more, counted on every step; filled is ignored."""
+    unknown or more, counted on every step; filled is ignored.  One block's
+    col_n None is, as the driver then made it, a vector of zeros, sliced
+    and added to the level."""
     if float(level) <= 0.0:
         raise mmatrix.SingularPivotError(f"column-sum level {float(level)!r} is not positive")
+    if col_n is None:
+        col_n = mmatrix._zeros(rhs, len(rhs))
     y = mmatrix._zeros(rhs, len(rhs))
     for s in slices:
         block, sums = C[s, s], level + col_n[s]
@@ -775,6 +784,104 @@ def test_the_pair_driver_counts_its_block_on_every_step(monkeypatch, name):
     asked.clear()
     ref = reference_solution(p)
     assert ref.iterations >= 1 and asked == [p.n] * (2 + ref.iterations)
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "0.49999", "0.5", "0.6"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "n=30"])
+def test_one_block_steps_give_the_bytes_of_the_sweep_over_a_zero_col_n(
+        monkeypatch, name, alpha):
+    # one block runs without slices or a col_n of zeros; the parent's sweep,
+    # which took both, must give the same reports
+    p = (dense_problem(31, alpha, n=30) if name == "n=30"
+         else builtin(name, float(alpha), one_minus_two_alpha=exact_omt(alpha)))
+    methods = (Method.NEWTON_GTH, Method.BLOCK_JACOBI, Method.BLOCK_JACOBI_GTH_VARIANT)
+    got = [solve(p, opts(m)) for m in methods]
+    monkeypatch.setattr(solvers, "_gth_sweep", sweep_counting_every_block)
+    for report, m in zip(got, methods, strict=True):
+        assert report.iterations > 2
+        assert_same_reports(report, solve(p, opts(m)))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_the_pair_reference_gives_the_bytes_of_the_sweep_over_a_zero_col_n(monkeypatch, name):
+    p = builtin(name, 0.49999, one_minus_two_alpha=exact_omt("0.49999"))
+    got = reference_solution(p)
+    monkeypatch.setattr(solvers, "_gth_sweep", sweep_counting_every_block)
+    want = reference_solution(p)
+    assert got.iterations == want.iterations >= 1
+    assert got.residual_norm == want.residual_norm
+    for part in ("hi", "lo"):
+        assert getattr(got.x_pair, part).tobytes() == getattr(want.x_pair, part).tobytes()
+
+
+@pytest.mark.parametrize("level", [0.0, -0.0, -1e-300, -1.0, DD(0.0), DD(-1.0)],
+                         ids=["0", "-0", "-tiny", "-1", "pair-0", "pair-1"])
+@pytest.mark.parametrize("blocks", [(3,), (1, 2)])
+def test_a_level_that_is_not_positive_is_a_singular_pivot(level, blocks):
+    # the message is the parent sweep's, with one block and with several
+    slices = _block_slices(3, blocks)
+    C = np.full((3, 3), 0.25)
+    col_n = None if len(blocks) == 1 else _offblock(C, slices).sum(axis=0)
+    for sweep in (_gth_sweep, sweep_counting_every_block):
+        with pytest.raises(mmatrix.SingularPivotError) as exc:
+            sweep(C, slices, level, col_n, np.ones(3))
+        assert str(exc.value) == f"column-sum level {float(level)!r} is not positive"
+
+
+def recorded_runs(monkeypatch):
+    """(copies of every iterate as _iterate was given it or a step returned
+    it, the report) for every run of _iterate, in call order."""
+    runs = []
+    iterate = solvers._iterate
+
+    def recording(method, opts, x, r, z, step):
+        seen = [x.copy()]
+
+        def recorded_step(x, r, z):
+            out = step(x, r, z)
+            seen.append(out[0].copy())
+            return out
+
+        report = iterate(method, opts, x, r, z, recorded_step)
+        runs.append((seen, report))
+        return report
+
+    monkeypatch.setattr(solvers, "_iterate", recording)
+    return runs
+
+
+def buffers(x):
+    return (x.hi, x.lo) if isinstance(x, DD) else (x,)
+
+
+@pytest.mark.parametrize("method,kw", [
+    (Method.FIXED_POINT, {}), (Method.NEWTON, {}), (Method.NEWTON, {"start": Start.V}),
+    (Method.NEWTON_GTH, {}), (Method.BLOCK_JACOBI, {"block_sizes": (1, 2, 1)}),
+    (Method.BLOCK_JACOBI_GTH_VARIANT, {}), ("pair minimal", {}), ("pair stochastic", {}),
+], ids=["fixed-point", "newton", "newton-from-v", "newton-gth", "block-jacobi",
+        "variant", "pair-minimal", "pair-stochastic"])
+def test_every_iterate_is_its_own_array_and_keeps_the_bytes_its_step_gave_it(
+        monkeypatch, method, kw):
+    # the history keeps each iterate as its step made it, uncopied: a step
+    # that wrote into an iterate it was given would change an earlier entry
+    p = ex1(0.49)
+    runs = recorded_runs(monkeypatch)
+    if method == "pair minimal":  # from zero, as the reference falls back to
+        o = opts(Method.NEWTON_GTH, tol=precision.REFERENCE_TOL, maxit=precision.REFERENCE_MAXIT)
+        solvers._gth_block_jacobi(precision._PairProblem(p), o, Method.NEWTON_GTH, None)
+    elif method == "pair stochastic":
+        reference_solution(p, mode=precision.STOCHASTIC)
+    else:
+        solve(p, opts(method, maxit=60, **kw))
+    assert runs
+    for seen, report in runs:
+        hist = report.iterate_history
+        assert len(hist) == len(seen) == report.iterations + 1 > 2
+        assert report.x is hist[-1]
+        for k, (x, want) in enumerate(zip(hist, seen, strict=True)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(buffers(x), buffers(want)))
+            assert not any(np.shares_memory(a, b) for a in buffers(x)
+                           for earlier in hist[:k] for b in buffers(earlier))
 
 
 @pytest.mark.parametrize("method,kw,general", [
