@@ -126,7 +126,6 @@ def compute_y(problem, m):
     zero_m = m == 0.0
     if (y[zero_m] > 1e-14).any() or ((y <= 1e-300) & ~zero_m & (m > 1e-300)).any():
         raise ValueError("y and m zero patterns disagree")
-    y = y.copy()
     y[zero_m] = 0.0
     return y
 

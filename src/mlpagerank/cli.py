@@ -125,7 +125,10 @@ def _load_problem(args, parser):
 def _graph_tensor(args, power=2):
     """The adjacency, teleport vector and PageRank tensor of --graph, read
     for dense arrays of n**power entries (ingest.read_matrix_market); a
-    graph too small for three-cycles raises ValueError before v is drawn."""
+    negative --v-seed raises ValueError before the graph is read, and a
+    graph too small for three-cycles before v is drawn."""
+    if args.v_seed < 0:
+        raise ValueError(f"--v-seed must be nonnegative, got {args.v_seed}")
     adj = ingest.read_matrix_market(args.graph, power)
     if adj.n < 3:
         raise ValueError(f"{args.graph}: the three-cycle tensor needs n >= 3, got n = {adj.n}")

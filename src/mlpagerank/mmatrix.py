@@ -52,11 +52,15 @@ go into Shewchuk's partials as fsum adds them, the partials are rounded as
 fsum rounds them, and lo is the same partials with -hi added, rounded
 again.  The same library folds pairs for
 precision.dd_sum and its segment sums (dd_fold and dd_fold_runs), on terms
-numpy has formed, holds the product of a graph's PageRank tensor
-(graph_product, bound as _graph_product), and on x86-64 with AVX-512F holds
-tensor's half-slab product (half_slab_build and half_slab_contract, bound as
-_half_slab).  The Python code, and for the products numpy's einsum and the
-factored product's numpy expression, stays the specification.  It
+numpy has formed; forms precision's pair products, the renormalized pair
+slab and the products that fold with a vector, dense and sparse
+(dd_slab_build, dd_contract and dd_contract_runs, bound as _pair_products,
+each with an AVX-512F entry chosen at import as _leaf chooses); holds the
+product of a graph's PageRank tensor (graph_product, bound as
+_graph_product); and on x86-64 with AVX-512F holds tensor's half-slab
+product (half_slab_build and half_slab_contract, bound as _half_slab).  The
+Python code, and for the products precision's and the factored product's
+numpy expressions and numpy's einsum, stays the specification.  It
 runs where there is no compiler, and in pairs from the first pivot column
 that has a part that is not finite or a sum that overflows, so that
 math.fsum's NaN, inf, ValueError and OverflowError stand.  Compiled, a NaN
@@ -74,6 +78,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -138,10 +143,20 @@ def _zeros(like, shape):
 # reason graph_product comes last, past that section, so that no symbol
 # before it moves: tensor.PageRankTensor's product in one pass over its n^2
 # entries, S's CSR sum in scipy's order and the numpy expression's other
-# operations in the expression's order.
+# operations in the expression's order.  precision's pair products come after
+# it: dd_slab_build (precision.dd_slab, with its renormalization),
+# dd_contract (the folds of products with a vector: dd_contract_slab and @)
+# and dd_contract_runs (dd_contract_sym).  Each is one always_inline body
+# with a baseline entry and, in a second part of the AVX-512F section
+# (AVX512F_SECTION), an AVX-512F entry, chosen once at import
+# (_pair_entries).  Every pair helper they call is inlined into each entry,
+# in lanes of 8 (pairs8) under the same names with an 8: scalar helpers
+# called from AVX-512 code made the slab build at n = 24 take 2.7 ms, against
+# about 0.1 ms inlined.
 _GTH_C = r"""
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 /* numpy's pairwise sum of the n <= 128 entries a[i s]: 8 accumulators */
 static inline __attribute__((always_inline)) double
@@ -434,6 +449,7 @@ void dd_fold_runs(ptrdiff_t runs, const ptrdiff_t *bounds, const double *vh,
 #if __has_attribute(target) && __has_attribute(vector_size) && __has_include(<cpuid.h>)
 #include <cpuid.h>
 #if defined(__cpuid_count) && defined(bit_AVX512F) && defined(bit_OSXSAVE)
+#define AVX512F_SECTION  /* also builds the pair products' AVX-512F entries, at the end */
 
 /* The half slab of a fully stored tensor, the n^3 values a[i n^2 + k n + j]
    = b_ijk: slices i in groups of 8, group g at h + 8 g t, t = n (n + 1) / 2;
@@ -562,6 +578,267 @@ void graph_product(ptrdiff_t n, const int *rows, ptrdiff_t m, const int *ptr, co
         }
     }
 }
+
+/* The pair products of precision, each lane of 8 rounded as precision's
+   numpy expressions round one entry.  Every helper is inlined into each
+   entry point, so that all of a pass runs in that entry's instruction set. */
+#define PAIR_INLINE static inline __attribute__((always_inline))
+
+typedef struct { lanes hi, lo; } pairs8;
+
+/* Helpers return pairs8, never a bare lanes, whose return in registers
+   GCC's -Wpsabi flags in a baseline build. */
+PAIR_INLINE pairs8 splat_pair(double hi, double lo)
+{
+    const lanes one = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+    pairs8 r = {hi * one, lo * one};  /* a broadcast: x 1 is x */
+    return r;
+}
+
+/* h[0 .. w - 1] + l[0 .. w - 1], w <= 8, in the first w lanes, 0.0 in the
+   rest.  A short group goes through a buffer by memcpy: lane by lane, its
+   loads and stores made the library's build about 0.3 s longer (GCC 12). */
+PAIR_INLINE pairs8 load_pairs8(const double *h, const double *l, ptrdiff_t w)
+{
+    double b[16] = {0.0};
+    pairs8 r;
+    if (w < 8) {
+        memcpy(b, h, w * sizeof(double));
+        memcpy(b + 8, l, w * sizeof(double));
+        h = b;
+        l = b + 8;
+    }
+    r.hi = *(const lanes *)h;
+    r.lo = *(const lanes *)l;
+    return r;
+}
+
+PAIR_INLINE void store_pairs8(double *h, double *l, pairs8 v, ptrdiff_t w)
+{
+    double b[16];
+    if (w == 8) {
+        *(lanes *)h = v.hi;
+        *(lanes *)l = v.lo;
+        return;
+    }
+    *(lanes *)b = v.hi;
+    *(lanes *)(b + 8) = v.lo;
+    memcpy(h, b, w * sizeof(double));
+    memcpy(l, b + 8, w * sizeof(double));
+}
+
+/* two_sum to dd_div above, in lanes */
+PAIR_INLINE pairs8 two_sum8(lanes a, lanes b)
+{
+    lanes s = a + b, bb = s - a;
+    pairs8 r = {s, (a - (s - bb)) + (b - bb)};
+    return r;
+}
+
+PAIR_INLINE pairs8 quick_two_sum8(lanes a, lanes b)
+{
+    lanes s = a + b;
+    pairs8 r = {s, b - (s - a)};
+    return r;
+}
+
+PAIR_INLINE pairs8 two_prod8(lanes a, lanes b)
+{
+    lanes p = a * b, c = 134217729.0 * a, d = 134217729.0 * b;
+    lanes ahi = c - (c - a), alo = a - ahi, bhi = d - (d - b), blo = b - bhi;
+    pairs8 r = {p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo};
+    return r;
+}
+
+PAIR_INLINE pairs8 dd_add8(pairs8 x, pairs8 y)
+{
+    pairs8 s = two_sum8(x.hi, y.hi), t = two_sum8(x.lo, y.lo);
+    s = quick_two_sum8(s.hi, s.lo + t.hi);
+    return quick_two_sum8(s.hi, s.lo + t.lo);
+}
+
+/* not commutative bit for bit: x.hi y.lo is added before x.lo y.hi */
+PAIR_INLINE pairs8 dd_mul8(pairs8 x, pairs8 y)
+{
+    pairs8 p = two_prod8(x.hi, y.hi);
+    return quick_two_sum8(p.hi, p.lo + (x.hi * y.lo + x.lo * y.hi));
+}
+
+/* dd_div's two refinements as a loop, so that its body is built once */
+PAIR_INLINE pairs8 dd_div8(pairs8 x, pairs8 y)
+{
+    pairs8 minus_y = {-y.hi, -y.lo}, q[2];
+    int k;
+    for (k = 0; k < 2; k++) {
+        q[k].hi = x.hi / y.hi;
+        q[k].lo = 0.0 * q[k].hi;
+        x = dd_add8(x, dd_mul8(q[k], minus_y));
+    }
+    q[1] = quick_two_sum8(q[0].hi, q[1].hi);
+    q[0].hi = x.hi / y.hi;
+    q[0].lo = 0.0 * q[0].hi;
+    return dd_add8(q[1], q[0]);
+}
+
+/* fold above, each lane of the m pairs t[r] apart, in place; the odd pair
+   of a halving is added last, in the same loop, so that dd_add8 is built
+   once */
+PAIR_INLINE pairs8 fold8(pairs8 *t, ptrdiff_t m)
+{
+    while (m > 1) {
+        ptrdiff_t r, half = m / 2;
+        for (r = 0; r < half + m % 2; r++) {
+            ptrdiff_t to = r < half ? r : 0;
+            t[to] = dd_add8(t[to], t[r < half ? half + r : m - 1]);
+        }
+        m = half;
+    }
+    return t[0];
+}
+
+/* precision.dd_slab: K[k, i, j] = V[i, k, j] + V[i, j, k], k n^2 + i n + j
+   in kh + kl, for the n^3 pairs V[i, k, j] = v[i n^2 + k n + j], v = vh +
+   vl.  With alpha (its two parts), v is first renormalized as
+   precision.dd_slab does: V[i, c] = v[i n^2 + c] (alpha / s_c), s_c the
+   fold over i of column c, its n^2 reciprocals formed in lanes of 8
+   columns.  Slice i then goes in turn: V[i, :] and its transpose, then
+   K[:, i, :] from the two in lanes of 8.  t holds 6 n^2 + 16 n doubles. */
+PAIR_INLINE void slab_pass(ptrdiff_t n, const double *vh, const double *vl, const double *alpha,
+                           double *kh, double *kl, double *t)
+{
+    ptrdiff_t c, i, j, k, w, nn = n * n;
+    double *rh = t, *rl = t + nn, *sh = t + 2 * nn, *sl = t + 3 * nn, *th = t + 4 * nn,
+           *tl = t + 5 * nn;
+    pairs8 *f = (pairs8 *)(t + 6 * nn);
+    if (alpha) {
+        pairs8 a = splat_pair(alpha[0], alpha[1]);
+        for (c = 0; c < nn; c += 8) {
+            w = nn - c < 8 ? nn - c : 8;
+            for (i = 0; i < n; i++) f[i] = load_pairs8(vh + i * nn + c, vl + i * nn + c, w);
+            store_pairs8(rh + c, rl + c, dd_div8(a, fold8(f, n)), w);
+        }
+    }
+    for (i = 0; i < n; i++) {
+        const double *uh = vh + i * nn, *ul = vl + i * nn;
+        if (alpha) {  /* V[i, :] */
+            for (c = 0; c < nn; c += 8) {
+                w = nn - c < 8 ? nn - c : 8;
+                store_pairs8(sh + c, sl + c, dd_mul8(load_pairs8(uh + c, ul + c, w),
+                                                     load_pairs8(rh + c, rl + c, w)), w);
+            }
+            uh = sh;
+            ul = sl;
+        }
+        for (k = 0; k < n; k++)
+            for (j = 0; j < n; j++) {
+                th[k * n + j] = uh[j * n + k];
+                tl[k * n + j] = ul[j * n + k];
+            }
+        for (k = 0; k < n; k++)
+            for (j = 0; j < n; j += 8) {
+                w = n - j < 8 ? n - j : 8;
+                store_pairs8(kh + k * nn + i * n + j, kl + k * nn + i * n + j,
+                             dd_add8(load_pairs8(uh + k * n + j, ul + k * n + j, w),
+                                     load_pairs8(th + k * n + j, tl + k * n + j, w)), w);
+            }
+    }
+}
+
+/* o[c] = the fold over r < m of K[r q + c] x[r], for c < q: precision.dd_sum
+   of the products dd_mul(K[r q + c], x[r]), 8 columns c at a time, for a
+   C-contiguous m x q K = kh + kl, m >= 1.  t holds 16 m doubles. */
+PAIR_INLINE void contract_pass(ptrdiff_t m, ptrdiff_t q, const double *kh, const double *kl,
+                               const double *xh, const double *xl, double *oh, double *ol,
+                               double *t)
+{
+    ptrdiff_t c, r, w;
+    pairs8 *f = (pairs8 *)t;
+    for (c = 0; c < q; c += 8) {
+        w = q - c < 8 ? q - c : 8;
+        for (r = 0; r < m; r++)
+            f[r] = dd_mul8(load_pairs8(kh + r * q + c, kl + r * q + c, w), splat_pair(xh[r], xl[r]));
+        store_pairs8(oh + c, ol + c, fold8(f, m), w);
+    }
+}
+
+/* o[s] = the fold of the products dd_mul(d[p], x[idx[p]]) over bounds[s] <=
+   p < bounds[s + 1], 0 for none: precision._dd_segment_sums of data *
+   x[indices], each pair in all 8 lanes.  d = dh + dl has nnz pairs, x = xh +
+   xl has n.  t holds 16 cap doubles.  Returns 0, or -1, before any product,
+   if a bound is out of order or past nnz, a run is longer than cap or an
+   index is not below n. */
+PAIR_INLINE ptrdiff_t runs_pass(ptrdiff_t runs, const ptrdiff_t *bounds, ptrdiff_t nnz,
+                                const double *dh, const double *dl, const ptrdiff_t *idx,
+                                ptrdiff_t n, const double *xh, const double *xl, double *oh,
+                                double *ol, double *t, ptrdiff_t cap)
+{
+    ptrdiff_t s, p;
+    pairs8 *f = (pairs8 *)t, o;
+    if (bounds[0] < 0) return -1;
+    for (s = 0; s < runs; s++)
+        if (bounds[s + 1] < bounds[s] || bounds[s + 1] > nnz || bounds[s + 1] - bounds[s] > cap)
+            return -1;
+    for (p = bounds[0]; p < bounds[runs]; p++)
+        if (idx[p] < 0 || idx[p] >= n) return -1;
+    for (s = 0; s < runs; s++) {
+        ptrdiff_t b = bounds[s], m = bounds[s + 1] - b;
+        oh[s] = ol[s] = 0.0;
+        if (m == 0) continue;
+        for (p = 0; p < m; p++)
+            f[p] = dd_mul8(splat_pair(dh[b + p], dl[b + p]),
+                           splat_pair(xh[idx[b + p]], xl[idx[b + p]]));
+        o = fold8(f, m);
+        oh[s] = o.hi[0];
+        ol[s] = o.lo[0];
+    }
+    return 0;
+}
+
+void dd_slab_build(ptrdiff_t n, const double *vh, const double *vl, const double *alpha,
+                   double *kh, double *kl, double *t)
+{
+    slab_pass(n, vh, vl, alpha, kh, kl, t);
+}
+
+void dd_contract(ptrdiff_t m, ptrdiff_t q, const double *kh, const double *kl, const double *xh,
+                 const double *xl, double *oh, double *ol, double *t)
+{
+    contract_pass(m, q, kh, kl, xh, xl, oh, ol, t);
+}
+
+ptrdiff_t dd_contract_runs(ptrdiff_t runs, const ptrdiff_t *bounds, ptrdiff_t nnz,
+                           const double *dh, const double *dl, const ptrdiff_t *idx, ptrdiff_t n,
+                           const double *xh, const double *xl, double *oh, double *ol, double *t,
+                           ptrdiff_t cap)
+{
+    return runs_pass(runs, bounds, nnz, dh, dl, idx, n, xh, xl, oh, ol, t, cap);
+}
+
+#ifdef AVX512F_SECTION
+/* the same bodies, their lanes in ZMM registers */
+__attribute__((target("avx512f")))
+void dd_slab_build_avx512f(ptrdiff_t n, const double *vh, const double *vl, const double *alpha,
+                           double *kh, double *kl, double *t)
+{
+    slab_pass(n, vh, vl, alpha, kh, kl, t);
+}
+
+__attribute__((target("avx512f")))
+void dd_contract_avx512f(ptrdiff_t m, ptrdiff_t q, const double *kh, const double *kl,
+                         const double *xh, const double *xl, double *oh, double *ol, double *t)
+{
+    contract_pass(m, q, kh, kl, xh, xl, oh, ol, t);
+}
+
+__attribute__((target("avx512f")))
+ptrdiff_t dd_contract_runs_avx512f(ptrdiff_t runs, const ptrdiff_t *bounds, ptrdiff_t nnz,
+                                   const double *dh, const double *dl, const ptrdiff_t *idx,
+                                   ptrdiff_t n, const double *xh, const double *xl, double *oh,
+                                   double *ol, double *t, ptrdiff_t cap)
+{
+    return runs_pass(runs, bounds, nnz, dh, dl, idx, n, xh, xl, oh, ol, t, cap);
+}
+#endif
 """
 # No contraction into fused multiply-adds and no fast-math: IEEE rounding
 # of every operation, as numpy's.  No -march=native either: the cache key
@@ -633,17 +910,24 @@ _KERNELS = (
     ("dd_fold_runs", None, (_I, _P, _P, _P, _P, _P, _P)),
     ("graph_product", None, (_I, _P, _I, _P, _P, _P, _P, _P, _D, _D, _P, _P, _P, _D, _P)),
 )
+# the pair products, each with an AVX-512F entry of the same name and _avx512f
+_PAIR_PRODUCTS = (
+    ("dd_slab_build", None, (_I, _P, _P, _P, _P, _P, _P)),
+    ("dd_contract", None, (_I, _I, _P, _P, _P, _P, _P, _P, _P)),
+    ("dd_contract_runs", _I, (_I, _P, _I, _P, _P, _P, _I, _P, _P, _P, _P, _P, _I)),
+)
 _AVX512F_KERNELS = (
     ("half_slab_build", None, (_P, _I, _P)),
     ("half_slab_contract", None, (_P, _I, _P, _P)),
     ("gth_eliminate_avx512f", _I, (_P, _I, _I, _I, _P, ctypes.c_int)),
     ("avx512f_cpu", ctypes.c_int, ()),
+    *((name + "_avx512f", result, args) for name, result, args in _PAIR_PRODUCTS),
 )
 
 
 def _bind(lib):
     """Give lib's kernels their ctypes signatures, skipping the ones it lacks; returns lib."""
-    for name, result, args in _KERNELS + _AVX512F_KERNELS:
+    for name, result, args in _KERNELS + _PAIR_PRODUCTS + _AVX512F_KERNELS:
         kernel = getattr(lib, name, None)
         if kernel is not None:
             kernel.argtypes, kernel.restype = args, result
@@ -666,13 +950,26 @@ def _leaf(lib):
     return fast.gth_eliminate_avx512f if fast else lib.gth_eliminate
 
 
+def _pair_entries(lib):
+    """lib's pair products as the attributes of one namespace: their
+    AVX-512F entries where those run, else their baseline ones; None without
+    a library or where it lacks them."""
+    if lib is None or any(getattr(lib, name, None) is None for name, _, _ in _PAIR_PRODUCTS):
+        return None
+    suffix = "_avx512f" if _avx512f_kernels(lib) else ""
+    return types.SimpleNamespace(**{name: getattr(lib, name + suffix)
+                                    for name, _, _ in _PAIR_PRODUCTS})
+
+
 # _gth_leaf runs the binary64 pass, _pair_kernels (the library, or None) the
-# pair ones, _half_slab (it again, or None) tensor's half-slab product and
-# _graph_product the product of a graph's PageRank tensor; any of them set to
-# None runs the Python code (the slab's einsum, the factored product's numpy
-# expression) instead.
+# pair passes and folds, _pair_products (a namespace, or None) the pair
+# products, _half_slab (the library again, or None) tensor's half-slab
+# product and _graph_product the product of a graph's PageRank tensor; any of
+# them set to None runs the Python code (precision's numpy expressions, the
+# slab's einsum, the factored product's numpy expression) instead.
 _pair_kernels = _load_gth_kernels()
 _gth_leaf = _leaf(_pair_kernels)
+_pair_products = _pair_entries(_pair_kernels)
 _half_slab = _avx512f_kernels(_pair_kernels)
 _graph_product = None if _pair_kernels is None else _pair_kernels.graph_product
 
@@ -724,9 +1021,9 @@ def _compiled_pass(W, offset, solve):
             return _zeros(W, n), 0, False
         # the pivots' two parts, then room for the partials of a pivot sum
         buf = np.empty(4 * n + 1)
-        at = buf.ctypes.data
+        at = _address(buf)
         d = type(W)(buf[:n], buf[n : 2 * n])
-        k = _pair_kernels.dd_gth_solve(hi.ctypes.data, lo.ctypes.data, n, W.shape[1],
+        k = _pair_kernels.dd_gth_solve(_address(hi), _address(lo), n, W.shape[1],
                                        hi.strides[0] // 8, at, at + 8 * n, at + 16 * n, solve)
         if k < 0:  # step -k - 1 and on are the Python pass's
             start, k = -k - 1, 0
@@ -857,10 +1154,14 @@ def gth_col_solve(offdiag, sums, rhs):
     precision.DD pair arrays; rhs is a vector or a matrix of stacked
     right-hand sides, and rhs >= 0 gives y >= 0.  The diagonal of offdiag is
     never read.  Raises SingularPivotError if a pivot vanishes.
+
+    y is returned in its own C-ordered memory, not as W's strided view of
+    it: a view would keep W alive, and a BLAS product with a strided vector
+    can round otherwise than with a contiguous one.
     """
     W, y = _augmented(offdiag, sums, rhs)
     _solve_in_place(W)
-    return y
+    return y.copy()
 
 
 def _null_profile(offdiag):

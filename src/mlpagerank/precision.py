@@ -30,12 +30,20 @@ binary64 keeps, and gth_substitute (mmatrix._back_substitute) multiplies
 by the pivot reciprocals from one vectorised division and sweeps by
 columns, so a pair solve of n unknowns makes n pair divisions.
 
-Both sums and the leaf run compiled where mmatrix's C library loads, with
-the same bits: a leaf solve is one call of dd_gth_solve, whose pivots are
-math.fsum's exactly rounded sums, dd_sum's fold is dd_fold, and the segment
-sums are dd_fold_runs.  The products that @, dd_contract_slab and
-dd_contract_sym fold are formed by numpy, as before.  The Python loops here
-and in mmatrix are their specification and the fallback without a compiler.
+Both sums, the leaf and the reference's n^3 work run compiled where
+mmatrix's C library loads, with the same bits: a leaf solve is one call of
+dd_gth_solve, whose pivots are math.fsum's exactly rounded sums, dd_sum's
+fold is dd_fold, and the segment sums are dd_fold_runs.  The pair products
+are mmatrix._pair_products: dd_slab_build builds the renormalized slab in
+one pass (dd_slab), dd_contract forms and folds the products of a slab or a
+matrix with a vector (dd_contract_slab, @ with a vector), 8 entries a lane,
+and dd_contract_runs those of S (dd_contract_sym).  Each has a baseline and
+an AVX-512F entry, one C body with every pair helper inlined, chosen once at
+import.  dd_mul is not commutative bit for bit (_two_prod adds ahi blo
+before alo bhi), so each keeps the numpy expression's operand order.  The
+Python loops and numpy expressions here and in mmatrix are their
+specification and the fallback without a compiler; @ between matrices
+forms its products with numpy.
 
 Each reference step makes one tensor product: the contraction of the step h
 on the Newton-GTH path, which updates C = Bx: + B:x and gives the next
@@ -51,7 +59,8 @@ ascending (dd_contract_sym).  On a tensor that stores all n^3 entries the
 two give the same bits: S then holds every K[k, i, j], and each entry folds
 the same n terms.  A PageRank problem is renormalized first by one pair
 reciprocal alpha / colsum per unfolding column, which multiplies every entry
-of that column.
+of that column; for a tensor that stores all n^3 entries dd_slab does it in
+the same pass.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from functools import partial
 import numpy as np
 
 from . import mmatrix
-from .mmatrix import SingularPivotError, _back_substitute
+from .mmatrix import SingularPivotError, _address, _back_substitute
 
 MINIMAL = "minimal"
 STOCHASTIC = "stochastic"
@@ -258,8 +267,14 @@ class DD:
         return DD(hi, math.fsum(parts + [-hi]))
 
     def __matmul__(self, other):
-        """Vectors and matrices: each entry a dd_sum of its products in order."""
+        """Vectors and matrices: each entry a dd_sum of its products in order.
+
+        A product with a vector folds dd_mul(self[..., r], other[r]), the left
+        side first (_fold_products); the others form their products with numpy.
+        """
         lhs = self.T if len(self.shape) == 2 else self  # contracted axis first
+        if len(other.shape) == 1:
+            return _fold_products(lhs, self._coerce(other))
         lhs_shape = lhs.shape + (1,) * (len(other.shape) - 1)
         rhs_shape = other.shape[:1] + (1,) * (len(lhs.shape) - 1) + other.shape[1:]
         return dd_sum(lhs.reshape(lhs_shape) * other.reshape(rhs_shape))
@@ -295,8 +310,8 @@ def dd_sum(v):
         size = math.prod(rest)
         # the result's two parts, then room for one fold's terms
         buf = np.empty(2 * size + 2 * m)
-        at = buf.ctypes.data
-        kernels.dd_fold(m, size, v.hi.ctypes.data, v.lo.ctypes.data,
+        at = _address(buf)
+        kernels.dd_fold(m, size, _address(v.hi), _address(v.lo),
                         at, at + 8 * size, at + 16 * size)
         return DD(buf[:size].reshape(rest), buf[size : 2 * size].reshape(rest))
     hi, lo = v.hi.copy(), v.lo.copy()
@@ -413,8 +428,8 @@ def _dd_segment_sums(weights, bounds):
         v = _contiguous(weights)
         # the sums' two parts, then room for the longest run's terms
         buf = np.empty(2 * runs + 2 * int((bounds[1:] - bounds[:-1]).max(initial=0)))
-        at = buf.ctypes.data
-        kernels.dd_fold_runs(runs, bounds.ctypes.data, v.hi.ctypes.data, v.lo.ctypes.data,
+        at = _address(buf)
+        kernels.dd_fold_runs(runs, _address(bounds), _address(v.hi), _address(v.lo),
                              at, at + 8 * runs, at + 16 * runs)
         return DD(buf[:runs], buf[runs : 2 * runs])
     starts, lengths = bounds[:-1], np.diff(bounds)
@@ -440,15 +455,55 @@ def dd_contract_sym(S, x):
     """C = Bx: + B:x in pair arithmetic, C_{ij} = sum_k (b_{ijk} + b_{ikj}) x_k.
 
     S = dd_sym_matrix(B, vals).  Entry (i, j) is one dd_sum of the terms of
-    row i*n + j of S, S_{i*n+j, k} x_k with k ascending.
+    row i*n + j of S, S_{i*n+j, k} x_k with k ascending.  The products and
+    their folds run compiled (dd_contract_runs of mmatrix._pair_products)
+    with the same bits; the expression below is their specification and the
+    fallback, and takes an S the kernel refuses (a row of more than n
+    entries, a column index past n, a row pointer out of order).
     """
     data, indices, row_ptr = S
-    return _dd_segment_sums(data * x[indices], row_ptr).reshape(len(x), -1)
+    kernels = mmatrix._pair_products
+    n = len(x)
+    if kernels is not None and indices.dtype == row_ptr.dtype == np.int64 and n:
+        data, x = _contiguous(data), _contiguous(x)
+        indices, row_ptr = np.ascontiguousarray(indices), np.ascontiguousarray(row_ptr)
+        runs = len(row_ptr) - 1
+        # the sums' two parts, then room for the terms of a row of S
+        buf = np.empty(2 * runs + 16 * n)
+        at = _address(buf)
+        if not kernels.dd_contract_runs(runs, _address(row_ptr), len(data.hi), _address(data.hi),
+                                        _address(data.lo), _address(indices), n,
+                                        _address(x.hi), _address(x.lo),
+                                        at, at + 8 * runs, at + 16 * runs, n):
+            return DD(buf[:runs].reshape(n, -1), buf[runs : 2 * runs].reshape(n, -1))
+    return _dd_segment_sums(data * x[indices], row_ptr).reshape(n, -1)
 
 
-def dd_slab(vals, n):
+def dd_slab(vals, n, alpha=None):
     """K[k, i, j] = b_ijk + b_ikj in pairs, for a tensor that stores all n^3
-    entries: vals, in storage order, are A[i, k, j] = b_ijk (Tensor3.slab)."""
+    entries: vals, in storage order, are A[i, k, j] = b_ijk (Tensor3.slab).
+
+    With alpha, a 0-d DD, vals are a PageRank tensor's p_ijk, renormalized
+    first: b_ijk = p_ijk (alpha / s), s the dd_sum of p's unfolding column
+    (k, j), the fold over i.  The pass runs compiled (dd_slab_build of
+    mmatrix._pair_products) with the same bits; the expressions below are
+    its specification and the fallback.
+    """
+    kernels = mmatrix._pair_products
+    size = n ** 3
+    if kernels is not None and vals.shape == (size,) and n:
+        v = _contiguous(vals)
+        a = None if alpha is None else np.array([alpha.hi, alpha.lo])
+        K = np.empty(2 * size)
+        work = np.empty(6 * n * n + 16 * n)
+        at = _address(K)
+        kernels.dd_slab_build(n, _address(v.hi), _address(v.lo),
+                              None if a is None else _address(a),
+                              at, at + 8 * size, _address(work))
+        return DD(K[:size].reshape(n, n, n), K[size:].reshape(n, n, n))
+    if alpha is not None:
+        U = vals.reshape(n, -1)
+        vals = U * (alpha / dd_sum(U))
     A = vals.reshape(n, n, n)
     return A.transpose(1, 0, 2) + A.transpose(2, 0, 1)
 
@@ -456,7 +511,31 @@ def dd_slab(vals, n):
 def dd_contract_slab(K, x):
     """dd_contract_sym through the slab K = dd_slab(...): C_ij = sum_k K_kij x_k,
     one dd_sum over k, so n terms per entry where the sparse path sums 2n."""
-    return dd_sum(K * x[:, None, None])
+    return _fold_products(K, x)
+
+
+def _fold_products(K, x):
+    """dd_sum(K * x), x broadcast along K's first axis: each entry the fold
+    over r of dd_mul(K[r, ...], x[r]), K's part the first operand.
+
+    The products and the fold run compiled (dd_contract of
+    mmatrix._pair_products), 8 entries a lane, with the same bits; the
+    expression is their specification and the fallback, which also raises
+    where K's first axis is not x's length.
+    """
+    kernels = mmatrix._pair_products
+    m = len(x.hi)
+    if kernels is not None and m and K.shape[:1] == (m,):
+        K, x = _contiguous(K), _contiguous(x)
+        rest = K.shape[1:]
+        size = math.prod(rest)
+        # the result's two parts, then room for one lane group's products
+        buf = np.empty(2 * size + 16 * m)
+        at = _address(buf)
+        kernels.dd_contract(m, size, _address(K.hi), _address(K.lo), _address(x.hi),
+                            _address(x.lo), at, at + 8 * size, at + 16 * size)
+        return DD(buf[:size].reshape(rest), buf[size : 2 * size].reshape(rest))
+    return dd_sum(K * x.reshape(x.shape + (1,) * (len(K.shape) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +553,9 @@ class _PairProblem:
     (dd_contract_sym).  A PageRank problem is renormalized in pairs (see
     reference_solution): each entry times its column's alpha / colsum, one
     pair reciprocal per unfolding column, the sums of a full tensor one fold
-    over i.  Its 1 - 2 alpha, exact in pairs for a binary64 alpha, comes
-    from alpha: the reference is defined by alpha, not by
-    Problem.one_minus_two_alpha.
+    over i, in the pass that builds its slab (dd_slab).  Its 1 - 2 alpha,
+    exact in pairs for a binary64 alpha, comes from alpha: the reference is
+    defined by alpha, not by Problem.one_minus_two_alpha.
     """
 
     def __init__(self, problem):
@@ -484,23 +563,20 @@ class _PairProblem:
         self.v = self.one_minus_two_alpha = None
         B = (problem.p_tensor if problem.is_pagerank else problem.tensor).to_tensor3()
         full = B.nnz == B.n ** 3
+        vals, alpha = DD(B.vals), None
         if problem.is_pagerank:
             alpha = DD(problem.alpha)
             self.v = DD(problem.v) / dd_sum(DD(problem.v))
             self.a = (DD(1.0) - alpha) * self.v
             self.one_minus_two_alpha = DD(1.0) - 2.0 * alpha
-            if full:  # the unfolding, row by row; its column sums fold over i
-                U = DD(B.vals.reshape(B.n, -1))
-                vals = U * (alpha / dd_sum(U))
-            else:
-                vals = DD(B.vals) * (alpha / _dd_column_sums(B))[B.cols]
         else:
             self.a = DD(problem.a)
-            vals = DD(B.vals)
-        if full:
-            K = dd_slab(vals, B.n)
+        if full:  # dd_slab renormalizes a PageRank tensor's values itself
+            K = dd_slab(vals, B.n, alpha)
             self.contract = lambda x: dd_contract_slab(K, x)
         else:
+            if alpha is not None:
+                vals = vals * (alpha / _dd_column_sums(B))[B.cols]
             S = dd_sym_matrix(B, vals)
             self.contract = lambda x: dd_contract_sym(S, x)
 

@@ -440,15 +440,13 @@ def _gth_sweep(C, slices, level, col_n, rhs, filled=None):
 
     col_n None is the one block of N = 0, as Newton-GTH has: C is the block
     and the level its every column sum, taken as they are, with no slice,
-    no sums vector and no y to gather into.  Its y is copied once, since a
-    solve returns a strided view of its augmented array, and a BLAS product
-    with a strided vector rounds differently.  Several blocks are solved in
-    turn into y.
+    no sums vector and no y to gather into; the block's solve is y, in its
+    own memory.  Several blocks are solved in turn into y.
     """
     if float(level) <= 0.0:
         raise SingularPivotError(f"column-sum level {float(level)!r} is not positive")
     if col_n is None:
-        return _gth_block(C, level, rhs, filled, 0).copy()
+        return _gth_block(C, level, rhs, filled, 0)
     y = _zeros(rhs, len(rhs))
     for b, s in enumerate(slices):
         y[s] = _gth_block(C[s, s], level + col_n[s], rhs[s], filled, b)

@@ -778,9 +778,11 @@ def read_outcome(path):
     return A.shape, A.tobytes()
 
 
-def check_graph_file(text):
+def check_graph_file(text, v_seed="0", nu="0.1"):
     """read_matrix_market gives what the per-line reader gives, and solve and
-    ingest exit with a code and one line."""
+    ingest with --v-seed and --nu exit with a code and one line: a negative
+    --v-seed is refused before the graph is read, a --nu outside [0, 1]
+    after it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.mtx")
         with open(path, "w", encoding="utf-8") as fh:
@@ -789,8 +791,13 @@ def check_graph_file(text):
         with mock.patch.object(ingest, "_parse_entries", lambda *args: None):
             want = read_outcome(path)
         assert got == want
+        if int(v_seed) < 0:
+            want = f"--v-seed must be nonnegative, got {v_seed}"
+        elif not isinstance(want, str) and not 0.0 <= float(nu) <= 1.0:
+            want = f"nu must be in [0, 1], got {float(nu)}"
+        flags = [f"--v-seed={v_seed}", f"--nu={nu}"]
         for argv in (["solve", "--alpha=0.3"], ["ingest", "--out-tensor", os.path.join(tmp, "t")]):
-            code, out, err = captured_run([argv[0], "--graph", path, *argv[1:]])
+            code, out, err = captured_run([argv[0], "--graph", path, *flags, *argv[1:]])
             assert "Traceback" not in err
             assert code in (EXIT_OK, EXIT_MAXIT, EXIT_NUMERICAL, EXIT_USAGE)
             if isinstance(want, str):
@@ -805,9 +812,21 @@ def check_graph_file(text):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(text=graph_files())
-def test_graph_files_read_as_line_by_line_and_exit_with_a_code_and_one_line(text):
-    check_graph_file(text)
+@given(text=graph_files(),
+       v_seed=st.sampled_from(["0", "3", str(2**64 + 3), "-1", str(-2**64)]),
+       nu=st.sampled_from(["0.1", "0", "1"]) | st.sampled_from(
+           ["nan", "inf", "-inf", "-0.5", "1.5", "1e400"]))
+def test_graph_files_read_as_line_by_line_and_exit_with_a_code_and_one_line(text, v_seed, nu):
+    check_graph_file(text, v_seed, nu)
+
+
+@pytest.mark.parametrize("command", [["solve", "--alpha=0.3"], ["ingest", "--out-tensor", "t"],
+                                     ["compare", "--alpha=0.3", "--methods", "newton-gth"]])
+def test_a_negative_v_seed_is_refused_before_the_graph_is_read(command, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-graph.mtx")
+    argv = [command[0], "--graph", missing, "--v-seed=-1", *command[1:]]
+    assert exit_code(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: --v-seed must be nonnegative, got -1\n")
 
 
 PATTERN_HEADER = "%%MatrixMarket matrix coordinate pattern general\n"

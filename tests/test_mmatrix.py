@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 
@@ -121,6 +122,20 @@ class TestTripletValidation:
         assert np.array_equal(row, np.array([[2.0, -1.0], [-2.0, 5.0]]))
         col = TripletMMatrix(N, np.array([1.0, 3.0]), COL).materialize()
         assert np.array_equal(col, np.array([[3.0, -1.0], [-2.0, 4.0]]))
+
+
+@pytest.mark.parametrize("n", [3, GTH_BLOCK + 5])
+@pytest.mark.parametrize("wrap", [np.asarray, DD], ids=["binary64", "double-double"])
+def test_the_solution_owns_its_memory(rng, wrap, n):
+    # not a view of the augmented array: it keeps nothing else alive, and
+    # BLAS reads it as a contiguous vector
+    N = rng.random((n, n))
+    np.fill_diagonal(N, 0.0)
+    sums = rng.random(n) + 0.1
+    for rhs in (rng.random(n), rng.random((n, 2))):
+        y = gth_col_solve(wrap(N), wrap(sums), wrap(rhs))
+        for part in (y.hi, y.lo) if wrap is DD else (y,):
+            assert part.base is None and part.flags.c_contiguous and part.shape == rhs.shape
 
 
 class TestGTHColSolve:
@@ -881,9 +896,11 @@ class TestCompiledLeaf:
 
 
 # The compiled pair kernels: dd_gth_solve runs _eliminate (and, asked to
-# solve, _back_substitute) on DD arrays, and dd_fold and dd_fold_runs the
-# folds of precision.dd_sum.  The Python code is their specification;
-# _pair_kernels = None runs it, as on a machine without a C compiler.
+# solve, _back_substitute) on DD arrays, dd_fold and dd_fold_runs the folds
+# of precision.dd_sum, and the pair products (_pair_products) precision's
+# slab, its products and its sparse products.  The Python code is their
+# specification; _pair_kernels = _pair_products = None runs it, as on a
+# machine without a C compiler.
 
 needs_pair_kernels = pytest.mark.skipif(mmatrix._pair_kernels is None,
                                         reason="no compiled pair kernels")
@@ -920,9 +937,10 @@ def with_and_without_pair_kernels(monkeypatch, run):
     with numpy's warnings off: its arrays, or the exception's type and
     message."""
     outcomes = []
-    for kernels in (mmatrix._pair_kernels, None):
+    for kernels, products in ((mmatrix._pair_kernels, mmatrix._pair_products), (None, None)):
         with monkeypatch.context() as m, np.errstate(all="ignore"):
             m.setattr(mmatrix, "_pair_kernels", kernels)
+            m.setattr(mmatrix, "_pair_products", products)
             try:
                 outcomes.append(run())
             except (ArithmeticError, ValueError) as exc:
@@ -1099,6 +1117,85 @@ class TestCompiledPairKernels:
         assert_same_outcomes(with_and_without_pair_kernels(monkeypatch, run))
 
 
+def across_pair_products(monkeypatch, run):
+    """run() with the pair products chosen at import (the AVX-512F entries
+    where the CPU runs them), with their baseline entries, and with every
+    pair kernel off, each with numpy's warnings off: a dict of its arrays,
+    or of the exception's type and message."""
+    lib = mmatrix._pair_kernels
+    baseline = types.SimpleNamespace(**{name: getattr(lib, name)
+                                        for name, _, _ in mmatrix._PAIR_PRODUCTS})
+    outcomes = {}
+    for name, kernels, products in (("chosen", lib, mmatrix._pair_products),
+                                    ("baseline", lib, baseline), ("off", None, None)):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            m.setattr(mmatrix, "_pair_kernels", kernels)
+            m.setattr(mmatrix, "_pair_products", products)
+            try:
+                outcomes[name] = run()
+            except (ArithmeticError, ValueError, IndexError) as exc:
+                outcomes[name] = f"{type(exc).__name__}: {exc}"
+    return outcomes
+
+
+def assert_same_product_bits(monkeypatch, run):
+    outcomes = across_pair_products(monkeypatch, run)
+    for name in ("chosen", "baseline"):
+        assert_same_outcomes([outcomes[name], outcomes["off"]])
+
+
+def parts(case):
+    """A run of case(): its DD's two parts."""
+    def run():
+        out = case()
+        return out.hi, out.lo
+    return run
+
+
+@needs_pair_kernels
+class TestCompiledPairProducts:
+    """precision's slab, products and sparse products at n = 1 to 33, with
+    nonzero lo parts: the same bits from every entry and from numpy."""
+
+    def test_slab_with_and_without_renormalization(self, monkeypatch, rng):
+        for n in range(1, 34):
+            vals = random_pairs(rng, n ** 3)
+            alpha = DD(rng.random(), rng.random() * 2.0 ** -60)
+            for a in (None, alpha):
+                assert_same_product_bits(monkeypatch, parts(lambda: precision.dd_slab(vals, n, a)))
+
+    def test_slab_product_and_products_with_a_vector(self, monkeypatch, rng):
+        for n in range(1, 34):
+            K, C, A = (random_pairs(rng, shape) for shape in ((n, n, n), (n, n), (n, n + 3)))
+            x, y = random_pairs(rng, n), random_pairs(rng, n + 3)
+            for case in (lambda: precision.dd_contract_slab(K, x), lambda: K @ x,
+                         lambda: C @ x, lambda: C.T @ x, lambda: A @ y, lambda: A.T @ x,
+                         lambda: x @ x, lambda: C @ x.hi, lambda: C @ y):
+                assert_same_product_bits(monkeypatch, parts(case))
+
+    def test_sparse_product(self, monkeypatch, rng):
+        for n in range(1, 34):
+            U = rng.random((n, n * n)) * (rng.random((n, n * n)) < 0.3)
+            B = Tensor3.from_unfolding(U)
+            vals = DD(B.vals, B.vals * 2.0 ** -54 * rng.uniform(-1.0, 1.0, B.nnz))
+            S, x = precision.dd_sym_matrix(B, vals), random_pairs(rng, n)
+            assert_same_product_bits(monkeypatch, parts(lambda: precision.dd_contract_sym(S, x)))
+
+    @pytest.mark.parametrize("indices,row_ptr", [
+        ([0, 1, 0, 1, 1, 0], [0, 3, 3, 5, 6]),  # a row of three entries, past n = 2
+        ([0, 1, 0, 1, 1, 2], [0, 2, 2, 4, 6]),  # a column index past n
+        ([0, 1, 0, 1, 1, 0], [0, 4, 3, 5, 6]),  # a row pointer out of order
+    ], ids=["long-row", "index", "order"])
+    def test_a_sparse_matrix_the_kernel_refuses_takes_the_numpy_path(self, monkeypatch, rng,
+                                                                   indices, row_ptr):
+        S = (random_pairs(rng, 6), np.array(indices), np.array(row_ptr))
+        x = random_pairs(rng, 2)
+        outcomes = across_pair_products(monkeypatch, parts(lambda: precision.dd_contract_sym(S, x)))
+        for name in ("chosen", "baseline"):
+            assert_same_outcomes([outcomes[name], outcomes["off"]])
+        assert isinstance(outcomes["off"], str) == (indices[-1] == 2)
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
     cc = shutil.which("cc")
     if cc is None:
@@ -1129,6 +1226,10 @@ def test_the_library_exports_the_half_slab_product_where_the_cpu_runs_it():
     for name in ("half_slab_build", "half_slab_contract"):
         assert getattr(mmatrix._half_slab, name).argtypes is not None
     assert mmatrix._gth_leaf is mmatrix._half_slab.gth_eliminate_avx512f
+    for name, _, _ in mmatrix._PAIR_PRODUCTS:
+        entry = getattr(mmatrix._pair_products, name)
+        assert entry is getattr(mmatrix._half_slab, name + "_avx512f")
+        assert entry.argtypes is not None
 
 
 def kernel_outputs():
@@ -1176,8 +1277,15 @@ def test_a_library_without_the_product_keeps_the_gth_and_pair_kernels(tmp_path, 
     lib = mmatrix._bind(ctypes.CDLL(str(path)))
     assert getattr(lib, "half_slab_contract", None) is None
     assert mmatrix._avx512f_kernels(lib) is None
-    # the binary64 solves through the baseline leaf
+    # the binary64 solves through the baseline leaf, the pair products
+    # through their baseline entries, which the source cut at the guard lacks
     assert mmatrix._leaf(lib) is lib.gth_eliminate
+    products = mmatrix._pair_entries(lib)
+    if missing is None:
+        assert products is None
+    else:
+        assert all(getattr(products, name) is getattr(lib, name)
+                   for name, _, _ in mmatrix._PAIR_PRODUCTS)
     want = kernel_outputs()
     monkeypatch.setattr(mmatrix, "_pair_kernels", lib)
     monkeypatch.setattr(mmatrix, "_gth_leaf", mmatrix._leaf(lib))
